@@ -15,7 +15,6 @@ from .stl_core import (
     Region,
     SubTask,
     TimeInterval,
-    TimedPoint,
     Workspace,
     active_interval,
     oracle_satisfies,
@@ -40,7 +39,7 @@ from .scenario_cli import Scenario, load_scenario, run_pipeline
 
 __all__ = [
     "AtomicProp", "Box", "Formula", "PointSequence", "Region", "SubTask",
-    "TimeInterval", "TimedPoint", "Workspace", "active_interval",
+    "TimeInterval", "Workspace", "active_interval",
     "oracle_satisfies", "oracle_satisfies_formula", "parse_formula", "pretty",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
     "SatisfactionPair", "SatisfactionSet", "stl_sat",

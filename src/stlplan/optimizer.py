@@ -334,8 +334,6 @@ def initial_guess(problem, waypoints):
         heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
         inputs[:, 0] = (diffs * heading).sum(axis=1) / tau
         inputs[:, 1] = np.diff(theta) / tau
-    else:
-        inputs[:, :] = 0.0
     inputs = np.clip(inputs, problem.input_lb, problem.input_ub)
     states = np.clip(states, problem.state_lb, problem.state_ub)
     return states, inputs

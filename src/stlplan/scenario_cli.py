@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corridor import construct_safe_corridor
+from .corridor import DEFAULT_STEP, construct_safe_corridor
 from .decomposer import decompose
 from .optimizer import (InfeasibleConstraintError, SolverTolerances,
                         build_nlp, evaluate_solution, initial_guess,
@@ -56,10 +56,10 @@ class Scenario:
     model: object
     planner: PlannerParams
     tolerances: SolverTolerances
-    q_weights: tuple
-    r_weights: tuple
-    corridor_step: float
-    seed: int
+    q_weights: tuple = (1.0, 1.0)
+    r_weights: tuple = (1.0, 1.0, 0.1)
+    corridor_step: float = DEFAULT_STEP
+    seed: int = 0
     notes: str = ""
     source: str = ""
 
@@ -71,132 +71,152 @@ class Scenario:
         return k
 
 
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
+# ---------------------------------------------------------------------------
+# scenario schema: one key table per JSON object, mapping each accepted
+# key to a parser (value, dotted key name) -> parsed value that raises
+# ConfigError.  Absent optional keys stay absent, so the defaults are
+# those of Scenario, PlannerParams, SolverTolerances and unicycle_model.
+
+def _scalar(kinds, what, test=lambda v: True, cast=lambda v: v):
+    def parse(value, name):
+        if isinstance(value, bool) or not isinstance(value, kinds) \
+                or not test(value):
+            raise ConfigError(f"{name} must be {what}")
+        return cast(value)
+    return parse
 
 
-def _box_from_json(spec, what):
-    _require(isinstance(spec, list) and len(spec) == 2
-             and all(isinstance(r, list) and len(r) == 2 for r in spec),
-             f"{what} must be [[xlo, xhi], [ylo, yhi]]")
-    (xlo, xhi), (ylo, yhi) = spec
-    _require(xlo < xhi and ylo < yhi, f"{what} must have positive extent")
-    return Box((xlo, ylo), (xhi, yhi))
+def _array(item, what, size=None, test=lambda v: True, cast=tuple):
+    def parse(value, name):
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise ConfigError(f"{name} must be {what}")
+        parsed = tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
+        if not test(parsed):
+            raise ConfigError(f"{name} must be {what}")
+        return cast(parsed)
+    return parse
 
 
-def _box_inside(box, bounds):
-    return all(bl <= l and h <= bh for l, h, bl, bh in
-               zip(box.lo, box.hi, bounds.lo, bounds.hi))
+def _or_null(parse):
+    return lambda value, name: None if value is None else parse(value, name)
 
 
-_PLANNER_KEYS = {"goal_bias", "step", "time_step", "time_overshoot",
-                 "max_iters_per_tree", "max_restarts"}
-_SOLVER_KEYS = {"eps_feas", "eps_opt", "max_outer", "max_inner",
-                "q_weights", "r_weights"}
+_number = _scalar((int, float), "a number", math.isfinite, float)
+_positive = _scalar((int, float), "a positive number",
+                    lambda v: 0 < v < math.inf, float)
+_fraction = _scalar((int, float), "a number in [0, 1]",
+                    lambda v: 0 <= v <= 1, float)
+_count = _scalar(int, "a non-negative integer", lambda v: v >= 0)
+_text = _scalar(str, "a string")
+_interval = _array(_number, "[lo, hi] with lo < hi", 2,
+                   lambda v: v[0] < v[1])
+_box = _array(_interval, "[[xlo, xhi], [ylo, yhi]]", 2,
+              cast=lambda axes: Box(*zip(*axes)))
+_obstacles = _array(_box, "a list of boxes")
+_unicycle = _scalar(str, "'unicycle'", lambda v: v == "unicycle")
+
+
+def _vector(size):
+    return _array(_number, f"a list of {size} numbers", size)
+
+
+def _regions(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object of named boxes")
+    clash = sorted(set(value) & {"F", "G", "U"})
+    if clash:
+        raise ConfigError(f"region names {clash} collide with operators")
+    return tuple(Region(label, _box(box, f"{name}.{label}"))
+                 for label, box in value.items())
+
+
+def _table(keys, required=()):
+    """Parser of a JSON object whose keys are drawn from `keys`."""
+    def parse(value, name):
+        what = name or "scenario"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{what} must be a JSON object")
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            raise ConfigError(f"unknown {what} keys: {unknown}")
+        prefix = f"{name}." if name else ""
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"missing required field {prefix + key!r}")
+        return {key: keys[key](v, prefix + key) for key, v in value.items()}
+    return parse
+
+
+def _workspace(value, name):
+    spec = _table({"bounds": _box, "obstacles": _obstacles,
+                   "regions": _regions}, required=("bounds",))(value, name)
+    ws = Workspace(spec["bounds"], spec.get("obstacles", ()),
+                   spec.get("regions", ()))
+    named = [(f"obstacle {i}", box) for i, box in enumerate(ws.obstacles)]
+    for what, box in named + [(f"region {r.name!r}", r.box)
+                              for r in ws.regions]:
+        if not (ws.bounds.contains(box.lo) and ws.bounds.contains(box.hi)):
+            raise ConfigError(f"{what} leaves the workspace bounds")
+    return ws
+
+
+_SCENARIO = _table({
+    "name": _text,
+    "notes": _text,
+    "tau": _positive,
+    "workspace": _workspace,
+    "formula": _text,
+    "x0": _vector(3),
+    "dynamics": _table({"model": _unicycle, "v": _interval,
+                        "omega": _interval}, required=("model",)),
+    "planner": _table({"goal_bias": _fraction, "step": _positive,
+                       "time_step": _or_null(_positive),
+                       "time_overshoot": _or_null(_positive),
+                       "max_iters_per_tree": _count, "max_restarts": _count}),
+    "solver": _table({"eps_feas": _positive, "eps_opt": _positive,
+                      "max_outer": _count, "max_inner": _count,
+                      "q_weights": _vector(2), "r_weights": _vector(3)}),
+    "corridor": _table({"step": _positive}),
+    "seed": _count,
+}, required=("name", "tau", "workspace", "formula", "x0", "dynamics"))
 
 
 def load_scenario(source):
     """Load and validate a scenario from a path or a built-in name."""
     path = Path(source)
-    if path.exists():
-        text = path.read_text()
-    else:
+    if not path.exists():
         stem = str(source).removesuffix(".json")
         if stem not in BUILTIN_SCENARIOS:
             raise ConfigError(f"no such scenario file or built-in: {source}")
-        text = (resources.files("stlplan") / "scenarios"
-                / f"{stem}.json").read_text()
+        path = resources.files("stlplan") / "scenarios" / f"{stem}.json"
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {source}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON: {err}") from None
 
-    _require(isinstance(data, dict), "scenario must be a JSON object")
-    for key in ("name", "tau", "workspace", "formula", "x0", "dynamics"):
-        _require(key in data, f"missing required field {key!r}")
-    tau = data["tau"]
-    _require(isinstance(tau, (int, float)) and tau > 0,
-             "tau must be a positive number")
-    tau = float(tau)
-
-    wsd = data["workspace"]
-    bounds = _box_from_json(wsd.get("bounds"), "workspace bounds")
-    obstacles = []
-    for i, ob in enumerate(wsd.get("obstacles", [])):
-        box = _box_from_json(ob, f"obstacle {i}")
-        _require(_box_inside(box, bounds), f"obstacle {i} leaves the "
-                 f"workspace bounds")
-        obstacles.append(box)
-    regions = []
-    for name, spec in wsd.get("regions", {}).items():
-        box = _box_from_json(spec, f"region {name!r}")
-        _require(_box_inside(box, bounds), f"region {name!r} leaves the "
-                 f"workspace bounds")
-        _require(name not in ("F", "G", "U"),
-                 f"region name {name!r} collides with an operator")
-        regions.append(Region(name, box))
-    ws = Workspace(bounds, tuple(obstacles), tuple(regions))
-
-    dyn = data["dynamics"]
-    _require(isinstance(dyn, dict) and dyn.get("model") == "unicycle",
-             "dynamics.model must be 'unicycle'")
-    v = dyn.get("v", (-4.0, 4.0))
-    omega = dyn.get("omega", (-math.pi / 3, math.pi / 3))
-    _require(len(v) == 2 and v[0] < v[1], "dynamics.v must be [lo, hi]")
-    _require(len(omega) == 2 and omega[0] < omega[1],
-             "dynamics.omega must be [lo, hi]")
-    model = unicycle_model(tau, tuple(v), tuple(omega))
-
-    x0 = np.asarray(data["x0"], dtype=float)
-    _require(x0.shape == (model.state_dim,),
-             f"x0 must have {model.state_dim} entries")
-    _require(ws.point_free(x0[:2]), "x0 position must be in free space")
-
-    formula = parse_formula(data["formula"], ws, tau=tau)
-
-    pd = dict(data.get("planner", {}))
-    unknown = set(pd) - _PLANNER_KEYS
-    _require(not unknown, f"unknown planner keys: {sorted(unknown)}")
-    planner = PlannerParams(
-        goal_bias=float(pd.get("goal_bias", 0.3)),
-        step=float(pd.get("step", 0.5)),
-        time_step=(None if pd.get("time_step") is None
-                   else float(pd["time_step"])),
-        time_overshoot=(None if pd.get("time_overshoot") is None
-                        else float(pd["time_overshoot"])),
-        max_iters_per_tree=int(pd.get("max_iters_per_tree", 5000)),
-        max_restarts=int(pd.get("max_restarts", 50)))
-    _require(0.0 <= planner.goal_bias <= 1.0,
-             "planner.goal_bias must lie in [0, 1]")
-    _require(planner.step > 0, "planner.step must be positive")
-
-    sd = dict(data.get("solver", {}))
-    unknown = set(sd) - _SOLVER_KEYS
-    _require(not unknown, f"unknown solver keys: {sorted(unknown)}")
-    tolerances = SolverTolerances(
-        eps_feas=float(sd.get("eps_feas", 1e-4)),
-        eps_opt=float(sd.get("eps_opt", 1e-3)),
-        max_outer=int(sd.get("max_outer", 50)),
-        max_inner=int(sd.get("max_inner", 500)))
-    q_weights = tuple(float(w) for w in sd.get("q_weights",
-                                               [1.0] * model.input_dim))
-    r_weights = tuple(float(w) for w in sd.get("r_weights", [1.0, 1.0, 0.1]))
-    _require(len(q_weights) == model.input_dim,
-             "solver.q_weights length must match the input dimension")
-    _require(len(r_weights) == model.state_dim,
-             "solver.r_weights length must match the state dimension")
-
-    corridor_step = float(data.get("corridor", {}).get("step", 0.05))
-    _require(corridor_step > 0, "corridor.step must be positive")
-
+    spec = _SCENARIO(data, "")
+    tau, ws, dyn = spec["tau"], spec["workspace"], spec["dynamics"]
+    x0 = np.array(spec["x0"])
+    if not ws.point_free(x0[:2]):
+        raise ConfigError("x0 position must be in free space")
+    solver = spec.get("solver", {})
+    optional = {key: spec[key] for key in ("seed", "notes") if key in spec}
+    optional.update((key, solver.pop(key))
+                    for key in ("q_weights", "r_weights") if key in solver)
+    optional.update((f"corridor_{key}", value)
+                    for key, value in spec.get("corridor", {}).items())
     return Scenario(
-        name=str(data["name"]), tau=tau, workspace=ws,
-        formula_text=data["formula"], formula=formula, x0=x0, model=model,
-        planner=planner, tolerances=tolerances, q_weights=q_weights,
-        r_weights=r_weights, corridor_step=corridor_step,
-        seed=int(data.get("seed", 0)), notes=str(data.get("notes", "")),
-        source=str(source))
+        name=spec["name"], tau=tau, workspace=ws,
+        formula_text=spec["formula"],
+        formula=parse_formula(spec["formula"], ws, tau=tau), x0=x0,
+        model=unicycle_model(tau, **{f"{axis}_bounds": dyn[axis]
+                                     for axis in ("v", "omega")
+                                     if axis in dyn}),
+        planner=PlannerParams(**spec.get("planner", {})),
+        tolerances=SolverTolerances(**solver),
+        source=str(source), **optional)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +251,11 @@ def corridor_csv_text(cor):
     return "\n".join(lines) + "\n"
 
 
+_TRAJ_HEADER = "k,t,x,y,theta,v,omega"
+
+
 def traj_csv_text(solution, tau):
-    lines = ["k,t,x,y,theta,v,omega"]
+    lines = [_TRAJ_HEADER]
     K = len(solution.states) - 1
     for k, s in enumerate(solution.states):
         theta = math.remainder(float(s[2]), 2.0 * math.pi)
@@ -247,18 +270,28 @@ def traj_csv_text(solution, tau):
 
 
 def read_traj_csv(path):
-    """Parse a trajectory CSV into (positions, headings, inputs)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header[:5] != ["k", "t", "x", "y", "theta"]:
-        raise ConfigError(f"{path} is not a trajectory CSV")
+    """Parse a trajectory CSV into (positions, headings, inputs).
+
+    The file is outside input: an unreadable file, a foreign header, a
+    row without its seven cells or a non-numeric cell raises ConfigError
+    naming the path and the line."""
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from None
+    if len(lines) < 2 or lines[0] != _TRAJ_HEADER:
+        raise ConfigError(f"{path}:1: not a trajectory CSV (header "
+                          f"{_TRAJ_HEADER} and at least one row)")
     positions, headings, inputs = [], [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        positions.append((float(cells[2]), float(cells[3])))
-        headings.append(float(cells[4]))
-        if cells[5] != "":
-            inputs.append((float(cells[5]), float(cells[6])))
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            _, _, x, y, theta, v, omega = line.split(",")
+            positions.append((float(x), float(y)))
+            headings.append(float(theta))
+            if v or omega:
+                inputs.append((float(v), float(omega)))
+        except ValueError as err:
+            raise ConfigError(f"{path}:{line_no}: {err}") from None
     return (np.array(positions), np.array(headings),
             np.array(inputs) if inputs else np.zeros((0, 2)))
 
@@ -355,6 +388,26 @@ def _polyline_length(points):
                                 axis=1).sum())
 
 
+def verify_trajectory(scenario, positions, inputs):
+    """Check a trajectory the way `run` and `check` both accept it: the
+    oracle on the grid positions, every segment of the polyline against
+    the obstacles, and one input row per step within the bounds.
+    Returns {check name: passed} in that order."""
+    model = scenario.model
+    ws = scenario.workspace
+    return {
+        "satisfied": bool(oracle_satisfies_formula(
+            PointSequence(0, scenario.tau, positions), scenario.formula)),
+        "collision_free": not any(
+            ws.segment_collides(positions[i], positions[i + 1])
+            for i in range(len(positions) - 1)),
+        "inputs_within_bounds": bool(
+            len(inputs) == scenario.horizon_steps
+            and np.all(inputs >= np.array(model.input_lo) - 1e-9)
+            and np.all(inputs <= np.array(model.input_hi) + 1e-9)),
+    }
+
+
 def run_pipeline(scenario, seed=None, out_dir=None):
     """Run decompose / plan / corridor / optimize / verify and write all
     artifacts.  Verification re-reads traj.csv from disk.  Partial
@@ -379,11 +432,9 @@ def run_pipeline(scenario, seed=None, out_dir=None):
 
 
 def _run_stages(scenario, seed, out, report):
-    ws = scenario.workspace
-    tau = scenario.tau
     t0 = time.perf_counter()
     try:
-        dec = decompose(scenario.formula, tau)
+        dec = decompose(scenario.formula, scenario.tau)
     except StlError as err:
         report.status = "failed:decompose"
         report.error = str(err)
@@ -405,24 +456,22 @@ def _run_stages(scenario, seed, out, report):
     report.metrics["attempts"] = len(attempts)
     report.metrics["attempt_outcomes"] = attempts
     report.status = attempts[-1]
-    if report.status not in ("satisfied", "unsatisfied") :
-        return
-    report.stage_log.append(("verify", report.metrics.get("verify_detail",
-                                                          "")))
+    if report.status in ("satisfied", "unsatisfied"):
+        report.stage_log.append(("verify", report.metrics["verify_detail"]))
 
 
 def _attempt_stages(scenario, rng_seed, dec, out, report):
     ws = scenario.workspace
     tau = scenario.tau
     model = scenario.model
-    K = scenario.horizon_steps
 
     t0 = time.perf_counter()
     params = replace(scenario.planner, rng_seed=rng_seed)
     try:
         plan = plan_global(dec, scenario.x0[:2], ws, params, tau=tau,
                            v_max=model.speed_limit)
-        plan.validate(ws, model.speed_limit, expected_len=K + 1)
+        plan.validate(ws, model.speed_limit,
+                      expected_len=scenario.horizon_steps + 1)
     except StlError as err:
         report.error = str(err)
         return "failed:plan"
@@ -431,8 +480,8 @@ def _attempt_stages(scenario, rng_seed, dec, out, report):
     report.metrics["plan_length"] = _polyline_length(
         plan.waypoints.positions)
     report.metrics["pair_count"] = len(plan.pairs)
-    _write(out / "plan.csv", plan_csv_text(plan))
-    _write(out / "pairs.csv", pairs_csv_text(plan))
+    (out / "plan.csv").write_text(plan_csv_text(plan))
+    (out / "pairs.csv").write_text(pairs_csv_text(plan))
     _log_once(report, "plan", f"{len(plan.waypoints)} waypoints, "
                               f"{len(plan.pairs)} pairs")
 
@@ -447,7 +496,7 @@ def _attempt_stages(scenario, rng_seed, dec, out, report):
     report.corridor = cor
     report.metrics["corridor_seconds"] = time.perf_counter() - t0
     report.metrics["corridor_distinct_boxes"] = len(cor.distinct())
-    _write(out / "corridor.csv", corridor_csv_text(cor))
+    (out / "corridor.csv").write_text(corridor_csv_text(cor))
     _log_once(report, "corridor", f"{len(cor.distinct())} distinct boxes")
 
     t0 = time.perf_counter()
@@ -469,9 +518,9 @@ def _attempt_stages(scenario, rng_seed, dec, out, report):
     report.metrics["solver_violation"] = solution.max_violation
     report.metrics["solver_cost"] = solution.cost
     report.metrics["traj_length"] = _polyline_length(solution.states[:, :2])
-    _write(out / "traj.csv", traj_csv_text(solution, tau))
-    _write(out / "figure.svg",
-           emit_svg(scenario, plan, cor, solution.states[:, :2]))
+    (out / "traj.csv").write_text(traj_csv_text(solution, tau))
+    (out / "figure.svg").write_text(
+        emit_svg(scenario, plan, cor, solution.states[:, :2]))
     _log_once(report, "optimize",
               f"{solution.message} after {solution.outer_iterations} outer "
               f"iterations, violation {solution.max_violation:.2e}")
@@ -479,25 +528,15 @@ def _attempt_stages(scenario, rng_seed, dec, out, report):
         report.error = f"solver did not converge: {solution.message}"
         return "failed:optimize"
 
-    positions, headings, inputs = read_traj_csv(out / "traj.csv")
-    seq = PointSequence(0, tau, positions)
-    satisfied = oracle_satisfies_formula(seq, scenario.formula)
-    collision_free = not any(
-        ws.segment_collides(positions[i], positions[i + 1])
-        for i in range(len(positions) - 1))
-    inputs_ok = bool(len(inputs) == K
-                     and np.all(inputs >= np.array(model.input_lo) - 1e-9)
-                     and np.all(inputs <= np.array(model.input_hi) + 1e-9))
+    positions, _, inputs = read_traj_csv(out / "traj.csv")
+    verdict = verify_trajectory(scenario, positions, inputs)
     checks = evaluate_solution(problem, solution.states, solution.inputs)
-    report.metrics["satisfied"] = bool(satisfied)
-    report.metrics["collision_free"] = bool(collision_free)
-    report.metrics["inputs_within_bounds"] = inputs_ok
+    report.metrics.update(verdict)
     report.metrics["dynamics_violation"] = checks["dynamics_violation"]
     report.metrics["bound_violation"] = checks["bound_violation"]
-    report.metrics["verify_detail"] = (
-        f"oracle satisfied={satisfied}, collision_free={collision_free}, "
-        f"inputs_within_bounds={inputs_ok} (re-read from traj.csv)")
-    if satisfied and collision_free and inputs_ok:
+    detail = ", ".join(f"{name}={ok}" for name, ok in verdict.items())
+    report.metrics["verify_detail"] = f"{detail} (re-read from traj.csv)"
+    if all(verdict.values()):
         return "satisfied"
     report.error = report.metrics["verify_detail"]
     return "unsatisfied"
@@ -506,10 +545,6 @@ def _attempt_stages(scenario, rng_seed, dec, out, report):
 def _log_once(report, stage, detail):
     report.stage_log = [(s, d) for (s, d) in report.stage_log if s != stage]
     report.stage_log.append((stage, detail))
-
-
-def _write(path, text):
-    Path(path).write_text(text)
 
 
 def _write_report_text(out, report):
@@ -527,7 +562,7 @@ def _write_report_text(out, report):
     lines.append("-- metrics --")
     for key in sorted(report.metrics):
         lines.append(f"{key}: {report.metrics[key]}")
-    _write(Path(out) / "report.txt", "\n".join(lines) + "\n")
+    (out / "report.txt").write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +608,8 @@ def _cmd_plan(args):
         return 3
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "plan.csv", plan_csv_text(plan))
-    _write(out / "pairs.csv", pairs_csv_text(plan))
+    (out / "plan.csv").write_text(plan_csv_text(plan))
+    (out / "pairs.csv").write_text(pairs_csv_text(plan))
     print(f"{scenario.name} seed {seed}: {len(plan.waypoints)} waypoints, "
           f"{len(plan.pairs)} pairs -> {out}/plan.csv")
     return 0
@@ -601,31 +636,27 @@ def _cmd_run(args):
     out = Path(args.out)
     jobs = [(args.scenario, seed + i, str(out / f"seed{seed + i}"))
             for i in range(args.repeat)]
-    results = []
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(args.repeat, 8)) as pool:
         futures = [pool.submit(_run_one, *job) for job in jobs]
-        for fut in futures:
-            results.append(fut.result())
-    worst = 0
-    for run_seed, status, length, code in results:
+        results = [fut.result() for fut in futures]
+    for run_seed, status, length, _ in results:
         extra = f", length {length:.2f} m" if length else ""
         print(f"seed {run_seed}: {status}{extra}")
-        if code == 3:
-            worst = 3
-        elif code == 2 and worst == 0:
-            worst = 2
-    return worst
+    return max(code for *_, code in results)  # 3 outranks 2 outranks 0
 
 
 def _cmd_check(args):
     scenario = load_scenario(args.scenario)
-    positions, _, _ = read_traj_csv(args.traj)
-    seq = PointSequence(0, scenario.tau, positions)
-    ok = oracle_satisfies_formula(seq, scenario.formula)
-    print(f"{args.traj}: {'satisfies' if ok else 'does not satisfy'} "
-          f"{scenario.name}")
-    return 0 if ok else 2
+    positions, _, inputs = read_traj_csv(args.traj)
+    verdict = verify_trajectory(scenario, positions, inputs)
+    failed = [name for name, ok in verdict.items() if not ok]
+    if failed:
+        print(f"{args.traj}: does not satisfy {scenario.name} "
+              f"(failed: {', '.join(failed)})")
+        return 2
+    print(f"{args.traj}: satisfies {scenario.name}")
+    return 0
 
 
 def main(argv=None):

@@ -341,13 +341,10 @@ def _splice(prefix, tail):
                     np.allclose(v.pos, out[-1].pos, atol=1e-9):
                 out.pop()
             else:
-                return _bad_splice(out, v)
+                raise AssertionError(
+                    f"non-monotone tree path near t={v.time}")
         out.append(v)
     return out
-
-
-def _bad_splice(out, v):
-    raise AssertionError(f"non-monotone tree path near t={v.time}")
 
 
 def discretize_path(path, k_lo, k_hi, tau):

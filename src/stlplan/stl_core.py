@@ -107,10 +107,6 @@ class Box:
     def center(self):
         return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
 
-    @property
-    def widths(self):
-        return np.array([h - l for l, h in zip(self.lo, self.hi)])
-
     def contains(self, p):
         return all(l <= v <= h for v, l, h in zip(p, self.lo, self.hi))
 
@@ -191,13 +187,6 @@ class Workspace:
         except KeyError:
             raise UnknownRegionError(f"unknown region {name!r}") from None
 
-    @property
-    def region_names(self):
-        return tuple(r.name for r in self.regions)
-
-    def contains(self, p):
-        return self.bounds.contains(p)
-
     def in_obstacle(self, p):
         return any(o.contains(p) for o in self.obstacles)
 
@@ -238,9 +227,6 @@ class TimeInterval:
 
     def minkowski(self, other):
         return TimeInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def contains_time(self, t):
-        return self.lo <= t <= self.hi
 
     def interior_contains(self, t):
         return self.lo < t < self.hi
@@ -554,19 +540,6 @@ def _pretty_atom(prop):
 # ---------------------------------------------------------------------------
 # point sequences
 
-class TimedPoint:
-    """A position stamped with a time."""
-
-    __slots__ = ("pos", "time")
-
-    def __init__(self, pos, time):
-        self.pos = np.asarray(pos, dtype=float)
-        self.time = float(time)
-
-    def __repr__(self):
-        return f"TimedPoint({self.pos.tolist()}, {self.time})"
-
-
 class PointSequence:
     """Positions sampled uniformly on the grid: point j is at (k0+j)*tau."""
 
@@ -624,10 +597,6 @@ class PointSequence:
         return PointSequence(
             self.k0, self.tau,
             np.vstack([self.positions, other.positions[1:]]))
-
-    def to_timed_points(self):
-        return [TimedPoint(p, (self.k0 + j) * self.tau)
-                for j, p in enumerate(self.positions)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stlplan.optimizer import NlpSolution
+from stlplan.optimizer import NlpSolution, SolverTolerances
 from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   emit_svg, load_scenario, main,
                                   pairs_csv_text, plan_csv_text,
@@ -29,6 +30,13 @@ def _tiny_data():
                     "max_restarts": 10},
         "seed": 0,
     }
+
+
+def _readme_scenario():
+    """The scenario JSON block of the README's "Scenario files" section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Scenario files", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def _write_scenario(tmp_path, data, name="tiny.json"):
@@ -99,6 +107,16 @@ def test_unknown_sources_are_config_errors():
     (lambda d: d.update(solver={"q_weights": [1.0, 1.0, 1.0]}),
      "q_weights"),
     (lambda d: d.update(corridor={"step": 0.0}), "corridor"),
+    (lambda d: d.update(workspace=[]), "workspace"),
+    (lambda d: d["workspace"].update(regions=[[[0, 1], [0, 1]]]), "regions"),
+    (lambda d: d["workspace"].update(walls=[]), "walls"),
+    (lambda d: d["dynamics"].update(v=5), "dynamics.v"),
+    (lambda d: d["planner"].update(step="abc"), "planner.step"),
+    (lambda d: d.update(x0="abc"), "x0 must be a list"),
+    (lambda d: d.update(tau=True), "tau must be a positive number"),
+    (lambda d: d.update(sovler={}), "sovler"),
+    (lambda d: d.update(corridor={"stride": 0.1}), "unknown corridor"),
+    (lambda d: d["dynamics"].update(v_bounds=[-1, 1]), "v_bounds"),
 ])
 def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     data = _tiny_data()
@@ -107,6 +125,23 @@ def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     with pytest.raises(ConfigError) as err:
         load_scenario(path)
     assert hint.lower() in str(err.value).lower()
+
+
+def test_readme_scenario_loads_and_shows_the_defaults(tmp_path):
+    data = _readme_scenario()
+    full = load_scenario(_write_scenario(tmp_path, data, "full.json"))
+    assert full.model.input_lo == tuple(
+        b[0] for b in (data["dynamics"]["v"], data["dynamics"]["omega"]))
+    assert full.tolerances == SolverTolerances()
+    for key in ("planner", "solver", "corridor"):
+        del data[key]
+    data["dynamics"] = {"model": "unicycle"}
+    bare = load_scenario(_write_scenario(tmp_path, data, "bare.json"))
+    for attr in ("planner", "tolerances", "q_weights", "r_weights",
+                 "corridor_step"):
+        assert getattr(full, attr) == getattr(bare, attr), attr
+    assert full.model.input_lo == bare.model.input_lo
+    assert full.model.input_hi == bare.model.input_hi
 
 
 def test_x0_inside_an_obstacle_is_rejected(tmp_path):
@@ -320,3 +355,44 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["validate", str(broken)]) == 4
     assert "configuration error" in capsys.readouterr().err
+    data = _tiny_data()
+    data["dynamics"]["v_bounds"] = [-1.0, 1.0]
+    assert main(["validate", str(_write_scenario(tmp_path, data))]) == 4
+    assert "v_bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    "",
+    "k,t,x,y,theta,v,omega\n",
+    "k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5\n",
+    "k,t,x,y,theta,v,omega\n0,0.0,0.5,abc,0.0,,\n",
+    "k,t,x,y,theta\n0,0.0,0.5,0.5,0.0\n",
+], ids=["missing", "empty", "header-only", "short-row", "non-numeric",
+        "foreign-header"])
+def test_cli_check_rejects_malformed_trajectory_files(tiny_path, tmp_path,
+                                                      capsys, text):
+    path = tmp_path / "traj.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["check", str(path), str(tiny_path)]) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+
+
+def test_cli_check_verifies_collisions_and_input_bounds(tmp_path, capsys):
+    # the README layout: this path reaches the goal in time, so the
+    # oracle alone passes it, but it cuts through the obstacle at 9 m/s
+    scenario = _write_scenario(tmp_path, _readme_scenario())
+    points = [(0.5, 0.5), (3.0, 0.5), (3.0, 3.0), (3.0, 3.0), (3.0, 3.0)]
+    lines = ["k,t,x,y,theta,v,omega"]
+    for k, (x, y) in enumerate(points):
+        tail = "9.0,0.0" if k < 4 else ","
+        lines.append(f"{k},{k * 0.5},{x},{y},0.0,{tail}")
+    path = tmp_path / "fast.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path), str(scenario)]) == 2
+    out = capsys.readouterr().out
+    assert "does not satisfy" in out
+    assert "collision_free" in out and "inputs_within_bounds" in out
+    assert "failed: satisfied" not in out
