@@ -379,14 +379,14 @@ def _cost_hessian(problem):
     return sp.block_diag([Hx, Hu], format="csr")
 
 
-def _dynamics_jacobian(problem, states, inputs):
+def _dynamics_jacobian(problem, A, B):
     """Sparse Jacobian of the defect residuals c_k = x_{k+1} - f(x_k, u_k)
-    with respect to the packed variables."""
+    with respect to the packed variables, assembled from the per-step
+    blocks A_k = df/dx_k and B_k = df/du_k."""
     model = problem.model
     K = problem.horizon
     n, m = model.state_dim, model.input_dim
     nx = (K + 1) * n
-    A, B = model.jacobians(states[:-1], inputs)
     rows_eye = np.arange(K * n)
     rows_A = np.repeat(rows_eye, n)
     cols_A = (np.tile(np.arange(n), n)[None, :]
@@ -407,16 +407,17 @@ def _inner_gauss_newton(problem, z, lb, ub, al, Hq, rho, gtol, max_iter):
     Directions come from the Gauss-Newton model of the augmented
     Lagrangian restricted to the estimated free variables; steps are
     projected back onto the bounds under an Armijo backtracking line
-    search, so the subproblem value never increases.
+    search, so the subproblem value never increases.  al(z) returns the
+    value, the gradient and the Jacobian blocks (A, B) at z.
     """
-    f, g = al(z)
+    f, g, jac = al(z)
+    f_start = f
     nit = 0
     for nit in range(1, max_iter + 1):
         if _projected_gradient_norm(z, g, lb, ub) <= gtol:
             nit -= 1
             break
-        S, U = problem.unpack(z)
-        J = _dynamics_jacobian(problem, S, U)
+        J = _dynamics_jacobian(problem, *jac)
         H = Hq + rho * (J.T @ J)
         active = (((z <= lb + 1e-11) & (g > 0.0))
                   | ((z >= ub - 1e-11) & (g < 0.0)))
@@ -436,15 +437,15 @@ def _inner_gauss_newton(problem, z, lb, ub, al, Hq, rho, gtol, max_iter):
         alpha = 1.0
         for _ in range(40):
             z_try = np.clip(z + alpha * p, lb, ub)
-            f_try, g_try = al(z_try)
+            f_try, g_try, jac_try = al(z_try)
             if f_try <= f + 1e-4 * float(g @ (z_try - z)) + 1e-12:
-                z, f, g = z_try, f_try, g_try
+                z, f, g, jac = z_try, f_try, g_try, jac_try
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-    return z, f, g, nit
+    return z, f_start, f, g, nit
 
 
 def solve_nlp(problem, init=None, tolerances=None):
@@ -483,7 +484,7 @@ def solve_nlp(problem, init=None, tolerances=None):
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return f, np.concatenate([gs.ravel(), gu.ravel()])
+        return f, np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
 
     Hq = _cost_hessian(problem)
     log = []
@@ -496,8 +497,7 @@ def solve_nlp(problem, init=None, tolerances=None):
     omega = max(1e-2, gtol_floor)
     for outer in range(1, tol.max_outer + 1):
         fun = lambda zv: al_value_grad(zv, lam, rho)
-        merit_start = fun(z)[0]
-        z, f_end, g_end, nit = _inner_gauss_newton(
+        z, merit_start, f_end, g_end, nit = _inner_gauss_newton(
             problem, z, lb, ub, fun, Hq, rho, omega, tol.max_inner)
         S, U = problem.unpack(z)
         c = problem.residuals(S, U)
@@ -512,19 +512,20 @@ def solve_nlp(problem, init=None, tolerances=None):
             message = "converged"
             break
         lam = lam + rho * c
-        if viol > 0.25 * viol_ref and nit < tol.max_inner:
-            # the subproblem was solved yet feasibility stalled, so the
-            # penalty is too weak; a capped inner solve just continues
-            # from its warm start instead
+        if viol > 0.25 * viol_ref:
             rho = min(rho * 5.0, 1e8)
             if rho >= 1e8 and viol > 10 * tol.eps_feas:
                 message = "penalty limit reached without feasibility"
                 break
         else:
-            viol_ref = min(viol_ref, viol)
+            viol_ref = viol
         omega = max(0.3 * omega, gtol_floor)
 
     S, U = problem.unpack(z)
+    if not converged and K:
+        defect = np.max(np.abs(problem.residuals(S, U)), axis=1)
+        k = int(np.argmax(defect))
+        message += f" (worst defect {defect[k]:.2e} at step {k})"
     return NlpSolution(states=S, inputs=U, cost=problem.cost(S, U),
                        max_violation=viol, outer_iterations=len(log),
                        converged=converged, message=message, log=log)

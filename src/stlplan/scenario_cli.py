@@ -107,6 +107,8 @@ _positive = _scalar((int, float), "a positive number",
 _fraction = _scalar((int, float), "a number in [0, 1]",
                     lambda v: 0 <= v <= 1, float)
 _count = _scalar(int, "a non-negative integer", lambda v: v >= 0)
+_weight = _scalar((int, float), "a number >= 0",
+                  lambda v: 0 <= v < math.inf, float)
 _text = _scalar(str, "a string")
 _interval = _array(_number, "[lo, hi] with lo < hi", 2,
                    lambda v: v[0] < v[1])
@@ -175,7 +177,8 @@ _SCENARIO = _table({
                        "max_iters_per_tree": _count, "max_restarts": _count}),
     "solver": _table({"eps_feas": _positive, "eps_opt": _positive,
                       "max_outer": _count, "max_inner": _count,
-                      "q_weights": _vector(2), "r_weights": _vector(3)}),
+                      "q_weights": _array(_weight, "2 weights >= 0", 2),
+                      "r_weights": _array(_weight, "3 weights >= 0", 3)}),
     "corridor": _table({"step": _positive}),
     "seed": _count,
 }, required=("name", "tau", "workspace", "formula", "x0", "dynamics"))
@@ -649,6 +652,10 @@ def _cmd_run(args):
 def _cmd_check(args):
     scenario = load_scenario(args.scenario)
     positions, _, inputs = read_traj_csv(args.traj)
+    if len(positions) != scenario.horizon_steps + 1:
+        raise ConfigError(f"{args.traj} has {len(positions)} rows but "
+                          f"{scenario.name} needs {scenario.horizon_steps + 1}"
+                          f" (one per step k = 0..{scenario.horizon_steps})")
     verdict = verify_trajectory(scenario, positions, inputs)
     failed = [name for name, ok in verdict.items() if not ok]
     if failed:

@@ -210,7 +210,7 @@ def _fd_gradient_errors(rng):
 
     z = prob.pack(states, inputs)
     gs, gu = prob.cost_grad(states, inputs)
-    J = _dynamics_jacobian(prob, states, inputs)
+    J = _dynamics_jacobian(prob, *model.jacobians(states[:-1], inputs))
     y = (lam + rho * prob.residuals(states, inputs)).ravel()
     grad = np.concatenate([gs.ravel(), gu.ravel()]) + J.T @ y
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,7 +326,8 @@ def test_dynamics_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(50):
         prob, states, inputs = _random_problem(rng, K=4)
-        J = _dynamics_jacobian(prob, states, inputs).toarray()
+        A, B = prob.model.jacobians(states[:-1], inputs)
+        J = _dynamics_jacobian(prob, A, B).toarray()
         z = prob.pack(states, inputs)
         idx = rng.integers(0, len(z), size=6)
         for i in idx:
@@ -401,6 +403,77 @@ def test_outer_budget_of_one_reports_non_convergence():
     sol = solve_nlp(prob, init=init, tolerances=tol)
     assert not sol.converged
     assert sol.outer_iterations == 1
+
+
+def _unreachable_corner_problem():
+    """Unicycle with |v| <= 1 and tau = 0.1 from the origin, with x_4
+    pinned at (1, 1): four steps reach at most 0.4 m, so the defects
+    cannot all vanish."""
+    model = unicycle_model(0.1, v_bounds=(-1.0, 1.0))
+    K = 4
+    state_lb = np.full((K + 1, 3), -np.inf)
+    state_ub = np.full((K + 1, 3), np.inf)
+    state_lb[0] = state_ub[0] = 0.0
+    state_lb[K, :2] = state_ub[K, :2] = 1.0
+    prob = NlpProblem(model=model, horizon=K, x0=np.zeros(3),
+                      state_lb=state_lb, state_ub=state_ub,
+                      input_lb=np.tile(model.input_lo, (K, 1)),
+                      input_ub=np.tile(model.input_hi, (K, 1)),
+                      q_weights=np.ones(2), r_weights=np.ones(3))
+    states = np.zeros((K + 1, 3))
+    states[:, :2] = np.linspace(0.0, 1.0, K + 1)[:, None]
+    return prob, (states, np.zeros((K, 2)))
+
+
+@pytest.mark.parametrize("max_inner", [1, 2, 120])
+def test_infeasible_solve_ends_at_the_penalty_limit(max_inner):
+    # the penalty grows on every outer iteration that cuts the violation
+    # by less than 4x, whether or not the inner solve hit its cap
+    prob, init = _unreachable_corner_problem()
+    sol = solve_nlp(prob, init=init,
+                    tolerances=SolverTolerances(max_inner=max_inner))
+    assert not sol.converged
+    assert sol.message.startswith(
+        "penalty limit reached without feasibility")
+    assert sol.outer_iterations <= 12
+
+
+@pytest.mark.parametrize("max_outer", [1, 50])
+def test_failure_message_names_the_worst_defect_and_its_step(max_outer):
+    prob, init = _unreachable_corner_problem()
+    sol = solve_nlp(prob, init=init,
+                    tolerances=SolverTolerances(max_outer=max_outer))
+    assert not sol.converged
+    defect = np.max(np.abs(prob.residuals(sol.states, sol.inputs)), axis=1)
+    k = int(np.argmax(defect))
+    assert sol.message.endswith(f"(worst defect {defect[k]:.2e} at step "
+                                f"{k})")
+    assert defect[k] == pytest.approx(sol.max_violation)
+
+
+def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
+        monkeypatch):
+    # the Gauss-Newton matrix reuses the Jacobian blocks of the
+    # gradient's evaluation instead of computing them again
+    calls = {"jac": 0, "cost_grad": 0}
+    base = unicycle_model(0.1, v_bounds=(-1.0, 1.0))
+
+    def jac(x, u):
+        calls["jac"] += 1
+        return base.jac_fn(x, u)
+
+    cost_grad = NlpProblem.cost_grad
+
+    def counted_cost_grad(self, states, inputs):
+        calls["cost_grad"] += 1
+        return cost_grad(self, states, inputs)
+
+    monkeypatch.setattr(NlpProblem, "cost_grad", counted_cost_grad)
+    prob, init = _unreachable_corner_problem()
+    prob.model = replace(base, jac_fn=jac)
+    sol = solve_nlp(prob, init=init)
+    assert sum(e["inner_iterations"] for e in sol.log) > 0
+    assert calls["jac"] == calls["cost_grad"] > 0
 
 
 def test_solver_requires_an_initialization():

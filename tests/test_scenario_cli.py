@@ -117,6 +117,9 @@ def test_unknown_sources_are_config_errors():
     (lambda d: d.update(sovler={}), "sovler"),
     (lambda d: d.update(corridor={"stride": 0.1}), "unknown corridor"),
     (lambda d: d["dynamics"].update(v_bounds=[-1, 1]), "v_bounds"),
+    (lambda d: d.update(solver={"q_weights": [1.0, -1.0]}), "q_weights[1]"),
+    (lambda d: d.update(solver={"r_weights": [1.0, 1.0, -0.1]}),
+     "r_weights[2] must be a number >= 0"),
 ])
 def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     data = _tiny_data()
@@ -368,8 +371,9 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     "k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5\n",
     "k,t,x,y,theta,v,omega\n0,0.0,0.5,abc,0.0,,\n",
     "k,t,x,y,theta\n0,0.0,0.5,0.5,0.0\n",
+    "k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5,0.0,,\n",
 ], ids=["missing", "empty", "header-only", "short-row", "non-numeric",
-        "foreign-header"])
+        "foreign-header", "too-few-rows"])
 def test_cli_check_rejects_malformed_trajectory_files(tiny_path, tmp_path,
                                                       capsys, text):
     path = tmp_path / "traj.csv"
@@ -378,6 +382,21 @@ def test_cli_check_rejects_malformed_trajectory_files(tiny_path, tmp_path,
     assert main(["check", str(path), str(tiny_path)]) == 4
     err = capsys.readouterr().err
     assert "configuration error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+def test_cli_check_names_the_rows_a_trajectory_has_and_needs(
+        tiny_path, tmp_path, capsys, rows):
+    # the tiny task spans F[0,2] at tau 0.5: steps 0..4, five rows
+    lines = ["k,t,x,y,theta,v,omega"]
+    for k in range(rows):
+        tail = "0.0,0.0" if k < rows - 1 else ","
+        lines.append(f"{k},{k * 0.5},0.5,0.5,0.0,{tail}")
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path), str(tiny_path)]) == 4
+    err = capsys.readouterr().err
+    assert f"{path} has {rows} rows but tiny needs 5" in err
 
 
 def test_cli_check_verifies_collisions_and_input_bounds(tmp_path, capsys):
