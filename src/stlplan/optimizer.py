@@ -258,32 +258,24 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
             wide = door_ub - door_lb > 2.0 * margin
             door_lb = door_lb + wide * margin
             door_ub = door_ub - wide * margin
-            raw_lb = np.maximum(lb, door_lb)
-            raw_ub = np.minimum(ub, door_ub)
-            lb, ub = raw_lb.copy(), raw_ub.copy()
+            lb, ub = np.maximum(lb, door_lb), np.minimum(ub, door_ub)
         else:
-            raw_lb = np.maximum(lb, box.lo)
-            raw_ub = np.minimum(ub, box.hi)
             lb = np.maximum(lb, np.minimum(np.array(box.lo) + margin, wp))
             ub = np.minimum(ub, np.maximum(np.array(box.hi) - margin, wp))
         for pair in pair_groups.get(k, ()):
             prop = pair.prop
             rbox = prop.region.box
             if not prop.negated:
-                raw_lb = np.maximum(raw_lb, rbox.lo)
-                raw_ub = np.minimum(raw_ub, rbox.hi)
                 lb = np.maximum(lb, rbox.lo)
                 ub = np.minimum(ub, rbox.hi)
             else:
                 axis, flo, fhi = _select_avoid_face(rbox, wp, margin)
                 if flo is not None:
-                    raw_lb[axis] = max(raw_lb[axis], flo)
                     lb[axis] = max(lb[axis], flo)
                 if fhi is not None:
-                    raw_ub[axis] = min(raw_ub[axis], fhi)
                     ub[axis] = min(ub[axis], fhi)
             pair_rows.append((k, pair.label, prop))
-        if np.any(raw_lb > raw_ub) or np.any(lb > ub):
+        if np.any(lb > ub):
             raise InfeasibleConstraintError(
                 f"constraints at step {k} have empty intersection "
                 f"(corridor box against certified regions)")

@@ -9,7 +9,8 @@ checked against the brute-force oracle plus collision and input-bound
 scans.
 
 Exit codes: 0 task satisfied, 2 pipeline completed but the trajectory
-does not satisfy the task, 3 a stage failed, 4 configuration error.
+does not satisfy the task, 3 a stage failed, 4 configuration error or an
+unwritable output directory.
 """
 
 from __future__ import annotations
@@ -373,6 +374,7 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
     out_dir: str = ""
     error: str = ""
+    attempts: list = field(default_factory=list)
 
     @property
     def satisfied(self):
@@ -438,9 +440,8 @@ def _run_stages(scenario, seed, out, report):
     t0 = time.perf_counter()
     try:
         dec = decompose(scenario.formula, scenario.tau)
-    except StlError as err:
-        report.status = "failed:decompose"
-        report.error = str(err)
+    except Exception as err:
+        report.status, report.error = _failure("decompose", err)
         return
     report.decomposition = dec
     report.stage_log.append(
@@ -449,111 +450,115 @@ def _run_stages(scenario, seed, out, report):
                       f"{len(dec.disjunctive_sets)} disjunctive sets"))
     report.metrics["decompose_seconds"] = time.perf_counter() - t0
 
-    attempts = []
-    for attempt in range(1 + _REPLAN_LIMIT):
-        outcome = _attempt_stages(scenario, seed + _SEED_STRIDE * attempt,
-                                  dec, out, report)
-        attempts.append(outcome)
-        if outcome == "satisfied" or outcome.startswith("failed:plan"):
+    for i in range(1 + _REPLAN_LIMIT):
+        attempt = RunReport(scenario, seed + _SEED_STRIDE * i)
+        _attempt_stages(scenario, dec, out, attempt)
+        report.attempts.append(attempt)
+        if attempt.status in ("satisfied", "failed:plan"):
             break
-    report.metrics["attempts"] = len(attempts)
-    report.metrics["attempt_outcomes"] = attempts
-    report.status = attempts[-1]
-    if report.status in ("satisfied", "unsatisfied"):
-        report.stage_log.append(("verify", report.metrics["verify_detail"]))
+    report.status, report.error = attempt.status, attempt.error
+    report.plan, report.corridor = attempt.plan, attempt.corridor
+    report.solution = attempt.solution
+    report.stage_log += attempt.stage_log
+    report.metrics.update(attempt.metrics, attempts=len(report.attempts))
+    report.metrics["attempt_outcomes"] = [a.status for a in report.attempts]
 
 
-def _attempt_stages(scenario, rng_seed, dec, out, report):
+def _failure(stage, err):
+    """(status, error text) of an exception raised inside `stage`."""
+    if isinstance(err, InfeasibleConstraintError):
+        stage = "optimize-infeasible"
+    return f"failed:{stage}", (str(err) if isinstance(err, StlError)
+                               else repr(err))
+
+
+def _attempt_stages(scenario, dec, out, attempt):
+    """One plan / corridor / optimize / verify pass with planner seed
+    attempt.seed, recorded in the fresh report `attempt`.  Any exception
+    ends the attempt as failed:<the stage that raised it>."""
     ws = scenario.workspace
     tau = scenario.tau
     model = scenario.model
-
-    t0 = time.perf_counter()
-    params = replace(scenario.planner, rng_seed=rng_seed)
+    m = attempt.metrics
+    start = time.perf_counter()
+    stage = "plan"
     try:
+        params = replace(scenario.planner, rng_seed=attempt.seed)
         plan = plan_global(dec, scenario.x0[:2], ws, params, tau=tau,
                            v_max=model.speed_limit)
         plan.validate(ws, model.speed_limit,
                       expected_len=scenario.horizon_steps + 1)
-    except StlError as err:
-        report.error = str(err)
-        return "failed:plan"
-    report.plan = plan
-    report.metrics["plan_seconds"] = time.perf_counter() - t0
-    report.metrics["plan_length"] = _polyline_length(
-        plan.waypoints.positions)
-    report.metrics["pair_count"] = len(plan.pairs)
-    (out / "plan.csv").write_text(plan_csv_text(plan))
-    (out / "pairs.csv").write_text(pairs_csv_text(plan))
-    _log_once(report, "plan", f"{len(plan.waypoints)} waypoints, "
-                              f"{len(plan.pairs)} pairs")
+        attempt.plan = plan
+        m["plan_seconds"] = time.perf_counter() - start
+        m["plan_length"] = _polyline_length(plan.waypoints.positions)
+        m["pair_count"] = len(plan.pairs)
+        (out / "plan.csv").write_text(plan_csv_text(plan))
+        (out / "pairs.csv").write_text(pairs_csv_text(plan))
+        attempt.stage_log.append(("plan", f"{len(plan.waypoints)} waypoints, "
+                                          f"{len(plan.pairs)} pairs"))
 
-    t0 = time.perf_counter()
-    try:
+        stage = "corridor"
+        t0 = time.perf_counter()
         cor = construct_safe_corridor(plan.waypoints, ws,
                                       scenario.corridor_step)
         cor.validate(ws, plan.waypoints.positions)
-    except StlError as err:
-        report.error = str(err)
-        return "failed:corridor"
-    report.corridor = cor
-    report.metrics["corridor_seconds"] = time.perf_counter() - t0
-    report.metrics["corridor_distinct_boxes"] = len(cor.distinct())
-    (out / "corridor.csv").write_text(corridor_csv_text(cor))
-    _log_once(report, "corridor", f"{len(cor.distinct())} distinct boxes")
+        attempt.corridor = cor
+        m["corridor_seconds"] = time.perf_counter() - t0
+        m["corridor_distinct_boxes"] = len(cor.distinct())
+        (out / "corridor.csv").write_text(corridor_csv_text(cor))
+        attempt.stage_log.append(
+            ("corridor", f"{len(cor.distinct())} distinct boxes"))
 
-    t0 = time.perf_counter()
-    try:
+        stage = "optimize"
+        t0 = time.perf_counter()
         problem = build_nlp(plan, cor, ws, model, scenario.x0,
                             q_weights=scenario.q_weights,
                             r_weights=scenario.r_weights)
         init = initial_guess(problem, plan.waypoints.positions)
         solution = solve_nlp(problem, init, scenario.tolerances)
-    except InfeasibleConstraintError as err:
-        report.error = str(err)
-        return "failed:optimize-infeasible"
-    except StlError as err:
-        report.error = str(err)
-        return "failed:optimize"
-    report.solution = solution
-    report.metrics["solve_seconds"] = time.perf_counter() - t0
-    report.metrics["solver_outer_iterations"] = solution.outer_iterations
-    report.metrics["solver_violation"] = solution.max_violation
-    report.metrics["solver_cost"] = solution.cost
-    report.metrics["traj_length"] = _polyline_length(solution.states[:, :2])
-    (out / "traj.csv").write_text(traj_csv_text(solution, tau))
-    (out / "figure.svg").write_text(
-        emit_svg(scenario, plan, cor, solution.states[:, :2]))
-    _log_once(report, "optimize",
-              f"{solution.message} after {solution.outer_iterations} outer "
-              f"iterations, violation {solution.max_violation:.2e}")
-    if not solution.converged:
-        report.error = f"solver did not converge: {solution.message}"
-        return "failed:optimize"
+        attempt.solution = solution
+        m["solve_seconds"] = time.perf_counter() - t0
+        m["solver_outer_iterations"] = solution.outer_iterations
+        m["solver_violation"] = solution.max_violation
+        m["solver_cost"] = solution.cost
+        m["traj_length"] = _polyline_length(solution.states[:, :2])
+        (out / "traj.csv").write_text(traj_csv_text(solution, tau))
+        (out / "figure.svg").write_text(
+            emit_svg(scenario, plan, cor, solution.states[:, :2]))
+        attempt.stage_log.append(
+            ("optimize", f"{solution.message} after "
+                         f"{solution.outer_iterations} outer iterations, "
+                         f"violation {solution.max_violation:.2e}"))
+        if not solution.converged:
+            raise StlError(f"solver did not converge: {solution.message}")
 
-    positions, _, inputs = read_traj_csv(out / "traj.csv")
-    verdict = verify_trajectory(scenario, positions, inputs)
-    checks = evaluate_solution(problem, solution.states, solution.inputs)
-    report.metrics.update(verdict)
-    report.metrics["dynamics_violation"] = checks["dynamics_violation"]
-    report.metrics["bound_violation"] = checks["bound_violation"]
-    detail = ", ".join(f"{name}={ok}" for name, ok in verdict.items())
-    report.metrics["verify_detail"] = f"{detail} (re-read from traj.csv)"
-    if all(verdict.values()):
-        return "satisfied"
-    report.error = report.metrics["verify_detail"]
-    return "unsatisfied"
-
-
-def _log_once(report, stage, detail):
-    report.stage_log = [(s, d) for (s, d) in report.stage_log if s != stage]
-    report.stage_log.append((stage, detail))
+        stage = "verify"
+        positions, _, inputs = read_traj_csv(out / "traj.csv")
+        verdict = verify_trajectory(scenario, positions, inputs)
+        checks = evaluate_solution(problem, solution.states, solution.inputs)
+        m.update(verdict)
+        m["dynamics_violation"] = checks["dynamics_violation"]
+        m["bound_violation"] = checks["bound_violation"]
+        detail = ", ".join(f"{name}={ok}" for name, ok in verdict.items())
+        m["verify_detail"] = f"{detail} (re-read from traj.csv)"
+        attempt.stage_log.append(("verify", m["verify_detail"]))
+        attempt.status = "satisfied"
+        if not all(verdict.values()):
+            attempt.status, attempt.error = "unsatisfied", m["verify_detail"]
+    except Exception as err:
+        attempt.status, attempt.error = _failure(stage, err)
+    finally:
+        m["attempt_seconds"] = time.perf_counter() - start
 
 
 def _write_report_text(out, report):
     lines = [f"scenario: {report.scenario.name} (seed {report.seed})",
              f"formula: {report.scenario.formula_text}",
              f"status: {report.status}"]
+    for i, a in enumerate(report.attempts, start=1):
+        lines.append(f"attempt {i} (seed {a.seed}, "
+                     f"{a.metrics['attempt_seconds']:.2f} s): {a.status}"
+                     + (f": {a.error}" if a.error else ""))
     if report.error:
         lines.append(f"last error: {report.error}")
     if report.decomposition is not None:
@@ -633,7 +638,7 @@ def _cmd_run(args):
         for stage, detail in report.stage_log:
             print(f"{stage}: {detail}")
         print(f"status: {report.status}")
-        if report.error and not report.satisfied:
+        if report.error:
             print(f"error: {report.error}", file=sys.stderr)
         return report.exit_code()
     out = Path(args.out)
@@ -705,7 +710,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StlError as err:
+    except (StlError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 4
 

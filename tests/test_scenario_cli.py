@@ -1,10 +1,13 @@
 import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stlplan import scenario_cli
 from stlplan.optimizer import NlpSolution, SolverTolerances
 from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   emit_svg, load_scenario, main,
@@ -299,6 +302,83 @@ def test_exit_codes_follow_the_status():
     assert RunReport(scenario, 0, status="failed:optimize").exit_code() == 3
 
 
+@pytest.mark.parametrize("stage, name", [
+    ("decompose", "decompose"), ("plan", "plan_global"),
+    ("corridor", "construct_safe_corridor"), ("optimize", "solve_nlp"),
+    ("verify", "read_traj_csv")])
+def test_an_exception_inside_a_stage_fails_that_stage(
+        tiny_path, tmp_path, monkeypatch, capsys, stage, name):
+    def broken(*args, **kwargs):
+        raise ValueError("broken stage")
+    monkeypatch.setattr(scenario_cli, name, broken)
+    out = tmp_path / "out"
+    report = run_pipeline(load_scenario(tiny_path), seed=0, out_dir=out)
+    assert report.status == f"failed:{stage}"
+    assert report.error == "ValueError('broken stage')"
+    text = (out / "report.txt").read_text()
+    assert f"status: failed:{stage}" in text
+    assert "last error: ValueError('broken stage')" in text
+    assert main(["run", str(tiny_path), "--out", str(tmp_path / "cli")]) == 3
+    assert "ValueError('broken stage')" in capsys.readouterr().err
+
+
+def test_a_replan_that_succeeds_leaves_no_stale_error(tiny_path, tmp_path,
+                                                      monkeypatch):
+    solve = scenario_cli.solve_nlp
+    solutions = []
+
+    def fail_first_solve(*args):
+        solutions.append(solve(*args))
+        if len(solutions) == 1:
+            return replace(solutions[0], converged=False,
+                           message="forced failure")
+        return solutions[-1]
+    monkeypatch.setattr(scenario_cli, "solve_nlp", fail_first_solve)
+    out = tmp_path / "out"
+    report = run_pipeline(load_scenario(tiny_path), seed=0, out_dir=out)
+    assert report.status == "satisfied" and report.error == ""
+    assert report.metrics["attempt_outcomes"] == ["failed:optimize",
+                                                  "satisfied"]
+    assert [a.seed for a in report.attempts] == [0, 10 ** 9]
+    assert report.solution is solutions[1] is report.attempts[1].solution
+    text = (out / "report.txt").read_text()
+    lines = re.findall(r"^attempt .*$", text, re.M)
+    assert len(lines) == 2
+    assert re.fullmatch(r"attempt 1 \(seed 0, \d+\.\d\d s\): failed:optimize: "
+                        r"solver did not converge: forced failure", lines[0])
+    assert re.fullmatch(r"attempt 2 \(seed 1000000000, \d+\.\d\d s\): "
+                        r"satisfied", lines[1])
+    assert "last error" not in text
+
+
+def test_the_report_keeps_no_object_of_an_earlier_attempt(tiny_path,
+                                                          monkeypatch):
+    construct = scenario_cli.construct_safe_corridor
+    corridors = []
+
+    def corridor_once(*args):
+        if corridors:
+            raise StlError("corridor refused")
+        corridors.append(construct(*args))
+        return corridors[0]
+    monkeypatch.setattr(scenario_cli, "construct_safe_corridor",
+                        corridor_once)
+    monkeypatch.setattr(scenario_cli, "solve_nlp", lambda *args: NlpSolution(
+        states=np.zeros((5, 3)), inputs=np.zeros((4, 2)), cost=0.0,
+        max_violation=1.0, outer_iterations=1, converged=False,
+        message="forced failure"))
+    report = run_pipeline(load_scenario(tiny_path), seed=0)
+    assert report.metrics["attempt_outcomes"] == [
+        "failed:optimize"] + ["failed:corridor"] * 3
+    assert report.corridor is None and report.solution is None
+    assert report.attempts[0].corridor is corridors[0]
+    assert report.attempts[0].solution is not None
+    assert report.plan is report.attempts[-1].plan is not None
+    assert report.error == "corridor refused"
+    assert [stage for stage, _ in report.stage_log] == ["decompose", "plan"]
+    assert "solve_seconds" not in report.metrics
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -362,6 +442,17 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     data["dynamics"]["v_bounds"] = [-1.0, 1.0]
     assert main(["validate", str(_write_scenario(tmp_path, data))]) == 4
     assert "v_bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_cli_reports_an_unwritable_out_dir_with_exit_4(tiny_path, tmp_path,
+                                                       capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main([command, str(tiny_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(out) in err
 
 
 @pytest.mark.parametrize("text", [
