@@ -10,8 +10,11 @@ avoidance at certified times, input limits, fixed initial state) is
 axis-aligned and folds into per-variable bounds.  Each subproblem is
 minimized by projected Gauss-Newton steps: the cost is an exact sparse
 quadratic, the penalty contributes rho J'J from the dynamics Jacobian,
-and the resulting normal equations are solved on the free variables
-with a sparse factorization, so bounds hold exactly at every iterate.
+and bounds hold exactly at every iterate.  In time-major order the
+normal equations form a band whose pattern is fixed for the whole
+solve; variables held at an active bound are pinned to a zero step
+rather than sliced out, and the band is factored by SuperLU in its
+natural order.
 
 Avoidance of a box region is nonconvex; it is enforced by picking, per
 certified time, the separating face with the largest clearance at the
@@ -371,29 +374,94 @@ def _cost_hessian(problem):
     return sp.block_diag([Hx, Hu], format="csr")
 
 
-def _dynamics_jacobian(problem, A, B):
-    """Sparse Jacobian of the defect residuals c_k = x_{k+1} - f(x_k, u_k)
-    with respect to the packed variables, assembled from the per-step
-    blocks A_k = df/dx_k and B_k = df/du_k."""
-    model = problem.model
-    K = problem.horizon
-    n, m = model.state_dim, model.input_dim
+def _time_major_order(K, n, m):
+    """Packed index of each variable in time-major order
+    (x_0, u_0, x_1, u_1, ..., u_{K-1}, x_K)."""
     nx = (K + 1) * n
-    rows_eye = np.arange(K * n)
-    rows_A = np.repeat(rows_eye, n)
-    cols_A = (np.tile(np.arange(n), n)[None, :]
-              + (np.arange(K) * n)[:, None]).ravel()
-    rows_B = np.repeat(rows_eye, m)
-    cols_B = (np.tile(np.arange(m), n)[None, :]
-              + (np.arange(K) * m)[:, None]).ravel() + nx
-    rows = np.concatenate([rows_eye, rows_A, rows_B])
-    cols = np.concatenate([rows_eye + n, cols_A, cols_B])
-    data = np.concatenate([np.ones(K * n), -A.ravel(), -B.ravel()])
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(K * n, nx + K * m)).tocsr()
+    x = np.arange(nx).reshape(K + 1, n)
+    u = np.arange(nx, nx + K * m).reshape(K, m)
+    return np.concatenate([np.hstack([x[:-1], u]).ravel(), x[-1]])
 
 
-def _inner_gauss_newton(problem, z, lb, ub, al, Hq, rho, gtol, max_iter):
+def _step_jacobians(A, B):
+    """Jacobian of each defect c_k = x_{k+1} - f(x_k, u_k) with respect
+    to its window (x_k, u_k, x_{k+1}): J_k = [-A_k, -B_k, I]."""
+    K, n = A.shape[:2]
+    eye = np.broadcast_to(np.eye(n), (K, n, n))
+    return np.concatenate([-A, -B, eye], axis=2)
+
+
+class _NewtonBand:
+    """The Gauss-Newton matrix Hq + rho J'J of one problem on a fixed
+    sparsity pattern.
+
+    In time-major order step k's defect touches only the contiguous
+    window (x_k, u_k, x_{k+1}), so the matrix is a band of half-width at
+    most 2n+m-1.  The CSC pattern of the band and the slots that scatter
+    Hq and each window's J_k'J_k into it are built once per solve; an
+    iteration only fills the data vector.  Active variables are pinned
+    (their rows and columns replaced by the identity's, with a zero
+    right-hand side) instead of sliced out, so the pattern never
+    changes, and the band is factored in its natural order.
+    """
+
+    def __init__(self, problem):
+        model = problem.model
+        K, n, m = problem.horizon, model.state_dim, model.input_dim
+        N = (K + 1) * n + K * m
+        self.order = _time_major_order(K, n, m)
+        self.pos = np.argsort(self.order)
+        # keys col * N + row, sorted, enumerate the CSC slots
+        w = 2 * n + m
+        win = (np.arange(K) * (n + m))[:, None] + np.arange(w)
+        win_keys = (win[:, None, :] * N + win[:, :, None]).ravel()
+        Hq = _cost_hessian(problem).tocoo()
+        hq_keys = self.pos[Hq.col] * N + self.pos[Hq.row]
+        diag_keys = np.arange(N) * (N + 1)
+        keys = np.unique(np.concatenate([win_keys, hq_keys, diag_keys]))
+        self.shape = (N, N)
+        self.indices = (keys % N).astype(np.int32)
+        self.cols = (keys // N).astype(np.int32)
+        self.indptr = np.searchsorted(self.cols, np.arange(N + 1)
+                                      ).astype(np.int32)
+        self.diag = np.searchsorted(keys, diag_keys).astype(np.int32)
+        self.win_slots = np.searchsorted(keys, win_keys).astype(np.int32)
+        self.hq_data = np.bincount(np.searchsorted(keys, hq_keys),
+                                   weights=Hq.data, minlength=len(keys))
+
+    def matrix(self, A, B, rho, active):
+        """Hq + rho J'J + 1e-10 I in time-major order with the active
+        variables pinned; stored zeros are left out."""
+        Jk = _step_jacobians(A, B)
+        JtJ = np.matmul(Jk.transpose(0, 2, 1), Jk)
+        data = self.hq_data + rho * np.bincount(
+            self.win_slots, weights=JtJ.ravel(),
+            minlength=len(self.hq_data))
+        data[self.diag] += 1e-10
+        pinned = active[self.order]
+        data[np.take(pinned, self.indices) | np.take(pinned, self.cols)] = 0.0
+        data[self.diag[pinned]] = 1.0
+        # eliminate_zeros works in place: hand it copies of the pattern
+        H = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        H.eliminate_zeros()
+        return H
+
+    def step(self, g, A, B, rho, active):
+        """Gauss-Newton step on the free variables in packed order,
+        exactly 0 on the active ones; None if the factorization fails."""
+        if active.all():
+            return np.zeros_like(g)
+        try:
+            lu = splu(self.matrix(A, B, rho, active),
+                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+        except RuntimeError:
+            return None
+        return lu.solve(np.where(active, 0.0, -g)[self.order])[self.pos]
+
+
+def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
     """Minimize one subproblem within the bounds.
 
     Directions come from the Gauss-Newton model of the augmented
@@ -409,22 +477,12 @@ def _inner_gauss_newton(problem, z, lb, ub, al, Hq, rho, gtol, max_iter):
         if _projected_gradient_norm(z, g, lb, ub) <= gtol:
             nit -= 1
             break
-        J = _dynamics_jacobian(problem, *jac)
-        H = Hq + rho * (J.T @ J)
         active = (((z <= lb + 1e-11) & (g > 0.0))
                   | ((z >= ub - 1e-11) & (g < 0.0)))
-        free = np.flatnonzero(~active)
         p = np.where(active, 0.0, -g)
-        if free.size:
-            Hff = (H[free][:, free]
-                   + 1e-10 * sp.eye(free.size)).tocsc()
-            try:
-                step = splu(Hff).solve(-g[free])
-            except RuntimeError:
-                step = None
-            if step is not None and g[free] @ step < 0.0:
-                p = np.zeros_like(z)
-                p[free] = step
+        step = newton.step(g, *jac, rho, active)
+        if step is not None and g @ step < 0.0:
+            p = step
         accepted = False
         alpha = 1.0
         for _ in range(40):
@@ -478,7 +536,7 @@ def solve_nlp(problem, init=None, tolerances=None):
         gu -= np.einsum("kij,ki->kj", B, y)
         return f, np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
 
-    Hq = _cost_hessian(problem)
+    newton = _NewtonBand(problem)
     log = []
     converged = False
     message = "outer iteration budget exhausted"
@@ -490,7 +548,7 @@ def solve_nlp(problem, init=None, tolerances=None):
     for outer in range(1, tol.max_outer + 1):
         fun = lambda zv: al_value_grad(zv, lam, rho)
         z, merit_start, f_end, g_end, nit = _inner_gauss_newton(
-            problem, z, lb, ub, fun, Hq, rho, omega, tol.max_inner)
+            z, lb, ub, fun, newton, rho, omega, tol.max_inner)
         S, U = problem.unpack(z)
         c = problem.residuals(S, U)
         viol = float(np.max(np.abs(c))) if c.size else 0.0

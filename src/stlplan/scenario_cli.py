@@ -714,6 +714,3 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,6 @@
 """Shared test fixtures: workspace builders, an independently coded
-satisfaction evaluator, and randomized instance generators.
+satisfaction evaluator, randomized instance generators, the dense
+defect Jacobian of a transcription, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
@@ -8,6 +9,7 @@ integer grid indices, so agreement between the two is meaningful.
 
 import numpy as np
 
+from stlplan.optimizer import _step_jacobians, _time_major_order
 from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
                               SubTask, TimeInterval, Workspace)
 
@@ -114,3 +116,29 @@ def honoring_sequence(seq, sub, pairs, rng):
         else:
             pts[j] = box.sample(rng)
     return PointSequence(seq.k0, seq.tau, pts)
+
+
+def dense_dynamics_jacobian(prob, A, B):
+    """Jacobian of the defects with respect to the packed variables,
+    scattered from the per-step window blocks the Newton band uses."""
+    K, n, m = prob.horizon, prob.model.state_dim, prob.model.input_dim
+    order = _time_major_order(K, n, m)
+    Jk = _step_jacobians(A, B)
+    J = np.zeros((K * n, len(order)))
+    for k in range(K):
+        window = order[k * (n + m):k * (n + m) + 2 * n + m]
+        J[k * n:(k + 1) * n, window] = Jk[k]
+    return J
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call in the
+    returned list before calling through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls

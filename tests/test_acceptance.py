@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from helpers import honoring_sequence, random_instance
+from helpers import (dense_dynamics_jacobian, honoring_sequence,
+                     random_instance)
 from stlplan.decomposer import decompose
 from stlplan.optimizer import (DynamicsModel, NlpProblem, SolverTolerances,
-                               _dynamics_jacobian, rollout, solve_nlp,
-                               unicycle_model)
+                               rollout, solve_nlp, unicycle_model)
 from stlplan.satisfaction import stl_sat
 from stlplan.scenario_cli import load_scenario, main, run_pipeline
 from stlplan.stl_core import oracle_satisfies
@@ -210,7 +210,8 @@ def _fd_gradient_errors(rng):
 
     z = prob.pack(states, inputs)
     gs, gu = prob.cost_grad(states, inputs)
-    J = _dynamics_jacobian(prob, *model.jacobians(states[:-1], inputs))
+    J = dense_dynamics_jacobian(prob,
+                                *model.jacobians(states[:-1], inputs))
     y = (lam + rho * prob.residuals(states, inputs)).ravel()
     grad = np.concatenate([gs.ravel(), gu.ravel()]) + J.T @ y
 
@@ -225,7 +226,7 @@ def _fd_gradient_errors(rng):
         Sm, Um = prob.unpack(z - e)
         fd_col = (prob.residuals(Sp, Up)
                   - prob.residuals(Sm, Um)).ravel() / (2 * h)
-        col = np.asarray(J[:, i].todense()).ravel()
+        col = J[:, i]
         worst = max(worst, float(np.max(np.abs(col - fd_col)
                                         / np.maximum(1.0, np.abs(fd_col)))))
     return worst

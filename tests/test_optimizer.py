@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_ws, region_atom
+from helpers import (count_calls, dense_dynamics_jacobian, make_ws,
+                     region_atom)
+from stlplan import optimizer
 from stlplan.corridor import SafeCorridor, construct_safe_corridor
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                InfeasibleConstraintError, NlpProblem,
                                OptimizationError, SolverTolerances,
+                               _cost_hessian, _NewtonBand,
                                _select_avoid_face, build_nlp,
                                evaluate_solution, initial_guess, rollout,
                                solve_nlp, unicycle_jacobians, unicycle_model,
@@ -320,14 +323,28 @@ def test_cost_gradient_matches_finite_differences():
             assert abs(g[i] - fd) / scale <= 1e-5
 
 
+def _fd_dynamics_jacobian(prob, states, inputs, h):
+    """Central-difference Jacobian of the defects, one column per packed
+    variable."""
+    z = prob.pack(states, inputs)
+    cols = []
+    for i in range(len(z)):
+        e = np.zeros_like(z)
+        e[i] = h
+        sp_, up_ = prob.unpack(z + e)
+        sm_, um_ = prob.unpack(z - e)
+        cols.append((prob.residuals(sp_, up_)
+                     - prob.residuals(sm_, um_)).ravel() / (2 * h))
+    return np.stack(cols, axis=1)
+
+
 def test_dynamics_jacobian_matches_finite_differences():
-    from stlplan.optimizer import _dynamics_jacobian
     rng = np.random.default_rng(23)
     h = 1e-6
     for _ in range(50):
         prob, states, inputs = _random_problem(rng, K=4)
         A, B = prob.model.jacobians(states[:-1], inputs)
-        J = _dynamics_jacobian(prob, A, B).toarray()
+        J = dense_dynamics_jacobian(prob, A, B)
         z = prob.pack(states, inputs)
         idx = rng.integers(0, len(z), size=6)
         for i in idx:
@@ -342,13 +359,81 @@ def test_dynamics_jacobian_matches_finite_differences():
 
 
 def test_cost_hessian_reproduces_the_quadratic_cost():
-    from stlplan.optimizer import _cost_hessian
     rng = np.random.default_rng(29)
     prob, states, inputs = _random_problem(rng)
     H = _cost_hessian(prob)
     z = prob.pack(states, inputs)
     assert prob.cost(states, inputs) == pytest.approx(
         0.5 * float(z @ (H @ z)), rel=1e-12)
+
+
+def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
+    # nothing active: the band, permuted back to packed order, is
+    # Hq + rho J'J with J from central differences of the residuals
+    rng = np.random.default_rng(31)
+    h = 1e-6
+    for K in (1, 2, 3, 4, 5, 6) * 4:
+        prob, states, inputs = _random_problem(rng, K=K)
+        n, m = prob.model.state_dim, prob.model.input_dim
+        rho = float(rng.uniform(1.0, 1e3))
+        band = _NewtonBand(prob)
+        A, B = prob.model.jacobians(states[:-1], inputs)
+        active = np.zeros(len(band.order), dtype=bool)
+        H_tm = band.matrix(A, B, rho, active)
+        rows, cols = H_tm.nonzero()
+        assert np.max(np.abs(rows - cols)) <= 2 * n + m - 1
+        H = H_tm.toarray()[np.ix_(band.pos, band.pos)]
+        J_fd = _fd_dynamics_jacobian(prob, states, inputs, h)
+        ref = _cost_hessian(prob).toarray() + rho * (J_fd.T @ J_fd)
+        assert np.all(np.abs(H - ref) / np.maximum(1.0, np.abs(ref))
+                      <= 1e-5)
+
+
+def _sliced_step(prob, A, B, rho, g, active):
+    """Reference step: dense solve on the free rows and columns."""
+    J = dense_dynamics_jacobian(prob, A, B)
+    H = _cost_hessian(prob).toarray() + rho * (J.T @ J)
+    free = np.flatnonzero(~active)
+    H_ff = H[np.ix_(free, free)] + 1e-10 * np.eye(free.size)
+    p = np.zeros_like(g)
+    p[free] = np.linalg.solve(H_ff, -g[free])
+    return p
+
+
+def test_pinning_active_variables_equals_slicing_them_out():
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        K = 1 if trial % 4 == 0 else int(rng.integers(2, 8))
+        prob, states, inputs = _random_problem(rng, K=K)
+        n = prob.model.state_dim
+        rho = float(rng.uniform(1.0, 1e3))
+        A, B = prob.model.jacobians(states[:-1], inputs)
+        band = _NewtonBand(prob)
+        N = len(band.order)
+        g = rng.normal(size=N)
+        if trial % 5 == 1:  # all but one active
+            active = np.ones(N, dtype=bool)
+            active[rng.integers(n, N)] = False
+        else:
+            active = rng.random(N) < rng.uniform(0.0, 0.8)
+        active[:n] = True  # x_0 is fixed, as in every built problem
+        step = band.step(g, A, B, rho, active)
+        ref = _sliced_step(prob, A, B, rho, g, active)
+        assert np.all(step[active] == 0.0)
+        assert (np.max(np.abs(step - ref))
+                <= 1e-8 * np.max(np.abs(ref)))
+
+
+def test_no_factorization_runs_when_every_variable_is_active(monkeypatch):
+    calls = count_calls(monkeypatch, optimizer, "splu")
+    rng = np.random.default_rng(41)
+    prob, states, inputs = _random_problem(rng, K=3)
+    band = _NewtonBand(prob)
+    g = rng.normal(size=len(band.order))
+    A, B = prob.model.jacobians(states[:-1], inputs)
+    step = band.step(g, A, B, 10.0, np.ones(len(g), dtype=bool))
+    assert np.all(step == 0.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +559,14 @@ def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
     sol = solve_nlp(prob, init=init)
     assert sum(e["inner_iterations"] for e in sol.log) > 0
     assert calls["jac"] == calls["cost_grad"] > 0
+
+
+def test_one_factorization_per_inner_iteration(monkeypatch):
+    # perfbench counts optimizer.splu calls as Gauss-Newton iterations
+    calls = count_calls(monkeypatch, optimizer, "splu")
+    prob, init = _unreachable_corner_problem()
+    sol = solve_nlp(prob, init=init)
+    assert len(calls) == sum(e["inner_iterations"] for e in sol.log) > 0
 
 
 def test_solver_requires_an_initialization():

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stlplan import scenario_cli
+from helpers import count_calls
+from stlplan import optimizer, scenario_cli
 from stlplan.optimizer import NlpSolution, SolverTolerances
 from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   emit_svg, load_scenario, main,
@@ -261,6 +265,17 @@ def test_pipeline_satisfies_the_tiny_scenario(tiny_path, tmp_path):
     assert m["attempts"] >= 1
 
 
+def test_one_factorization_per_inner_iteration_of_the_pipeline(
+        tiny_path, monkeypatch):
+    # perfbench counts optimizer.splu calls as Gauss-Newton iterations
+    calls = count_calls(monkeypatch, optimizer, "splu")
+    report = run_pipeline(load_scenario(tiny_path), seed=0)
+    inner = sum(e["inner_iterations"] for a in report.attempts
+                if a.solution is not None for e in a.solution.log)
+    assert report.satisfied
+    assert len(calls) == inner > 0
+
+
 def test_pipeline_without_an_out_dir_keeps_nothing(tiny_path):
     report = run_pipeline(load_scenario(tiny_path), seed=0)
     assert report.satisfied
@@ -390,6 +405,19 @@ def test_cli_validate_and_decompose(tiny_path, capsys):
     assert main(["decompose", "scenario1", "--explain"]) == 0
     out = capsys.readouterr().out
     assert "cut times (0, 20, 30, 50, 60)" in out
+
+
+def test_python_dash_m_stlplan_runs_the_cli_once(tiny_path):
+    # the package entry point imports the CLI module once, so it runs
+    # without the "found in sys.modules" RuntimeWarning
+    src = str(Path(scenario_cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stlplan",
+         "validate", str(tiny_path)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "valid" in done.stdout
 
 
 def test_cli_plan_writes_waypoint_artifacts(tiny_path, tmp_path, capsys):
