@@ -8,13 +8,14 @@ feasibility by an augmented Lagrangian outer loop; every inequality of
 the problem (workspace, corridor box per step, region membership or
 avoidance at certified times, input limits, fixed initial state) is
 axis-aligned and folds into per-variable bounds.  Each subproblem is
-minimized by projected Gauss-Newton steps: the cost is an exact sparse
+minimized by projected Gauss-Newton steps: the cost is an exact
 quadratic, the penalty contributes rho J'J from the dynamics Jacobian,
 and bounds hold exactly at every iterate.  In time-major order the
-normal equations form a band whose pattern is fixed for the whole
-solve; variables held at an active bound are pinned to a zero step
-rather than sliced out, and the band is factored by SuperLU in its
-natural order.
+normal equations form a symmetric band of half-width at most 2n+m-1,
+held in LAPACK lower band storage; variables held at an active bound
+are pinned to a zero step rather than sliced out, and the band is
+factored by Cholesky.  If the factorization fails, the iteration takes
+the projected gradient step instead.
 
 Avoidance of a box region is nonconvex; it is enforced by picking, per
 certified time, the separating face with the largest clearance at the
@@ -28,8 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .stl_core import StlError
 
@@ -357,23 +357,6 @@ def _projected_gradient_norm(z, g, lb, ub):
     return float(np.max(np.abs(pg))) if len(pg) else 0.0
 
 
-def _difference_hessian(count, weights):
-    # Hessian of sum_j ||y_{j+1} - y_j||^2_w over y in R^(count x len(w))
-    if count < 2:
-        return sp.csr_matrix((count * len(weights), count * len(weights)))
-    D = sp.diags([-np.ones(count - 1), np.ones(count - 1)], [0, 1],
-                 shape=(count - 1, count))
-    Dk = sp.kron(D, sp.eye(len(weights)), format="csr")
-    W = sp.diags(np.tile(np.asarray(weights, dtype=float), count - 1))
-    return 2.0 * (Dk.T @ W @ Dk)
-
-
-def _cost_hessian(problem):
-    Hx = _difference_hessian(problem.horizon + 1, problem.r_weights)
-    Hu = _difference_hessian(problem.horizon, problem.q_weights)
-    return sp.block_diag([Hx, Hu], format="csr")
-
-
 def _time_major_order(K, n, m):
     """Packed index of each variable in time-major order
     (x_0, u_0, x_1, u_1, ..., u_{K-1}, x_K)."""
@@ -391,61 +374,66 @@ def _step_jacobians(A, B):
     return np.concatenate([-A, -B, eye], axis=2)
 
 
+# perfbench times factorizations under this name; the rename waits for
+# the benchmark change in ROADMAP item 1
+def splu(ab):
+    return cholesky_banded(ab, lower=True, check_finite=False)
+
+
 class _NewtonBand:
-    """The Gauss-Newton matrix Hq + rho J'J of one problem on a fixed
-    sparsity pattern.
+    """The Gauss-Newton matrix Hq + rho J'J of one problem in LAPACK
+    lower band storage.
 
     In time-major order step k's defect touches only the contiguous
     window (x_k, u_k, x_{k+1}), so the matrix is a band of half-width at
-    most 2n+m-1.  The CSC pattern of the band and the slots that scatter
-    Hq and each window's J_k'J_k into it are built once per solve; an
-    iteration only fills the data vector.  Active variables are pinned
-    (their rows and columns replaced by the identity's, with a zero
-    right-hand side) instead of sliced out, so the pattern never
-    changes, and the band is factored in its natural order.
+    most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for d = 0..bw.
+    Hq is a constant band (a variable's difference partner sits n+m
+    further on), built once per solve with the slots that scatter each
+    window's lower-triangle J_k'J_k into the band; an iteration only
+    fills values.  Active variables are pinned (their rows and columns
+    replaced by the identity's, with a zero right-hand side) instead of
+    sliced out, and the band is factored by Cholesky.
     """
 
     def __init__(self, problem):
         model = problem.model
         K, n, m = problem.horizon, model.state_dim, model.input_dim
         N = (K + 1) * n + K * m
+        s, w = n + m, 2 * n + m
         self.order = _time_major_order(K, n, m)
         self.pos = np.argsort(self.order)
-        # keys col * N + row, sorted, enumerate the CSC slots
-        w = 2 * n + m
-        win = (np.arange(K) * (n + m))[:, None] + np.arange(w)
-        win_keys = (win[:, None, :] * N + win[:, :, None]).ravel()
-        Hq = _cost_hessian(problem).tocoo()
-        hq_keys = self.pos[Hq.col] * N + self.pos[Hq.row]
-        diag_keys = np.arange(N) * (N + 1)
-        keys = np.unique(np.concatenate([win_keys, hq_keys, diag_keys]))
-        self.shape = (N, N)
-        self.indices = (keys % N).astype(np.int32)
-        self.cols = (keys // N).astype(np.int32)
-        self.indptr = np.searchsorted(self.cols, np.arange(N + 1)
-                                      ).astype(np.int32)
-        self.diag = np.searchsorted(keys, diag_keys).astype(np.int32)
-        self.win_slots = np.searchsorted(keys, win_keys).astype(np.int32)
-        self.hq_data = np.bincount(np.searchsorted(keys, hq_keys),
-                                   weights=Hq.data, minlength=len(keys))
+        # variable j and its difference partner j + s, for j < N - s
+        pairs = max(N - s, 0)
+        weights = 2.0 * np.tile(np.concatenate([problem.r_weights,
+                                                problem.q_weights]),
+                                K + 1)[:pairs]
+        self.hq = np.zeros((w, N))
+        self.hq[0, :pairs] += weights
+        self.hq[0, N - pairs:] += weights
+        self.hq[s, :pairs] = -weights
+        # window entry (a, b) of step k sits at ab[a - b, k*s + b] when
+        # a >= b; the upper triangle goes to one spare slot past the end
+        rows, cols = np.indices((w, w)).reshape(2, -1)
+        slots = (rows - cols) * N + cols + (np.arange(K) * s)[:, None]
+        slots[:, rows < cols] = w * N
+        self.win_slots = slots.ravel()
 
     def matrix(self, A, B, rho, active):
-        """Hq + rho J'J + 1e-10 I in time-major order with the active
-        variables pinned; stored zeros are left out."""
+        """Hq + rho J'J + 1e-10 I in time-major lower band storage with
+        the active variables pinned."""
         Jk = _step_jacobians(A, B)
-        JtJ = np.matmul(Jk.transpose(0, 2, 1), Jk)
-        data = self.hq_data + rho * np.bincount(
+        # a contiguous left operand keeps matmul on its fast path
+        JtJ = np.matmul(np.ascontiguousarray(Jk.transpose(0, 2, 1)), Jk)
+        ab = self.hq + rho * np.bincount(
             self.win_slots, weights=JtJ.ravel(),
-            minlength=len(self.hq_data))
-        data[self.diag] += 1e-10
-        pinned = active[self.order]
-        data[np.take(pinned, self.indices) | np.take(pinned, self.cols)] = 0.0
-        data[self.diag[pinned]] = 1.0
-        # eliminate_zeros works in place: hand it copies of the pattern
-        H = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
-                          shape=self.shape)
-        H.eliminate_zeros()
-        return H
+            minlength=self.hq.size + 1)[:-1].reshape(self.hq.shape)
+        ab[0] += 1e-10
+        keep = ~active[self.order]
+        ab *= keep
+        for d in range(1, len(ab)):
+            ab[d, :-d] *= keep[d:]  # ab[d, j] lies in row j + d
+        ab[0, ~keep] = 1.0
+        return ab
 
     def step(self, g, A, B, rho, active):
         """Gauss-Newton step on the free variables in packed order,
@@ -453,12 +441,12 @@ class _NewtonBand:
         if active.all():
             return np.zeros_like(g)
         try:
-            lu = splu(self.matrix(A, B, rho, active),
-                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
-        except RuntimeError:
+            factor = splu(self.matrix(A, B, rho, active))
+        except LinAlgError:
             return None
-        return lu.solve(np.where(active, 0.0, -g)[self.order])[self.pos]
+        return cho_solve_banded((factor, True),
+                                np.where(active, 0.0, -g)[self.order],
+                                check_finite=False)[self.pos]
 
 
 def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
@@ -468,11 +456,14 @@ def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
     Lagrangian restricted to the estimated free variables; steps are
     projected back onto the bounds under an Armijo backtracking line
     search, so the subproblem value never increases.  al(z) returns the
-    value, the gradient and the Jacobian blocks (A, B) at z.
+    value, the gradient and the Jacobian blocks (A, B) at z.  Where the
+    factorization fails or its step is no descent direction, the
+    projected gradient step is taken instead; those iterations are
+    counted as fallbacks.
     """
     f, g, jac = al(z)
     f_start = f
-    nit = 0
+    nit = fallbacks = 0
     for nit in range(1, max_iter + 1):
         if _projected_gradient_norm(z, g, lb, ub) <= gtol:
             nit -= 1
@@ -483,6 +474,8 @@ def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
         step = newton.step(g, *jac, rho, active)
         if step is not None and g @ step < 0.0:
             p = step
+        else:
+            fallbacks += 1
         accepted = False
         alpha = 1.0
         for _ in range(40):
@@ -495,7 +488,7 @@ def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
             alpha *= 0.5
         if not accepted:
             break
-    return z, f_start, f, g, nit
+    return z, f_start, f, g, nit, fallbacks
 
 
 def solve_nlp(problem, init=None, tolerances=None):
@@ -547,7 +540,7 @@ def solve_nlp(problem, init=None, tolerances=None):
     omega = max(1e-2, gtol_floor)
     for outer in range(1, tol.max_outer + 1):
         fun = lambda zv: al_value_grad(zv, lam, rho)
-        z, merit_start, f_end, g_end, nit = _inner_gauss_newton(
+        z, merit_start, f_end, g_end, nit, fallbacks = _inner_gauss_newton(
             z, lb, ub, fun, newton, rho, omega, tol.max_inner)
         S, U = problem.unpack(z)
         c = problem.residuals(S, U)
@@ -556,7 +549,7 @@ def solve_nlp(problem, init=None, tolerances=None):
         log.append({"outer": outer, "merit_start": merit_start,
                     "merit_end": f_end, "violation": viol, "rho": rho,
                     "projected_gradient": pg, "gtol": omega,
-                    "inner_iterations": nit})
+                    "inner_iterations": nit, "newton_fallbacks": fallbacks})
         if viol <= tol.eps_feas and pg <= tol.eps_opt:
             converged = True
             message = "converged"

@@ -1,6 +1,7 @@
 """Shared test fixtures: workspace builders, an independently coded
-satisfaction evaluator, randomized instance generators, the dense
-defect Jacobian of a transcription, and a call counter.
+satisfaction evaluator, randomized instance generators, dense
+references for the Newton system of a transcription, and a call
+counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
@@ -129,6 +130,34 @@ def dense_dynamics_jacobian(prob, A, B):
         window = order[k * (n + m):k * (n + m) + 2 * n + m]
         J[k * n:(k + 1) * n, window] = Jk[k]
     return J
+
+
+def _dense_difference_hessian(count, weights):
+    # Hessian of sum_j ||y_{j+1} - y_j||^2_w over y in R^(count x len(w))
+    D = np.diff(np.eye(count), axis=0)
+    return 2.0 * np.kron(D.T @ D, np.diag(weights))
+
+
+def dense_cost_hessian(prob):
+    """Hessian of the quadratic cost over the packed variables."""
+    Hx = _dense_difference_hessian(prob.horizon + 1, prob.r_weights)
+    Hu = _dense_difference_hessian(prob.horizon, prob.q_weights)
+    H = np.zeros((len(Hx) + len(Hu),) * 2)
+    H[:len(Hx), :len(Hx)] = Hx
+    H[len(Hx):, len(Hx):] = Hu
+    return H
+
+
+def band_to_dense(ab):
+    """Symmetric matrix from LAPACK lower band storage,
+    ab[d, j] = H[j + d, j]."""
+    N = ab.shape[1]
+    H = np.zeros((N, N))
+    for d in range(min(len(ab), N)):
+        j = np.arange(N - d)
+        H[j + d, j] = ab[d, :N - d]
+        H[j, j + d] = ab[d, :N - d]
+    return H
 
 
 def count_calls(monkeypatch, owner, name):

@@ -1,18 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from helpers import (count_calls, dense_dynamics_jacobian, make_ws,
-                     region_atom)
+from helpers import (band_to_dense, count_calls, dense_cost_hessian,
+                     dense_dynamics_jacobian, make_ws, region_atom)
 from stlplan import optimizer
 from stlplan.corridor import SafeCorridor, construct_safe_corridor
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                InfeasibleConstraintError, NlpProblem,
                                OptimizationError, SolverTolerances,
-                               _cost_hessian, _NewtonBand,
-                               _select_avoid_face, build_nlp,
+                               _NewtonBand, _select_avoid_face, build_nlp,
                                evaluate_solution, initial_guess, rollout,
                                solve_nlp, unicycle_jacobians, unicycle_model,
                                unicycle_step)
@@ -288,8 +292,8 @@ def test_build_rejects_inconsistent_inputs():
 # ---------------------------------------------------------------------------
 # derivatives
 
-def _random_problem(rng, K=6):
-    model = unicycle_model(0.1)
+def _random_problem(rng, K=6, model=None):
+    model = model or unicycle_model(0.1)
     n, m = model.state_dim, model.input_dim
     prob = NlpProblem(model=model, horizon=K,
                       x0=np.zeros(n),
@@ -361,7 +365,10 @@ def test_dynamics_jacobian_matches_finite_differences():
 def test_cost_hessian_reproduces_the_quadratic_cost():
     rng = np.random.default_rng(29)
     prob, states, inputs = _random_problem(rng)
-    H = _cost_hessian(prob)
+    band = _NewtonBand(prob)
+    H = band_to_dense(band.hq)[np.ix_(band.pos, band.pos)]
+    np.testing.assert_allclose(H, dense_cost_hessian(prob), rtol=1e-12,
+                               atol=0.0)
     z = prob.pack(states, inputs)
     assert prob.cost(states, inputs) == pytest.approx(
         0.5 * float(z @ (H @ z)), rel=1e-12)
@@ -379,12 +386,12 @@ def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
         band = _NewtonBand(prob)
         A, B = prob.model.jacobians(states[:-1], inputs)
         active = np.zeros(len(band.order), dtype=bool)
-        H_tm = band.matrix(A, B, rho, active)
-        rows, cols = H_tm.nonzero()
-        assert np.max(np.abs(rows - cols)) <= 2 * n + m - 1
-        H = H_tm.toarray()[np.ix_(band.pos, band.pos)]
+        ab = band.matrix(A, B, rho, active)
+        # lower band storage of half-width 2n+m-1
+        assert ab.shape == (2 * n + m, len(band.order))
+        H = band_to_dense(ab)[np.ix_(band.pos, band.pos)]
         J_fd = _fd_dynamics_jacobian(prob, states, inputs, h)
-        ref = _cost_hessian(prob).toarray() + rho * (J_fd.T @ J_fd)
+        ref = dense_cost_hessian(prob) + rho * (J_fd.T @ J_fd)
         assert np.all(np.abs(H - ref) / np.maximum(1.0, np.abs(ref))
                       <= 1e-5)
 
@@ -392,7 +399,7 @@ def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
 def _sliced_step(prob, A, B, rho, g, active):
     """Reference step: dense solve on the free rows and columns."""
     J = dense_dynamics_jacobian(prob, A, B)
-    H = _cost_hessian(prob).toarray() + rho * (J.T @ J)
+    H = dense_cost_hessian(prob) + rho * (J.T @ J)
     free = np.flatnonzero(~active)
     H_ff = H[np.ix_(free, free)] + 1e-10 * np.eye(free.size)
     p = np.zeros_like(g)
@@ -422,6 +429,54 @@ def test_pinning_active_variables_equals_slicing_them_out():
         assert np.all(step[active] == 0.0)
         assert (np.max(np.abs(step - ref))
                 <= 1e-8 * np.max(np.abs(ref)))
+
+
+def _dense_linear_model(rng, n=3, m=2):
+    """Linear model x' = A x + B u with dense random A and B, so every
+    window's J_k'J_k is dense and fills the band to offset 2n+m-1."""
+    A0 = rng.normal(size=(n, n))
+    B0 = rng.normal(size=(n, m))
+
+    def jac(x, u):
+        batch = x.shape[:-1]
+        return (np.broadcast_to(A0, batch + (n, n)).copy(),
+                np.broadcast_to(B0, batch + (n, m)).copy())
+    return DynamicsModel(name="dense", state_dim=n, input_dim=m,
+                         pos_dim=2, tau=0.1,
+                         step_fn=lambda x, u: x @ A0.T + u @ B0.T,
+                         jac_fn=jac, input_lo=(-1.0,) * m,
+                         input_hi=(1.0,) * m)
+
+
+def test_newton_band_holds_a_full_width_band():
+    # the unicycle's windows reach only offset 5 of the band's 7
+    rng = np.random.default_rng(43)
+    for trial in range(24):
+        K = 1 + trial % 6
+        prob, states, inputs = _random_problem(
+            rng, K, model=_dense_linear_model(rng))
+        n, m = prob.model.state_dim, prob.model.input_dim
+        bw = 2 * n + m - 1
+        rho = float(rng.uniform(1.0, 1e3))
+        A, B = prob.model.jacobians(states[:-1], inputs)
+        band = _NewtonBand(prob)
+        N = len(band.order)
+        J = dense_dynamics_jacobian(prob, A, B)
+        ref = dense_cost_hessian(prob) + rho * (J.T @ J) + 1e-10 * np.eye(N)
+        ref_tm = ref[np.ix_(band.order, band.order)]
+        assert np.any(np.diagonal(ref_tm, -bw) != 0.0)
+        ab = band.matrix(A, B, rho, np.zeros(N, dtype=bool))
+        assert ab.shape == (bw + 1, N)
+        np.testing.assert_allclose(band_to_dense(ab), ref_tm, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        g = rng.normal(size=N)
+        active = rng.random(N) < rng.uniform(0.0, 0.6)
+        active[:n] = True
+        step = band.step(g, A, B, rho, active)
+        ref_step = _sliced_step(prob, A, B, rho, g, active)
+        assert np.all(step[active] == 0.0)
+        assert (np.max(np.abs(step - ref_step))
+                <= 1e-8 * np.max(np.abs(ref_step)))
 
 
 def test_no_factorization_runs_when_every_variable_is_active(monkeypatch):
@@ -567,6 +622,33 @@ def test_one_factorization_per_inner_iteration(monkeypatch):
     prob, init = _unreachable_corner_problem()
     sol = solve_nlp(prob, init=init)
     assert len(calls) == sum(e["inner_iterations"] for e in sol.log) > 0
+
+
+def test_newton_fallbacks_count_the_gradient_steps(monkeypatch):
+    prob, init = _unreachable_corner_problem()
+    sol = solve_nlp(prob, init=init)
+    assert all(0 <= e["newton_fallbacks"] <= e["inner_iterations"]
+               for e in sol.log)
+
+    def failing(ab):
+        raise LinAlgError("leading minor not positive definite")
+    monkeypatch.setattr(optimizer, "splu", failing)
+    sol = solve_nlp(prob, init=init)
+    assert sum(e["inner_iterations"] for e in sol.log) > 0
+    assert all(e["newton_fallbacks"] == e["inner_iterations"]
+               for e in sol.log)
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stlplan; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_solver_requires_an_initialization():
