@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .stl_core import StlError, SubTask, TimeInterval
+from .stl_core import StlError, SubTask, TimeInterval, _fmt_num
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def decompose(formula, tau=None):
 def explain(decomposition):
     """Human-readable decomposition report."""
     lines = []
-    cuts = ", ".join(_fmt(c) for c in decomposition.cuts)
-    lines.append(f"horizon {_fmt(decomposition.formula.horizon)} s, "
+    cuts = ", ".join(_fmt_num(c) for c in decomposition.cuts)
+    lines.append(f"horizon {_fmt_num(decomposition.formula.horizon)} s, "
                  f"cut times ({cuts})")
     for task in decomposition.local_tasks:
         lines.append(f"local task {task.index} over {task.window}:")
@@ -167,9 +167,3 @@ def explain(decomposition):
             lines.append(f"    fallback piece {d.final_piece} in local task "
                          f"{idx}")
     return "\n".join(lines)
-
-
-def _fmt(v):
-    if v == int(v):
-        return str(int(v))
-    return repr(v)

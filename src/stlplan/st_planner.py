@@ -3,10 +3,15 @@
 Each local task is planned greedily: reach goals (plain eventually,
 reach-and-hold, and the repeating visits of a patrol clause) are served
 in deadline order by growing a random tree through position x time.
-Always-clauses act as windowed keep-in / keep-out constraints on every
-tree edge, so the returned waypoints respect them by construction.  The
-vertex path is then sampled onto the grid and every sub-task re-checked;
-on failure the attempt restarts with fresh randomness.
+Every always-clause of the formula acts as a windowed keep-in /
+keep-out constraint on every tree edge of every window, so the returned
+waypoints respect them by construction.  The vertex path is then
+sampled onto the grid and every sub-task re-checked; on failure the
+attempt restarts with fresh randomness.
+
+A disjunctive reach set is certified by the first earlier piece that
+the waypoints stitched so far already satisfy; when none does, its
+final piece is planned as one more sub-task of that piece's window.
 
 Tree edges move at most a fixed step in space and a bounded stride in
 time, and are rejected when they would exceed the commanded speed limit,
@@ -15,8 +20,9 @@ so consecutive grid waypoints always stay within reach of the vehicle.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -410,70 +416,38 @@ class _PatrolTracker:
         self.last_k = arrival_k
 
 
-def plan_local(task, q_init, ws, params, rng, pending, history, *, tau,
-               v_max=math.inf, extra_guards=()):
+def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
     """Plan the waypoints of one local task window.
 
-    q_init is the (position, time) the window starts from; pending holds
-    the formula's unresolved disjunctive reach sets, checked against the
-    history of earlier windows to decide whether their fallback piece
-    must be planned here.  Returns (sequence, satisfaction set).
+    q_init is the (position, time) the window starts from and guards
+    constrain every tree edge.  Every sub-task of the task is planned
+    and certified.  Returns (sequence, satisfaction set).
     """
-    subtasks = list(task.subtasks)
-    for dset in pending:
-        final = dset.final_piece
-        if not task.window.contains_interval(final.active_interval()):
-            continue
-        earlier_satisfied = False
-        for piece in dset.pieces[:-1]:
-            for seq in history:
-                if seq.covers(piece.active_interval()):
-                    ok, _ = stl_sat(seq, piece)
-                    if ok:
-                        earlier_satisfied = True
-                    break
-            if earlier_satisfied:
-                break
-        if not earlier_satisfied:
-            subtasks.append(final)
-
-    guard_subs = [s for s in subtasks if s.kind == "G"]
-    guards = [Guard.from_subtask(s) for s in guard_subs]
-    seen = {id(s) for s in guard_subs}
-    guards += [Guard.from_subtask(s) for s in extra_guards
-               if id(s) not in seen]
-
     k_lo = grid_ceil(task.window.lo, tau)
     k_hi = grid_ceil(task.window.hi, tau)
     root = StVertex(q_init[0], q_init[1])
 
-    failures = []
+    tally = collections.Counter()
     for _ in range(params.max_restarts + 1):
         try:
-            path = _attempt(root, ws, params, rng, subtasks, guards,
+            path = _attempt(root, ws, params, rng, task.subtasks, guards,
                             tau, v_max, k_hi * tau)
         except TreeFailure as err:
-            failures.append(str(err))
+            tally[str(err)] += 1
             continue
         seq = discretize_path(path, k_lo, k_hi, tau)
-        unsatisfied = []
         pairs = SatisfactionSet()
-        for sub in subtasks:
+        for sub in task.subtasks:
             ok, sub_pairs = stl_sat(seq, sub)
             if not ok:
-                unsatisfied.append(str(sub))
+                tally[f"discretized waypoints missed {sub}"] += 1
                 break
             pairs = pairs.union(sub_pairs)
-        if not unsatisfied:
+        else:
             return seq, pairs
-        failures.append("discretized waypoints missed " +
-                        ", ".join(unsatisfied))
-    tally = {}
-    for f in failures:
-        tally[f] = tally.get(f, 0) + 1
-    worst = max(tally, key=tally.get) if tally else "no attempts ran"
+    worst = max(tally, key=tally.get, default="no attempts ran")
     raise PlanningError(
-        f"window {task.window}: {len(failures)} attempts failed; most "
+        f"window {task.window}: {tally.total()} attempts failed; most "
         f"frequent failure: {worst}")
 
 
@@ -482,34 +456,28 @@ def _attempt(root, ws, params, rng, subtasks, guards, tau, v_max, end_time):
     goals = []
     for order, sub in enumerate(subtasks):
         if sub.kind == "F":
-            goals.append((sub.outer.hi, order,
-                          Goal(sub.prop, (sub.outer.lo, sub.outer.hi))))
+            goals.append((order, Goal(sub.prop, (sub.outer.lo, sub.outer.hi))))
         elif sub.kind == "FG":
-            goals.append((sub.outer.hi, order,
-                          Goal(sub.prop, (sub.outer.lo, sub.outer.hi),
-                               hold_after=sub.inner.hi)))
+            goals.append((order, Goal(sub.prop, (sub.outer.lo, sub.outer.hi),
+                                      hold_after=sub.inner.hi)))
     trackers = [_PatrolTracker(s, tau) for s in subtasks if s.kind == "GF"]
-    pending_goals = sorted(goals, key=lambda g: (g[0], g[1]))
 
     while True:
-        candidates = []
-        for deadline, order, goal in pending_goals:
-            candidates.append((deadline, order, goal, None))
-        for ti, tracker in enumerate(trackers):
-            if not tracker.done:
-                goal = tracker.next_goal()
-                candidates.append((goal.deadline, 1000 + ti, goal, tracker))
+        candidates = [(order, goal, None) for order, goal in goals]
+        candidates += [(1000 + ti, tracker.next_goal(), tracker)
+                       for ti, tracker in enumerate(trackers)
+                       if not tracker.done]
         if not candidates:
             break
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        deadline, order, goal, tracker = candidates[0]
+        order, goal, tracker = min(candidates,
+                                   key=lambda c: (c[1].deadline, c[0]))
         last = vertices[-1]
         path, arrival = grow_tree(last, goal, ws, (last.time, end_time),
                                   params, rng, tau=tau, v_max=v_max,
                                   guards=guards)
         vertices.extend(path[1:])
         if tracker is None:
-            pending_goals = [g for g in pending_goals if g[2] is not goal]
+            goals.remove((order, goal))
         else:
             tracker.record(arrival)
 
@@ -533,7 +501,6 @@ class GlobalPlan:
 
     waypoints: PointSequence
     pairs: SatisfactionSet
-    windows: tuple
 
     def validate(self, ws, v_max, expected_len=None):
         """Check stitching, speed, and free-space invariants."""
@@ -563,31 +530,27 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):
         raise PlanningError(f"start position {p0.tolist()} is not in free "
                             f"space")
     merged = PointSequence(0, tau, [p0])
-    history = []
     pairs = SatisfactionSet()
-    pending = list(decomposition.disjunctive_sets)
-    all_guards = decomposition.guard_subtasks()
+    guards = [Guard.from_subtask(s) for s in decomposition.guard_subtasks()]
     for task in decomposition.local_tasks:
+        fallbacks = []
+        for dset in decomposition.disjunctive_sets:
+            if decomposition.local_index_of(dset.final_piece) != task.index:
+                continue
+            for piece in dset.pieces[:-1]:
+                ok, piece_pairs = stl_sat(merged, piece)
+                if ok:
+                    pairs = pairs.union(piece_pairs)
+                    break
+            else:
+                fallbacks.append(dset.final_piece)
+        task = replace(task, subtasks=task.subtasks + tuple(fallbacks))
         rng = np.random.default_rng(
             np.random.SeedSequence(params.rng_seed,
                                    spawn_key=(task.index,)))
         q_init = (merged.positions[-1], merged.k_last * tau)
-        seq, local_pairs = plan_local(
-            task, q_init, ws, params, rng, pending, history, tau=tau,
-            v_max=v_max, extra_guards=all_guards)
-        history.append(seq)
+        seq, local_pairs = plan_local(task, q_init, ws, params, rng, guards,
+                                      tau=tau, v_max=v_max)
         merged = merged.concat(seq)
         pairs = pairs.union(local_pairs)
-    for dset in decomposition.disjunctive_sets:
-        chosen = None
-        for piece in dset.pieces:
-            ok, piece_pairs = stl_sat(merged, piece)
-            if ok:
-                chosen = piece_pairs
-                break
-        if chosen is None:
-            raise PlanningError(f"no piece of {dset.origin} ended up "
-                                f"satisfied; planning is inconsistent")
-        pairs = pairs.union(chosen)
-    windows = tuple(t.window for t in decomposition.local_tasks)
-    return GlobalPlan(merged, pairs, windows)
+    return GlobalPlan(merged, pairs)

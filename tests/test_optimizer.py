@@ -26,8 +26,7 @@ from stlplan.stl_core import Box, PointSequence
 
 
 def _plan(points, tau=0.1, pairs=()):
-    return GlobalPlan(PointSequence(0, tau, points),
-                      SatisfactionSet(pairs), windows=())
+    return GlobalPlan(PointSequence(0, tau, points), SatisfactionSet(pairs))
 
 
 def _integrator(dim=1):

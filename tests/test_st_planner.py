@@ -6,14 +6,13 @@ import pytest
 from helpers import make_ws, region_atom
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import stl_sat
-from stlplan.st_planner import (Goal, GlobalPlan, PlannerParams,
+from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, SpaceTimeTree, StVertex,
                                 TreeFailure, discretize_path, grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
-from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
-                              oracle_satisfies, oracle_satisfies_formula,
-                              parse_formula)
+from stlplan.stl_core import (SubTask, TimeInterval, oracle_satisfies,
+                              oracle_satisfies_formula, parse_formula)
 
 PARAMS = PlannerParams()
 OPEN_WS = make_ws()
@@ -57,7 +56,6 @@ def test_sample_streams_are_seed_deterministic():
 
 
 def test_sample_respects_active_keep_in_windows():
-    from stlplan.st_planner import Guard
     rng = np.random.default_rng(3)
     target = region_atom("t", (8.0, 8.0), (9.0, 9.0)).region.box
     keep = Guard(region_atom("k", (1.0, 1.0), (3.0, 3.0)).region.box,
@@ -167,7 +165,6 @@ def test_tree_fails_on_an_enclosed_target():
 
 
 def test_tree_rejects_a_root_violating_a_guard():
-    from stlplan.st_planner import Guard
     guard = Guard(region_atom("k", (5.0, 5.0), (6.0, 6.0)).region.box,
                   0.0, 8.0, keep_in=True)
     goal = Goal(region_atom("t", (5.0, 5.0), (6.0, 6.0)), (0.0, 8.0))
@@ -238,7 +235,7 @@ def test_plan_local_serves_a_single_reach_goal():
     task = LocalTask(1, TimeInterval(0, 6), (sub,))
     rng = np.random.default_rng(21)
     seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, PARAMS,
-                            rng, pending=[], history=[], tau=0.5)
+                            rng, [], tau=0.5)
     assert seq.k0 == 0 and seq.k_last == 12
     assert len(pairs) == 1
     ok, _ = stl_sat(seq, sub)
@@ -254,7 +251,7 @@ def test_plan_local_gives_up_on_an_impossible_hold():
     params = PlannerParams(max_iters_per_tree=50, max_restarts=2)
     with pytest.raises(PlanningError):
         plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, params,
-                   np.random.default_rng(31), pending=[], history=[],
+                   np.random.default_rng(31), [Guard.from_subtask(sub)],
                    tau=0.5)
 
 
@@ -314,27 +311,41 @@ def test_replanning_with_the_same_seed_is_byte_identical():
         [(p.k, p.label) for p in b.pairs]
 
 
-def test_pending_reach_fallback_fires_when_history_misses():
-    ws = make_ws(regions=[("t", (4.0, 4.0), (6.0, 6.0))])
-    atom = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    origin = SubTask("F", TimeInterval(0, 4), None, atom)
-    from stlplan.decomposer import DisjunctiveFSet
-    dset = DisjunctiveFSet(origin, (SubTask("F", TimeInterval(0, 2), None,
-                                            atom),
-                                    SubTask("F", TimeInterval(2, 4), None,
-                                            atom)))
-    task = LocalTask(2, TimeInterval(2, 4), ())
-    missed = PointSequence(0, 0.5, [[1.0, 1.0]] * 5)  # never visits t
-    rng = np.random.default_rng(41)
-    seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 2.0), ws, PARAMS,
-                            rng, pending=[dset], history=[missed], tau=0.5)
-    ok, _ = stl_sat(seq, dset.final_piece)
-    assert ok
-    assert len(pairs) == 1
+def test_disjunctive_fallback_fires_only_when_no_earlier_piece_holds():
+    ws = make_ws(regions=[("a", (2.0, 2.0), (3.0, 3.0)),
+                          ("t", (4.0, 4.0), (6.0, 6.0))])
+    formula = parse_formula("F[0,2] a & F[0,4] t", ws, tau=0.5)
+    dec = decompose(formula, 0.5)
+    assert len(dec.disjunctive_sets) == 1
+    for seed in range(5):
+        params = PlannerParams(rng_seed=seed)
+        # from (1, 1), t is over 4 m away: out of reach before 2 s
+        plan = plan_global(dec, (1.0, 1.0), ws, params, tau=0.5, v_max=2.0)
+        t_ks = [p.k for p in plan.pairs if p.label == "t"]
+        assert len(t_ks) == 1 and 4 <= t_ks[0] <= 8
+        # starting inside t, the earlier piece already holds at k=0
+        plan = plan_global(dec, (5.0, 5.0), ws, params, tau=0.5, v_max=2.0)
+        assert [p.k for p in plan.pairs if p.label == "t"] == [0]
 
-    # and stays quiet when an earlier piece already succeeded
-    visited = PointSequence(0, 0.5, [[5.0, 5.0]] * 5)
-    seq2, pairs2 = plan_local(task, (np.array([5.0, 5.0]), 2.0), ws, PARAMS,
-                              np.random.default_rng(43), pending=[dset],
-                              history=[visited], tau=0.5)
-    assert len(pairs2) == 0
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_each_disjunctive_set_is_certified_by_its_first_holding_piece(name):
+    from dataclasses import replace
+    from stlplan.scenario_cli import load_scenario
+
+    scenario = load_scenario(name)
+    dec = decompose(scenario.formula, scenario.tau)
+    assert dec.disjunctive_sets
+    for seed in range(3):
+        params = replace(scenario.planner, rng_seed=seed)
+        plan = plan_global(dec, scenario.x0[:2], scenario.workspace, params,
+                           tau=scenario.tau,
+                           v_max=scenario.model.speed_limit)
+        for d in dec.disjunctive_sets:
+            # the set's label occurs in no other clause of these formulas
+            label = d.origin.prop.label
+            first = next(pairs for ok, pairs in
+                         (stl_sat(plan.waypoints, p) for p in d.pieces) if ok)
+            assert [(p.k, p.label) for p in plan.pairs
+                    if p.label == label] == \
+                [(p.k, p.label) for p in first]
