@@ -5,6 +5,8 @@ turns expanding by a fixed increment and freeze by snapping onto the
 first obstacle face or workspace bound they would otherwise cross.
 Consecutive waypoints reuse the previous box while they stay inside it,
 so a corridor typically holds far fewer distinct boxes than waypoints.
+Checks run on arrays: containment once per waypoint against the bounds
+of its box, and the workspace and obstacle tests once per distinct box.
 """
 
 from __future__ import annotations
@@ -37,29 +39,51 @@ class SafeCorridor:
     def __getitem__(self, k):
         return self.boxes[k]
 
+    def runs(self):
+        """Split the boxes into runs of consecutive steps sharing one box
+        object: (the run index of every step as an array, the distinct
+        boxes in first-use order)."""
+        distinct, run = [], []
+        for b in self.boxes:
+            if not distinct or distinct[-1] is not b:
+                distinct.append(b)
+            run.append(len(distinct) - 1)
+        return np.array(run, dtype=np.intp), distinct
+
     def distinct(self):
         """The distinct boxes in first-use order."""
-        out = []
-        for b in self.boxes:
-            if not out or out[-1] is not b:
-                out.append(b)
-        return out
+        return self.runs()[1]
 
     def validate(self, ws, waypoints):
         """Raise unless every box contains its waypoint, stays inside the
-        workspace, and keeps its interior clear of every obstacle."""
+        workspace, and keeps its interior clear of every obstacle.
+
+        Containment is one comparison of the waypoints against per-step
+        box bounds; the workspace and obstacle tests run once per
+        distinct box.  The error names the first failing step k and, at
+        k, the first failing test in that order.
+        """
         pts = np.asarray(waypoints, dtype=float)
         if len(pts) != len(self.boxes):
             raise CorridorError("corridor length does not match waypoints")
-        for k, (box, p) in enumerate(zip(self.boxes, pts)):
-            if not box.contains(p):
-                raise CorridorError(f"box {k} does not contain its waypoint")
-            if any(l < bl or h > bh for l, h, bl, bh in
-                   zip(box.lo, box.hi, ws.bounds.lo, ws.bounds.hi)):
-                raise CorridorError(f"box {k} leaves the workspace")
-            for o in ws.obstacles:
-                if box.open_intersects(o):
-                    raise CorridorError(f"box {k} overlaps an obstacle")
+        if not self.boxes:
+            return
+        run, distinct = self.runs()
+        lo = np.array([b.lo for b in distinct])
+        hi = np.array([b.hi for b in distinct])
+        outside = ~np.all((pts >= lo[run]) & (pts <= hi[run]), axis=1)
+        leaves = np.any((lo < ws.bounds.lo) | (hi > ws.bounds.hi), axis=1)
+        overlaps = np.array([any(b.open_intersects(o) for o in ws.obstacles)
+                             for b in distinct])
+        bad = outside | leaves[run] | overlaps[run]
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        if outside[k]:
+            raise CorridorError(f"box {k} does not contain its waypoint")
+        if leaves[run[k]]:
+            raise CorridorError(f"box {k} leaves the workspace")
+        raise CorridorError(f"box {k} overlaps an obstacle")
 
 
 def _blocked_overlap(box_lo, box_hi, obstacle, axis):
@@ -130,9 +154,11 @@ def construct_safe_corridor(waypoints, ws, step=DEFAULT_STEP):
     if pts is None:
         pts = np.asarray(waypoints, dtype=float)
     boxes = []
-    cur = None
-    for p in pts:
-        if cur is None or not cur.contains(p):
-            cur = safe_cor(p, ws, step)
-        boxes.append(cur)
+    while len(boxes) < len(pts):
+        k = len(boxes)
+        cur = safe_cor(pts[k], ws, step)
+        rest = pts[k + 1:]
+        leave = np.flatnonzero(~np.all((rest >= cur.lo) & (rest <= cur.hi),
+                                       axis=1))
+        boxes += [cur] * (1 + (leave[0] if leave.size else len(rest)))
     return SafeCorridor(tuple(boxes))

@@ -188,25 +188,91 @@ class NlpProblem:
         return states[1:] - self.model.step(states[:-1], inputs)
 
 
-def _select_avoid_face(box, wp, margin):
-    """Axis-aligned half-plane keeping a point outside a box: the face
-    with the largest clearance at the waypoint, low axes first on ties."""
-    best = None
-    for axis in range(len(box.lo)):
-        below = box.lo[axis] - wp[axis]
-        above = wp[axis] - box.hi[axis]
-        for clearance, side in ((below, 0), (above, 1)):
-            if best is None or clearance > best[0] + 1e-12:
-                best = (clearance, axis, side)
-    clearance, axis, side = best
-    if clearance <= 0.0:
+def _avoid_faces(lo, hi, wps, margin):
+    """Axis-aligned half-planes keeping each waypoint wps[i] outside the
+    box lo[i]..hi[i], all rows at once.
+
+    Per row the candidate faces are scanned low then high, axis by axis,
+    and a later face replaces the best so far only when its clearance at
+    the waypoint is larger by over 1e-12, so ties go to the earlier face.
+    Returns (axis, side, bound, clearance): side 0 bounds the coordinate
+    from above by `bound`, side 1 from below.  The face retreats by the
+    margin but never past the waypoint; a clearance <= 0 means the
+    waypoint sits inside the box and no face keeps it out.
+    """
+    rows = np.arange(len(wps))
+    cand = np.stack([lo - wps, wps - hi], axis=2).reshape(len(wps),
+                                                          2 * wps.shape[1])
+    best = cand[:, 0]
+    pick = np.zeros(len(wps), dtype=np.intp)
+    for j in range(1, cand.shape[1]):
+        better = cand[:, j] > best + 1e-12
+        best = np.where(better, cand[:, j], best)
+        pick = np.where(better, j, pick)
+    axis, side = np.divmod(pick, 2)
+    wp = wps[rows, axis]
+    below = np.maximum(np.minimum(lo[rows, axis] - margin, wp + best), wp)
+    above = np.minimum(np.maximum(hi[rows, axis] + margin, wp - best), wp)
+    return axis, side, np.where(side == 0, below, above), best
+
+
+def _position_bounds(pts, corridor, ws, pairs, margin):
+    """Per-step position bounds (lb, ub) of shape (K+1, d) and the pair
+    rows (k, label, prop) in (k, plan) order; see build_nlp.
+
+    Raises InfeasibleConstraintError for the earliest step whose bounds
+    cannot be assembled or are empty.
+    """
+    K1 = len(pts)
+    run, distinct = corridor.runs()
+    lo = np.array([b.lo for b in distinct])[run]
+    hi = np.array([b.hi for b in distinct])[run]
+    lb = np.maximum(ws.bounds.lo, np.minimum(lo + margin, pts))
+    ub = np.minimum(ws.bounds.hi, np.maximum(hi - margin, pts))
+
+    # at a handoff the state is confined to the doorway both boxes share
+    hand = np.flatnonzero(run[1:] != run[:-1]) + 1
+    door_lb = np.maximum(lo[hand], lo[hand - 1])
+    door_ub = np.minimum(hi[hand], hi[hand - 1])
+    disjoint = np.zeros(K1, dtype=bool)
+    disjoint[hand] = np.any(door_lb > door_ub, axis=1)
+    # only strictly wide axes can afford the boundary margin; a seam
+    # axis stays pinned to the shared face
+    wide = door_ub - door_lb > 2.0 * margin
+    lb[hand] = np.maximum(ws.bounds.lo, door_lb + wide * margin)
+    ub[hand] = np.minimum(ws.bounds.hi, door_ub - wide * margin)
+
+    rows = sorted((p for p in pairs if 0 <= p.k < K1), key=lambda p: p.k)
+    ks = np.array([p.k for p in rows], dtype=np.intp)
+    shape = (len(rows), pts.shape[1])
+    rlo = np.array([p.prop.region.box.lo for p in rows]).reshape(shape)
+    rhi = np.array([p.prop.region.box.hi for p in rows]).reshape(shape)
+    neg = np.array([p.prop.negated for p in rows], dtype=bool)
+    np.maximum.at(lb, ks[~neg], rlo[~neg])
+    np.minimum.at(ub, ks[~neg], rhi[~neg])
+    ka = ks[neg]
+    axis, side, bound, clearance = _avoid_faces(rlo[neg], rhi[neg], pts[ka],
+                                                margin)
+    np.minimum.at(ub, (ka[side == 0], axis[side == 0]), bound[side == 0])
+    np.maximum.at(lb, (ka[side == 1], axis[side == 1]), bound[side == 1])
+    inside = np.zeros(K1, dtype=bool)
+    inside[ka[clearance <= 0.0]] = True
+
+    empty = np.any(lb > ub, axis=1)
+    bad = np.flatnonzero(disjoint | inside | empty)
+    if bad.size:
+        k = int(bad[0])
+        if disjoint[k]:
+            raise InfeasibleConstraintError(
+                f"corridor boxes at steps {k - 1} and {k} share no "
+                f"doorway")
+        if inside[k]:
+            raise InfeasibleConstraintError(
+                "waypoint sits inside a region it must avoid")
         raise InfeasibleConstraintError(
-            "waypoint sits inside a region it must avoid")
-    if side == 0:
-        face = box.lo[axis] - margin
-        return axis, None, max(min(face, wp[axis] + clearance), wp[axis])
-    face = box.hi[axis] + margin
-    return axis, min(max(face, wp[axis] - clearance), wp[axis]), None
+            f"constraints at step {k} have empty intersection "
+            f"(corridor box against certified regions)")
+    return lb, ub, tuple((p.k, p.label, p.prop) for p in rows)
 
 
 def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
@@ -223,6 +289,15 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
     the handoff is confined to the doorway both boxes share.  Every
     trajectory segment then has both endpoints inside one convex free
     box, so the segment itself cannot cross an obstacle.
+
+    The position bounds are assembled as (K+1, d) arrays: the workspace
+    intersected with each step's margin-retreated box, or at a handoff
+    with the doorway; then membership pairs intersect their region and
+    each avoidance pair bounds one coordinate by its best face.  The
+    earliest step that cannot be bounded raises
+    InfeasibleConstraintError; at one step a doorway shared by no two
+    boxes comes first, then a waypoint inside a region it must avoid,
+    then an empty intersection.
     """
     pts = plan.waypoints.positions
     K = len(pts) - 1
@@ -237,53 +312,12 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
         raise OptimizationError("initial state does not match the first "
                                 "waypoint")
 
+    lb, ub, pair_rows = _position_bounds(pts, corridor, ws, plan.pairs,
+                                         margin)
     state_lb = np.full((K + 1, n), -np.inf)
     state_ub = np.full((K + 1, n), np.inf)
-    pair_groups = {}
-    for p in plan.pairs:
-        pair_groups.setdefault(p.k, []).append(p)
-    pair_rows = []
-    for k in range(K + 1):
-        wp = pts[k]
-        lb = np.array(ws.bounds.lo, dtype=float)
-        ub = np.array(ws.bounds.hi, dtype=float)
-        box = corridor.boxes[k]
-        if k > 0 and box is not corridor.boxes[k - 1]:
-            prev = corridor.boxes[k - 1]
-            door_lb = np.maximum(box.lo, prev.lo)
-            door_ub = np.minimum(box.hi, prev.hi)
-            if np.any(door_lb > door_ub):
-                raise InfeasibleConstraintError(
-                    f"corridor boxes at steps {k - 1} and {k} share no "
-                    f"doorway")
-            # only strictly wide axes can afford the boundary margin;
-            # a seam axis stays pinned to the shared face
-            wide = door_ub - door_lb > 2.0 * margin
-            door_lb = door_lb + wide * margin
-            door_ub = door_ub - wide * margin
-            lb, ub = np.maximum(lb, door_lb), np.minimum(ub, door_ub)
-        else:
-            lb = np.maximum(lb, np.minimum(np.array(box.lo) + margin, wp))
-            ub = np.minimum(ub, np.maximum(np.array(box.hi) - margin, wp))
-        for pair in pair_groups.get(k, ()):
-            prop = pair.prop
-            rbox = prop.region.box
-            if not prop.negated:
-                lb = np.maximum(lb, rbox.lo)
-                ub = np.minimum(ub, rbox.hi)
-            else:
-                axis, flo, fhi = _select_avoid_face(rbox, wp, margin)
-                if flo is not None:
-                    lb[axis] = max(lb[axis], flo)
-                if fhi is not None:
-                    ub[axis] = min(ub[axis], fhi)
-            pair_rows.append((k, pair.label, prop))
-        if np.any(lb > ub):
-            raise InfeasibleConstraintError(
-                f"constraints at step {k} have empty intersection "
-                f"(corridor box against certified regions)")
-        state_lb[k, :d] = lb
-        state_ub[k, :d] = ub
+    state_lb[:, :d] = lb
+    state_ub[:, :d] = ub
     state_lb[0] = x0
     state_ub[0] = x0
 
@@ -298,7 +332,7 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
                       input_lb=input_lb, input_ub=input_ub,
                       q_weights=np.asarray(q_weights, dtype=float),
                       r_weights=np.asarray(r_weights, dtype=float),
-                      pair_rows=tuple(pair_rows))
+                      pair_rows=pair_rows)
 
 
 def initial_guess(problem, waypoints):
@@ -449,19 +483,23 @@ class _NewtonBand:
                                 check_finite=False)[self.pos]
 
 
-def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
+def _inner_gauss_newton(z, lb, ub, al, al_grad, newton, rho, gtol,
+                        max_iter):
     """Minimize one subproblem within the bounds.
 
     Directions come from the Gauss-Newton model of the augmented
     Lagrangian restricted to the estimated free variables; steps are
     projected back onto the bounds under an Armijo backtracking line
     search, so the subproblem value never increases.  al(z) returns the
-    value, the gradient and the Jacobian blocks (A, B) at z.  Where the
+    value and the defects c at z; al_grad(z, c) returns the gradient and
+    the Jacobian blocks (A, B), and runs only at the start iterate and
+    at accepted ones, never for a rejected trial.  Where the
     factorization fails or its step is no descent direction, the
     projected gradient step is taken instead; those iterations are
     counted as fallbacks.
     """
-    f, g, jac = al(z)
+    f, c = al(z)
+    g, jac = al_grad(z, c)
     f_start = f
     nit = fallbacks = 0
     for nit in range(1, max_iter + 1):
@@ -480,9 +518,10 @@ def _inner_gauss_newton(z, lb, ub, al, newton, rho, gtol, max_iter):
         alpha = 1.0
         for _ in range(40):
             z_try = np.clip(z + alpha * p, lb, ub)
-            f_try, g_try, jac_try = al(z_try)
+            f_try, c_try = al(z_try)
             if f_try <= f + 1e-4 * float(g @ (z_try - z)) + 1e-12:
-                z, f, g, jac = z_try, f_try, g_try, jac_try
+                z, f = z_try, f_try
+                g, jac = al_grad(z, c_try)
                 accepted = True
                 break
             alpha *= 0.5
@@ -516,18 +555,22 @@ def solve_nlp(problem, init=None, tolerances=None):
     rho = 10.0
     viol_ref = np.inf
 
-    def al_value_grad(zvec, lam, rho):
+    def al_value(zvec, lam, rho):
         S, U = problem.unpack(zvec)
         c = problem.residuals(S, U)
-        y = lam + rho * c
         f = problem.cost(S, U) + float((lam * c).sum()) \
             + 0.5 * rho * float((c * c).sum())
+        return f, c
+
+    def al_grad(zvec, c, lam, rho):
+        S, U = problem.unpack(zvec)
+        y = lam + rho * c
         gs, gu = problem.cost_grad(S, U)
         A, B = model.jacobians(S[:-1], U)
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return f, np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
+        return np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
 
     newton = _NewtonBand(problem)
     log = []
@@ -539,9 +582,10 @@ def solve_nlp(problem, init=None, tolerances=None):
     gtol_floor = max(tol.eps_opt / 2.0, 1e-12)
     omega = max(1e-2, gtol_floor)
     for outer in range(1, tol.max_outer + 1):
-        fun = lambda zv: al_value_grad(zv, lam, rho)
         z, merit_start, f_end, g_end, nit, fallbacks = _inner_gauss_newton(
-            z, lb, ub, fun, newton, rho, omega, tol.max_inner)
+            z, lb, ub, lambda zv: al_value(zv, lam, rho),
+            lambda zv, c: al_grad(zv, c, lam, rho), newton, rho, omega,
+            tol.max_inner)
         S, U = problem.unpack(z)
         c = problem.residuals(S, U)
         viol = float(np.max(np.abs(c))) if c.size else 0.0

@@ -403,9 +403,8 @@ def verify_trajectory(scenario, positions, inputs):
     return {
         "satisfied": bool(oracle_satisfies_formula(
             PointSequence(0, scenario.tau, positions), scenario.formula)),
-        "collision_free": not any(
-            ws.segment_collides(positions[i], positions[i + 1])
-            for i in range(len(positions) - 1)),
+        "collision_free": not ws.segments_collide(positions[:-1],
+                                                  positions[1:]).any(),
         "inputs_within_bounds": bool(
             len(inputs) == scenario.horizon_steps
             and np.all(inputs >= np.array(model.input_lo) - 1e-9)

@@ -510,12 +510,17 @@ class GlobalPlan:
                                 f"{len(pts)}")
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         limit = v_max * self.waypoints.tau * (1.0 + 1e-6)
-        if np.any(steps > limit):
-            raise PlanningError("waypoint spacing exceeds the speed limit")
-        for p in pts:
-            if not ws.point_free(p):
-                raise PlanningError(f"waypoint {p.tolist()} is not in free "
-                                    f"space")
+        fast = np.flatnonzero(steps > limit)
+        if fast.size:
+            k = int(fast[0])
+            raise PlanningError(f"waypoint spacing exceeds the speed limit "
+                                f"at step {k}: {steps[k]:.6g} m to step "
+                                f"{k + 1}, limit {limit:.6g} m")
+        blocked = np.flatnonzero(~ws.points_free(pts))
+        if blocked.size:
+            k = int(blocked[0])
+            raise PlanningError(f"waypoint {pts[k].tolist()} at step {k} is "
+                                f"not in free space")
 
 
 def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):

@@ -180,6 +180,12 @@ class Workspace:
                 raise ValueError(f"duplicate region name {r.name!r}")
             table[r.name] = r
         object.__setattr__(self, "_table", table)
+        # obstacle bounds as (O, d) arrays for the batched predicates
+        shape = (len(self.obstacles), self.bounds.dim)
+        object.__setattr__(self, "_obs_lo", np.array(
+            [o.lo for o in self.obstacles], dtype=float).reshape(shape))
+        object.__setattr__(self, "_obs_hi", np.array(
+            [o.hi for o in self.obstacles], dtype=float).reshape(shape))
 
     def region(self, name):
         try:
@@ -196,6 +202,40 @@ class Workspace:
     def segment_collides(self, a, b):
         """True when the segment touches any obstacle (closed test)."""
         return any(o.segment_intersects(a, b) for o in self.obstacles)
+
+    def points_free(self, P):
+        """point_free of each row of the (N, d) array P."""
+        P = np.asarray(P, dtype=float)
+        lo, hi = self.bounds.lo, self.bounds.hi
+        inside = np.all((P >= lo) & (P <= hi), axis=1)
+        Q = P[:, None, :]
+        hit = np.all((Q >= self._obs_lo) & (Q <= self._obs_hi), axis=2)
+        return inside & ~hit.any(axis=1)
+
+    def segments_collide(self, A, B):
+        """segment_collides of each segment A[i]-B[i] of the (N, d)
+        arrays A and B: Box.segment_intersects' slab clipping with the
+        same float operations, run on all segment-obstacle pairs."""
+        A = np.asarray(A, dtype=float)[:, None, :]
+        D = np.asarray(B, dtype=float)[:, None, :] - A
+        lo, hi = self._obs_lo, self._obs_hi
+        flat = D == 0.0
+        # an axis the segment does not move along must pass through the
+        # slab; the others clip the parameter interval [tmin, tmax]
+        hit = ~np.any(flat & ((A < lo) | (A > hi)), axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T1 = (lo - A) / D
+            T2 = (hi - A) / D
+        tmin = np.zeros(hit.shape)
+        tmax = np.ones(hit.shape)
+        for i in range(D.shape[2]):
+            swap = T1[..., i] > T2[..., i]
+            t1 = np.where(swap, T2[..., i], T1[..., i])
+            t2 = np.where(swap, T1[..., i], T2[..., i])
+            move = ~flat[..., i]
+            tmin = np.where(move & (t1 > tmin), t1, tmin)
+            tmax = np.where(move & (t2 < tmax), t2, tmax)
+        return (hit & ~(tmin > tmax)).any(axis=1)
 
     def sample_free(self, rng, max_tries=1000):
         for _ in range(max_tries):

@@ -1,7 +1,8 @@
 """Shared test fixtures: workspace builders, an independently coded
 satisfaction evaluator, randomized instance generators, dense
-references for the Newton system of a transcription, and a call
-counter.
+references for the Newton system of a transcription, per-step loop
+references for the corridor check and the transcription bounds, and a
+call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
@@ -10,7 +11,9 @@ integer grid indices, so agreement between the two is meaningful.
 
 import numpy as np
 
-from stlplan.optimizer import _step_jacobians, _time_major_order
+from stlplan.corridor import CorridorError
+from stlplan.optimizer import (InfeasibleConstraintError, _step_jacobians,
+                               _time_major_order)
 from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
                               SubTask, TimeInterval, Workspace)
 
@@ -158,6 +161,92 @@ def band_to_dense(ab):
         H[j + d, j] = ab[d, :N - d]
         H[j, j + d] = ab[d, :N - d]
     return H
+
+
+def reference_validate(corridor, ws, waypoints):
+    """SafeCorridor.validate as a loop over steps: containment, then the
+    workspace, then every obstacle, box by box."""
+    pts = np.asarray(waypoints, dtype=float)
+    if len(pts) != len(corridor.boxes):
+        raise CorridorError("corridor length does not match waypoints")
+    for k, (box, p) in enumerate(zip(corridor.boxes, pts)):
+        if not box.contains(p):
+            raise CorridorError(f"box {k} does not contain its waypoint")
+        if any(l < bl or h > bh for l, h, bl, bh in
+               zip(box.lo, box.hi, ws.bounds.lo, ws.bounds.hi)):
+            raise CorridorError(f"box {k} leaves the workspace")
+        for o in ws.obstacles:
+            if box.open_intersects(o):
+                raise CorridorError(f"box {k} overlaps an obstacle")
+
+
+def _reference_avoid_face(box, wp, margin):
+    # the face with the largest clearance, low axes first on ties
+    best = None
+    for axis in range(len(box.lo)):
+        below = box.lo[axis] - wp[axis]
+        above = wp[axis] - box.hi[axis]
+        for clearance, side in ((below, 0), (above, 1)):
+            if best is None or clearance > best[0] + 1e-12:
+                best = (clearance, axis, side)
+    clearance, axis, side = best
+    if clearance <= 0.0:
+        raise InfeasibleConstraintError(
+            "waypoint sits inside a region it must avoid")
+    if side == 0:
+        face = box.lo[axis] - margin
+        return axis, None, max(min(face, wp[axis] + clearance), wp[axis])
+    face = box.hi[axis] + margin
+    return axis, min(max(face, wp[axis] - clearance), wp[axis]), None
+
+
+def reference_position_bounds(pts, corridor, ws, pairs, margin):
+    """The transcription's per-step position bounds and pair rows as a
+    loop over steps, each step assembled and checked in turn."""
+    pair_groups = {}
+    for p in pairs:
+        pair_groups.setdefault(p.k, []).append(p)
+    lbs, ubs, pair_rows = [], [], []
+    for k in range(len(pts)):
+        wp = pts[k]
+        lb = np.array(ws.bounds.lo, dtype=float)
+        ub = np.array(ws.bounds.hi, dtype=float)
+        box = corridor.boxes[k]
+        if k > 0 and box is not corridor.boxes[k - 1]:
+            prev = corridor.boxes[k - 1]
+            door_lb = np.maximum(box.lo, prev.lo)
+            door_ub = np.minimum(box.hi, prev.hi)
+            if np.any(door_lb > door_ub):
+                raise InfeasibleConstraintError(
+                    f"corridor boxes at steps {k - 1} and {k} share no "
+                    f"doorway")
+            wide = door_ub - door_lb > 2.0 * margin
+            door_lb = door_lb + wide * margin
+            door_ub = door_ub - wide * margin
+            lb, ub = np.maximum(lb, door_lb), np.minimum(ub, door_ub)
+        else:
+            lb = np.maximum(lb, np.minimum(np.array(box.lo) + margin, wp))
+            ub = np.minimum(ub, np.maximum(np.array(box.hi) - margin, wp))
+        for pair in pair_groups.get(k, ()):
+            prop = pair.prop
+            rbox = prop.region.box
+            if not prop.negated:
+                lb = np.maximum(lb, rbox.lo)
+                ub = np.minimum(ub, rbox.hi)
+            else:
+                axis, flo, fhi = _reference_avoid_face(rbox, wp, margin)
+                if flo is not None:
+                    lb[axis] = max(lb[axis], flo)
+                if fhi is not None:
+                    ub[axis] = min(ub[axis], fhi)
+            pair_rows.append((k, pair.label, prop))
+        if np.any(lb > ub):
+            raise InfeasibleConstraintError(
+                f"constraints at step {k} have empty intersection "
+                f"(corridor box against certified regions)")
+        lbs.append(lb)
+        ubs.append(ub)
+    return np.array(lbs), np.array(ubs), tuple(pair_rows)
 
 
 def count_calls(monkeypatch, owner, name):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_ws
+from helpers import make_ws, reference_validate
 from stlplan.corridor import (DEFAULT_STEP, CorridorError, SafeCorridor,
                               construct_safe_corridor, safe_cor)
 from stlplan.stl_core import Box
@@ -119,6 +119,48 @@ def test_touching_an_obstacle_face_is_allowed():
     ws = make_ws(obstacles=[((4.0, 0.0), (5.0, 6.0))])
     flush = SafeCorridor((Box((0.0, 0.0), (4.0, 6.0)),))
     flush.validate(ws, [(1.0, 1.0)])
+
+
+def _validate_outcome(validate, cor, ws, pts):
+    try:
+        validate(cor, ws, pts)
+    except CorridorError as err:
+        return str(err)
+    return "ok"
+
+
+def test_validate_matches_the_per_step_reference():
+    # boxes on a half-unit grid touch obstacles and the workspace exactly
+    # and often fail several checks at one step, which tests precedence
+    rng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(300):
+        obstacles = []
+        for _ in range(int(rng.integers(0, 4))):
+            lo = rng.integers(0, 17, size=2) / 2.0
+            obstacles.append((tuple(lo),
+                              tuple(lo + rng.integers(1, 5, size=2) / 2.0)))
+        ws = make_ws(obstacles=obstacles)
+        boxes = []
+        while len(boxes) < 8:
+            lo = rng.integers(-1, 19, size=2) / 2.0
+            box = Box(lo, lo + rng.integers(1, 9, size=2) / 2.0)
+            boxes += [box] * int(rng.integers(1, 4))
+        pts = np.array([b.sample(rng) if rng.random() < 0.8
+                        else rng.integers(0, 21, size=2) / 2.0
+                        for b in boxes[:8]])
+        for j in range(9):
+            cor = SafeCorridor(boxes[:j])
+            got = _validate_outcome(SafeCorridor.validate, cor, ws, pts[:j])
+            assert got == _validate_outcome(reference_validate, cor, ws,
+                                            pts[:j])
+            seen.add(got.split(" ", 2)[-1])
+        mismatch = SafeCorridor(boxes[:3])
+        assert _validate_outcome(SafeCorridor.validate, mismatch, ws,
+                                 pts[:2]) == \
+            _validate_outcome(reference_validate, mismatch, ws, pts[:2])
+    assert seen == {"ok", "does not contain its waypoint",
+                    "leaves the workspace", "overlaps an obstacle"}
 
 
 def test_randomized_corridors_hold_the_invariants():

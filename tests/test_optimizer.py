@@ -10,13 +10,15 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from helpers import (band_to_dense, count_calls, dense_cost_hessian,
-                     dense_dynamics_jacobian, make_ws, region_atom)
+                     dense_dynamics_jacobian, make_ws,
+                     reference_position_bounds, region_atom)
 from stlplan import optimizer
 from stlplan.corridor import SafeCorridor, construct_safe_corridor
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                InfeasibleConstraintError, NlpProblem,
                                OptimizationError, SolverTolerances,
-                               _NewtonBand, _select_avoid_face, build_nlp,
+                               _avoid_faces, _NewtonBand, _position_bounds,
+                               build_nlp,
                                evaluate_solution, initial_guess, rollout,
                                solve_nlp, unicycle_jacobians, unicycle_model,
                                unicycle_step)
@@ -195,18 +197,20 @@ def test_avoidance_pairs_bound_one_axis_by_the_best_face():
 
 
 def test_avoid_face_selection_rules():
-    box = Box((2.0, 2.0), (3.0, 3.0))
-    axis, flo, fhi = _select_avoid_face(box, (1.0, 2.5), 1e-6)
-    assert (axis, flo) == (0, None)
-    assert fhi == pytest.approx(2.0 - 1e-6)
-    axis, flo, fhi = _select_avoid_face(box, (3.5, 2.5), 1e-6)
-    assert (axis, fhi) == (0, None)
-    assert flo == pytest.approx(3.0 + 1e-6)
+    lo = np.tile([2.0, 2.0], (4, 1))
+    hi = np.tile([3.0, 3.0], (4, 1))
+    wps = np.array([[1.0, 2.5], [3.5, 2.5], [1.5, 1.5], [2.5, 2.5]])
+    axis, side, bound, clearance = _avoid_faces(lo, hi, wps, 1e-6)
+    # left of the box: x is bounded from above, short of the low face
+    assert (axis[0], side[0]) == (0, 0)
+    assert bound[0] == pytest.approx(2.0 - 1e-6)
+    # right of it: x is bounded from below, past the high face
+    assert (axis[1], side[1]) == (0, 1)
+    assert bound[1] == pytest.approx(3.0 + 1e-6)
     # exact tie between the x and y faces goes to the lower axis
-    axis, _, _ = _select_avoid_face(box, (1.5, 1.5), 1e-6)
-    assert axis == 0
-    with pytest.raises(InfeasibleConstraintError):
-        _select_avoid_face(box, (2.5, 2.5), 1e-6)
+    assert axis[2] == 0
+    # inside the box no face has positive clearance
+    assert clearance[3] <= 0.0
 
 
 def test_waypoint_inside_a_certified_avoid_region_fails_early():
@@ -272,6 +276,123 @@ def test_boxes_sharing_no_doorway_fail_early():
     with pytest.raises(InfeasibleConstraintError):
         build_nlp(plan, cor, ws, unicycle_model(0.1),
                   np.array([1.0, 1.0, 0.0]))
+
+
+def _bounds_outcome(fn, pts, boxes, ws, pairs, margin):
+    """What a bound assembly gives on the first len(pts) steps: the
+    bounds' bytes and the pair rows, or the error's type and message."""
+    try:
+        lb, ub, rows = fn(pts, SafeCorridor(boxes), ws, pairs, margin)
+    except InfeasibleConstraintError as err:
+        return type(err), str(err)
+    return lb.tobytes(), ub.tobytes(), rows
+
+
+def _assert_bounds_match_the_reference(pts, boxes, ws, pairs, margin):
+    """Equal outcomes on every prefix of the steps, which pins the
+    failing step even where the message does not name it.  Returns the
+    outcome on all steps."""
+    for j in range(1, len(pts) + 1):
+        args = (pts[:j], boxes[:j], ws, pairs, margin)
+        got = _bounds_outcome(_position_bounds, *args)
+        assert got == _bounds_outcome(reference_position_bounds, *args)
+    return got
+
+
+def _random_bounds_case(rng):
+    """Boxes, waypoints and regions on a half-unit grid, so that faces
+    touch, doorways have zero width or none, waypoints sit on faces, and
+    avoid-face clearances tie exactly or within 1e-12."""
+    def grid(size):
+        return rng.integers(0, 17, size=size) / 2.0
+
+    steps = int(rng.integers(1, 10))
+    boxes = []
+    while len(boxes) < steps:
+        lo = grid(2)
+        box = Box(lo, np.minimum(lo + rng.integers(1, 9, size=2) / 2.0,
+                                 10.0))
+        boxes += [box] * int(rng.integers(1, 4))
+    boxes = boxes[:steps]
+    pts = np.array([box.sample(rng) if rng.random() < 0.5
+                    else np.clip(grid(2) + rng.choice(
+                        [0.0, 5e-13, 1e-12, -1e-12, 2e-12], size=2), 0, 10)
+                    for box in boxes])
+    pairs = []
+    for i in range(int(rng.integers(0, 7))):
+        lo = grid(2)
+        atom = region_atom(f"r{i}", tuple(lo),
+                           tuple(lo + rng.integers(1, 7, size=2) / 2.0),
+                           negated=bool(rng.random() < 0.5))
+        pairs.append(SatisfactionPair.make(int(rng.integers(0, steps + 2)),
+                                           atom))
+    margin = float(rng.choice([DEFAULT_MARGIN, 0.25]))
+    return pts, boxes, SatisfactionSet(pairs), margin
+
+
+def test_position_bounds_match_the_per_step_reference():
+    rng = np.random.default_rng(8)
+    ws = make_ws()
+    seen = set()
+    for _ in range(400):
+        pts, boxes, pairs, margin = _random_bounds_case(rng)
+        got = _assert_bounds_match_the_reference(pts, boxes, ws, pairs,
+                                                 margin)
+        seen.add(got[1].split(" ")[0] if got[0] is
+                 InfeasibleConstraintError else "ok")
+    assert seen == {"ok", "corridor", "waypoint", "constraints"}
+
+
+def test_position_bounds_edge_cases_match_the_reference():
+    ws = make_ws(bounds=((0.0, 0.0), (8.0, 6.0)))
+    a = Box((0.0, 0.0), (4.0, 6.0))
+    b = Box((4.0, 0.0), (8.0, 6.0))
+    far = Box((5.0, 0.0), (8.0, 6.0))
+
+    def pair(k, lo, hi, negated=False):
+        return SatisfactionPair.make(k, region_atom(f"r{lo}{hi}{negated}",
+                                                    lo, hi, negated))
+
+    # clearances of the x and y low faces differ by under 1e-12
+    tie = [[1.0, 1.0 + 5e-13], [1.0 + 5e-13, 1.0], [1.0, 1.0]]
+    cases = {
+        "zero-width doorway": ([[3.9, 3.0], [4.1, 3.0]], [a, b], []),
+        "disjoint doorway": ([[3.9, 3.0], [5.5, 3.0]], [a, far], []),
+        "tied clearances": (tie, [a, a, a],
+                            [pair(k, (2.0, 2.0), (3.0, 3.0), True)
+                             for k in range(3)]),
+        "inside an avoided region": ([[1.0, 1.0], [2.5, 2.5]], [a, a],
+                                     [pair(1, (2.0, 2.0), (3.0, 3.0),
+                                           True)]),
+        "empty membership": ([[1.0, 1.0], [1.0, 1.0]], [a, a],
+                             [pair(1, (5.0, 5.0), (6.0, 6.0))]),
+        # two failures at step 1: the doorway comes first ...
+        "doorway and avoid": ([[3.9, 3.0], [5.5, 3.0]], [a, far],
+                              [pair(1, (5.0, 2.0), (6.0, 4.0), True)]),
+        # ... and a waypoint inside an avoided region before emptiness
+        "avoid and empty": ([[1.0, 1.0], [2.5, 2.5]], [a, a],
+                            [pair(1, (2.0, 2.0), (3.0, 3.0), True),
+                             pair(1, (5.0, 5.0), (6.0, 6.0))]),
+        # the earliest failing step wins over a later one of higher rank
+        "empty before doorway": ([[1.0, 1.0], [1.0, 1.0], [5.5, 3.0]],
+                                 [a, a, far],
+                                 [pair(1, (5.0, 5.0), (6.0, 6.0))]),
+    }
+    expected = {"zero-width doorway": None,
+                "disjoint doorway": "steps 0 and 1 share no doorway",
+                "tied clearances": None,
+                "inside an avoided region": "inside a region",
+                "empty membership": "step 1 have empty intersection",
+                "doorway and avoid": "steps 0 and 1 share no doorway",
+                "avoid and empty": "inside a region",
+                "empty before doorway": "step 1 have empty intersection"}
+    for name, (pts, boxes, pairs) in cases.items():
+        got = _assert_bounds_match_the_reference(
+            np.array(pts), boxes, ws, SatisfactionSet(pairs), DEFAULT_MARGIN)
+        if expected[name] is None:
+            assert got[0] is not InfeasibleConstraintError, name
+        else:
+            assert expected[name] in got[1], name
 
 
 def test_build_rejects_inconsistent_inputs():
@@ -590,10 +711,9 @@ def test_failure_message_names_the_worst_defect_and_its_step(max_outer):
     assert defect[k] == pytest.approx(sol.max_violation)
 
 
-def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
-        monkeypatch):
-    # the Gauss-Newton matrix reuses the Jacobian blocks of the
-    # gradient's evaluation instead of computing them again
+def _solve_counting_derivatives(monkeypatch):
+    """Solve the unreachable-corner problem counting dynamics Jacobian
+    and cost gradient evaluations."""
     calls = {"jac": 0, "cost_grad": 0}
     base = unicycle_model(0.1, v_bounds=(-1.0, 1.0))
 
@@ -610,9 +730,25 @@ def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
     monkeypatch.setattr(NlpProblem, "cost_grad", counted_cost_grad)
     prob, init = _unreachable_corner_problem()
     prob.model = replace(base, jac_fn=jac)
-    sol = solve_nlp(prob, init=init)
+    return calls, solve_nlp(prob, init=init)
+
+
+def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
+        monkeypatch):
+    # the Gauss-Newton matrix reuses the Jacobian blocks of the
+    # gradient's evaluation instead of computing them again
+    calls, sol = _solve_counting_derivatives(monkeypatch)
     assert sum(e["inner_iterations"] for e in sol.log) > 0
     assert calls["jac"] == calls["cost_grad"] > 0
+
+
+def test_line_search_trials_evaluate_no_derivatives(monkeypatch):
+    # derivatives run at each inner solve's start iterate and at accepted
+    # ones; a rejected trial costs one value evaluation only
+    calls, sol = _solve_counting_derivatives(monkeypatch)
+    budget = sol.outer_iterations + sum(e["inner_iterations"]
+                                        for e in sol.log)
+    assert calls["jac"] == calls["cost_grad"] <= budget
 
 
 def test_one_factorization_per_inner_iteration(monkeypatch):

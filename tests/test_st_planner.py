@@ -5,14 +5,15 @@ import pytest
 
 from helpers import make_ws, region_atom
 from stlplan.decomposer import LocalTask, decompose
-from stlplan.satisfaction import stl_sat
+from stlplan.satisfaction import SatisfactionSet, stl_sat
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, SpaceTimeTree, StVertex,
                                 TreeFailure, discretize_path, grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
-from stlplan.stl_core import (SubTask, TimeInterval, oracle_satisfies,
-                              oracle_satisfies_formula, parse_formula)
+from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
+                              oracle_satisfies, oracle_satisfies_formula,
+                              parse_formula)
 
 PARAMS = PlannerParams()
 OPEN_WS = make_ws()
@@ -285,6 +286,22 @@ def test_global_plan_respects_speed_and_free_space(
     for a, b in zip(pts[:-1], pts[1:]):
         assert not ws.segment_collides(a, b)
     plan.validate(ws, scenario.model.speed_limit, expected_len=601)
+
+
+def test_global_plan_validation_names_the_first_offending_step():
+    ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
+
+    def plan(points):
+        return GlobalPlan(PointSequence(0, 0.5, points), SatisfactionSet())
+    # v_max 2 and tau 0.5 allow 1 m per step
+    fast = plan([[1.0, 1.0], [1.5, 1.0], [3.0, 1.0], [5.0, 1.0]])
+    with pytest.raises(PlanningError, match=r"speed limit at step 1: "
+                                            r"1\.5 m to step 2"):
+        fast.validate(ws, 2.0)
+    blocked = plan([[3.0, 5.0], [3.5, 5.0], [4.0, 5.0], [4.5, 5.0]])
+    with pytest.raises(PlanningError, match=r"waypoint \[4\.0, 5\.0\] at "
+                                            r"step 2 is not in free space"):
+        blocked.validate(ws, 2.0)
 
 
 def test_global_plan_starts_at_the_initial_position(

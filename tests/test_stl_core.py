@@ -96,6 +96,58 @@ def test_workspace_segment_collides_checks_every_obstacle():
     assert not ws.point_free((4.5, 3.0))
 
 
+def _scalar_and_batched(ws, A, B):
+    """Each point and segment tested one at a time and all at once."""
+    scalar = ([ws.point_free(p) for p in A],
+              [ws.segment_collides(a, b) for a, b in zip(A, B)])
+    batched = (ws.points_free(A).tolist(),
+               ws.segments_collide(A, B).tolist())
+    return scalar, batched
+
+
+def test_batched_predicates_match_the_scalar_ones():
+    # half-unit grid coordinates put points on faces and corners and make
+    # segments graze them; zeroed axes give axis-parallel and zero-length
+    # segments
+    rng = np.random.default_rng(11)
+    hits = [0, 0]
+    for trial in range(200):
+        obstacles = []
+        for _ in range(int(rng.integers(0, 5))):
+            lo = rng.integers(0, 17, size=2) / 2.0
+            obstacles.append((tuple(lo),
+                              tuple(lo + rng.integers(1, 5, size=2) / 2.0)))
+        ws = make_ws(obstacles=obstacles)
+        A = rng.integers(-1, 22, size=(40, 2)) / 2.0
+        A[:20] += rng.uniform(-0.5, 0.5, size=(20, 2))
+        D = rng.integers(-6, 7, size=(40, 2)) / 2.0
+        D[rng.random((40, 2)) < 0.3] = 0.0
+        scalar, batched = _scalar_and_batched(ws, A, A + D)
+        assert scalar == batched
+        hits[0] += sum(scalar[1])
+        hits[1] += len(A) - sum(scalar[1])
+    assert min(hits) > 100
+
+
+def test_batched_predicates_on_touching_and_degenerate_segments():
+    ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
+    A = np.array([[4.0, 3.0], [3.0, 5.0], [7.0, 3.0], [3.0, 3.0],
+                  [6.0, 6.0], [3.0, 2.0], [5.0, 5.0], [3.9, 5.0]])
+    B = np.array([[4.0, 1.0], [4.0, 5.0], [6.0, 4.0], [5.0, 3.0],
+                  [6.0, 6.0], [7.0, 2.0], [5.0, 5.0], [3.9, 5.0]])
+    scalar, batched = _scalar_and_batched(ws, A, B)
+    assert scalar == batched
+    # touching a face, touching a corner, a zero-length segment on the
+    # corner and one inside count as hits
+    assert batched[1] == [False, True, True, False, True, False, True,
+                          False]
+    empty = make_ws()
+    scalar, batched = _scalar_and_batched(empty, A, B)
+    assert scalar == batched
+    assert batched == ([True] * 8, [False] * 8)
+    assert empty.segments_collide(A[:0], B[:0]).shape == (0,)
+
+
 def test_duplicate_region_names_rejected():
     with pytest.raises(ValueError):
         Workspace(Box((0, 0), (1, 1)),
