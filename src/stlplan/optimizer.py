@@ -267,8 +267,11 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
                 f"corridor boxes at steps {k - 1} and {k} share no "
                 f"doorway")
         if inside[k]:
+            first = np.flatnonzero(neg)[np.argmax((ka == k) &
+                                                  (clearance <= 0.0))]
             raise InfeasibleConstraintError(
-                "waypoint sits inside a region it must avoid")
+                f"waypoint at step {k} sits inside a region it must avoid "
+                f"({rows[first].label})")
         raise InfeasibleConstraintError(
             f"constraints at step {k} have empty intersection "
             f"(corridor box against certified regions)")
@@ -296,8 +299,9 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
     each avoidance pair bounds one coordinate by its best face.  The
     earliest step that cannot be bounded raises
     InfeasibleConstraintError; at one step a doorway shared by no two
-    boxes comes first, then a waypoint inside a region it must avoid,
-    then an empty intersection.
+    boxes comes first, then a waypoint inside a region it must avoid
+    (named by the label of the first such pair at that step), then an
+    empty intersection.
     """
     pts = plan.waypoints.positions
     K = len(pts) - 1
@@ -338,24 +342,31 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
 def initial_guess(problem, waypoints):
     """States and inputs consistent with the waypoints: headings follow
     the displacement directions (continued through standstills and never
-    wrapped), inputs come from inverse kinematics clipped to bounds."""
+    wrapped), inputs come from inverse kinematics clipped to bounds.
+
+    The step norms and standstill tests run as arrays; only the heading
+    recurrence, which carries each heading into the next, walks the
+    steps, on plain floats.
+    """
     pts = np.asarray(waypoints, dtype=float)
     K = problem.horizon
     model = problem.model
     tau = model.tau
     states = np.zeros((K + 1, model.state_dim))
     states[:, :model.pos_dim] = pts
-    theta = np.empty(K + 1)
-    theta[0] = problem.x0[2] if model.state_dim > 2 else 0.0
     diffs = np.diff(pts, axis=0)
-    for k in range(K):
-        d = diffs[k]
-        if np.linalg.norm(d) < 1e-9:
-            theta[k + 1] = theta[k]
-            continue
-        raw = math.atan2(d[1], d[0])
-        delta = (raw - theta[k] + math.pi) % (2.0 * math.pi) - math.pi
-        theta[k + 1] = theta[k] + delta
+    still = (np.linalg.norm(diffs, axis=1) < 1e-9).tolist()
+    angle = float(problem.x0[2]) if model.state_dim > 2 else 0.0
+    headings = [angle]
+    # math.atan2, not np.arctan2: the two differ in the last bit on some
+    # inputs, so the vectorized one would change the guess
+    for stop, dx, dy in zip(still, diffs[:, 0].tolist(),
+                            diffs[:, 1].tolist()):
+        if not stop:
+            raw = math.atan2(dy, dx)
+            angle += (raw - angle + math.pi) % (2.0 * math.pi) - math.pi
+        headings.append(angle)
+    theta = np.array(headings)
     if model.state_dim > 2:
         states[:, 2] = theta
     inputs = np.zeros((K, model.input_dim))

@@ -343,8 +343,9 @@ def _splice(prefix, tail):
     out = list(prefix)
     for v in tail:
         while out and v.time <= out[-1].time + 1e-15:
-            if v.time >= out[-1].time - _TIME_TOL and \
-                    np.allclose(v.pos, out[-1].pos, atol=1e-9):
+            if v.time >= out[-1].time - _TIME_TOL and all(
+                    abs(a - b) <= 1e-9 + 1e-5 * abs(b)
+                    for a, b in zip(v.pos.tolist(), out[-1].pos.tolist())):
                 out.pop()
             else:
                 raise AssertionError(
@@ -356,8 +357,11 @@ def _splice(prefix, tail):
 def discretize_path(path, k_lo, k_hi, tau):
     """Sample a vertex path at the grid points k_lo..k_hi.
 
-    Vertices sitting exactly on a grid time are taken verbatim; other
-    grid points are linear interpolations of the enclosing edge.
+    All grid times are located on the path with one sorted search.
+    Vertices sitting exactly on a grid time, and the last vertex for
+    grid times past it, are taken verbatim; other grid points are
+    linear interpolations of the enclosing edge, computed as arrays with
+    _interp's formula.
     """
     times = np.array([v.time for v in path])
     if np.any(np.diff(times) <= 0):
@@ -367,21 +371,15 @@ def discretize_path(path, k_lo, k_hi, tau):
         raise ValueError("path starts after the window does")
     if times[-1] < k_hi * tau - _TIME_TOL:
         raise ValueError("path ends before the window does")
-    out = np.empty((k_hi - k_lo + 1, positions.shape[1]))
-    for j, k in enumerate(range(k_lo, k_hi + 1)):
-        t = k * tau
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        if i < 0:
-            i = 0
-        if i >= len(times) - 1:
-            i = len(times) - 1
-            out[j] = positions[i]
-            continue
-        if times[i] == t:
-            out[j] = positions[i]
-        else:
-            out[j] = _interp(positions[i], times[i], positions[i + 1],
-                             times[i + 1], t)
+    t = np.arange(k_lo, k_hi + 1) * tau
+    last = len(times) - 1
+    i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, last)
+    out = positions[i]
+    mid = np.flatnonzero((i < last) & (times[i] != t))
+    i0 = i[mid]
+    s = (t[mid] - times[i0]) / (times[i0 + 1] - times[i0])
+    out[mid] = positions[i0] + s[:, None] * (positions[i0 + 1] -
+                                             positions[i0])
     return PointSequence(k_lo, tau, out)
 
 

@@ -1,17 +1,21 @@
 """Shared test fixtures: workspace builders, an independently coded
 satisfaction evaluator, randomized instance generators, dense
 references for the Newton system of a transcription, per-step loop
-references for the corridor check and the transcription bounds, and a
-call counter.
+references for the corridor check and the transcription bounds, the
+round-by-round box growth, the per-grid-point path sampling and the
+per-step initial guess that the array versions must reproduce bit for
+bit, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
 integer grid indices, so agreement between the two is meaningful.
 """
 
+import math
+
 import numpy as np
 
-from stlplan.corridor import CorridorError
+from stlplan.corridor import CorridorError, DEFAULT_STEP
 from stlplan.optimizer import (InfeasibleConstraintError, _step_jacobians,
                                _time_major_order)
 from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
@@ -181,7 +185,8 @@ def reference_validate(corridor, ws, waypoints):
 
 
 def _reference_avoid_face(box, wp, margin):
-    # the face with the largest clearance, low axes first on ties
+    # the face with the largest clearance, low axes first on ties; None
+    # when the waypoint sits inside the box
     best = None
     for axis in range(len(box.lo)):
         below = box.lo[axis] - wp[axis]
@@ -191,8 +196,7 @@ def _reference_avoid_face(box, wp, margin):
                 best = (clearance, axis, side)
     clearance, axis, side = best
     if clearance <= 0.0:
-        raise InfeasibleConstraintError(
-            "waypoint sits inside a region it must avoid")
+        return None
     if side == 0:
         face = box.lo[axis] - margin
         return axis, None, max(min(face, wp[axis] + clearance), wp[axis])
@@ -234,7 +238,12 @@ def reference_position_bounds(pts, corridor, ws, pairs, margin):
                 lb = np.maximum(lb, rbox.lo)
                 ub = np.minimum(ub, rbox.hi)
             else:
-                axis, flo, fhi = _reference_avoid_face(rbox, wp, margin)
+                face = _reference_avoid_face(rbox, wp, margin)
+                if face is None:
+                    raise InfeasibleConstraintError(
+                        f"waypoint at step {k} sits inside a region it "
+                        f"must avoid ({pair.label})")
+                axis, flo, fhi = face
                 if flo is not None:
                     lb[axis] = max(lb[axis], flo)
                 if fhi is not None:
@@ -247,6 +256,125 @@ def reference_position_bounds(pts, corridor, ws, pairs, margin):
         lbs.append(lb)
         ubs.append(ub)
     return np.array(lbs), np.array(ubs), tuple(pair_rows)
+
+
+def _reference_blocked_overlap(box_lo, box_hi, obstacle, axis):
+    for j in range(len(box_lo)):
+        if j == axis:
+            continue
+        if max(box_lo[j], obstacle.lo[j]) > min(box_hi[j], obstacle.hi[j]):
+            return False
+    return True
+
+
+def reference_safe_cor(point, ws, step=DEFAULT_STEP):
+    """corridor.safe_cor round by round: every live face steps once per
+    round, in the order x low, x high, y low, y high, and freezes on the
+    first obstacle face or workspace bound it would cross."""
+    p = np.asarray(point, dtype=float)
+    if not ws.point_free(p):
+        raise CorridorError(f"corridor seed {p.tolist()} is not in free "
+                            f"space")
+    dim = ws.bounds.dim
+    lo = [float(v) for v in p]
+    hi = [float(v) for v in p]
+    frozen = [[False, False] for _ in range(dim)]
+    while not all(all(f) for f in frozen):
+        for axis in range(dim):
+            for side in (0, 1):
+                if frozen[axis][side]:
+                    continue
+                if side == 0:
+                    cur = lo[axis]
+                    target = max(cur - step, ws.bounds.lo[axis])
+                    blockers = [o.hi[axis] for o in ws.obstacles
+                                if _reference_blocked_overlap(lo, hi, o,
+                                                              axis)
+                                and target < o.hi[axis] <= cur]
+                    if blockers:
+                        lo[axis] = max(blockers)
+                        frozen[axis][side] = True
+                    elif target == ws.bounds.lo[axis]:
+                        lo[axis] = target
+                        frozen[axis][side] = True
+                    else:
+                        lo[axis] = target
+                else:
+                    cur = hi[axis]
+                    target = min(cur + step, ws.bounds.hi[axis])
+                    blockers = [o.lo[axis] for o in ws.obstacles
+                                if _reference_blocked_overlap(lo, hi, o,
+                                                              axis)
+                                and cur <= o.lo[axis] < target]
+                    if blockers:
+                        hi[axis] = min(blockers)
+                        frozen[axis][side] = True
+                    elif target == ws.bounds.hi[axis]:
+                        hi[axis] = target
+                        frozen[axis][side] = True
+                    else:
+                        hi[axis] = target
+    return Box(tuple(lo), tuple(hi))
+
+
+def reference_discretize_path(path, k_lo, k_hi, tau):
+    """st_planner.discretize_path one grid point at a time."""
+    times = np.array([v.time for v in path])
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("path times must strictly increase")
+    positions = np.vstack([v.pos for v in path])
+    if times[0] > k_lo * tau + TIME_EPS:
+        raise ValueError("path starts after the window does")
+    if times[-1] < k_hi * tau - TIME_EPS:
+        raise ValueError("path ends before the window does")
+    out = np.empty((k_hi - k_lo + 1, positions.shape[1]))
+    for j, k in enumerate(range(k_lo, k_hi + 1)):
+        t = k * tau
+        i = int(np.searchsorted(times, t, side="right")) - 1
+        if i < 0:
+            i = 0
+        if i >= len(times) - 1:
+            i = len(times) - 1
+            out[j] = positions[i]
+            continue
+        if times[i] == t:
+            out[j] = positions[i]
+        else:
+            s = (t - times[i]) / (times[i + 1] - times[i])
+            out[j] = positions[i] + s * (positions[i + 1] - positions[i])
+    return PointSequence(k_lo, tau, out)
+
+
+def reference_initial_guess(problem, waypoints):
+    """optimizer.initial_guess with the heading recurrence, the norm and
+    the standstill test all on one step at a time."""
+    pts = np.asarray(waypoints, dtype=float)
+    K = problem.horizon
+    model = problem.model
+    tau = model.tau
+    states = np.zeros((K + 1, model.state_dim))
+    states[:, :model.pos_dim] = pts
+    theta = np.empty(K + 1)
+    theta[0] = problem.x0[2] if model.state_dim > 2 else 0.0
+    diffs = np.diff(pts, axis=0)
+    for k in range(K):
+        d = diffs[k]
+        if np.linalg.norm(d) < 1e-9:
+            theta[k + 1] = theta[k]
+            continue
+        raw = math.atan2(d[1], d[0])
+        delta = (raw - theta[k] + math.pi) % (2.0 * math.pi) - math.pi
+        theta[k + 1] = theta[k] + delta
+    if model.state_dim > 2:
+        states[:, 2] = theta
+    inputs = np.zeros((K, model.input_dim))
+    if model.name == "unicycle":
+        heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
+        inputs[:, 0] = (diffs * heading).sum(axis=1) / tau
+        inputs[:, 1] = np.diff(theta) / tau
+    inputs = np.clip(inputs, problem.input_lb, problem.input_ub)
+    states = np.clip(states, problem.state_lb, problem.state_ub)
+    return states, inputs
 
 
 def count_calls(monkeypatch, owner, name):

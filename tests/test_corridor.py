@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import make_ws, reference_validate
+from helpers import make_ws, reference_safe_cor, reference_validate
 from stlplan.corridor import (DEFAULT_STEP, CorridorError, SafeCorridor,
                               construct_safe_corridor, safe_cor)
 from stlplan.stl_core import Box
@@ -61,6 +63,98 @@ def test_seed_outside_the_bounds_is_rejected():
     ws = make_ws()
     with pytest.raises(CorridorError):
         safe_cor((11.0, 5.0), ws)
+
+
+def _grow_outcome(grow, point, ws, step):
+    try:
+        return grow(point, ws, step)
+    except CorridorError as err:
+        return str(err)
+
+
+def _assert_grows_like_the_reference(point, ws, step):
+    got = _grow_outcome(safe_cor, point, ws, step)
+    assert got == _grow_outcome(reference_safe_cor, point, ws, step)
+    return got
+
+
+def test_safe_cor_matches_the_round_by_round_reference():
+    # obstacles and seeds on a coarse grid touch each other, the bounds
+    # and the seeds' axis planes exactly, and in an inset workspace some
+    # obstacles cross its bounds or lie beyond them; steps range from
+    # fine to wider than the workspace, most not dividing its extent
+    rng = np.random.default_rng(23)
+    seen = set()
+    for trial in range(300):
+        unit = float(rng.choice([0.5, 0.25, 0.1]))
+        obstacles = []
+        for _ in range(int(rng.integers(0, 7))):
+            lo = rng.integers(0, 10 / unit, size=2) * unit
+            obstacles.append((tuple(lo), tuple(np.minimum(
+                lo + rng.integers(1, 3 / unit, size=2) * unit, 10.0))))
+        edge = float(rng.choice([0.0, 1.0]))
+        ws = make_ws(bounds=((edge, edge), (10.0 - edge, 10.0 - edge)),
+                     obstacles=obstacles)
+        step = float(rng.choice([0.013, 0.05, 0.1, 0.3, 0.7, 12.0,
+                                 rng.uniform(0.01, 0.3)]))
+        for _ in range(5):
+            p = rng.integers(0, 10 / unit + 1, size=2) * unit
+            if rng.random() < 0.3:
+                p = p + rng.uniform(-unit, unit, size=2)
+            got = _assert_grows_like_the_reference(
+                np.clip(p, edge, 10.0 - edge), ws, step)
+            seen.add(type(got))
+    assert seen == {Box, str}
+
+
+def test_safe_cor_named_cases_match_the_reference():
+    ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)),
+                 obstacles=[((4.0, 0.0), (5.0, 3.0)),
+                            ((0.0, 4.0), (2.0, 6.0)),    # touches bounds
+                            ((2.0, 4.5), (3.0, 5.5)),    # touches the last
+                            ((5.0, 3.0), (6.0, 4.0))])   # corner to corner
+    cases = {
+        "seed on the low x bound": ((0.0, 2.0), 0.05),
+        "seed on the high y bound": ((8.0, 6.0), 0.05),
+        "seed in a workspace corner": ((10.0, 0.0), 0.3),
+        "seed between two touching obstacles' planes": ((2.0, 3.0), 0.05),
+        "seed on an obstacle's face plane, off the face": ((4.0, 3.5), 0.1),
+        "seed on an obstacle face": ((4.0, 1.0), 0.05),
+        "seed on an obstacle corner": ((6.0, 4.0), 0.05),
+        "step not dividing the extent": ((7.3, 1.1), 0.3),
+        "step wider than the workspace": ((7.3, 1.1), 25.0),
+        "tiny step": ((3.3, 3.3), 0.013),
+    }
+    got = {name: _assert_grows_like_the_reference(p, ws, step)
+           for name, (p, step) in cases.items()}
+    assert got["seed on the low x bound"] == Box((0.0, 0.0), (4.0, 4.0))
+    assert got["seed on the high y bound"].hi == (10.0, 6.0)
+    assert "not in free space" in got["seed on an obstacle face"]
+    assert "not in free space" in got["seed on an obstacle corner"]
+    assert got["step wider than the workspace"] == \
+        Box((5.0, 0.0), (10.0, 3.0))
+
+
+def test_safe_cor_ignores_obstacles_beyond_the_bound():
+    # the y low face's move in round 1 overshoots the bound to 0.8, so
+    # it must freeze on the bound then: left at 0.8, it would let the
+    # obstacle below the workspace block the x low face in round 2
+    ws = make_ws(bounds=((0.0, 1.0), (10.0, 10.0)),
+                 obstacles=[((3.0, 0.2), (4.2, 0.8))])
+    box = _assert_grows_like_the_reference((5.0, 1.3), ws, 0.5)
+    assert box == Box((0.0, 1.0), (10.0, 10.0))
+
+
+def test_safe_cor_matches_the_reference_where_steps_round_short():
+    # far from the origin a step of 81.45 units in the last place rounds
+    # to 81 on every move, so a face needs more moves than the extent
+    # over the step to reach the bound
+    x0 = 1e12
+    step = 81.45 * math.ulp(x0)
+    ws = make_ws(bounds=((x0, 0.0), (x0 + 20.0, 10.0)),
+                 obstacles=[((x0 + 2.0, 4.0), (x0 + 3.0, 5.0))])
+    box = _assert_grows_like_the_reference((x0 + 10.0, 5.0), ws, step)
+    assert box == Box((x0 + 3.0, 0.0), (x0 + 20.0, 10.0))
 
 
 def test_corridor_reuses_boxes_while_points_stay_inside():

@@ -11,7 +11,8 @@ from scipy.linalg import LinAlgError
 
 from helpers import (band_to_dense, count_calls, dense_cost_hessian,
                      dense_dynamics_jacobian, make_ws,
-                     reference_position_bounds, region_atom)
+                     reference_initial_guess, reference_position_bounds,
+                     region_atom)
 from stlplan import optimizer
 from stlplan.corridor import SafeCorridor, construct_safe_corridor
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
@@ -373,6 +374,15 @@ def test_position_bounds_edge_cases_match_the_reference():
         "avoid and empty": ([[1.0, 1.0], [2.5, 2.5]], [a, a],
                             [pair(1, (2.0, 2.0), (3.0, 3.0), True),
                              pair(1, (5.0, 5.0), (6.0, 6.0))]),
+        # of the avoided regions at one step, the error names the first
+        # in plan order that holds the waypoint
+        "two avoided regions hold it": ([[1.0, 1.0], [2.5, 2.5]], [a, a],
+                                        [pair(1, (2.4, 2.4), (2.6, 2.6),
+                                              True),
+                                         pair(1, (1.0, 1.0), (1.5, 1.5),
+                                              True),
+                                         pair(1, (2.0, 2.0), (3.0, 3.0),
+                                              True)]),
         # the earliest failing step wins over a later one of higher rank
         "empty before doorway": ([[1.0, 1.0], [1.0, 1.0], [5.5, 3.0]],
                                  [a, a, far],
@@ -381,10 +391,13 @@ def test_position_bounds_edge_cases_match_the_reference():
     expected = {"zero-width doorway": None,
                 "disjoint doorway": "steps 0 and 1 share no doorway",
                 "tied clearances": None,
-                "inside an avoided region": "inside a region",
+                "inside an avoided region":
+                    "waypoint at step 1 sits inside a region it must avoid "
+                    "(!r(2.0, 2.0)(3.0, 3.0)True)",
                 "empty membership": "step 1 have empty intersection",
                 "doorway and avoid": "steps 0 and 1 share no doorway",
-                "avoid and empty": "inside a region",
+                "avoid and empty": "step 1 sits inside a region",
+                "two avoided regions hold it": "(!r(2.0, 2.0)(3.0, 3.0)True)",
                 "empty before doorway": "step 1 have empty intersection"}
     for name, (pts, boxes, pairs) in cases.items():
         got = _assert_bounds_match_the_reference(
@@ -829,6 +842,60 @@ def test_initial_guess_carries_heading_through_standstills():
     states, _ = initial_guess(prob, plan.waypoints.positions)
     assert states[2, 2] == states[1, 2] == states[3, 2]
     assert states[1, 2] == pytest.approx(math.pi / 4)
+
+
+def _guess_problem(pts, heading, tau=0.1):
+    model = unicycle_model(tau)
+    K = len(pts) - 1
+    return NlpProblem(model=model, horizon=K,
+                      x0=np.array([pts[0][0], pts[0][1], heading]),
+                      state_lb=np.full((K + 1, 3), -np.inf),
+                      state_ub=np.full((K + 1, 3), np.inf),
+                      input_lb=np.tile(model.input_lo, (K, 1)),
+                      input_ub=np.tile(model.input_hi, (K, 1)),
+                      q_weights=np.ones(2), r_weights=np.ones(3))
+
+
+def _assert_guess_matches_the_reference(pts, heading):
+    prob = _guess_problem(pts, heading)
+    got = initial_guess(prob, pts)
+    want = reference_initial_guess(prob, pts)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
+
+
+def test_initial_guess_matches_the_per_step_reference():
+    # random walks with exact and sub-threshold standstills, loops whose
+    # headings cross +-pi many times, and starting headings far off
+    # the first displacement
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        K = int(rng.integers(1, 80))
+        if rng.random() < 0.5:
+            scale = rng.choice([0.1, 0.0, 1e-10, 9.9e-10, 1e-9],
+                               size=(K, 1), p=[0.6, 0.1, 0.1, 0.1, 0.1])
+            steps = rng.normal(size=(K, 2)) * scale
+        else:
+            turn = np.cumsum(rng.uniform(-0.5, 2.0, size=K))
+            steps = 0.1 * np.stack([np.cos(turn), np.sin(turn)], axis=1)
+        pts = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]) + 5.0
+        _assert_guess_matches_the_reference(pts, rng.uniform(-10.0, 10.0))
+
+
+def test_initial_guess_named_cases_match_the_reference():
+    # a standstill, then a counter-clockwise loop starting west, where
+    # atan2 jumps from +pi to -pi/2, then a closing standstill
+    pts = np.array([[5.0, 5.0], [5.0, 5.0], [4.9, 5.0], [4.9, 4.9],
+                    [5.0, 4.9], [5.0, 5.0], [4.9, 5.0], [4.9, 5.0]])
+    states, _ = _assert_guess_matches_the_reference(pts, math.pi)
+    assert states[1, 2] == states[2, 2] == math.pi
+    assert states[3, 2] == pytest.approx(1.5 * math.pi)
+    assert states[-1, 2] == states[-2, 2] == pytest.approx(3.0 * math.pi)
+    # the same loop backwards turns clockwise after heading east
+    states, _ = _assert_guess_matches_the_reference(pts[::-1].copy(),
+                                                    -math.pi + 1e-3)
+    assert states[-1, 2] == pytest.approx(-2.0 * math.pi)
 
 
 def test_initial_guess_never_wraps_the_heading():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_ws, region_atom
+from helpers import make_ws, reference_discretize_path, region_atom
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionSet, stl_sat
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
@@ -216,6 +216,54 @@ def test_discretized_points_stay_on_the_polyline():
             dist = min(_segment_distance(p, verts[i].pos, verts[i + 1].pos)
                        for i in range(len(verts) - 1))
             assert dist <= 1e-9
+
+
+def _sample_outcome(sample, path, k_lo, k_hi, tau):
+    try:
+        return sample(path, k_lo, k_hi, tau).positions.tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def test_discretize_path_matches_the_per_point_reference():
+    # vertex times snap to grid times (some a rounding step off), the
+    # path ends past the window or just short of it within tolerance,
+    # and single-vertex paths cover a one-point window
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(400):
+        tau = float(rng.choice([0.1, 0.05, 0.25, 1.0 / 3.0]))
+        k_lo = int(rng.integers(0, 20))
+        k_hi = k_lo + int(rng.integers(0, 30))
+        times = rng.uniform(k_lo * tau, k_hi * tau,
+                            size=int(rng.integers(0, 12)))
+        snap = rng.random(len(times)) < 0.5
+        times[snap] = rng.integers(k_lo, k_hi + 1, size=snap.sum()) * tau
+        ends = [k_lo * tau - rng.choice([0.0, 5e-10, 0.2]),
+                k_hi * tau + rng.choice([0.0, -5e-10, 0.3, -0.2])]
+        times = np.unique(np.concatenate([ends, times]))
+        if rng.random() < 0.1:
+            times = times[:1]
+        path = [StVertex(rng.uniform(0.0, 10.0, size=2), t) for t in times]
+        got = _sample_outcome(discretize_path, path, k_lo, k_hi, tau)
+        assert got == _sample_outcome(reference_discretize_path, path,
+                                      k_lo, k_hi, tau)
+        seen.add(type(got))
+    assert seen == {bytes, str}
+
+
+def test_vertices_on_grid_times_match_the_reference():
+    # verbatim down to the sign of zero, which interpolating with s = 0
+    # would lose
+    tau = 0.1
+    times = [0.0, 3 * tau, 0.35, 7 * tau, 1.0, 1.7]
+    path = [StVertex([float(i), -0.0], t) for i, t in enumerate(times)]
+    args = (path, 0, 15, tau)
+    got = discretize_path(*args).positions
+    assert got.tobytes() == reference_discretize_path(*args).positions \
+        .tobytes()
+    assert np.array_equal(got[[0, 3, 7, 10], 0], [0.0, 1.0, 3.0, 4.0])
+    assert np.all(np.signbit(got[[0, 3, 7, 10], 1]))
 
 
 def test_paths_must_span_the_requested_window():
