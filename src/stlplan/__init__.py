@@ -16,7 +16,6 @@ from .stl_core import (
     SubTask,
     TimeInterval,
     Workspace,
-    active_interval,
     oracle_satisfies,
     oracle_satisfies_formula,
     parse_formula,
@@ -39,7 +38,7 @@ from .scenario_cli import Scenario, load_scenario, run_pipeline
 
 __all__ = [
     "AtomicProp", "Box", "Formula", "PointSequence", "Region", "SubTask",
-    "TimeInterval", "Workspace", "active_interval",
+    "TimeInterval", "Workspace",
     "oracle_satisfies", "oracle_satisfies_formula", "parse_formula", "pretty",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
     "SatisfactionPair", "SatisfactionSet", "stl_sat",

@@ -148,10 +148,6 @@ class NlpProblem:
     r_weights: np.ndarray
     pair_rows: tuple = ()
 
-    @property
-    def num_dynamics_constraints(self):
-        return self.horizon
-
     def pack(self, states, inputs):
         return np.concatenate([np.asarray(states, dtype=float).ravel(),
                                np.asarray(inputs, dtype=float).ravel()])

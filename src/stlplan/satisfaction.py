@@ -41,14 +41,12 @@ class SatisfactionPair:
 
 
 class SatisfactionSet:
-    """Deduplicated, ordered collection of satisfaction pairs."""
+    """Deduplicated, ordered collection of satisfaction pairs; of pairs
+    sharing (k, label) the last one given is kept."""
 
     def __init__(self, pairs=()):
         unique = {(p.k, p.label): p for p in pairs}
         self.pairs = tuple(unique[key] for key in sorted(unique))
-
-    def union(self, other):
-        return SatisfactionSet(self.pairs + other.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -64,8 +62,8 @@ class SatisfactionSet:
 def stl_sat(seq, sub):
     """Decide one sub-task over a uniform sequence.
 
-    Returns (satisfied, SatisfactionSet); the set is empty whenever the
-    sub-task is unsatisfied.
+    Returns (satisfied, pairs): a tuple of the certifying pairs, unique
+    and in increasing k, empty whenever the sub-task is unsatisfied.
     """
     seq.require_coverage(sub.active_interval())
     outer_ks = sub.outer.grid_indices(seq.tau)
@@ -84,26 +82,26 @@ def stl_sat(seq, sub):
 def _sat_eventually(seq, sub, outer_ks):
     for k in outer_ks:
         if sub.prop.holds(seq.at_index(k)):
-            return True, SatisfactionSet([SatisfactionPair.make(k, sub.prop)])
-    return False, SatisfactionSet()
+            return True, (SatisfactionPair.make(k, sub.prop),)
+    return False, ()
 
 
 def _sat_always(seq, sub, outer_ks):
     pairs = []
     for k in outer_ks:
         if not sub.prop.holds(seq.at_index(k)):
-            return False, SatisfactionSet()
+            return False, ()
         pairs.append(SatisfactionPair.make(k, sub.prop))
-    return True, SatisfactionSet(pairs)
+    return True, tuple(pairs)
 
 
 def _sat_reach_hold(seq, sub, outer_ks):
     for k1 in outer_ks:
         window = _window_indices(k1, sub.inner, seq.tau)
         if all(sub.prop.holds(seq.at_index(k2)) for k2 in window):
-            pairs = [SatisfactionPair.make(k2, sub.prop) for k2 in window]
-            return True, SatisfactionSet(pairs)
-    return False, SatisfactionSet()
+            return True, tuple(SatisfactionPair.make(k2, sub.prop)
+                               for k2 in window)
+    return False, ()
 
 
 def _sat_recurring(seq, sub):
@@ -111,16 +109,15 @@ def _sat_recurring(seq, sub):
     visit_ks = [k for k in ai.grid_indices(seq.tau)
                 if sub.prop.holds(seq.at_index(k))]
     if not visit_ks:
-        return False, SatisfactionSet()
+        return False, ()
     gap = sub.inner.length + 1e-9
     tau = seq.tau
     if visit_ks[0] * tau - ai.lo > gap:
-        return False, SatisfactionSet()
+        return False, ()
     if ai.hi - visit_ks[-1] * tau > gap:
-        return False, SatisfactionSet()
+        return False, ()
     max_step = grid_floor(sub.inner.length, tau)
     for a, b in zip(visit_ks[:-1], visit_ks[1:]):
         if b - a > max_step:
-            return False, SatisfactionSet()
-    pairs = [SatisfactionPair.make(k, sub.prop) for k in visit_ks]
-    return True, SatisfactionSet(pairs)
+            return False, ()
+    return True, tuple(SatisfactionPair.make(k, sub.prop) for k in visit_ks)

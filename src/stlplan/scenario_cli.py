@@ -35,7 +35,8 @@ from .optimizer import (InfeasibleConstraintError, SolverTolerances,
                         solve_nlp, unicycle_model)
 from .st_planner import PlannerParams, plan_global
 from .stl_core import (Box, PointSequence, Region, StlError, Workspace,
-                       oracle_satisfies_formula, parse_formula, snap_index)
+                       is_identifier, oracle_satisfies_formula, parse_formula,
+                       snap_index)
 
 BUILTIN_SCENARIOS = ("scenario1", "scenario2", "scenario3")
 _REPLAN_LIMIT = 3
@@ -126,9 +127,12 @@ def _vector(size):
 def _regions(value, name):
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object of named boxes")
-    clash = sorted(set(value) & {"F", "G", "U"})
-    if clash:
-        raise ConfigError(f"region names {clash} collide with operators")
+    for label in value:
+        if not is_identifier(label):
+            raise ConfigError(
+                f"{name} key {label!r} is not a formula identifier (a "
+                f"letter or _, then letters, digits or _, and none of the "
+                f"operators F, G, U)")
     return tuple(Region(label, _box(box, f"{name}.{label}"))
                  for label, box in value.items())
 

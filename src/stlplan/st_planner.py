@@ -7,7 +7,9 @@ Every always-clause of the formula acts as a windowed keep-in /
 keep-out constraint on every tree edge of every window, so the returned
 waypoints respect them by construction.  The vertex path is then
 sampled onto the grid and every sub-task re-checked; on failure the
-attempt restarts with fresh randomness.
+attempt restarts with fresh randomness.  The certifying pairs of every
+window are collected in order and deduplicated once, into the plan's
+SatisfactionSet.
 
 A disjunctive reach set is certified by the first earlier piece that
 the waypoints stitched so far already satisfy; when none does, its
@@ -127,59 +129,13 @@ class Goal:
         return cls(None, (t, t))
 
 
-class SpaceTimeTree:
-    """Growable vertex store with vectorized nearest queries."""
-
-    def __init__(self, root_pos, root_time):
-        root_pos = np.asarray(root_pos, dtype=float)
-        self._pos = np.zeros((64, len(root_pos)))
-        self._time = np.zeros(64)
-        self._parent = [-1]
-        self._n = 1
-        self._pos[0] = root_pos
-        self._time[0] = root_time
-
-    def __len__(self):
-        return self._n
-
-    @property
-    def positions(self):
-        return self._pos[:self._n]
-
-    @property
-    def times(self):
-        return self._time[:self._n]
-
-    def vertex(self, i):
-        return StVertex(self._pos[i].copy(), self._time[i])
-
-    def add(self, pos, time, parent):
-        if self._n == len(self._pos):
-            self._pos = np.vstack([self._pos, np.zeros_like(self._pos)])
-            self._time = np.concatenate([self._time,
-                                         np.zeros_like(self._time)])
-        self._pos[self._n] = pos
-        self._time[self._n] = time
-        self._parent.append(parent)
-        self._n += 1
-        return self._n - 1
-
-    def path(self, i):
-        out = []
-        while i >= 0:
-            out.append(self.vertex(i))
-            i = self._parent[i]
-        out.reverse()
-        return out
-
-
-def nearest(tree, pos, time):
-    """Index of the position-nearest vertex strictly earlier than time,
-    earliest-inserted on distance ties; None when no vertex qualifies."""
-    mask = tree.times < time
+def nearest(positions, times, pos, time):
+    """Index of the position-nearest row strictly earlier than time,
+    earliest row on distance ties; None when no row qualifies."""
+    mask = times < time
     if not mask.any():
         return None
-    d2 = ((tree.positions - np.asarray(pos)) ** 2).sum(axis=1)
+    d2 = ((positions - np.asarray(pos)) ** 2).sum(axis=1)
     d2 = np.where(mask, d2, np.inf)
     return int(np.argmin(d2))
 
@@ -241,9 +197,7 @@ def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
     dist = float(np.linalg.norm(np.asarray(p1) - np.asarray(p0)))
     if dist > v_max * dt * (1.0 + 1e-9):
         return False
-    if dist > 0.0 and ws.segment_collides(p0, p1):
-        return False
-    if dist == 0.0 and ws.in_obstacle(p0):
+    if ws.segment_collides(p0, p1):
         return False
     for g in guards:
         a = max(t0, g.lo)
@@ -262,11 +216,12 @@ def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
 
 
 def _try_complete(goal, p, t, tau, ws, guards):
-    """If (p, t) completes the goal, return the certifying tail vertices
-    (ending on exact grid times) and the arrival grid index."""
+    """If (p, t) completes the goal, return the times of the certifying
+    tail, all at position p and ending on exact grid times, and the
+    arrival grid index."""
     if goal.prop is None:
         if t >= goal.window[0]:
-            return [StVertex(p, t)], None
+            return [t], None
         return None
     if not goal.prop.holds(p):
         return None
@@ -276,22 +231,20 @@ def _try_complete(goal, p, t, tau, ws, guards):
     g = g_k * tau
     if g > goal.window[1] + _TIME_TOL:
         return None
-    tail = []
     if g > t + _TIME_TOL:
         # wait in place until the window opens / the next grid sample
         if not _edge_ok(ws, guards, p, t, p, g, math.inf):
             return None
-        tail.append(StVertex(p, t))
-        tail.append(StVertex(p, g))
+        tail = [t, g]
     else:
         # arrival is (within tolerance) already on the grid sample
-        tail.append(StVertex(p, g))
+        tail = [g]
     if goal.hold_after > 0.0:
         k_end = g_k + grid_ceil(goal.hold_after, tau)
         g_end = k_end * tau
         if not _edge_ok(ws, guards, p, g, p, g_end, math.inf):
             return None
-        tail.append(StVertex(p, g_end))
+        tail.append(g_end)
     return tail, g_k
 
 
@@ -299,9 +252,14 @@ def grow_tree(root, goal, ws, window, params, rng, *, tau, v_max=math.inf,
               guards=()):
     """Grow one space-time tree from the root until the goal completes.
 
-    Returns the root-to-goal vertex path (the root included).  The time
-    window bounds sampled times; the goal's own arrival window decides
-    completion.  Raises TreeFailure when the iteration budget runs out.
+    The tree is held as position and time arrays, doubled from 64 rows
+    as it fills, plus a parent index per row.  Returns the root-to-goal
+    vertex path (the root included) with strictly increasing times: the
+    chain of tree vertices down to the one the completing edge leaves
+    from, then the completion tail at the completing position.  The
+    time window bounds sampled times; the goal's own arrival window
+    decides completion.  Raises TreeFailure when the iteration budget
+    runs out.
     """
     for g in guards:
         if not g.point_ok(root.pos, root.time):
@@ -311,47 +269,47 @@ def grow_tree(root, goal, ws, window, params, rng, *, tau, v_max=math.inf,
     done = _try_complete(goal, root.pos, root.time, tau, ws, guards)
     if done is not None:
         tail, arrival = done
-        return _splice([root], tail), arrival
-    tree = SpaceTimeTree(root.pos, root.time)
+        return [root] + [StVertex(root.pos, t) for t in tail
+                         if t > root.time + 1e-15], arrival
+    positions = np.zeros((64, len(root.pos)))
+    times = np.zeros(64)
+    positions[0] = root.pos
+    times[0] = root.time
+    parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
     t_hi = window[1] + params.resolved_overshoot(tau)
     for _ in range(params.max_iters_per_tree):
         samp_pos, samp_time = sample(ws, goal.sample_box,
                                      (window[0], t_hi), params, rng,
                                      keepins=keepins)
-        ni = nearest(tree, samp_pos, samp_time)
+        n = len(parent)
+        ni = nearest(positions[:n], times[:n], samp_pos, samp_time)
         if ni is None:
             continue
-        new_pos, new_time = steer(tree.positions[ni], tree.times[ni],
+        new_pos, new_time = steer(positions[ni], times[ni],
                                   samp_pos, samp_time, params, tau)
-        if not _edge_ok(ws, guards, tree.positions[ni], tree.times[ni],
+        if not _edge_ok(ws, guards, positions[ni], times[ni],
                         new_pos, new_time, v_max):
             continue
         done = _try_complete(goal, new_pos, new_time, tau, ws, guards)
         if done is not None:
+            # every tail time follows times[ni] by at least _MIN_EDGE_DT
+            # less the grid tolerance, so the tail extends the chain
             tail, arrival = done
-            return _splice(tree.path(ni), tail), arrival
-        tree.add(new_pos, new_time, ni)
+            chain = []
+            while ni >= 0:
+                chain.append(StVertex(positions[ni].copy(), times[ni]))
+                ni = parent[ni]
+            return chain[::-1] + [StVertex(new_pos, t) for t in tail], arrival
+        if n == len(times):
+            positions = np.vstack([positions, np.zeros_like(positions)])
+            times = np.concatenate([times, np.zeros_like(times)])
+        positions[n] = new_pos
+        times[n] = new_time
+        parent.append(ni)
     raise TreeFailure(
         f"tree exhausted {params.max_iters_per_tree} iterations without "
         f"completing its goal")
-
-
-def _splice(prefix, tail):
-    """Join a vertex chain and a completion tail, dropping duplicates and
-    enforcing strictly increasing times."""
-    out = list(prefix)
-    for v in tail:
-        while out and v.time <= out[-1].time + 1e-15:
-            if v.time >= out[-1].time - _TIME_TOL and all(
-                    abs(a - b) <= 1e-9 + 1e-5 * abs(b)
-                    for a, b in zip(v.pos.tolist(), out[-1].pos.tolist())):
-                out.pop()
-            else:
-                raise AssertionError(
-                    f"non-monotone tree path near t={v.time}")
-        out.append(v)
-    return out
 
 
 def discretize_path(path, k_lo, k_hi, tau):
@@ -419,7 +377,8 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
 
     q_init is the (position, time) the window starts from and guards
     constrain every tree edge.  Every sub-task of the task is planned
-    and certified.  Returns (sequence, satisfaction set).
+    and certified.  Returns (sequence, list of the sub-tasks'
+    certifying pairs in sub-task order).
     """
     k_lo = grid_ceil(task.window.lo, tau)
     k_hi = grid_ceil(task.window.hi, tau)
@@ -434,13 +393,13 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
             tally[str(err)] += 1
             continue
         seq = discretize_path(path, k_lo, k_hi, tau)
-        pairs = SatisfactionSet()
+        pairs = []
         for sub in task.subtasks:
             ok, sub_pairs = stl_sat(seq, sub)
             if not ok:
                 tally[f"discretized waypoints missed {sub}"] += 1
                 break
-            pairs = pairs.union(sub_pairs)
+            pairs.extend(sub_pairs)
         else:
             return seq, pairs
     worst = max(tally, key=tally.get, default="no attempts ran")
@@ -533,7 +492,7 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):
         raise PlanningError(f"start position {p0.tolist()} is not in free "
                             f"space")
     merged = PointSequence(0, tau, [p0])
-    pairs = SatisfactionSet()
+    pairs = []
     guards = [Guard.from_subtask(s) for s in decomposition.guard_subtasks()]
     for task in decomposition.local_tasks:
         fallbacks = []
@@ -543,7 +502,7 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):
             for piece in dset.pieces[:-1]:
                 ok, piece_pairs = stl_sat(merged, piece)
                 if ok:
-                    pairs = pairs.union(piece_pairs)
+                    pairs.extend(piece_pairs)
                     break
             else:
                 fallbacks.append(dset.final_piece)
@@ -555,5 +514,5 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):
         seq, local_pairs = plan_local(task, q_init, ws, params, rng, guards,
                                       tau=tau, v_max=v_max)
         merged = merged.concat(seq)
-        pairs = pairs.union(local_pairs)
-    return GlobalPlan(merged, pairs)
+        pairs.extend(local_pairs)
+    return GlobalPlan(merged, SatisfactionSet(pairs))

@@ -305,10 +305,6 @@ class AtomicProp:
     negated: bool = False
 
     @property
-    def region_name(self):
-        return self.region.name
-
-    @property
     def label(self):
         return ("!" if self.negated else "") + self.region.name
 
@@ -350,10 +346,6 @@ class SubTask:
             return f"{self.kind}{self.outer} {self.prop}"
         a, b = self.kind[0], self.kind[1]
         return f"{a}{self.outer} {b}{self.inner} {self.prop}"
-
-
-def active_interval(sub):
-    return sub.active_interval()
 
 
 @dataclass(frozen=True)
@@ -403,6 +395,15 @@ class Formula:
 # parser
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z_]\w*)|([!&\[\](),]))")
+
+
+def is_identifier(name):
+    """True when the formula tokenizer reads name as one identifier: a
+    letter or underscore, then letters, digits or underscores, and none
+    of the operators F, G and U."""
+    m = _TOKEN_RE.fullmatch(name)
+    return (m is not None and m.group(2) == name
+            and name not in ("F", "G", "U"))
 
 
 def _tokenize(text):

@@ -131,7 +131,6 @@ def test_one_step_problem_has_minimal_counts():
     model = unicycle_model(0.1)
     prob = build_nlp(plan, cor, ws, model, np.array([1.0, 1.0, 0.0]))
     assert prob.horizon == 1
-    assert prob.num_dynamics_constraints == 1
     assert prob.state_lb.shape == (2, 3)
     assert prob.input_lb.shape == (1, 2)
 
@@ -139,7 +138,6 @@ def test_one_step_problem_has_minimal_counts():
 def test_first_scenario_problem_counts(first_scenario_artifacts):
     prob = first_scenario_artifacts["problem"]
     assert prob.horizon == 600
-    assert prob.num_dynamics_constraints == 600
     assert prob.state_lb.shape == (601, 3)
     assert prob.input_lb.shape == (600, 2)
     assert len(prob.pair_rows) == len(first_scenario_artifacts["plan"].pairs)

@@ -23,7 +23,7 @@ def test_reach_returns_first_witness_only():
     ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 1), None, ATOM))
     assert ok
     assert [(p.k, p.label) for p in pairs] == [(3, "mu")]
-    assert pairs.pairs[0].time(0.1) == pytest.approx(0.3)
+    assert pairs[0].time(0.1) == pytest.approx(0.3)
 
     two = _seq([3, 7], 0.1, 11)
     ok, pairs = stl_sat(two, SubTask("F", TimeInterval(0, 1), None, ATOM))
@@ -57,8 +57,8 @@ def test_reach_hold_emits_first_satisfying_window():
     ok, pairs = stl_sat(seq, sub)
     assert ok
     assert [p.k for p in pairs] == list(range(320, 361))
-    assert pairs.pairs[0].time(0.1) == pytest.approx(32.0)
-    assert pairs.pairs[-1].time(0.1) == pytest.approx(36.0)
+    assert pairs[0].time(0.1) == pytest.approx(32.0)
+    assert pairs[-1].time(0.1) == pytest.approx(36.0)
 
     short = _seq(range(320, 358), 0.1, 501)  # 3.7 s hold, too short
     ok, pairs = stl_sat(short, sub)
@@ -104,7 +104,7 @@ def test_pair_set_deduplicates_and_orders():
                              SatisfactionPair.make(1, ATOM),
                              SatisfactionPair.make(4, ATOM)])
     assert [p.k for p in pairs] == [1, 4]
-    merged = pairs.union(SatisfactionSet([SatisfactionPair.make(2, ATOM)]))
+    merged = SatisfactionSet(pairs.pairs + (SatisfactionPair.make(2, ATOM),))
     assert [p.k for p in merged] == [1, 2, 4]
 
 

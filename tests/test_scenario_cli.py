@@ -127,6 +127,16 @@ def test_unknown_sources_are_config_errors():
     (lambda d: d.update(solver={"q_weights": [1.0, -1.0]}), "q_weights[1]"),
     (lambda d: d.update(solver={"r_weights": [1.0, 1.0, -0.1]}),
      "r_weights[2] must be a number >= 0"),
+    (lambda d: d["workspace"]["regions"].update({"a&b <x>": [[0, 1], [0, 1]]}),
+     "workspace.regions key 'a&b <x>' is not a formula identifier"),
+    (lambda d: d["workspace"]["regions"].update({"1st": [[0, 1], [0, 1]]}),
+     "workspace.regions key '1st'"),
+    (lambda d: d["workspace"]["regions"].update({"a b": [[0, 1], [0, 1]]}),
+     "workspace.regions key 'a b'"),
+    (lambda d: d["workspace"]["regions"].update({" goal2": [[0, 1], [0, 1]]}),
+     "workspace.regions key ' goal2'"),
+    (lambda d: d["workspace"]["regions"].update({"": [[0, 1], [0, 1]]}),
+     "workspace.regions key ''"),
 ])
 def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     data = _tiny_data()

@@ -7,13 +7,13 @@ from helpers import make_ws, reference_discretize_path, region_atom
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionSet, stl_sat
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
-                                PlanningError, SpaceTimeTree, StVertex,
+                                PlanningError, StVertex,
                                 TreeFailure, discretize_path, grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
 from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
-                              oracle_satisfies, oracle_satisfies_formula,
-                              parse_formula)
+                              grid_ceil, oracle_satisfies,
+                              oracle_satisfies_formula, parse_formula)
 
 PARAMS = PlannerParams()
 OPEN_WS = make_ws()
@@ -72,36 +72,39 @@ def test_sample_respects_active_keep_in_windows():
 # nearest / steer
 
 def test_nearest_prefers_strictly_earlier_vertices():
-    tree = SpaceTimeTree([0.0, 0.0], 0.0)
-    tree.add([1.0, 0.0], 1.0, 0)
-    tree.add([2.0, 0.0], 2.0, 1)
-    assert nearest(tree, [2.0, 0.0], 1.5) == 1
-    assert nearest(tree, [2.0, 0.0], 0.5) == 0
-    assert nearest(tree, [2.0, 0.0], 0.0) is None
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    times = np.array([0.0, 1.0, 2.0])
+    assert nearest(positions, times, [2.0, 0.0], 1.5) == 1
+    assert nearest(positions, times, [2.0, 0.0], 0.5) == 0
+    assert nearest(positions, times, [2.0, 0.0], 0.0) is None
 
 
 def test_nearest_breaks_ties_by_insertion_order():
-    tree = SpaceTimeTree([0.0, 1.0], 0.0)
-    tree.add([0.0, -1.0], 0.0, 0)  # same distance to the origin
-    assert nearest(tree, [0.0, 0.0], 1.0) == 0
+    positions = np.array([[0.0, 1.0], [0.0, -1.0]])  # same distance to 0
+    times = np.array([0.0, 0.0])
+    assert nearest(positions, times, [0.0, 0.0], 1.0) == 0
 
 
 def test_nearest_matches_a_linear_scan():
     rng = np.random.default_rng(8)
-    tree = SpaceTimeTree(rng.uniform(0, 10, 2), 0.0)
+    positions = [rng.uniform(0, 10, 2)]
+    times = [0.0]
     for i in range(99):
-        tree.add(rng.uniform(0, 10, 2), rng.uniform(0, 10), i % (i + 1))
+        positions.append(rng.uniform(0, 10, 2))
+        times.append(rng.uniform(0, 10))
+    positions = np.array(positions)
+    times = np.array(times)
     for _ in range(50):
         q = rng.uniform(0, 10, 2)
         t = rng.uniform(0, 12)
         best = None
-        for i in range(len(tree)):
-            if tree.times[i] >= t:
+        for i in range(len(times)):
+            if times[i] >= t:
                 continue
-            d = np.linalg.norm(tree.positions[i] - q)
+            d = np.linalg.norm(positions[i] - q)
             if best is None or d < best[0] - 1e-15:
                 best = (d, i)
-        got = nearest(tree, q, t)
+        got = nearest(positions, times, q, t)
         assert got == (None if best is None else best[1])
 
 
@@ -173,6 +176,92 @@ def test_tree_rejects_a_root_violating_a_guard():
         grow_tree(StVertex([1.0, 1.0], 0.0), goal, OPEN_WS, (0.0, 8.0),
                   PARAMS, np.random.default_rng(5), tau=0.1,
                   guards=(guard,))
+
+
+def _check_tree_path(path, root, goal, arrival, ws, params, tau, v_max):
+    """The path starts at the root, strictly increases in time, moves
+    within the speed limit, the spatial step and the time stride and
+    through free space, and ends with the completion tail: the
+    completing vertex, a wait to the grid arrival and the hold, all at
+    one position."""
+    times = np.array([v.time for v in path])
+    assert np.array_equal(path[0].pos, root.pos)
+    assert path[0].time == root.time
+    dts = np.diff(times)
+    assert np.all(dts > 0)
+    steps = np.linalg.norm(np.diff([v.pos for v in path], axis=0), axis=1)
+    assert np.all(steps <= v_max * dts * (1.0 + 1e-9))
+    moves = steps > 0
+    assert np.all(steps[moves] <= params.step * (1.0 + 1e-9))
+    assert np.all(dts[moves] <= params.resolved_time_step(tau) + 1e-9)
+    assert not any(ws.segment_collides(a.pos, b.pos)
+                   for a, b in zip(path[:-1], path[1:]))
+    end = path[-1]
+    if goal.prop is None:
+        assert arrival is None
+        assert end.time >= goal.window[0]
+        return
+    assert goal.prop.holds(end.pos)
+    g = arrival * tau
+    assert goal.window[0] - 1e-9 <= g <= goal.window[1] + 1e-9
+    hold = grid_ceil(goal.hold_after, tau) if goal.hold_after else 0
+    assert abs(end.time - (arrival + hold) * tau) <= 1e-9
+    # the tail holds one position from its first vertex, no later than
+    # the grid arrival, to the end
+    first = len(path) - 1
+    while first > 0 and np.array_equal(path[first - 1].pos, end.pos):
+        first -= 1
+    assert path[first].time <= g + 1e-9
+
+
+def test_tree_paths_start_at_the_root_and_end_with_the_tail():
+    tau = 0.1
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    far = [1.0, 1.0]
+    inside = [5.0, 5.0]
+    # a wall between far and the target, passable above y = 7
+    wall = make_ws(obstacles=[((3.0, 0.0), (3.5, 7.0))])
+    cases = [
+        # reach, arriving before the window opens and waiting
+        (far, 0.0, Goal(target, (4.0, 9.0))),
+        (far, 0.0, Goal(target, (0.0, 9.0))),
+        # one step from the target, so a root edge can complete
+        ([3.8, 5.0], 0.0, Goal(target, (0.0, 9.0))),
+        # reach and hold
+        (far, 0.0, Goal(target, (2.0, 9.0), hold_after=1.5)),
+        (far, 0.0, Goal(target, (0.0, 9.0), hold_after=0.3)),
+        # fillers
+        (far, 0.0, Goal.by_time(3.0)),
+        (far, 3.0, Goal.by_time(3.0)),
+        (far, 3.05, Goal.by_time(3.0)),
+        # roots already inside the target, on the grid, a rounding step
+        # off it and between grid points
+        (inside, 1.0, Goal(target, (0.0, 9.0))),
+        (inside, 0.3, Goal(target, (0.0, 9.0))),
+        (inside, 3 * tau, Goal(target, (0.0, 9.0), hold_after=0.5)),
+        (inside, 1.03, Goal(target, (0.0, 9.0))),
+        (inside, 1.03, Goal(target, (0.0, 9.0), hold_after=0.5)),
+        (inside, 1.0, Goal(target, (2.5, 9.0))),
+        (inside, 1.03, Goal(target, (2.5, 9.0), hold_after=1.0)),
+    ]
+    params = PlannerParams(goal_bias=0.5)
+    failures = 0
+    for seed in range(10):
+        for ws in (OPEN_WS, wall):
+            for pos, t0, goal in cases:
+                root = StVertex(pos, t0)
+                rng = np.random.default_rng(seed)
+                try:
+                    path, arrival = grow_tree(root, goal, ws,
+                                              (t0, max(t0, goal.deadline)),
+                                              params, rng, tau=tau,
+                                              v_max=2.0)
+                except TreeFailure:
+                    failures += 1
+                    continue
+                _check_tree_path(path, root, goal, arrival, ws, params, tau,
+                                 2.0)
+    assert failures <= 5
 
 
 # ---------------------------------------------------------------------------

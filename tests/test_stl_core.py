@@ -9,8 +9,8 @@ from stlplan.stl_core import (AtomicProp, Box, CoverageError,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
                               SubTask, TimeInterval, UnknownRegionError,
-                              Workspace, active_interval, grid_ceil,
-                              grid_floor, oracle_satisfies,
+                              Workspace, grid_ceil, grid_floor,
+                              oracle_satisfies,
                               oracle_satisfies_formula,
                               oracle_satisfies_until, parse_formula, pretty,
                               snap_index)
@@ -182,13 +182,13 @@ def test_minkowski_commutative_and_monotone():
 def test_active_interval_plain_and_nested():
     f = SubTask("F", TimeInterval(0, 60), None, region_atom("r", (0, 0),
                                                             (1, 1)))
-    assert active_interval(f) == TimeInterval(0, 60)
+    assert f.active_interval() == TimeInterval(0, 60)
     gf = SubTask("GF", TimeInterval(0, 10), TimeInterval(0, 10),
                  region_atom("r", (0, 0), (1, 1)))
-    assert active_interval(gf) == TimeInterval(0, 20)
+    assert gf.active_interval() == TimeInterval(0, 20)
     fg = SubTask("FG", TimeInterval(30, 46), TimeInterval(0, 4),
                  region_atom("r", (0, 0), (1, 1)))
-    assert active_interval(fg) == TimeInterval(30, 50)
+    assert fg.active_interval() == TimeInterval(30, 50)
 
 
 def test_negative_time_interval_rejected():
@@ -208,7 +208,7 @@ def test_parse_single_eventually():
     assert sub.kind == "F"
     assert sub.outer == TimeInterval(0, 60)
     assert sub.inner is None
-    assert sub.prop.region_name == "mu6"
+    assert sub.prop.region.name == "mu6"
     assert not sub.prop.negated
 
 
