@@ -23,7 +23,7 @@ from .stl_core import (
 )
 from .decomposer import Decomposition, DisjunctiveFSet, LocalTask, decompose
 from .satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
-from .st_planner import GlobalPlan, PlannerParams, StVertex, plan_global
+from .st_planner import GlobalPlan, PlannerParams, plan_global
 from .corridor import SafeCorridor, construct_safe_corridor, safe_cor
 from .optimizer import (
     NlpProblem,
@@ -42,7 +42,7 @@ __all__ = [
     "oracle_satisfies", "oracle_satisfies_formula", "parse_formula", "pretty",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
     "SatisfactionPair", "SatisfactionSet", "stl_sat",
-    "GlobalPlan", "PlannerParams", "StVertex", "plan_global",
+    "GlobalPlan", "PlannerParams", "plan_global",
     "SafeCorridor", "construct_safe_corridor", "safe_cor",
     "NlpProblem", "NlpSolution", "SolverTolerances", "build_nlp", "rollout",
     "solve_nlp", "unicycle_model",

@@ -8,19 +8,16 @@ the checker keeps them minimal where it can:
 * F: the earliest witness only.
 * G: every grid point in the window.
 * FG: the grid points of the first satisfying hold window.
-* GF: every visit inside the active interval, accepted through a gap
-  test (no two consecutive visits, nor the window ends and their
-  nearest visit, further apart than the inner window length).  The gap
-  test implies satisfaction on the grid but is conservative: it can
-  reject sequences whose visits happen to align with every anchored
-  window.
+* GF: every visit inside the active interval, accepted when every
+  anchored inner window holds a visit (the oracle's grid test).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from .stl_core import CoverageError, _window_indices, grid_floor
+from .stl_core import CoverageError, _window_indices
 
 
 @dataclass(frozen=True, order=True)
@@ -76,7 +73,7 @@ def stl_sat(seq, sub):
         return _sat_always(seq, sub, outer_ks)
     if sub.kind == "FG":
         return _sat_reach_hold(seq, sub, outer_ks)
-    return _sat_recurring(seq, sub)
+    return _sat_recurring(seq, sub, outer_ks)
 
 
 def _sat_eventually(seq, sub, outer_ks):
@@ -104,20 +101,13 @@ def _sat_reach_hold(seq, sub, outer_ks):
     return False, ()
 
 
-def _sat_recurring(seq, sub):
-    ai = sub.active_interval()
-    visit_ks = [k for k in ai.grid_indices(seq.tau)
+def _sat_recurring(seq, sub, outer_ks):
+    visit_ks = [k for k in sub.active_interval().grid_indices(seq.tau)
                 if sub.prop.holds(seq.at_index(k))]
-    if not visit_ks:
-        return False, ()
-    gap = sub.inner.length + 1e-9
-    tau = seq.tau
-    if visit_ks[0] * tau - ai.lo > gap:
-        return False, ()
-    if ai.hi - visit_ks[-1] * tau > gap:
-        return False, ()
-    max_step = grid_floor(sub.inner.length, tau)
-    for a, b in zip(visit_ks[:-1], visit_ks[1:]):
-        if b - a > max_step:
+    for k1 in outer_ks:
+        # the first visit at or after the window opens must lie inside it
+        window = _window_indices(k1, sub.inner, seq.tau)
+        i = bisect.bisect_left(visit_ks, window.start)
+        if i == len(visit_ks) or visit_ks[i] not in window:
             return False, ()
     return True, tuple(SatisfactionPair.make(k, sub.prop) for k in visit_ks)

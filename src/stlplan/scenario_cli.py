@@ -281,8 +281,9 @@ def read_traj_csv(path):
     """Parse a trajectory CSV into (positions, headings, inputs).
 
     The file is outside input: an unreadable file, a foreign header, a
-    row without its seven cells or a non-numeric cell raises ConfigError
-    naming the path and the line."""
+    row without its seven cells, a non-numeric cell or a k cell that is
+    not the row's index raises ConfigError naming the path and the
+    line."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except (OSError, UnicodeDecodeError) as err:
@@ -293,7 +294,9 @@ def read_traj_csv(path):
     positions, headings, inputs = [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            _, _, x, y, theta, v, omega = line.split(",")
+            k, _, x, y, theta, v, omega = line.split(",")
+            if int(k) != line_no - 2:
+                raise ValueError(f"k is {k} in the row of step {line_no - 2}")
             positions.append((float(x), float(y)))
             headings.append(float(theta))
             if v or omega:
@@ -397,13 +400,26 @@ def _polyline_length(points):
                                 axis=1).sum())
 
 
-def verify_trajectory(scenario, positions, inputs):
+def verify_trajectory(scenario, positions, headings, inputs):
     """Check a trajectory the way `run` and `check` both accept it: the
     oracle on the grid positions, every segment of the polyline against
-    the obstacles, and one input row per step within the bounds.
-    Returns {check name: passed} in that order."""
+    the obstacles, one input row per step within the bounds, every
+    position inside the workspace bounds, the first state at x0, and
+    every step within eps_feas of the model's step from the state and
+    input before it (headings compared modulo 2 pi, as traj.csv wraps
+    them).  A NaN fails each of the last three.  Returns {check name:
+    passed} in that order."""
     model = scenario.model
     ws = scenario.workspace
+    states = np.column_stack([positions, headings])
+    with np.errstate(invalid="ignore"):
+        # row 0: the offset from x0; row k: the defect of step k - 1
+        gap = scenario.x0 - states[:1]
+        if len(inputs) == len(states) - 1:
+            gap = np.vstack([gap, model.step(states[:-1], inputs) -
+                             states[1:]])
+        gap[:, 2] = (gap[:, 2] + math.pi) % (2.0 * math.pi) - math.pi
+    gap = np.abs(gap)
     return {
         "satisfied": bool(oracle_satisfies_formula(
             PointSequence(0, scenario.tau, positions), scenario.formula)),
@@ -413,6 +429,13 @@ def verify_trajectory(scenario, positions, inputs):
             len(inputs) == scenario.horizon_steps
             and np.all(inputs >= np.array(model.input_lo) - 1e-9)
             and np.all(inputs <= np.array(model.input_hi) + 1e-9)),
+        "inside_workspace": bool(np.all((positions >= ws.bounds.lo) &
+                                        (positions <= ws.bounds.hi))),
+        "starts_at_x0": bool(np.all(gap[0] <= 1e-9)),
+        "dynamics_feasible": bool(
+            len(gap) == len(states)
+            and np.all(gap[1:] <= scenario.tolerances.eps_feas * (1.0 + 1e-6)
+                       + 1e-12)),
     }
 
 
@@ -536,8 +559,8 @@ def _attempt_stages(scenario, dec, out, attempt):
             raise StlError(f"solver did not converge: {solution.message}")
 
         stage = "verify"
-        positions, _, inputs = read_traj_csv(out / "traj.csv")
-        verdict = verify_trajectory(scenario, positions, inputs)
+        positions, headings, inputs = read_traj_csv(out / "traj.csv")
+        verdict = verify_trajectory(scenario, positions, headings, inputs)
         checks = evaluate_solution(problem, solution.states, solution.inputs)
         m.update(verdict)
         m["dynamics_violation"] = checks["dynamics_violation"]
@@ -659,12 +682,12 @@ def _cmd_run(args):
 
 def _cmd_check(args):
     scenario = load_scenario(args.scenario)
-    positions, _, inputs = read_traj_csv(args.traj)
+    positions, headings, inputs = read_traj_csv(args.traj)
     if len(positions) != scenario.horizon_steps + 1:
         raise ConfigError(f"{args.traj} has {len(positions)} rows but "
                           f"{scenario.name} needs {scenario.horizon_steps + 1}"
                           f" (one per step k = 0..{scenario.horizon_steps})")
-    verdict = verify_trajectory(scenario, positions, inputs)
+    verdict = verify_trajectory(scenario, positions, headings, inputs)
     failed = [name for name, ok in verdict.items() if not ok]
     if failed:
         print(f"{args.traj}: does not satisfy {scenario.name} "

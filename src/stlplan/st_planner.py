@@ -5,10 +5,11 @@ reach-and-hold, and the repeating visits of a patrol clause) are served
 in deadline order by growing a random tree through position x time.
 Every always-clause of the formula acts as a windowed keep-in /
 keep-out constraint on every tree edge of every window, so the returned
-waypoints respect them by construction.  The vertex path is then
-sampled onto the grid and every sub-task re-checked; on failure the
-attempt restarts with fresh randomness.  The certifying pairs of every
-window are collected in order and deduplicated once, into the plan's
+waypoints respect them by construction.  Each tree hands its path on
+as position and time arrays; the window's joined path is sampled onto
+the grid and every sub-task re-checked; on failure the attempt restarts
+with fresh randomness.  The certifying pairs of every window are
+collected in order and deduplicated once, into the plan's
 SatisfactionSet.
 
 A disjunctive reach set is certified by the first earlier piece that
@@ -64,21 +65,6 @@ class PlannerParams:
 
     def resolved_overshoot(self, tau):
         return 2.0 * tau if self.time_overshoot is None else self.time_overshoot
-
-
-@dataclass
-class StVertex:
-    """A tree vertex: a position stamped with a time."""
-
-    pos: np.ndarray
-    time: float
-
-    def __init__(self, pos, time):
-        self.pos = np.asarray(pos, dtype=float)
-        self.time = float(time)
-
-    def __repr__(self):
-        return f"StVertex({self.pos.tolist()}, {self.time})"
 
 
 @dataclass(frozen=True)
@@ -248,33 +234,34 @@ def _try_complete(goal, p, t, tau, ws, guards):
     return tail, g_k
 
 
-def grow_tree(root, goal, ws, window, params, rng, *, tau, v_max=math.inf,
-              guards=()):
+def grow_tree(root_pos, root_time, goal, ws, window, params, rng, *, tau,
+              v_max=math.inf, guards=()):
     """Grow one space-time tree from the root until the goal completes.
 
     The tree is held as position and time arrays, doubled from 64 rows
-    as it fills, plus a parent index per row.  Returns the root-to-goal
-    vertex path (the root included) with strictly increasing times: the
-    chain of tree vertices down to the one the completing edge leaves
-    from, then the completion tail at the completing position.  The
-    time window bounds sampled times; the goal's own arrival window
-    decides completion.  Raises TreeFailure when the iteration budget
-    runs out.
+    as it fills, plus a parent index per row.  Returns (positions,
+    times, arrival) of the path after the root, times strictly
+    increasing: the tree chain down to the vertex the completing edge
+    leaves from, then the completion tail at the completing position.
+    A root that completes the goal yields only its tail times later
+    than root_time, possibly none.  The time window bounds sampled
+    times; the goal's own arrival window decides completion.  Raises
+    TreeFailure when the iteration budget runs out.
     """
     for g in guards:
-        if not g.point_ok(root.pos, root.time):
+        if not g.point_ok(root_pos, root_time):
             raise PlanningError(
-                f"start point {root.pos.tolist()} at t={root.time} violates "
+                f"start point {root_pos.tolist()} at t={root_time} violates "
                 f"an always-constraint; no tree can repair its own root")
-    done = _try_complete(goal, root.pos, root.time, tau, ws, guards)
+    done = _try_complete(goal, root_pos, root_time, tau, ws, guards)
     if done is not None:
         tail, arrival = done
-        return [root] + [StVertex(root.pos, t) for t in tail
-                         if t > root.time + 1e-15], arrival
-    positions = np.zeros((64, len(root.pos)))
+        tail = np.array([t for t in tail if t > root_time + 1e-15])
+        return np.full((len(tail), len(root_pos)), root_pos), tail, arrival
+    positions = np.zeros((64, len(root_pos)))
     times = np.zeros(64)
-    positions[0] = root.pos
-    times[0] = root.time
+    positions[0] = root_pos
+    times[0] = root_time
     parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
     t_hi = window[1] + params.resolved_overshoot(tau)
@@ -297,10 +284,11 @@ def grow_tree(root, goal, ws, window, params, rng, *, tau, v_max=math.inf,
             # less the grid tolerance, so the tail extends the chain
             tail, arrival = done
             chain = []
-            while ni >= 0:
-                chain.append(StVertex(positions[ni].copy(), times[ni]))
+            while ni > 0:
+                chain.insert(0, ni)
                 ni = parent[ni]
-            return chain[::-1] + [StVertex(new_pos, t) for t in tail], arrival
+            return (np.vstack([positions[chain]] + [new_pos] * len(tail)),
+                    np.concatenate([times[chain], tail]), arrival)
         if n == len(times):
             positions = np.vstack([positions, np.zeros_like(positions)])
             times = np.concatenate([times, np.zeros_like(times)])
@@ -312,8 +300,8 @@ def grow_tree(root, goal, ws, window, params, rng, *, tau, v_max=math.inf,
         f"completing its goal")
 
 
-def discretize_path(path, k_lo, k_hi, tau):
-    """Sample a vertex path at the grid points k_lo..k_hi.
+def discretize_path(positions, times, k_lo, k_hi, tau):
+    """Sample the vertex path (positions, times) at grid points k_lo..k_hi.
 
     All grid times are located on the path with one sorted search.
     Vertices sitting exactly on a grid time, and the last vertex for
@@ -321,10 +309,8 @@ def discretize_path(path, k_lo, k_hi, tau):
     linear interpolations of the enclosing edge, computed as arrays with
     _interp's formula.
     """
-    times = np.array([v.time for v in path])
     if np.any(np.diff(times) <= 0):
         raise ValueError("path times must strictly increase")
-    positions = np.vstack([v.pos for v in path])
     if times[0] > k_lo * tau + _TIME_TOL:
         raise ValueError("path starts after the window does")
     if times[-1] < k_hi * tau - _TIME_TOL:
@@ -361,15 +347,11 @@ class _PatrolTracker:
 
     def next_goal(self):
         if self.last_k is None:
-            lo = self.lo
+            lo = start = self.lo
         else:
+            start = self.last_k * self.tau
             lo = (self.last_k + 1) * self.tau
-        hi = min((self.lo if self.last_k is None
-                  else self.last_k * self.tau) + self.gap, self.hi)
-        return Goal(self.sub.prop, (lo, hi))
-
-    def record(self, arrival_k):
-        self.last_k = arrival_k
+        return Goal(self.sub.prop, (lo, min(start + self.gap, self.hi)))
 
 
 def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
@@ -382,17 +364,17 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
     """
     k_lo = grid_ceil(task.window.lo, tau)
     k_hi = grid_ceil(task.window.hi, tau)
-    root = StVertex(q_init[0], q_init[1])
 
     tally = collections.Counter()
     for _ in range(params.max_restarts + 1):
         try:
-            path = _attempt(root, ws, params, rng, task.subtasks, guards,
-                            tau, v_max, k_hi * tau)
+            positions, times = _attempt(q_init, ws, params, rng,
+                                        task.subtasks, guards, tau, v_max,
+                                        k_hi * tau)
         except TreeFailure as err:
             tally[str(err)] += 1
             continue
-        seq = discretize_path(path, k_lo, k_hi, tau)
+        seq = discretize_path(positions, times, k_lo, k_hi, tau)
         pairs = []
         for sub in task.subtasks:
             ok, sub_pairs = stl_sat(seq, sub)
@@ -408,8 +390,10 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
         f"frequent failure: {worst}")
 
 
-def _attempt(root, ws, params, rng, subtasks, guards, tau, v_max, end_time):
-    vertices = [root]
+def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
+             end_time):
+    pos, time = q_init
+    parts = [(pos[None], np.array([time]))]
     goals = []
     for order, sub in enumerate(subtasks):
         if sub.kind == "F":
@@ -428,28 +412,26 @@ def _attempt(root, ws, params, rng, subtasks, guards, tau, v_max, end_time):
             break
         order, goal, tracker = min(candidates,
                                    key=lambda c: (c[1].deadline, c[0]))
-        last = vertices[-1]
-        path, arrival = grow_tree(last, goal, ws, (last.time, end_time),
+        p, t, arrival = grow_tree(pos, time, goal, ws, (time, end_time),
                                   params, rng, tau=tau, v_max=v_max,
                                   guards=guards)
-        vertices.extend(path[1:])
+        parts.append((p, t))
+        if len(t):
+            pos, time = p[-1], t[-1]
         if tracker is None:
             goals.remove((order, goal))
         else:
-            tracker.record(arrival)
+            tracker.last_k = arrival
 
-    last = vertices[-1]
-    if last.time < end_time:
-        if _edge_ok(ws, guards, last.pos, last.time, last.pos, end_time,
-                    v_max):
-            vertices.append(StVertex(last.pos, end_time))
+    if time < end_time:
+        if _edge_ok(ws, guards, pos, time, pos, end_time, v_max):
+            parts.append((pos[None], np.array([end_time])))
         else:
-            filler = Goal.by_time(end_time)
-            path, _ = grow_tree(last, filler, ws, (last.time, end_time),
-                                params, rng, tau=tau, v_max=v_max,
-                                guards=guards)
-            vertices.extend(path[1:])
-    return vertices
+            parts.append(grow_tree(pos, time, Goal.by_time(end_time), ws,
+                                   (time, end_time), params, rng, tau=tau,
+                                   v_max=v_max, guards=guards)[:2])
+    positions, times = zip(*parts)
+    return np.vstack(positions), np.concatenate(times)
 
 
 @dataclass

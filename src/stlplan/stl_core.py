@@ -678,21 +678,6 @@ def _window_indices(k1, inner, tau):
     return range(lo, hi + 1)
 
 
-def oracle_satisfies_until(seq, left, ival, right):
-    """Direct until check: some grid witness of the right atom inside the
-    window, with the left atom holding at every grid point from the
-    sequence start up to the witness."""
-    seq.require_coverage(TimeInterval(seq.k0 * seq.tau, ival.hi))
-    for k1 in ival.grid_indices(seq.tau):
-        if k1 < seq.k0:
-            continue
-        if right.holds(seq.at_index(k1)):
-            if all(left.holds(seq.at_index(k2))
-                   for k2 in range(seq.k0, k1 + 1)):
-                return True
-    return False
-
-
 def oracle_satisfies_formula(seq, formula):
     """Check every sub-task of the conjunction against the sequence."""
     return all(oracle_satisfies(seq, sub) for sub in formula.subtasks)

@@ -1,10 +1,10 @@
 """Shared test fixtures: workspace builders, an independently coded
-satisfaction evaluator, randomized instance generators, dense
-references for the Newton system of a transcription, per-step loop
-references for the corridor check and the transcription bounds, the
-round-by-round box growth, the per-grid-point path sampling and the
-per-step initial guess that the array versions must reproduce bit for
-bit, and a call counter.
+satisfaction evaluator, the direct until check, randomized instance
+generators, dense references for the Newton system of a transcription,
+per-step loop references for the corridor check and the transcription
+bounds, the round-by-round box growth, the per-grid-point path sampling
+and the per-step initial guess that the array versions must reproduce
+bit for bit, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
@@ -124,6 +124,22 @@ def honoring_sequence(seq, sub, pairs, rng):
         else:
             pts[j] = box.sample(rng)
     return PointSequence(seq.k0, seq.tau, pts)
+
+
+def oracle_satisfies_until(seq, left, ival, right):
+    """Reference until check, the semantics the decomposer's hold +
+    reach rewrite strengthens: some grid witness of the right atom
+    inside the window, with the left atom holding at every grid point
+    from the sequence start up to the witness."""
+    seq.require_coverage(TimeInterval(seq.k0 * seq.tau, ival.hi))
+    for k1 in ival.grid_indices(seq.tau):
+        if k1 < seq.k0:
+            continue
+        if right.holds(seq.at_index(k1)):
+            if all(left.holds(seq.at_index(k2))
+                   for k2 in range(seq.k0, k1 + 1)):
+                return True
+    return False
 
 
 def dense_dynamics_jacobian(prob, A, B):
@@ -317,12 +333,10 @@ def reference_safe_cor(point, ws, step=DEFAULT_STEP):
     return Box(tuple(lo), tuple(hi))
 
 
-def reference_discretize_path(path, k_lo, k_hi, tau):
+def reference_discretize_path(positions, times, k_lo, k_hi, tau):
     """st_planner.discretize_path one grid point at a time."""
-    times = np.array([v.time for v in path])
     if np.any(np.diff(times) <= 0):
         raise ValueError("path times must strictly increase")
-    positions = np.vstack([v.pos for v in path])
     if times[0] > k_lo * tau + TIME_EPS:
         raise ValueError("path starts after the window does")
     if times[-1] < k_hi * tau - TIME_EPS:

@@ -513,6 +513,61 @@ def test_cli_check_rejects_malformed_trajectory_files(tiny_path, tmp_path,
     assert "configuration error" in err and str(path) in err
 
 
+def test_read_traj_csv_rejects_a_row_out_of_step(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5,0.0,0.0,0.0\n"
+                    "2,0.5,0.5,0.5,0.0,,\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:3: "):
+        read_traj_csv(path)
+
+
+def _tamper(path, k, **cells):
+    """Rewrite row k of a trajectory CSV, each cell given as a function
+    of its old value."""
+    lines = path.read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[k + 1].split(",")))
+    for name, edit in cells.items():
+        row[name] = repr(edit(float(row[name])))
+    lines[k + 1] = ",".join(row.values())
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("k, cells, named", [
+    (2, {"x": lambda x: 1000.0, "y": lambda y: -1000.0},
+     ["inside_workspace"]),
+    (2, {"x": lambda x: 4.0 + 1e-6}, ["inside_workspace"]),
+    (0, {"x": lambda x: x + 0.3}, ["starts_at_x0"]),
+    (0, {"theta": lambda t: t + 0.3}, ["starts_at_x0"]),
+    (2, {"x": lambda x: x - 0.3}, ["dynamics_feasible"]),
+    # three times eps_feas, so the step defects exceed it whatever the
+    # solver's own defect there
+    (2, {"y": lambda y: y + 3e-4}, ["dynamics_feasible"]),
+    (0, {"x": lambda x: math.nan},
+     ["inside_workspace", "starts_at_x0", "dynamics_feasible"]),
+], ids=["outside", "just-outside", "start", "start-heading", "teleport",
+        "nudge", "nan"])
+def test_cli_check_rejects_tampered_trajectories(tiny_path, tmp_path, capsys,
+                                                 k, cells, named):
+    out = tmp_path / "run"
+    assert main(["run", str(tiny_path), "--out", str(out)]) == 0
+    path = out / "traj.csv"
+    _tamper(path, k, **cells)
+    capsys.readouterr()
+    assert main(["check", str(path), str(tiny_path)]) == 2
+    failed = capsys.readouterr().out.split("(failed: ")[1].rstrip(")\n")
+    assert set(named) <= set(failed.split(", "))
+    if named == ["dynamics_feasible"]:
+        assert failed == "dynamics_feasible"
+
+
+def test_cli_check_compares_the_start_heading_modulo_two_pi(
+        tiny_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(tiny_path), "--out", str(out)]) == 0
+    _tamper(out / "traj.csv", 0, theta=lambda t: t + 2.0 * math.pi)
+    assert main(["check", str(out / "traj.csv"), str(tiny_path)]) == 0
+
+
 @pytest.mark.parametrize("rows", [4, 6])
 def test_cli_check_names_the_rows_a_trajectory_has_and_needs(
         tiny_path, tmp_path, capsys, rows):

@@ -7,10 +7,9 @@ from helpers import make_ws, reference_discretize_path, region_atom
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionSet, stl_sat
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
-                                PlanningError, StVertex,
-                                TreeFailure, discretize_path, grow_tree,
-                                nearest, plan_global, plan_local, sample,
-                                steer)
+                                PlanningError, TreeFailure, _attempt,
+                                discretize_path, grow_tree, nearest,
+                                plan_global, plan_local, sample, steer)
 from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
                               grid_ceil, oracle_satisfies,
                               oracle_satisfies_formula, parse_formula)
@@ -131,12 +130,12 @@ def test_steer_clamps_time_to_the_sample():
 def test_tree_completes_immediately_inside_the_target():
     rng = np.random.default_rng(2)
     goal = Goal(region_atom("t", (0.0, 0.0), (2.0, 2.0)), (0.0, 5.0))
-    root = StVertex([1.0, 1.0], 0.0)
-    path, arrival = grow_tree(root, goal, OPEN_WS, (0.0, 5.0), PARAMS, rng,
-                              tau=0.1)
-    assert len(path) == 1
+    positions, times, arrival = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
+                                          OPEN_WS, (0.0, 5.0), PARAMS, rng,
+                                          tau=0.1)
+    # the root itself is the arrival: no vertex follows it
+    assert positions.shape == (0, 2) and times.shape == (0,)
     assert arrival == 0
-    assert np.array_equal(path[0].pos, [1.0, 1.0])
 
 
 def test_tree_reaches_an_open_room_target_reliably():
@@ -146,11 +145,12 @@ def test_tree_reaches_an_open_room_target_reliably():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         try:
-            path, _ = grow_tree(StVertex([1.0, 1.0], 0.0), goal, OPEN_WS,
-                                (0.0, 20.0), params, rng, tau=0.1)
+            positions, _, _ = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
+                                        OPEN_WS, (0.0, 20.0), params, rng,
+                                        tau=0.1)
         except TreeFailure:
             continue
-        assert goal.prop.holds(path[-1].pos)
+        assert goal.prop.holds(positions[-1])
         wins += 1
     assert wins >= 48
 
@@ -164,7 +164,7 @@ def test_tree_fails_on_an_enclosed_target():
     goal = Goal(region_atom("t", (4.5, 4.5), (5.5, 5.5)), (0.0, 20.0))
     params = PlannerParams(max_iters_per_tree=300)
     with pytest.raises(TreeFailure):
-        grow_tree(StVertex([1.0, 1.0], 0.0), goal, ws, (0.0, 20.0), params,
+        grow_tree(np.array([1.0, 1.0]), 0.0, goal, ws, (0.0, 20.0), params,
                   np.random.default_rng(4), tau=0.1)
 
 
@@ -173,52 +173,53 @@ def test_tree_rejects_a_root_violating_a_guard():
                   0.0, 8.0, keep_in=True)
     goal = Goal(region_atom("t", (5.0, 5.0), (6.0, 6.0)), (0.0, 8.0))
     with pytest.raises(PlanningError):
-        grow_tree(StVertex([1.0, 1.0], 0.0), goal, OPEN_WS, (0.0, 8.0),
+        grow_tree(np.array([1.0, 1.0]), 0.0, goal, OPEN_WS, (0.0, 8.0),
                   PARAMS, np.random.default_rng(5), tau=0.1,
                   guards=(guard,))
 
 
-def _check_tree_path(path, root, goal, arrival, ws, params, tau, v_max):
-    """The path starts at the root, strictly increases in time, moves
-    within the speed limit, the spatial step and the time stride and
-    through free space, and ends with the completion tail: the
+def _check_tree_path(positions, times, root_pos, root_time, goal, arrival,
+                     ws, params, tau, v_max):
+    """With the root prepended, the path strictly increases in time,
+    moves within the speed limit, the spatial step and the time stride
+    and through free space, and ends with the completion tail: the
     completing vertex, a wait to the grid arrival and the hold, all at
     one position."""
-    times = np.array([v.time for v in path])
-    assert np.array_equal(path[0].pos, root.pos)
-    assert path[0].time == root.time
+    assert positions.shape == (len(times), len(root_pos))
+    positions = np.vstack([root_pos, positions])
+    times = np.concatenate([[root_time], times])
     dts = np.diff(times)
     assert np.all(dts > 0)
-    steps = np.linalg.norm(np.diff([v.pos for v in path], axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.all(steps <= v_max * dts * (1.0 + 1e-9))
     moves = steps > 0
     assert np.all(steps[moves] <= params.step * (1.0 + 1e-9))
     assert np.all(dts[moves] <= params.resolved_time_step(tau) + 1e-9)
-    assert not any(ws.segment_collides(a.pos, b.pos)
-                   for a, b in zip(path[:-1], path[1:]))
-    end = path[-1]
+    assert not any(ws.segment_collides(a, b)
+                   for a, b in zip(positions[:-1], positions[1:]))
+    end, end_time = positions[-1], times[-1]
     if goal.prop is None:
         assert arrival is None
-        assert end.time >= goal.window[0]
+        assert end_time >= goal.window[0]
         return
-    assert goal.prop.holds(end.pos)
+    assert goal.prop.holds(end)
     g = arrival * tau
     assert goal.window[0] - 1e-9 <= g <= goal.window[1] + 1e-9
     hold = grid_ceil(goal.hold_after, tau) if goal.hold_after else 0
-    assert abs(end.time - (arrival + hold) * tau) <= 1e-9
+    assert abs(end_time - (arrival + hold) * tau) <= 1e-9
     # the tail holds one position from its first vertex, no later than
     # the grid arrival, to the end
-    first = len(path) - 1
-    while first > 0 and np.array_equal(path[first - 1].pos, end.pos):
+    first = len(times) - 1
+    while first > 0 and np.array_equal(positions[first - 1], end):
         first -= 1
-    assert path[first].time <= g + 1e-9
+    assert times[first] <= g + 1e-9
 
 
 def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     tau = 0.1
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    far = [1.0, 1.0]
-    inside = [5.0, 5.0]
+    far = np.array([1.0, 1.0])
+    inside = np.array([5.0, 5.0])
     # a wall between far and the target, passable above y = 7
     wall = make_ws(obstacles=[((3.0, 0.0), (3.5, 7.0))])
     cases = [
@@ -226,7 +227,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
         (far, 0.0, Goal(target, (4.0, 9.0))),
         (far, 0.0, Goal(target, (0.0, 9.0))),
         # one step from the target, so a root edge can complete
-        ([3.8, 5.0], 0.0, Goal(target, (0.0, 9.0))),
+        (np.array([3.8, 5.0]), 0.0, Goal(target, (0.0, 9.0))),
         # reach and hold
         (far, 0.0, Goal(target, (2.0, 9.0), hold_after=1.5)),
         (far, 0.0, Goal(target, (0.0, 9.0), hold_after=0.3)),
@@ -249,18 +250,16 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     for seed in range(10):
         for ws in (OPEN_WS, wall):
             for pos, t0, goal in cases:
-                root = StVertex(pos, t0)
                 rng = np.random.default_rng(seed)
                 try:
-                    path, arrival = grow_tree(root, goal, ws,
-                                              (t0, max(t0, goal.deadline)),
-                                              params, rng, tau=tau,
-                                              v_max=2.0)
+                    positions, times, arrival = grow_tree(
+                        pos, t0, goal, ws, (t0, max(t0, goal.deadline)),
+                        params, rng, tau=tau, v_max=2.0)
                 except TreeFailure:
                     failures += 1
                     continue
-                _check_tree_path(path, root, goal, arrival, ws, params, tau,
-                                 2.0)
+                _check_tree_path(positions, times, pos, t0, goal, arrival,
+                                 ws, params, tau, 2.0)
     assert failures <= 5
 
 
@@ -268,8 +267,8 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
 # discretization
 
 def test_two_vertex_path_interpolates_the_midpoint():
-    path = [StVertex([0.0, 0.0], 0.0), StVertex([1.0, 2.0], 1.0)]
-    seq = discretize_path(path, 0, 2, 0.5)
+    seq = discretize_path(np.array([[0.0, 0.0], [1.0, 2.0]]),
+                          np.array([0.0, 1.0]), 0, 2, 0.5)
     assert len(seq) == 3
     assert np.array_equal(seq.positions[0], [0.0, 0.0])
     assert np.array_equal(seq.positions[1], [0.5, 1.0])
@@ -278,8 +277,7 @@ def test_two_vertex_path_interpolates_the_midpoint():
 
 def test_on_grid_vertices_are_taken_verbatim():
     pts = [[0.3, 0.7], [1.1, 0.2], [2.9, 3.3]]
-    path = [StVertex(p, 0.5 * i) for i, p in enumerate(pts)]
-    seq = discretize_path(path, 0, 2, 0.5)
+    seq = discretize_path(np.array(pts), 0.5 * np.arange(3), 0, 2, 0.5)
     for expected, got in zip(pts, seq.positions):
         assert np.array_equal(got, expected)
 
@@ -298,18 +296,18 @@ def test_discretized_points_stay_on_the_polyline():
         times[0], times[-1] = 0.0, 10.0
         if np.any(np.diff(times) <= 1e-6):
             continue
-        verts = [StVertex(rng.uniform(0, 10, 2), t) for t in times]
-        seq = discretize_path(verts, 0, 100, 0.1)
+        verts = np.array([rng.uniform(0, 10, 2) for _ in times])
+        seq = discretize_path(verts, times, 0, 100, 0.1)
         assert len(seq) == 101
         for p in seq.positions:
-            dist = min(_segment_distance(p, verts[i].pos, verts[i + 1].pos)
+            dist = min(_segment_distance(p, verts[i], verts[i + 1])
                        for i in range(len(verts) - 1))
             assert dist <= 1e-9
 
 
-def _sample_outcome(sample, path, k_lo, k_hi, tau):
+def _sample_outcome(sample, positions, times, k_lo, k_hi, tau):
     try:
-        return sample(path, k_lo, k_hi, tau).positions.tobytes()
+        return sample(positions, times, k_lo, k_hi, tau).positions.tobytes()
     except ValueError as err:
         return str(err)
 
@@ -333,10 +331,11 @@ def test_discretize_path_matches_the_per_point_reference():
         times = np.unique(np.concatenate([ends, times]))
         if rng.random() < 0.1:
             times = times[:1]
-        path = [StVertex(rng.uniform(0.0, 10.0, size=2), t) for t in times]
-        got = _sample_outcome(discretize_path, path, k_lo, k_hi, tau)
-        assert got == _sample_outcome(reference_discretize_path, path,
-                                      k_lo, k_hi, tau)
+        positions = np.array([rng.uniform(0.0, 10.0, size=2) for _ in times])
+        got = _sample_outcome(discretize_path, positions, times, k_lo, k_hi,
+                              tau)
+        assert got == _sample_outcome(reference_discretize_path, positions,
+                                      times, k_lo, k_hi, tau)
         seen.add(type(got))
     assert seen == {bytes, str}
 
@@ -345,9 +344,9 @@ def test_vertices_on_grid_times_match_the_reference():
     # verbatim down to the sign of zero, which interpolating with s = 0
     # would lose
     tau = 0.1
-    times = [0.0, 3 * tau, 0.35, 7 * tau, 1.0, 1.7]
-    path = [StVertex([float(i), -0.0], t) for i, t in enumerate(times)]
-    args = (path, 0, 15, tau)
+    times = np.array([0.0, 3 * tau, 0.35, 7 * tau, 1.0, 1.7])
+    positions = np.array([[float(i), -0.0] for i in range(len(times))])
+    args = (positions, times, 0, 15, tau)
     got = discretize_path(*args).positions
     assert got.tobytes() == reference_discretize_path(*args).positions \
         .tobytes()
@@ -356,11 +355,14 @@ def test_vertices_on_grid_times_match_the_reference():
 
 
 def test_paths_must_span_the_requested_window():
-    path = [StVertex([0.0, 0.0], 0.2), StVertex([1.0, 0.0], 1.0)]
-    with pytest.raises(ValueError):
-        discretize_path(path, 0, 2, 0.5)
-    with pytest.raises(ValueError):
-        discretize_path(path[::-1], 0, 2, 0.5)
+    positions = np.array([[0.0, 0.0], [1.0, 0.0]])
+    times = np.array([0.2, 1.0])
+    with pytest.raises(ValueError, match="starts after"):
+        discretize_path(positions, times, 0, 2, 0.5)
+    with pytest.raises(ValueError, match="strictly increase"):
+        discretize_path(positions[::-1], times[::-1], 0, 2, 0.5)
+    with pytest.raises(ValueError, match="ends before"):
+        discretize_path(positions, times, 1, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +380,26 @@ def test_plan_local_serves_a_single_reach_goal():
     assert len(pairs) == 1
     ok, _ = stl_sat(seq, sub)
     assert ok
+
+
+def test_attempt_joins_its_trees_into_one_path():
+    # one reach goal long before the window ends: the joined path starts
+    # at q_init, strictly increases in time, and stands still in the
+    # target from the arrival to the window end; from inside the target
+    # the tree adds no row and the path is q_init plus the standstill
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    sub = SubTask("F", TimeInterval(0, 3), None, target)
+    for start, rows in (([1.0, 1.0], None), ([5.0, 5.0], 2)):
+        for seed in range(5):
+            positions, times = _attempt(
+                (np.array(start), 0.0), OPEN_WS, PARAMS,
+                np.random.default_rng(seed), (sub,), [], 0.5, 2.0, 6.0)
+            assert positions.shape == (len(times), 2)
+            assert np.array_equal(positions[0], start) and times[0] == 0.0
+            assert np.all(np.diff(times) > 0) and times[-1] == 6.0
+            assert np.array_equal(positions[-1], positions[-2])
+            assert target.holds(positions[-1])
+            assert rows is None or len(times) == rows
 
 
 def test_plan_local_gives_up_on_an_impossible_hold():

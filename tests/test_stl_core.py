@@ -4,15 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from helpers import direct_eval, make_ws, random_instance, region_atom
+from helpers import (direct_eval, make_ws, oracle_satisfies_until,
+                     random_instance, region_atom)
 from stlplan.stl_core import (AtomicProp, Box, CoverageError,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
                               SubTask, TimeInterval, UnknownRegionError,
                               Workspace, grid_ceil, grid_floor,
                               oracle_satisfies,
-                              oracle_satisfies_formula,
-                              oracle_satisfies_until, parse_formula, pretty,
+                              oracle_satisfies_formula, parse_formula, pretty,
                               snap_index)
 
 WS = make_ws(regions=[
