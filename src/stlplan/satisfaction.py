@@ -33,9 +33,6 @@ class SatisfactionPair:
     def make(cls, k, prop):
         return cls(k, prop.label, prop)
 
-    def time(self, tau):
-        return self.k * tau
-
 
 class SatisfactionSet:
     """Deduplicated, ordered collection of satisfaction pairs; of pairs

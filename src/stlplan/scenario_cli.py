@@ -9,8 +9,8 @@ checked against the brute-force oracle plus collision and input-bound
 scans.
 
 Exit codes: 0 task satisfied, 2 pipeline completed but the trajectory
-does not satisfy the task, 3 a stage failed, 4 configuration error or an
-unwritable output directory.
+does not satisfy the task, 3 a stage failed, 4 configuration error (a
+usage error too), or an unwritable output directory.
 """
 
 from __future__ import annotations
@@ -277,13 +277,13 @@ def traj_csv_text(solution, tau):
     return "\n".join(lines) + "\n"
 
 
-def read_traj_csv(path):
+def read_traj_csv(path, tau):
     """Parse a trajectory CSV into (positions, headings, inputs).
 
     The file is outside input: an unreadable file, a foreign header, a
-    row without its seven cells, a non-numeric cell or a k cell that is
-    not the row's index raises ConfigError naming the path and the
-    line."""
+    row without its seven cells, a non-numeric cell, a k cell that is
+    not the row's index or a t cell that is not k * tau raises
+    ConfigError naming the path and the line."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except (OSError, UnicodeDecodeError) as err:
@@ -294,9 +294,14 @@ def read_traj_csv(path):
     positions, headings, inputs = [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            k, _, x, y, theta, v, omega = line.split(",")
-            if int(k) != line_no - 2:
-                raise ValueError(f"k is {k} in the row of step {line_no - 2}")
+            k, t, x, y, theta, v, omega = line.split(",")
+            step = line_no - 2
+            if int(k) != step:
+                raise ValueError(f"k is {k} in the row of step {step}")
+            if not math.isfinite(float(t) / tau) \
+                    or snap_index(float(t), tau) != step:
+                raise ValueError(f"t is {t} in the row of step {step}, "
+                                 f"not k * tau = {step * tau:g}")
             positions.append((float(x), float(y)))
             headings.append(float(theta))
             if v or omega:
@@ -559,7 +564,7 @@ def _attempt_stages(scenario, dec, out, attempt):
             raise StlError(f"solver did not converge: {solution.message}")
 
         stage = "verify"
-        positions, headings, inputs = read_traj_csv(out / "traj.csv")
+        positions, headings, inputs = read_traj_csv(out / "traj.csv", tau)
         verdict = verify_trajectory(scenario, positions, headings, inputs)
         checks = evaluate_solution(problem, solution.states, solution.inputs)
         m.update(verdict)
@@ -628,10 +633,18 @@ def _cmd_decompose(args):
     return 0
 
 
+def _seed(args, scenario):
+    if args.seed is None:
+        return scenario.seed
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
+    return args.seed
+
+
 def _cmd_plan(args):
     scenario = load_scenario(args.scenario)
+    seed = _seed(args, scenario)
     dec = decompose(scenario.formula, scenario.tau)
-    seed = scenario.seed if args.seed is None else args.seed
     params = replace(scenario.planner, rng_seed=seed)
     try:
         plan = plan_global(dec, scenario.x0[:2], scenario.workspace, params,
@@ -658,7 +671,7 @@ def _run_one(source, seed, out_dir):
 
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
+    seed = _seed(args, scenario)
     if args.repeat <= 1:
         report = run_pipeline(scenario, seed=seed, out_dir=args.out)
         for stage, detail in report.stage_log:
@@ -682,7 +695,7 @@ def _cmd_run(args):
 
 def _cmd_check(args):
     scenario = load_scenario(args.scenario)
-    positions, headings, inputs = read_traj_csv(args.traj)
+    positions, headings, inputs = read_traj_csv(args.traj, scenario.tau)
     if len(positions) != scenario.horizon_steps + 1:
         raise ConfigError(f"{args.traj} has {len(positions)} rows but "
                           f"{scenario.name} needs {scenario.horizon_steps + 1}"
@@ -697,8 +710,17 @@ def _cmd_check(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, as configuration errors, not with argparse's
+    2, which `check` means as "does not satisfy"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stlplan",
         description="Plan and optimize trajectories for temporal-logic "
                     "tasks over box workspaces.")

@@ -1,8 +1,10 @@
 """Timed waypoint planning with goal-biased space-time trees.
 
-Each local task is planned greedily: reach goals (plain eventually,
-reach-and-hold, and the repeating visits of a patrol clause) are served
-in deadline order by growing a random tree through position x time.
+Each local task is planned greedily from one goal schedule: every
+reach clause (plain eventually, reach-and-hold, and each repeating
+visit of a patrol clause) has a next goal that follows from its last
+arrival, and a random tree through position x time is grown to the
+goal with the earliest deadline, reaches before patrols on ties.
 Every always-clause of the formula acts as a windowed keep-in /
 keep-out constraint on every tree edge of every window, so the returned
 waypoints respect them by construction.  Each tree hands its path on
@@ -234,7 +236,7 @@ def _try_complete(goal, p, t, tau, ws, guards):
     return tail, g_k
 
 
-def grow_tree(root_pos, root_time, goal, ws, window, params, rng, *, tau,
+def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
               v_max=math.inf, guards=()):
     """Grow one space-time tree from the root until the goal completes.
 
@@ -244,9 +246,10 @@ def grow_tree(root_pos, root_time, goal, ws, window, params, rng, *, tau,
     increasing: the tree chain down to the vertex the completing edge
     leaves from, then the completion tail at the completing position.
     A root that completes the goal yields only its tail times later
-    than root_time, possibly none.  The time window bounds sampled
-    times; the goal's own arrival window decides completion.  Raises
-    TreeFailure when the iteration budget runs out.
+    than root_time, possibly none.  Times are sampled from root_time to
+    end_time plus the time overshoot; the goal's own arrival window
+    decides completion.  Raises TreeFailure when the iteration budget
+    runs out.
     """
     for g in guards:
         if not g.point_ok(root_pos, root_time):
@@ -264,10 +267,10 @@ def grow_tree(root_pos, root_time, goal, ws, window, params, rng, *, tau,
     times[0] = root_time
     parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
-    t_hi = window[1] + params.resolved_overshoot(tau)
+    t_hi = end_time + params.resolved_overshoot(tau)
     for _ in range(params.max_iters_per_tree):
         samp_pos, samp_time = sample(ws, goal.sample_box,
-                                     (window[0], t_hi), params, rng,
+                                     (root_time, t_hi), params, rng,
                                      keepins=keepins)
         n = len(parent)
         ni = nearest(positions[:n], times[:n], samp_pos, samp_time)
@@ -327,31 +330,28 @@ def discretize_path(positions, times, k_lo, k_hi, tau):
     return PointSequence(k_lo, tau, out)
 
 
-class _PatrolTracker:
-    """Schedules the repeated visits a patrol (GF) clause needs."""
+def _next_goal(sub, last_k, tau):
+    """The Goal that serves sub next, given the grid index last_k of its
+    last arrival (None before the first), or None when it needs no more.
 
-    def __init__(self, sub, tau):
-        ai = sub.active_interval()
-        self.sub = sub
-        self.lo = ai.lo
-        self.hi = ai.hi
-        self.gap = sub.inner.length
-        self.tau = tau
-        self.last_k = None
-
-    @property
-    def done(self):
-        if self.last_k is None:
-            return False
-        return self.hi - self.last_k * self.tau <= self.gap + _TIME_TOL
-
-    def next_goal(self):
-        if self.last_k is None:
-            lo = start = self.lo
-        else:
-            start = self.last_k * self.tau
-            lo = (self.last_k + 1) * self.tau
-        return Goal(self.sub.prop, (lo, min(start + self.gap, self.hi)))
+    F and FG need one arrival.  GF arrives within gap of its active
+    interval's start and of each arrival until gap covers the interval's
+    end.  G is served by the guards."""
+    if sub.kind in ("F", "FG"):
+        if last_k is not None:
+            return None
+        hold = sub.inner.hi if sub.kind == "FG" else 0.0
+        return Goal(sub.prop, (sub.outer.lo, sub.outer.hi), hold_after=hold)
+    if sub.kind != "GF":
+        return None
+    ai = sub.active_interval()
+    gap = sub.inner.length
+    if last_k is None:
+        return Goal(sub.prop, (ai.lo, min(ai.lo + gap, ai.hi)))
+    if ai.hi - last_k * tau <= gap + _TIME_TOL:
+        return None
+    return Goal(sub.prop, ((last_k + 1) * tau,
+                           min(last_k * tau + gap, ai.hi)))
 
 
 def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
@@ -394,41 +394,26 @@ def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
              end_time):
     pos, time = q_init
     parts = [(pos[None], np.array([time]))]
-    goals = []
-    for order, sub in enumerate(subtasks):
-        if sub.kind == "F":
-            goals.append((order, Goal(sub.prop, (sub.outer.lo, sub.outer.hi))))
-        elif sub.kind == "FG":
-            goals.append((order, Goal(sub.prop, (sub.outer.lo, sub.outer.hi),
-                                      hold_after=sub.inner.hi)))
-    trackers = [_PatrolTracker(s, tau) for s in subtasks if s.kind == "GF"]
-
+    last_k = [None] * len(subtasks)
     while True:
-        candidates = [(order, goal, None) for order, goal in goals]
-        candidates += [(1000 + ti, tracker.next_goal(), tracker)
-                       for ti, tracker in enumerate(trackers)
-                       if not tracker.done]
-        if not candidates:
+        due = [(goal.deadline, sub.kind == "GF", i, goal)
+               for i, sub in enumerate(subtasks)
+               if (goal := _next_goal(sub, last_k[i], tau)) is not None]
+        if not due:
             break
-        order, goal, tracker = min(candidates,
-                                   key=lambda c: (c[1].deadline, c[0]))
-        p, t, arrival = grow_tree(pos, time, goal, ws, (time, end_time),
-                                  params, rng, tau=tau, v_max=v_max,
-                                  guards=guards)
+        *_, i, goal = min(due)  # i is unique: goals are never compared
+        p, t, last_k[i] = grow_tree(pos, time, goal, ws, end_time, params,
+                                    rng, tau=tau, v_max=v_max, guards=guards)
         parts.append((p, t))
         if len(t):
             pos, time = p[-1], t[-1]
-        if tracker is None:
-            goals.remove((order, goal))
-        else:
-            tracker.last_k = arrival
 
     if time < end_time:
         if _edge_ok(ws, guards, pos, time, pos, end_time, v_max):
             parts.append((pos[None], np.array([end_time])))
         else:
             parts.append(grow_tree(pos, time, Goal.by_time(end_time), ws,
-                                   (time, end_time), params, rng, tau=tau,
+                                   end_time, params, rng, tau=tau,
                                    v_max=v_max, guards=guards)[:2])
     positions, times = zip(*parts)
     return np.vstack(positions), np.concatenate(times)

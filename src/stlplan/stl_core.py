@@ -110,9 +110,6 @@ class Box:
     def contains(self, p):
         return all(l <= v <= h for v, l, h in zip(p, self.lo, self.hi))
 
-    def interior_contains(self, p):
-        return all(l < v < h for v, l, h in zip(p, self.lo, self.hi))
-
     def intersect(self, other):
         """Closed intersection with positive extent on every axis, or None."""
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
@@ -599,10 +596,6 @@ class PointSequence:
     @property
     def k_last(self):
         return self.k0 + len(self.positions) - 1
-
-    @property
-    def times(self):
-        return (self.k0 + np.arange(len(self.positions))) * self.tau
 
     def at_index(self, k):
         """Position at absolute grid index k."""

@@ -23,7 +23,7 @@ def test_reach_returns_first_witness_only():
     ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 1), None, ATOM))
     assert ok
     assert [(p.k, p.label) for p in pairs] == [(3, "mu")]
-    assert pairs[0].time(0.1) == pytest.approx(0.3)
+    assert pairs[0].k * 0.1 == pytest.approx(0.3)
 
     two = _seq([3, 7], 0.1, 11)
     ok, pairs = stl_sat(two, SubTask("F", TimeInterval(0, 1), None, ATOM))
@@ -57,8 +57,8 @@ def test_reach_hold_emits_first_satisfying_window():
     ok, pairs = stl_sat(seq, sub)
     assert ok
     assert [p.k for p in pairs] == list(range(320, 361))
-    assert pairs[0].time(0.1) == pytest.approx(32.0)
-    assert pairs[-1].time(0.1) == pytest.approx(36.0)
+    assert pairs[0].k * 0.1 == pytest.approx(32.0)
+    assert pairs[-1].k * 0.1 == pytest.approx(36.0)
 
     short = _seq(range(320, 358), 0.1, 501)  # 3.7 s hold, too short
     ok, pairs = stl_sat(short, sub)
@@ -134,7 +134,7 @@ def test_emitted_pairs_replay_against_the_geometry():
         for pair in pairs:
             replayed += 1
             assert sub.prop.holds(seq.at_index(pair.k))
-            assert ai.lo - 1e-9 <= pair.time(seq.tau) <= ai.hi + 1e-9
+            assert ai.lo - 1e-9 <= pair.k * seq.tau <= ai.hi + 1e-9
     assert replayed > 200
 
 

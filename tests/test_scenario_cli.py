@@ -199,7 +199,7 @@ def test_traj_csv_round_trips_states_and_inputs(tmp_path):
     text = traj_csv_text(sol, 0.5)
     path = tmp_path / "traj.csv"
     path.write_text(text)
-    positions, headings, parsed_inputs = read_traj_csv(path)
+    positions, headings, parsed_inputs = read_traj_csv(path, 0.5)
     assert np.array_equal(positions, states[:, :2])
     expected = [math.remainder(t, 2 * math.pi) for t in states[:, 2]]
     assert np.array_equal(headings, expected)
@@ -212,7 +212,7 @@ def test_read_traj_csv_rejects_foreign_headers(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
-        read_traj_csv(path)
+        read_traj_csv(path, 0.5)
 
 
 def test_csv_text_uses_round_trippable_floats(first_scenario_artifacts):
@@ -265,7 +265,7 @@ def test_pipeline_satisfies_the_tiny_scenario(tiny_path, tmp_path):
                  "figure.svg", "report.txt"):
         assert (out / name).exists()
     assert "status: satisfied" in (out / "report.txt").read_text()
-    positions, _, inputs = read_traj_csv(out / "traj.csv")
+    positions, _, inputs = read_traj_csv(out / "traj.csv", scenario.tau)
     assert len(positions) == scenario.horizon_steps + 1
     assert len(inputs) == scenario.horizon_steps
     m = report.metrics
@@ -482,6 +482,38 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     assert "v_bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_cli_rejects_a_negative_seed_before_any_stage(tiny_path, tmp_path,
+                                                      capsys, command):
+    out = tmp_path / "out"
+    assert main([command, str(tiny_path), "--seed", "-1",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "--seed must be a non-negative integer" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "traj.csv"],
+    ["run", "scenario1", "--seed", "x"],
+    ["plan", "scenario1", "--bogus"],
+    [],
+], ids=["missing-positional", "non-integer-seed", "unknown-option",
+        "no-command"])
+def test_cli_usage_errors_exit_4(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert "usage: stlplan" in capsys.readouterr().err
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "usage: stlplan check" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["run", "plan"])
 def test_cli_reports_an_unwritable_out_dir_with_exit_4(tiny_path, tmp_path,
                                                        capsys, command):
@@ -518,7 +550,32 @@ def test_read_traj_csv_rejects_a_row_out_of_step(tmp_path):
     path.write_text("k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5,0.0,0.0,0.0\n"
                     "2,0.5,0.5,0.5,0.0,,\n")
     with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:3: "):
-        read_traj_csv(path)
+        read_traj_csv(path, 0.5)
+
+
+@pytest.mark.parametrize("t", ["0.6", "99", "abc", "nan", "inf", "1e308"])
+def test_read_traj_csv_rejects_a_t_that_is_not_k_tau(tmp_path, t):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,t,x,y,theta,v,omega\n0,0.0,0.5,0.5,0.0,0.0,0.0\n"
+                    f"1,{t},0.5,0.5,0.0,,\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:3: "):
+        read_traj_csv(path, 0.5)
+
+
+@pytest.mark.parametrize("t", ["99", "abc"])
+def test_cli_check_rejects_a_row_whose_t_is_wrong(tiny_path, tmp_path,
+                                                  capsys, t):
+    out = tmp_path / "run"
+    assert main(["run", str(tiny_path), "--out", str(out)]) == 0
+    path = out / "traj.csv"
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[1] = t
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(path), str(tiny_path)]) == 4
+    assert f"{path}:4: " in capsys.readouterr().err
 
 
 def _tamper(path, k, **cells):

@@ -6,10 +6,12 @@ import pytest
 from helpers import make_ws, reference_discretize_path, region_atom
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionSet, stl_sat
+from stlplan import st_planner
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, TreeFailure, _attempt,
-                                discretize_path, grow_tree, nearest,
-                                plan_global, plan_local, sample, steer)
+                                _next_goal, discretize_path, grow_tree,
+                                nearest, plan_global, plan_local, sample,
+                                steer)
 from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
                               grid_ceil, oracle_satisfies,
                               oracle_satisfies_formula, parse_formula)
@@ -131,7 +133,7 @@ def test_tree_completes_immediately_inside_the_target():
     rng = np.random.default_rng(2)
     goal = Goal(region_atom("t", (0.0, 0.0), (2.0, 2.0)), (0.0, 5.0))
     positions, times, arrival = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
-                                          OPEN_WS, (0.0, 5.0), PARAMS, rng,
+                                          OPEN_WS, 5.0, PARAMS, rng,
                                           tau=0.1)
     # the root itself is the arrival: no vertex follows it
     assert positions.shape == (0, 2) and times.shape == (0,)
@@ -146,7 +148,7 @@ def test_tree_reaches_an_open_room_target_reliably():
         rng = np.random.default_rng(seed)
         try:
             positions, _, _ = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
-                                        OPEN_WS, (0.0, 20.0), params, rng,
+                                        OPEN_WS, 20.0, params, rng,
                                         tau=0.1)
         except TreeFailure:
             continue
@@ -164,7 +166,7 @@ def test_tree_fails_on_an_enclosed_target():
     goal = Goal(region_atom("t", (4.5, 4.5), (5.5, 5.5)), (0.0, 20.0))
     params = PlannerParams(max_iters_per_tree=300)
     with pytest.raises(TreeFailure):
-        grow_tree(np.array([1.0, 1.0]), 0.0, goal, ws, (0.0, 20.0), params,
+        grow_tree(np.array([1.0, 1.0]), 0.0, goal, ws, 20.0, params,
                   np.random.default_rng(4), tau=0.1)
 
 
@@ -173,7 +175,7 @@ def test_tree_rejects_a_root_violating_a_guard():
                   0.0, 8.0, keep_in=True)
     goal = Goal(region_atom("t", (5.0, 5.0), (6.0, 6.0)), (0.0, 8.0))
     with pytest.raises(PlanningError):
-        grow_tree(np.array([1.0, 1.0]), 0.0, goal, OPEN_WS, (0.0, 8.0),
+        grow_tree(np.array([1.0, 1.0]), 0.0, goal, OPEN_WS, 8.0,
                   PARAMS, np.random.default_rng(5), tau=0.1,
                   guards=(guard,))
 
@@ -253,7 +255,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
                 rng = np.random.default_rng(seed)
                 try:
                     positions, times, arrival = grow_tree(
-                        pos, t0, goal, ws, (t0, max(t0, goal.deadline)),
+                        pos, t0, goal, ws, max(t0, goal.deadline),
                         params, rng, tau=tau, v_max=2.0)
                 except TreeFailure:
                     failures += 1
@@ -402,6 +404,55 @@ def test_attempt_joins_its_trees_into_one_path():
             assert rows is None or len(times) == rows
 
 
+def test_next_goal_schedules_each_kind_of_sub_task():
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    reach = SubTask("F", TimeInterval(3, 6), None, target)
+    assert _next_goal(reach, None, 0.5) == Goal(target, (3, 6))
+    assert _next_goal(reach, 8, 0.5) is None
+    hold = SubTask("FG", TimeInterval(3, 6), TimeInterval(0, 2), target)
+    assert _next_goal(hold, None, 0.5) == Goal(target, (3, 6),
+                                               hold_after=2)
+    assert _next_goal(hold, 8, 0.5) is None
+    assert _next_goal(SubTask("G", TimeInterval(0, 6), None, target),
+                      None, 0.5) is None
+    # a patrol over the active interval [0, 3.7]: a visit within 0.7 s of
+    # the start and of every arrival, until 0.7 s covers the end
+    tau = 0.1
+    patrol = SubTask("GF", TimeInterval(0, 3), TimeInterval(0, 0.7), target)
+    assert _next_goal(patrol, None, tau) == Goal(target, (0, 0.7))
+    assert _next_goal(patrol, 5, tau) == Goal(target, (6 * tau,
+                                                       5 * tau + 0.7))
+    assert _next_goal(patrol, 29, tau) == Goal(target, (30 * tau,
+                                                        29 * tau + 0.7))
+    # 3.7 - 30 * tau is 0.7000000000000002: the window closing at 3.7
+    # was the last one
+    assert 3.7 - 30 * tau > 0.7
+    assert _next_goal(patrol, 30, tau) is None
+    assert _next_goal(patrol, 37, tau) is None
+
+
+def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
+        monkeypatch):
+    # the patrol comes first in sub-task order and its first window
+    # closes at 3, as the reach's does; the reach is grown to first
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    patrol = SubTask("GF", TimeInterval(0, 4), TimeInterval(0, 3), target)
+    reach = SubTask("F", TimeInterval(1, 3), None, target)
+    calls = []
+
+    def record(root_pos, root_time, goal, ws, end_time, *args, **kwargs):
+        calls.append((goal.window, end_time))
+        return (np.zeros((0, 2)), np.zeros(0),
+                grid_ceil(goal.deadline, kwargs["tau"]))
+
+    monkeypatch.setattr(st_planner, "grow_tree", record)
+    positions, times = _attempt((np.array([5.0, 5.0]), 0.0), OPEN_WS,
+                                PARAMS, np.random.default_rng(0),
+                                (patrol, reach), [], 0.5, 2.0, 8.0)
+    assert calls == [((1, 3), 8.0), ((0, 3), 8.0), ((3.5, 6), 8.0)]
+    assert times.tolist() == [0.0, 8.0]
+
+
 def test_plan_local_gives_up_on_an_impossible_hold():
     # the keep-in box is disjoint from the start, so every restart fails
     ws = make_ws(regions=[("k", (5.0, 5.0), (6.0, 6.0))])
@@ -417,11 +468,8 @@ def test_plan_local_gives_up_on_an_impossible_hold():
 
 def test_global_plan_covers_the_whole_grid(first_scenario_artifacts):
     plan = first_scenario_artifacts["plan"]
-    tau = first_scenario_artifacts["scenario"].tau
     assert len(plan.waypoints) == 601
     assert plan.waypoints.k0 == 0 and plan.waypoints.k_last == 600
-    assert np.array_equal(plan.waypoints.times,
-                          np.arange(601) * tau)
 
 
 def test_global_plan_satisfies_every_subtask(first_scenario_artifacts):

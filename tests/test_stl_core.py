@@ -53,7 +53,6 @@ def test_point_on_box_boundary_is_inside():
     box = Box((1.0, 1.0), (2.0, 2.0))
     assert box.contains((1.0, 1.5))
     assert box.contains((2.0, 2.0))
-    assert not box.interior_contains((1.0, 1.5))
 
 
 def test_segment_far_from_box_misses():
