@@ -1,21 +1,28 @@
 """Satisfaction checking of sub-tasks over uniform waypoint sequences.
 
 `stl_sat` decides each sub-task kind over the sample grid and, when
-satisfied, returns the time/region pairs that certify it.  Downstream
+satisfied, returns the time/region pairs that certify it.  Per call it
+compares the sequence's rows with the prop's box once, as one boolean
+array over the grid rows the check reads, and decides from that array
+alone.  Downstream
 the pairs become pointwise constraints of the trajectory optimizer, so
 the checker keeps them minimal where it can:
 
-* F: the earliest witness only.
-* G: every grid point in the window.
-* FG: the grid points of the first satisfying hold window.
+* F: the earliest witness only (the first True).
+* G: every grid point in the window (all True).
+* FG: the grid points of the first satisfying hold window (the first
+  window whose prefix-sum count of True rows is its length).
 * GF: every visit inside the active interval, accepted when every
-  anchored inner window holds a visit (the oracle's grid test).
+  anchored inner window holds a visit (the oracle's grid test, a
+  bisection over the True rows).
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+
+import numpy as np
 
 from .stl_core import CoverageError, _window_indices
 
@@ -59,52 +66,77 @@ def stl_sat(seq, sub):
     Returns (satisfied, pairs): a tuple of the certifying pairs, unique
     and in increasing k, empty whenever the sub-task is unsatisfied.
     """
-    seq.require_coverage(sub.active_interval())
-    outer_ks = sub.outer.grid_indices(seq.tau)
+    ai, tau = sub.active_interval(), seq.tau
+    seq.require_coverage(ai)
+    outer_ks = sub.outer.grid_indices(tau)
     if len(outer_ks) == 0:
         raise CoverageError(f"no grid point falls inside {sub.outer} at "
-                            f"step {seq.tau}")
-    if sub.kind == "F":
-        return _sat_eventually(seq, sub, outer_ks)
-    if sub.kind == "G":
-        return _sat_always(seq, sub, outer_ks)
+                            f"step {tau}")
     if sub.kind == "FG":
-        return _sat_reach_hold(seq, sub, outer_ks)
-    return _sat_recurring(seq, sub, outer_ks)
+        # the rows the hold windows read: with endpoints just inside the
+        # grid tolerance, the last one can end a row past ai's grid
+        ks = range(_window_indices(outer_ks[0], sub.inner, tau).start,
+                   _window_indices(outer_ks[-1], sub.inner, tau).stop)
+    else:
+        ks = ai.grid_indices(tau)
+    holds = _holds(seq, sub.prop, ks)
+    if sub.kind == "F":
+        return _sat_eventually(sub, ks, holds)
+    if sub.kind == "G":
+        return _sat_always(sub, ks, holds)
+    if sub.kind == "FG":
+        return _sat_reach_hold(sub, ks, holds, outer_ks, tau)
+    return _sat_recurring(sub, ks, holds, outer_ks, tau)
 
 
-def _sat_eventually(seq, sub, outer_ks):
-    for k in outer_ks:
-        if sub.prop.holds(seq.at_index(k)):
-            return True, (SatisfactionPair.make(k, sub.prop),)
-    return False, ()
+def _holds(seq, prop, ks):
+    """Whether prop holds at each grid index of the range ks, as one
+    boolean array: AtomicProp.holds' closed box comparisons, row-wise."""
+    j = ks.start - seq.k0
+    if j < 0 or j + len(ks) > len(seq):
+        raise CoverageError(f"grid indices {ks.start}..{ks.stop - 1} outside "
+                            f"[{seq.k0}, {seq.k_last}]")
+    pts = seq.positions[j:j + len(ks)]
+    box = prop.region.box
+    inside = np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
+    return ~inside if prop.negated else inside
 
 
-def _sat_always(seq, sub, outer_ks):
-    pairs = []
-    for k in outer_ks:
-        if not sub.prop.holds(seq.at_index(k)):
-            return False, ()
-        pairs.append(SatisfactionPair.make(k, sub.prop))
-    return True, tuple(pairs)
+def _pairs(prop, ks):
+    label = prop.label
+    return tuple(SatisfactionPair(k, label, prop) for k in ks)
 
 
-def _sat_reach_hold(seq, sub, outer_ks):
+def _sat_eventually(sub, ks, holds):
+    j = int(holds.argmax())
+    if not holds[j]:
+        return False, ()
+    return True, _pairs(sub.prop, ks[j:j + 1])
+
+
+def _sat_always(sub, ks, holds):
+    if not holds.all():
+        return False, ()
+    return True, _pairs(sub.prop, ks)
+
+
+def _sat_reach_hold(sub, ks, holds, outer_ks, tau):
+    # held[i] counts the rows before ks[i] at which the prop holds
+    held = np.concatenate(([0], np.cumsum(holds))).tolist()
     for k1 in outer_ks:
-        window = _window_indices(k1, sub.inner, seq.tau)
-        if all(sub.prop.holds(seq.at_index(k2)) for k2 in window):
-            return True, tuple(SatisfactionPair.make(k2, sub.prop)
-                               for k2 in window)
+        window = _window_indices(k1, sub.inner, tau)
+        a, b = window.start - ks.start, window.stop - ks.start
+        if held[b] - held[a] == b - a:
+            return True, _pairs(sub.prop, window)
     return False, ()
 
 
-def _sat_recurring(seq, sub, outer_ks):
-    visit_ks = [k for k in sub.active_interval().grid_indices(seq.tau)
-                if sub.prop.holds(seq.at_index(k))]
+def _sat_recurring(sub, ks, holds, outer_ks, tau):
+    visit_ks = [ks[j] for j in np.flatnonzero(holds).tolist()]
     for k1 in outer_ks:
         # the first visit at or after the window opens must lie inside it
-        window = _window_indices(k1, sub.inner, seq.tau)
+        window = _window_indices(k1, sub.inner, tau)
         i = bisect.bisect_left(visit_ks, window.start)
         if i == len(visit_ks) or visit_ks[i] not in window:
             return False, ()
-    return True, tuple(SatisfactionPair.make(k, sub.prop) for k in visit_ks)
+    return True, _pairs(sub.prop, visit_ks)

@@ -189,6 +189,20 @@ _SCENARIO = _table({
 }, required=("name", "tau", "workspace", "formula", "x0", "dynamics"))
 
 
+def _require_free_atoms(formula, ws):
+    """Reject an atom that no free point satisfies: a region, not
+    negated, that lies (closed) inside one obstacle box."""
+    for sub in formula.subtasks:
+        if sub.prop.negated:
+            continue
+        box = sub.prop.region.box
+        for i, o in enumerate(ws.obstacles):
+            if o.contains(box.lo) and o.contains(box.hi):
+                raise ConfigError(
+                    f"atom {sub.prop.label!r} of {sub} lies inside "
+                    f"obstacle {i}; no free point satisfies it")
+
+
 def load_scenario(source):
     """Load and validate a scenario from a path or a built-in name."""
     path = Path(source)
@@ -209,6 +223,8 @@ def load_scenario(source):
     x0 = np.array(spec["x0"])
     if not ws.point_free(x0[:2]):
         raise ConfigError("x0 position must be in free space")
+    formula = parse_formula(spec["formula"], ws, tau=tau)
+    _require_free_atoms(formula, ws)
     solver = spec.get("solver", {})
     optional = {key: spec[key] for key in ("seed", "notes") if key in spec}
     optional.update((key, solver.pop(key))
@@ -217,8 +233,7 @@ def load_scenario(source):
                     for key, value in spec.get("corridor", {}).items())
     return Scenario(
         name=spec["name"], tau=tau, workspace=ws,
-        formula_text=spec["formula"],
-        formula=parse_formula(spec["formula"], ws, tau=tau), x0=x0,
+        formula_text=spec["formula"], formula=formula, x0=x0,
         model=unicycle_model(tau, **{f"{axis}_bounds": dyn[axis]
                                      for axis in ("v", "omega")
                                      if axis in dyn}),

@@ -21,6 +21,11 @@ final piece is planned as one more sub-task of that piece's window.
 Tree edges move at most a fixed step in space and a bounded stride in
 time, and are rejected when they would exceed the commanded speed limit,
 so consecutive grid waypoints always stay within reach of the vehicle.
+The tree's rows live in numpy arrays, searched as arrays for the
+nearest vertex; each new vertex and edge is tested on plain floats
+(obstacles, guards, goal region).  Edge lengths alone stay numpy: the
+square root of the difference's dot product, which is what
+np.linalg.norm computes and differs in the last bit from math.hypot.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .satisfaction import SatisfactionSet, stl_sat
-from .stl_core import PointSequence, StlError, grid_ceil
+from .stl_core import PointSequence, StlError, _floats, grid_ceil
 
 _MIN_EDGE_DT = 1e-6
 _TIME_TOL = 1e-9
@@ -120,12 +125,12 @@ class Goal:
 def nearest(positions, times, pos, time):
     """Index of the position-nearest row strictly earlier than time,
     earliest row on distance ties; None when no row qualifies."""
-    mask = times < time
-    if not mask.any():
-        return None
-    d2 = ((positions - np.asarray(pos)) ** 2).sum(axis=1)
-    d2 = np.where(mask, d2, np.inf)
-    return int(np.argmin(d2))
+    d = positions - pos
+    d *= d
+    d2 = d.sum(axis=1)
+    d2[times >= time] = np.inf
+    i = int(d2.argmin())
+    return i if times[i] < time else None
 
 
 def steer(near_pos, near_time, samp_pos, samp_time, params, tau):
@@ -134,7 +139,7 @@ def steer(near_pos, near_time, samp_pos, samp_time, params, tau):
     near_pos = np.asarray(near_pos, dtype=float)
     samp_pos = np.asarray(samp_pos, dtype=float)
     delta = samp_pos - near_pos
-    dist = float(np.linalg.norm(delta))
+    dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's float operations
     if dist > params.step:
         new_pos = near_pos + delta * (params.step / dist)
     else:
@@ -170,21 +175,26 @@ def sample(ws, target, window, params, rng, keepins=()):
 
 
 def _interp(p0, t0, p1, t1, t):
+    """The point at time t on the edge between the float lists p0 and p1."""
     if t1 == t0:
         return p0
     s = (t - t0) / (t1 - t0)
-    return p0 + s * (p1 - p0)
+    return [a + s * (b - a) for a, b in zip(p0, p1)]
 
 
 def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
     """Validate one motion: duration, speed, obstacles, and the windowed
-    keep-in / keep-out constraints on the overlapped sub-segment."""
+    keep-in / keep-out constraints on the overlapped sub-segment.
+
+    The length is np.linalg.norm's square root of the difference's dot
+    product; everything after it runs on the endpoints as plain floats."""
     dt = t1 - t0
     if dt < _MIN_EDGE_DT:
         return False
-    dist = float(np.linalg.norm(np.asarray(p1) - np.asarray(p0)))
-    if dist > v_max * dt * (1.0 + 1e-9):
+    d = np.subtract(p1, p0)
+    if math.sqrt(d.dot(d)) > v_max * dt * (1.0 + 1e-9):
         return False
+    p0, p1 = _floats(p0), _floats(p1)
     if ws.segment_collides(p0, p1):
         return False
     for g in guards:
@@ -267,19 +277,20 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     times[0] = root_time
     parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
-    t_hi = end_time + params.resolved_overshoot(tau)
+    target = goal.sample_box
+    window = (root_time, end_time + params.resolved_overshoot(tau))
     for _ in range(params.max_iters_per_tree):
-        samp_pos, samp_time = sample(ws, goal.sample_box,
-                                     (root_time, t_hi), params, rng,
+        samp_pos, samp_time = sample(ws, target, window, params, rng,
                                      keepins=keepins)
         n = len(parent)
         ni = nearest(positions[:n], times[:n], samp_pos, samp_time)
         if ni is None:
             continue
-        new_pos, new_time = steer(positions[ni], times[ni],
-                                  samp_pos, samp_time, params, tau)
-        if not _edge_ok(ws, guards, positions[ni], times[ni],
-                        new_pos, new_time, v_max):
+        near_pos, near_time = positions[ni], float(times[ni])
+        new_pos, new_time = steer(near_pos, near_time, samp_pos, samp_time,
+                                  params, tau)
+        if not _edge_ok(ws, guards, near_pos, near_time, new_pos, new_time,
+                        v_max):
             continue
         done = _try_complete(goal, new_pos, new_time, tau, ws, guards)
         if done is not None:

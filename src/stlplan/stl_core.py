@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,35 @@ def grid_floor(t, tau):
 # ---------------------------------------------------------------------------
 # geometry
 
+def _floats(p):
+    """The coordinates of point p as plain floats: a numpy array is
+    converted once, a list or tuple is used as it is."""
+    return p.tolist() if isinstance(p, np.ndarray) else p
+
+
+def _slab_hit(a, b, lo, hi):
+    """Box.segment_intersects on the float sequences a and b and the
+    box bounds lo and hi."""
+    tmin, tmax = 0.0, 1.0
+    for u, v, l, h in zip(a, b, lo, hi):
+        d = v - u
+        if d == 0.0:
+            if u < l or u > h:
+                return False
+            continue
+        t1 = (l - u) / d
+        t2 = (h - u) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        if t1 > tmin:
+            tmin = t1
+        if t2 < tmax:
+            tmax = t2
+        if tmin > tmax:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Box:
     """Closed axis-aligned box given by per-axis lower and upper bounds."""
@@ -108,7 +138,10 @@ class Box:
         return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
 
     def contains(self, p):
-        return all(l <= v <= h for v, l, h in zip(p, self.lo, self.hi))
+        for v, l, h in zip(_floats(p), self.lo, self.hi):
+            if not l <= v <= h:
+                return False
+        return True
 
     def intersect(self, other):
         """Closed intersection with positive extent on every axis, or None."""
@@ -129,27 +162,16 @@ class Box:
         Slab clipping of the segment parameter; touching a face or a
         corner counts as a hit.
         """
-        tmin, tmax = 0.0, 1.0
-        for i in range(self.dim):
-            d = b[i] - a[i]
-            if d == 0.0:
-                if a[i] < self.lo[i] or a[i] > self.hi[i]:
-                    return False
-                continue
-            t1 = (self.lo[i] - a[i]) / d
-            t2 = (self.hi[i] - a[i]) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            tmin = max(tmin, t1)
-            tmax = min(tmax, t2)
-            if tmin > tmax:
-                return False
-        return True
+        return _slab_hit(_floats(a), _floats(b), self.lo, self.hi)
+
+    @cached_property
+    def _lo_and_span(self):
+        lo = np.asarray(self.lo)
+        return lo, np.asarray(self.hi) - lo
 
     def sample(self, rng):
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return lo + rng.random(self.dim) * (hi - lo)
+        lo, span = self._lo_and_span
+        return lo + rng.random(self.dim) * span
 
 
 @dataclass(frozen=True)
@@ -162,7 +184,13 @@ class Region:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Bounded planar workspace with box obstacles and labeled regions."""
+    """Bounded planar workspace with box obstacles and labeled regions.
+
+    in_obstacle, point_free and segment_collides test one point or
+    segment: they convert it to plain floats once and loop over the
+    obstacles, sharing Box's closed tests.  points_free and
+    segments_collide test many at once as arrays, with the same float
+    operations."""
 
     bounds: Box
     obstacles: tuple
@@ -191,14 +219,23 @@ class Workspace:
             raise UnknownRegionError(f"unknown region {name!r}") from None
 
     def in_obstacle(self, p):
-        return any(o.contains(p) for o in self.obstacles)
+        p = _floats(p)
+        for o in self.obstacles:
+            if o.contains(p):
+                return True
+        return False
 
     def point_free(self, p):
+        p = _floats(p)
         return self.bounds.contains(p) and not self.in_obstacle(p)
 
     def segment_collides(self, a, b):
         """True when the segment touches any obstacle (closed test)."""
-        return any(o.segment_intersects(a, b) for o in self.obstacles)
+        a, b = _floats(a), _floats(b)
+        for o in self.obstacles:
+            if _slab_hit(a, b, o.lo, o.hi):
+                return True
+        return False
 
     def points_free(self, P):
         """point_free of each row of the (N, d) array P."""

@@ -4,22 +4,27 @@ generators, dense references for the Newton system of a transcription,
 per-step loop references for the corridor check and the transcription
 bounds, the round-by-round box growth, the per-grid-point path sampling
 and the per-step initial guess that the array versions must reproduce
-bit for bit, and a call counter.
+bit for bit, the generator-based point and segment predicates and the
+per-point satisfaction checker that the float and membership-array
+versions must agree with, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists with tolerant interval membership instead of
 integer grid indices, so agreement between the two is meaningful.
 """
 
+import bisect
 import math
 
 import numpy as np
 
 from stlplan.corridor import CorridorError, DEFAULT_STEP
+from stlplan.satisfaction import SatisfactionPair
 from stlplan.optimizer import (InfeasibleConstraintError, _step_jacobians,
                                _time_major_order)
-from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
-                              SubTask, TimeInterval, Workspace)
+from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
+                              Region, SubTask, TimeInterval, Workspace,
+                              _window_indices)
 
 TIME_EPS = 1e-9
 
@@ -357,6 +362,83 @@ def reference_discretize_path(positions, times, k_lo, k_hi, tau):
             s = (t - times[i]) / (times[i + 1] - times[i])
             out[j] = positions[i] + s * (positions[i + 1] - positions[i])
     return PointSequence(k_lo, tau, out)
+
+
+def reference_contains(box, p):
+    """Box.contains through a generator over the point as given."""
+    return all(l <= v <= h for v, l, h in zip(p, box.lo, box.hi))
+
+
+def reference_segment_intersects(box, a, b):
+    """Box.segment_intersects' slab clipping indexed per axis on the
+    points as given (numpy scalars for arrays)."""
+    tmin, tmax = 0.0, 1.0
+    for i in range(box.dim):
+        d = b[i] - a[i]
+        if d == 0.0:
+            if a[i] < box.lo[i] or a[i] > box.hi[i]:
+                return False
+            continue
+        t1 = (box.lo[i] - a[i]) / d
+        t2 = (box.hi[i] - a[i]) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        tmin = max(tmin, t1)
+        tmax = min(tmax, t2)
+        if tmin > tmax:
+            return False
+    return True
+
+
+def reference_in_obstacle(ws, p):
+    return any(reference_contains(o, p) for o in ws.obstacles)
+
+
+def reference_segment_collides(ws, a, b):
+    return any(reference_segment_intersects(o, a, b) for o in ws.obstacles)
+
+
+def _reference_holds(prop, p):
+    inside = reference_contains(prop.region.box, p)
+    return not inside if prop.negated else inside
+
+
+def reference_stl_sat(seq, sub):
+    """satisfaction.stl_sat deciding one grid point at a time."""
+    seq.require_coverage(sub.active_interval())
+    outer_ks = sub.outer.grid_indices(seq.tau)
+    if len(outer_ks) == 0:
+        raise CoverageError(f"no grid point falls inside {sub.outer}")
+
+    def holds(k):
+        return _reference_holds(sub.prop, seq.at_index(k))
+
+    def pairs(ks):
+        return tuple(SatisfactionPair.make(k, sub.prop) for k in ks)
+
+    if sub.kind == "F":
+        for k in outer_ks:
+            if holds(k):
+                return True, pairs([k])
+        return False, ()
+    if sub.kind == "G":
+        if all(holds(k) for k in outer_ks):
+            return True, pairs(outer_ks)
+        return False, ()
+    if sub.kind == "FG":
+        for k1 in outer_ks:
+            window = _window_indices(k1, sub.inner, seq.tau)
+            if all(holds(k2) for k2 in window):
+                return True, pairs(window)
+        return False, ()
+    visit_ks = [k for k in sub.active_interval().grid_indices(seq.tau)
+                if holds(k)]
+    for k1 in outer_ks:
+        window = _window_indices(k1, sub.inner, seq.tau)
+        i = bisect.bisect_left(visit_ks, window.start)
+        if i == len(visit_ks) or visit_ks[i] not in window:
+            return False, ()
+    return True, pairs(visit_ks)
 
 
 def reference_initial_guess(problem, waypoints):

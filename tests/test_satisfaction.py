@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import honoring_sequence, random_instance, region_atom
+from helpers import (honoring_sequence, random_instance, reference_stl_sat,
+                     region_atom)
 from stlplan.satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
 from stlplan.stl_core import (CoverageError, PointSequence, SubTask,
                               TimeInterval, oracle_satisfies)
@@ -149,3 +150,86 @@ def test_any_sequence_honoring_the_pairs_satisfies_the_subtask():
         produced += 1
         other = honoring_sequence(seq, sub, pairs, rng)
         assert oracle_satisfies(other, sub)
+
+
+def _same_verdict(seq, sub):
+    ok, pairs = stl_sat(seq, sub)
+    ref_ok, ref_pairs = reference_stl_sat(seq, sub)
+    assert ok == ref_ok
+    assert pairs == ref_pairs
+    return ok, pairs
+
+
+def test_membership_checker_matches_the_per_point_reference():
+    rng = np.random.default_rng(202)
+    seen = {(kind, ok): 0 for kind in ("F", "G", "FG", "GF")
+            for ok in (False, True)}
+    for _ in range(1200):
+        seq, sub = random_instance(rng, inside_bias=float(rng.random()))
+        if rng.random() < 0.3:
+            # every coordinate on a face of the region or just past it
+            box = sub.prop.region.box
+            grid = np.array([box.lo, box.hi, np.nextafter(box.lo, -1.0),
+                             np.nextafter(box.hi, 11.0)])
+            pick = rng.integers(0, 4, seq.positions.shape)
+            seq = PointSequence(seq.k0, seq.tau,
+                                np.take_along_axis(grid, pick, axis=0))
+        if rng.random() < 0.3:
+            # the same rows, with the sequence and the clause 7 steps later
+            shift = 7 * seq.tau
+            seq = PointSequence(7, seq.tau, seq.positions)
+            sub = SubTask(sub.kind, TimeInterval(sub.outer.lo + shift,
+                                                 sub.outer.hi + shift),
+                          sub.inner, sub.prop)
+        ok, _ = _same_verdict(seq, sub)
+        seen[sub.kind, ok] += 1
+    assert min(seen.values()) > 20
+
+
+EXPECTED_AT_THE_ENDS = {
+    ("F", "first"): [True, True, False, True],
+    ("F", "last"): [True, True, False, True],
+    ("G", "first"): [False, False, False, True],
+    ("G", "last"): [False, False, False, True],
+    ("FG", "first"): [True, True, False, True],
+    ("FG", "last"): [True, True, False, True],
+    ("GF", "first"): [False, True, False, True],
+    ("GF", "last"): [False, True, False, True],
+}
+
+
+@pytest.mark.parametrize("kind", ["F", "G", "FG", "GF"])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_membership_checker_at_both_ends_of_the_active_interval(kind, end):
+    # outer [1, 3], inner [0, 1], tau 0.5: the active interval of F/G is
+    # grid 2..6 and that of FG/GF grid 2..8, inside a sequence 0..10
+    inner = TimeInterval(0, 1) if kind in ("FG", "GF") else None
+    sub = SubTask(kind, TimeInterval(1, 3), inner, ATOM)
+    ks = sub.active_interval().grid_indices(0.5)
+    edge = ks[0] if end == "first" else ks[-1]
+    width = 3 if kind in ("FG", "GF") else 1  # one inner window of rows
+    rows = range(edge, edge + width) if end == "first" else \
+        range(edge - width + 1, edge + 1)
+    # the prop holds only on rows at the chosen end, then also on every
+    # row of the active interval but the one at that end
+    verdicts = [_same_verdict(_seq(inside, 0.5, 11), sub)[0]
+                for inside in (list(rows), [k for k in ks if k != edge])]
+    # and one row past the end, where the clause must not look
+    beyond = edge - 1 if end == "first" else edge + 1
+    verdicts += [_same_verdict(_seq(inside, 0.5, 11), sub)[0]
+                 for inside in ([beyond], [k for k in range(11)
+                                           if k != beyond])]
+    assert verdicts == EXPECTED_AT_THE_ENDS[kind, end]
+
+
+def test_reach_hold_reads_a_window_row_past_the_active_grid():
+    # both upper endpoints sit just below the grid, within the alignment
+    # tolerance: the active interval's grid ends at k=14, the last hold
+    # window (anchored at k=10) at k=15
+    tau = 0.1
+    sub = SubTask("FG", TimeInterval(0, 0.99999999993),
+                  TimeInterval(0, 0.49999999994), ATOM)
+    assert sub.active_interval().grid_indices(tau)[-1] == 14
+    ok, pairs = _same_verdict(_seq(range(10, 16), tau, 16), sub)
+    assert ok and [p.k for p in pairs] == list(range(10, 16))
+    assert not _same_verdict(_seq(range(10, 15), tau, 16), sub)[0]

@@ -92,6 +92,47 @@ def test_every_builtin_loads_and_round_trips_its_formula():
         assert s.horizon_steps * s.tau == pytest.approx(s.formula.horizon)
 
 
+def _shipped_data(name):
+    base = Path(scenario_cli.__file__).parent / "scenarios"
+    return json.loads((base / f"{name}.json").read_text())
+
+
+def test_a_reach_region_inside_an_obstacle_is_rejected(tmp_path, capsys):
+    # scenario3 with one obstacle over its upper part: mu2 lies inside it,
+    # so no free point reaches mu2; planning used to grind through every
+    # restart before failing
+    data = _shipped_data("scenario3")
+    data["workspace"]["obstacles"] = [[[0.0, 10.0], [1.5, 6.0]]]
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ConfigError, match=r"atom 'mu2' of F\[0,25\] mu2 "
+                                          r"lies inside obstacle 0"):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == 4
+    assert "mu2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula, box, ok", [
+    ("F[0,2] goal", [[2.0, 3.0], [2.0, 3.0]], False),   # exactly the region
+    ("G[0,2] goal", [[1.0, 3.5], [1.0, 3.5]], False),   # keep-in, inside
+    ("F[0,2] (goal & wide)", [[2.0, 3.0], [2.0, 3.0]], False),
+    ("G[0,2] !goal", [[2.0, 3.0], [2.0, 3.0]], True),   # negated
+    ("F[0,2] wide", [[2.0, 3.0], [2.0, 3.0]], True),    # unused region
+    ("F[0,2] goal", [[2.0, 3.0], [2.0, 2.9]], True),    # sticks out
+], ids=["equal", "keep-in", "conjunction", "negated", "unused", "partly"])
+def test_only_unsatisfiable_atoms_inside_an_obstacle_are_rejected(
+        tmp_path, formula, box, ok):
+    data = _tiny_data()
+    data["workspace"]["regions"]["wide"] = [[1.0, 3.5], [1.0, 3.5]]
+    data["workspace"]["obstacles"] = [box]
+    data["formula"] = formula
+    path = _write_scenario(tmp_path, data)
+    if ok:
+        load_scenario(path)
+    else:
+        with pytest.raises(ConfigError, match="inside obstacle 0"):
+            load_scenario(path)
+
+
 def test_unknown_sources_are_config_errors():
     with pytest.raises(ConfigError):
         load_scenario("scenario9")

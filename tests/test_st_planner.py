@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_ws, reference_discretize_path, region_atom
+from helpers import (make_ws, reference_contains, reference_discretize_path,
+                     reference_in_obstacle, reference_segment_collides,
+                     reference_segment_intersects, reference_stl_sat,
+                     region_atom)
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionSet, stl_sat
 from stlplan import st_planner
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, TreeFailure, _attempt,
-                                _next_goal, discretize_path, grow_tree,
+                                _edge_ok, _next_goal, discretize_path,
+                                grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
-from stlplan.stl_core import (PointSequence, SubTask, TimeInterval,
-                              grid_ceil, oracle_satisfies,
+from stlplan.stl_core import (Box, PointSequence, SubTask, TimeInterval,
+                              Workspace, grid_ceil, oracle_satisfies,
                               oracle_satisfies_formula, parse_formula)
 
 PARAMS = PlannerParams()
@@ -80,6 +84,13 @@ def test_nearest_prefers_strictly_earlier_vertices():
     assert nearest(positions, times, [2.0, 0.0], 0.0) is None
 
 
+def test_nearest_skips_a_nearer_vertex_at_the_sample_time():
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    times = np.array([0.0, 1.0, 2.0])
+    assert nearest(positions, times, [2.0, 0.0], 1.0) == 0
+    assert nearest(positions, times, [2.0, 0.0], 2.0) == 1
+
+
 def test_nearest_breaks_ties_by_insertion_order():
     positions = np.array([[0.0, 1.0], [0.0, -1.0]])  # same distance to 0
     times = np.array([0.0, 0.0])
@@ -124,6 +135,56 @@ def test_steer_clamps_to_the_spatial_step():
 def test_steer_clamps_time_to_the_sample():
     _, t = steer([0.0, 0.0], 0.0, [0.1, 0.0], 0.3, PARAMS, 0.1)
     assert t == 0.3
+
+
+def test_edge_points_use_the_array_interpolation_formula():
+    # guards test the edge at a window's ends on plain floats; the points
+    # must be those of numpy's p0 + s * (p1 - p0), bit for bit
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        p0, p1 = rng.uniform(-10, 10, (2, 2))
+        t0, t1 = sorted(rng.uniform(0, 10, 2))
+        t = float(rng.uniform(t0, t1))
+        s = (t - t0) / (t1 - t0)
+        want = p0 + s * (p1 - p0)
+        got = st_planner._interp(p0.tolist(), t0, p1.tolist(), t1, t)
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def _speed_limit_for(threshold):
+    """A v_max whose one-second speed threshold in _edge_ok,
+    v_max * 1.0 * (1.0 + 1e-9), is exactly threshold, or None."""
+    v = threshold / (1.0 + 1e-9)
+    for _ in range(4):
+        got = v * 1.0 * (1.0 + 1e-9)
+        if got == threshold:
+            return v
+        v = float(np.nextafter(v, math.inf if got < threshold else 0.0))
+    return None
+
+
+def test_tree_lengths_are_np_linalg_norm_to_the_bit():
+    # math.hypot and sqrt(x*x + y*y) differ from np.linalg.norm by one ulp
+    # on several percent of such vectors; either would move plans
+    vectors = np.random.default_rng(0).uniform(-10, 10, (20000, 2))
+    origin = np.zeros(2)
+    clamped = speed_tests = 0
+    for d in vectors:
+        dist = float(np.linalg.norm(d))
+        p, _ = steer(origin, 0.0, d, 1.0, PARAMS, 0.1)
+        if dist > PARAMS.step:
+            clamped += 1
+            assert p.tobytes() == (d * (PARAMS.step / dist)).tobytes()
+        # a speed threshold equal to the length passes the edge, one ulp
+        # below it fails the edge
+        for threshold, ok in ((dist, True),
+                              (float(np.nextafter(dist, 0.0)), False)):
+            v_max = _speed_limit_for(threshold)
+            if v_max is not None:
+                speed_tests += 1
+                assert _edge_ok(OPEN_WS, (), origin, 0.0, d, 1.0,
+                                v_max) is ok
+    assert clamped > 19000 and speed_tests > 38000
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +634,33 @@ def test_each_disjunctive_set_is_certified_by_its_first_holding_piece(name):
             assert [(p.k, p.label) for p in plan.pairs
                     if p.label == label] == \
                 [(p.k, p.label) for p in first]
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_plans_match_those_of_the_reference_predicates(name, monkeypatch):
+    from dataclasses import replace
+    from stlplan.scenario_cli import load_scenario
+
+    scenario = load_scenario(name)
+    dec = decompose(scenario.formula, scenario.tau)
+
+    def plans():
+        out = []
+        for seed in range(5):
+            params = replace(scenario.planner, rng_seed=seed)
+            plan = plan_global(dec, scenario.x0[:2], scenario.workspace,
+                               params, tau=scenario.tau,
+                               v_max=scenario.model.speed_limit)
+            out.append((plan.waypoints.positions.tobytes(),
+                        [(p.k, p.label) for p in plan.pairs]))
+        return out
+
+    fast = plans()
+    monkeypatch.setattr(Box, "contains", reference_contains)
+    monkeypatch.setattr(Box, "segment_intersects",
+                        reference_segment_intersects)
+    monkeypatch.setattr(Workspace, "in_obstacle", reference_in_obstacle)
+    monkeypatch.setattr(Workspace, "segment_collides",
+                        reference_segment_collides)
+    monkeypatch.setattr(st_planner, "stl_sat", reference_stl_sat)
+    assert plans() == fast

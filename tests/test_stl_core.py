@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import (direct_eval, make_ws, oracle_satisfies_until,
-                     random_instance, region_atom)
+                     random_instance, reference_contains,
+                     reference_in_obstacle, reference_segment_collides,
+                     reference_segment_intersects, region_atom)
 from stlplan.stl_core import (AtomicProp, Box, CoverageError,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
@@ -145,6 +147,79 @@ def test_batched_predicates_on_touching_and_degenerate_segments():
     assert scalar == batched
     assert batched == ([True] * 8, [False] * 8)
     assert empty.segments_collide(A[:0], B[:0]).shape == (0,)
+
+
+def _point_forms(p):
+    return [np.array(p, dtype=float), [float(v) for v in p],
+            tuple(float(v) for v in p)]
+
+
+def _scalar_and_reference(ws, a, b):
+    """Every float predicate on a and on the segment a-b, in numpy, list
+    and tuple form, beside the generator references on the same input."""
+    got, want = [], []
+    for pa, pb in zip(_point_forms(a), _point_forms(b)):
+        got.append((ws.in_obstacle(pa), ws.point_free(pa),
+                    ws.segment_collides(pa, pb),
+                    [o.contains(pa) for o in ws.obstacles],
+                    [o.segment_intersects(pa, pb) for o in ws.obstacles]))
+        want.append((reference_in_obstacle(ws, pa),
+                     reference_contains(ws.bounds, pa)
+                     and not reference_in_obstacle(ws, pa),
+                     reference_segment_collides(ws, pa, pb),
+                     [reference_contains(o, pa) for o in ws.obstacles],
+                     [reference_segment_intersects(o, pa, pb)
+                      for o in ws.obstacles]))
+    return got, want
+
+
+def test_float_predicates_match_the_generator_references():
+    # half-unit grid coordinates put points on faces and corners, make
+    # obstacles touch and segments graze them; zeroed axes give
+    # axis-parallel and zero-length segments
+    rng = np.random.default_rng(23)
+    hits = [0, 0]
+    for trial in range(150):
+        obstacles = []
+        for _ in range(int(rng.integers(1, 5))):
+            lo = rng.integers(0, 17, size=2) / 2.0
+            obstacles.append((tuple(lo),
+                              tuple(lo + rng.integers(1, 5, size=2) / 2.0)))
+        ws = make_ws(obstacles=obstacles)
+        for _ in range(20):
+            a = rng.integers(-1, 22, size=2) / 2.0
+            if rng.random() < 0.5:
+                a += rng.uniform(-0.5, 0.5, size=2)
+            d = rng.integers(-6, 7, size=2) / 2.0
+            d[rng.random(2) < 0.3] = 0.0
+            got, want = _scalar_and_reference(ws, a, a + d)
+            assert got == want
+            hits[got[0][2]] += 1
+    assert min(hits) > 200
+
+
+@pytest.mark.parametrize("a, b, hit", [
+    ((4.0, 5.0), (4.0, 5.0), True),    # zero length, on the shared face
+    ((6.0, 4.5), (6.0, 4.5), True),    # zero length, on the outer face
+    ((6.0001, 5.0), (6.0001, 5.0), False),
+    ((4.0, 2.0), (4.0, 8.0), True),    # along the shared face
+    ((2.0, 4.0), (8.0, 4.0), True),    # along the bottom faces
+    ((2.0, 3.9), (8.0, 3.9), False),   # parallel, just below
+    ((3.0, 7.0), (7.0, 3.0), True),    # through the corner (5, 5)
+    ((1.0, 4.5), (3.0, 2.5), False),   # diagonal passing below (2, 4)
+    ((7.0, 7.0), (6.0, 6.0), True),    # ending on the outer corner
+    ((5.0, 5.0), (3.0, 5.0), True),    # from inside out across a face
+], ids=["zero-length-shared-face", "zero-length-face", "zero-length-off",
+        "along-shared-face", "along-bottom-faces", "parallel-below",
+        "through-corner", "diagonal-miss", "ending-on-corner",
+        "inside-out"])
+def test_float_predicates_on_named_cases(a, b, hit):
+    # two obstacles touching along x = 4
+    ws = make_ws(obstacles=[((2.0, 4.0), (4.0, 6.0)),
+                            ((4.0, 4.0), (6.0, 6.0))])
+    got, want = _scalar_and_reference(ws, a, b)
+    assert got == want
+    assert all(g[2] == hit for g in got)
 
 
 def test_duplicate_region_names_rejected():
