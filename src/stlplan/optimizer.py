@@ -13,9 +13,12 @@ quadratic, the penalty contributes rho J'J from the dynamics Jacobian,
 and bounds hold exactly at every iterate.  In time-major order the
 normal equations form a symmetric band of half-width at most 2n+m-1,
 held in LAPACK lower band storage; variables held at an active bound
-are pinned to a zero step rather than sliced out, and the band is
-factored by Cholesky.  If the factorization fails, the iteration takes
-the projected gradient step instead.
+are pinned to a zero step rather than sliced out.  The band lives in a
+workspace allocated once per solve: each iteration fills it in place,
+LAPACK pbtrf factors it by Cholesky in place (the storage is
+Fortran-ordered, so nothing is copied) and pbtrs solves with the
+factor.  If the factorization fails, the iteration takes the projected
+gradient step instead.
 
 Avoidance of a box region is nonconvex; it is enforced by picking, per
 certified time, the separating face with the largest clearance at the
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .stl_core import StlError
 
@@ -164,18 +167,18 @@ class NlpProblem:
         return lb, ub
 
     def cost(self, states, inputs):
-        du = np.diff(inputs, axis=0)
-        dx = np.diff(states, axis=0)
+        du = inputs[1:] - inputs[:-1]
+        dx = states[1:] - states[:-1]
         return float((du ** 2 @ self.q_weights).sum()
                      + (dx ** 2 @ self.r_weights).sum())
 
     def cost_grad(self, states, inputs):
         gs = np.zeros_like(states)
         gu = np.zeros_like(inputs)
-        du = np.diff(inputs, axis=0) * (2.0 * self.q_weights)
+        du = (inputs[1:] - inputs[:-1]) * (2.0 * self.q_weights)
         gu[1:] += du
         gu[:-1] -= du
-        dx = np.diff(states, axis=0) * (2.0 * self.r_weights)
+        dx = (states[1:] - states[:-1]) * (2.0 * self.r_weights)
         gs[1:] += dx
         gs[:-1] -= dx
         return gs, gu
@@ -387,15 +390,30 @@ class NlpSolution:
     log: list = field(default_factory=list)
 
 
-def _projected_gradient_norm(z, g, lb, ub):
-    pg = np.array(g, dtype=float)
-    at_lb = z <= lb + 1e-12
-    at_ub = z >= ub - 1e-12
-    fixed = at_lb & at_ub
-    pg[at_lb] = np.minimum(pg[at_lb], 0.0)
-    pg[at_ub] = np.maximum(pg[at_ub], 0.0)
-    pg[fixed] = 0.0
-    return float(np.max(np.abs(pg))) if len(pg) else 0.0
+class _Bounds:
+    """Packed bounds lb, ub and the shifted copies that the inner
+    iteration's bound tests compare against, computed once per solve."""
+
+    def __init__(self, lb, ub):
+        self.lb, self.ub = lb, ub
+        self._active = (lb + 1e-11, ub - 1e-11)
+        self._stationary = (lb + 1e-12, ub - 1e-12)
+
+    @staticmethod
+    def _blocked(z, g, lo, hi):
+        # at or below lo with the descent direction -g pointing down, or
+        # at or above hi with it pointing up
+        return ((z <= lo) & (g > 0.0)) | ((z >= hi) & (g < 0.0))
+
+    def active(self, z, g):
+        """Variables at a bound that the gradient pushes against."""
+        return self._blocked(z, g, *self._active)
+
+    def projected_gradient_norm(self, z, g):
+        """Largest |g_i| over the variables whose descent direction no
+        bound blocks; 0 when there is none."""
+        blocked = self._blocked(z, g, *self._stationary)
+        return float(np.where(blocked, 0.0, np.abs(g)).max(initial=0.0))
 
 
 def _time_major_order(K, n, m):
@@ -407,33 +425,49 @@ def _time_major_order(K, n, m):
     return np.concatenate([np.hstack([x[:-1], u]).ravel(), x[-1]])
 
 
-def _step_jacobians(A, B):
-    """Jacobian of each defect c_k = x_{k+1} - f(x_k, u_k) with respect
-    to its window (x_k, u_k, x_{k+1}): J_k = [-A_k, -B_k, I]."""
-    K, n = A.shape[:2]
-    eye = np.broadcast_to(np.eye(n), (K, n, n))
-    return np.concatenate([-A, -B, eye], axis=2)
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 # perfbench times factorizations under this name; the rename waits for
 # the benchmark change in ROADMAP item 1
 def splu(ab):
-    return cholesky_banded(ab, lower=True, check_finite=False)
+    """Cholesky factor of a symmetric positive definite band in LAPACK
+    lower band storage, computed by LAPACK pbtrf in place: ab is
+    overwritten by its factor, which is returned.  ab must be
+    Fortran-ordered, as _NewtonBand.matrix returns it; otherwise the
+    factor lands in a copy.  Raises LinAlgError when a leading minor is
+    not positive definite."""
+    factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise LinAlgError(f"leading minor {info} of the band is not "
+                          f"positive definite")
+    return factor
 
 
 class _NewtonBand:
     """The Gauss-Newton matrix Hq + rho J'J of one problem in LAPACK
-    lower band storage.
+    lower band storage, filled in a workspace allocated once per solve.
 
     In time-major order step k's defect touches only the contiguous
     window (x_k, u_k, x_{k+1}), so the matrix is a band of half-width at
     most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for d = 0..bw.
-    Hq is a constant band (a variable's difference partner sits n+m
-    further on), built once per solve with the slots that scatter each
-    window's lower-triangle J_k'J_k into the band; an iteration only
-    fills values.  Active variables are pinned (their rows and columns
-    replaced by the identity's, with a zero right-hand side) instead of
-    sliced out, and the band is factored by Cholesky.
+    The workspace holds that storage transposed, as an (N, 2n+m) C
+    array: its transpose is Fortran-ordered, so LAPACK factors it in
+    place with no copy.  Hq is a constant band built once.
+
+    Each iteration writes J_k = [-A_k, -B_k, I] and its transpose into
+    buffers whose identity blocks are written once, and forms every
+    J_k'J_k with one matmul of contiguous operands.  That call stays as
+    it is: OpenBLAS's kernel fuses multiply and add, so an elementwise
+    or einsum product differs in the last bit.  One gather moves window
+    k's lower triangle into rows k(n+m) .. k(n+m)+n+m-1 of the band.
+    The rows of x_{k+1} are shared with window k+1; there window k's
+    block is I'I = I exactly, so it adds 1 to their diagonal.  The band
+    is scaled by rho and Hq added, in place.  Active variables are
+    pinned (their rows and columns replaced by the identity's, with a
+    zero right-hand side) instead of sliced out; few are active, so
+    only their slots are touched.  The band and the solution are
+    overwritten by the next call.
     """
 
     def __init__(self, problem):
@@ -448,33 +482,63 @@ class _NewtonBand:
         weights = 2.0 * np.tile(np.concatenate([problem.r_weights,
                                                 problem.q_weights]),
                                 K + 1)[:pairs]
-        self.hq = np.zeros((w, N))
-        self.hq[0, :pairs] += weights
-        self.hq[0, N - pairs:] += weights
-        self.hq[s, :pairs] = -weights
-        # window entry (a, b) of step k sits at ab[a - b, k*s + b] when
-        # a >= b; the upper triangle goes to one spare slot past the end
-        rows, cols = np.indices((w, w)).reshape(2, -1)
-        slots = (rows - cols) * N + cols + (np.arange(K) * s)[:, None]
-        slots[:, rows < cols] = w * N
-        self.win_slots = slots.ravel()
+        hq = np.zeros((N, w))
+        hq[:pairs, 0] += weights
+        hq[N - pairs:, 0] += weights
+        hq[:pairs, s] = -weights
+        # + 0.0 turns the -0.0 of a zero weight into +0.0, so a zero of
+        # Hq + rho J'J is +0.0 whatever the sign of the zero in J'J
+        self._hq = hq + 0.0
+        self.hq = self._hq.T
+
+        self._Jk = np.zeros((K, n, w))
+        self._Jk[:, :, s:] = np.eye(n)
+        self._JT = np.zeros((K, w, n))
+        self._JT[:, s:, :] = np.eye(n)
+        # the J_k'J_k, then one zero for the band slots no window fills
+        self._jtj = np.zeros(K * w * w + 1)
+        self._JtJ = self._jtj[:-1].reshape(K, w, w)
+        # band row k*s + b, column d holds window k's entry (b + d, b)
+        k, b, d = np.ogrid[:K + 1, :s, :w]
+        self._gather = np.where((k < K) & (b + d < w),
+                                k * w * w + (b + d) * w + b,
+                                K * w * w).reshape(-1, w)[:N]
+        self._shared = np.zeros(N)
+        self._shared[(s * np.arange(1, K + 1)[:, None]
+                      + np.arange(n)).ravel()] = 1.0
+        self._band = np.empty((N, w))
+        self._diag = self._band[:, 0]
+        # flat slots of variable j's column (j*w + d) and row
+        # ((j - d)*w + d, negative before the first column) of the band
+        self._pin_slots = np.concatenate([np.arange(w),
+                                          -(w - 1) * np.arange(1, w)])
+        self._pinned = np.empty(0, dtype=np.intp)
+        self._rhs = np.empty(N)
 
     def matrix(self, A, B, rho, active):
         """Hq + rho J'J + 1e-10 I in time-major lower band storage with
-        the active variables pinned."""
-        Jk = _step_jacobians(A, B)
-        # a contiguous left operand keeps matmul on its fast path
-        JtJ = np.matmul(np.ascontiguousarray(Jk.transpose(0, 2, 1)), Jk)
-        ab = self.hq + rho * np.bincount(
-            self.win_slots, weights=JtJ.ravel(),
-            minlength=self.hq.size + 1)[:-1].reshape(self.hq.shape)
-        ab[0] += 1e-10
-        keep = ~active[self.order]
-        ab *= keep
-        for d in range(1, len(ab)):
-            ab[d, :-d] *= keep[d:]  # ab[d, j] lies in row j + d
-        ab[0, ~keep] = 1.0
-        return ab
+        the active variables pinned, as a Fortran-ordered view of the
+        workspace."""
+        n = A.shape[1]
+        s = n + B.shape[2]
+        Jk, band, diag = self._Jk, self._band, self._diag
+        np.negative(A, out=Jk[:, :, :n])
+        np.negative(B, out=Jk[:, :, n:s])
+        np.copyto(self._JT[:, :s], Jk[:, :, :s].transpose(0, 2, 1))
+        np.matmul(self._JT, Jk, out=self._JtJ)
+        np.take(self._jtj, self._gather, out=band, mode="clip")
+        diag += self._shared
+        band *= rho
+        band += self._hq
+        diag += 1e-10
+        # multiplied by 0 as a full 0/1 mask would be, so every zero of
+        # a pinned row or column keeps the sign of the value it replaces
+        pinned = self._pinned = self.pos[np.flatnonzero(active)]
+        slots = (band.shape[1] * pinned)[:, None] + self._pin_slots
+        flat = band.reshape(-1)
+        flat[slots[slots >= 0]] *= 0.0
+        diag[pinned] = 1.0
+        return band.T
 
     def step(self, g, A, B, rho, active):
         """Gauss-Newton step on the free variables in packed order,
@@ -485,12 +549,14 @@ class _NewtonBand:
             factor = splu(self.matrix(A, B, rho, active))
         except LinAlgError:
             return None
-        return cho_solve_banded((factor, True),
-                                np.where(active, 0.0, -g)[self.order],
-                                check_finite=False)[self.pos]
+        rhs = np.take(g, self.order, out=self._rhs)
+        np.negative(rhs, out=rhs)
+        rhs[self._pinned] = 0.0
+        x, _ = _pbtrs(factor, rhs, lower=1, overwrite_b=1)
+        return x[self.pos]
 
 
-def _inner_gauss_newton(z, lb, ub, al, al_grad, newton, rho, gtol,
+def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
                         max_iter):
     """Minimize one subproblem within the bounds.
 
@@ -504,37 +570,51 @@ def _inner_gauss_newton(z, lb, ub, al, al_grad, newton, rho, gtol,
     factorization fails or its step is no descent direction, the
     projected gradient step is taken instead; those iterations are
     counted as fallbacks.
+
+    Returns the final iterate, the value at the start and at the end,
+    the defects and the projected gradient norm at the end, and the
+    counts for the solver log: iterations, fallbacks, and the variables
+    that entered and left the active set between consecutive iterations.
     """
+    lb, ub = bounds.lb, bounds.ub
     f, c = al(z)
     g, jac = al_grad(z, c)
+    pg = bounds.projected_gradient_norm(z, g)
     f_start = f
-    nit = fallbacks = 0
+    nit = fallbacks = entered = left = 0
+    previous = None
     for nit in range(1, max_iter + 1):
-        if _projected_gradient_norm(z, g, lb, ub) <= gtol:
+        if pg <= gtol:
             nit -= 1
             break
-        active = (((z <= lb + 1e-11) & (g > 0.0))
-                  | ((z >= ub - 1e-11) & (g < 0.0)))
+        active = bounds.active(z, g)
+        if previous is not None:
+            changed = int(np.count_nonzero(active != previous))
+            joined = int(np.count_nonzero(active & ~previous))
+            entered += joined
+            left += changed - joined
+        previous = active
         p = np.where(active, 0.0, -g)
         step = newton.step(g, *jac, rho, active)
         if step is not None and g @ step < 0.0:
             p = step
         else:
             fallbacks += 1
-        accepted = False
         alpha = 1.0
         for _ in range(40):
             z_try = np.clip(z + alpha * p, lb, ub)
             f_try, c_try = al(z_try)
             if f_try <= f + 1e-4 * float(g @ (z_try - z)) + 1e-12:
-                z, f = z_try, f_try
-                g, jac = al_grad(z, c_try)
-                accepted = True
+                z, f, c = z_try, f_try, c_try
+                g, jac = al_grad(z, c)
+                pg = bounds.projected_gradient_norm(z, g)
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
-    return z, f_start, f, g, nit, fallbacks
+    return z, f_start, f, c, pg, {
+        "inner_iterations": nit, "newton_fallbacks": fallbacks,
+        "active_entered": entered, "active_left": left}
 
 
 def solve_nlp(problem, init=None, tolerances=None):
@@ -554,6 +634,7 @@ def solve_nlp(problem, init=None, tolerances=None):
     z = problem.pack(states, inputs)
     lb, ub = problem.flat_bounds()
     z = np.clip(z, lb, ub)
+    bounds = _Bounds(lb, ub)
     model = problem.model
     K = problem.horizon
     n = model.state_dim
@@ -584,23 +665,20 @@ def solve_nlp(problem, init=None, tolerances=None):
     converged = False
     message = "outer iteration budget exhausted"
     viol = np.inf
+    c = problem.residuals(*problem.unpack(z))
     # inner stationarity target, loose at first and tightened as the
     # multipliers settle; early subproblems are not worth polishing
     gtol_floor = max(tol.eps_opt / 2.0, 1e-12)
     omega = max(1e-2, gtol_floor)
     for outer in range(1, tol.max_outer + 1):
-        z, merit_start, f_end, g_end, nit, fallbacks = _inner_gauss_newton(
-            z, lb, ub, lambda zv: al_value(zv, lam, rho),
+        z, merit_start, f_end, c, pg, counts = _inner_gauss_newton(
+            z, bounds, lambda zv: al_value(zv, lam, rho),
             lambda zv, c: al_grad(zv, c, lam, rho), newton, rho, omega,
             tol.max_inner)
-        S, U = problem.unpack(z)
-        c = problem.residuals(S, U)
         viol = float(np.max(np.abs(c))) if c.size else 0.0
-        pg = _projected_gradient_norm(z, g_end, lb, ub)
         log.append({"outer": outer, "merit_start": merit_start,
                     "merit_end": f_end, "violation": viol, "rho": rho,
-                    "projected_gradient": pg, "gtol": omega,
-                    "inner_iterations": nit, "newton_fallbacks": fallbacks})
+                    "projected_gradient": pg, "gtol": omega, **counts})
         if viol <= tol.eps_feas and pg <= tol.eps_opt:
             converged = True
             message = "converged"
@@ -617,7 +695,7 @@ def solve_nlp(problem, init=None, tolerances=None):
 
     S, U = problem.unpack(z)
     if not converged and K:
-        defect = np.max(np.abs(problem.residuals(S, U)), axis=1)
+        defect = np.max(np.abs(c), axis=1)
         k = int(np.argmax(defect))
         message += f" (worst defect {defect[k]:.2e} at step {k})"
     return NlpSolution(states=S, inputs=U, cost=problem.cost(S, U),

@@ -1,6 +1,8 @@
 """Shared test fixtures: workspace builders, an independently coded
 satisfaction evaluator, the direct until check, randomized instance
-generators, dense references for the Newton system of a transcription,
+generators, dense references for the Newton system of a transcription
+and the bincount band kernel and boolean-indexed projected gradient
+norm that the solver's in-place versions reproduce,
 per-step loop references for the corridor check and the transcription
 bounds, the round-by-round box growth, the per-grid-point path sampling
 and the per-step initial guess that the array versions must reproduce
@@ -17,11 +19,11 @@ import bisect
 import math
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from stlplan.corridor import CorridorError, DEFAULT_STEP
 from stlplan.satisfaction import SatisfactionPair
-from stlplan.optimizer import (InfeasibleConstraintError, _step_jacobians,
-                               _time_major_order)
+from stlplan.optimizer import InfeasibleConstraintError, _time_major_order
 from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
                               Region, SubTask, TimeInterval, Workspace,
                               _window_indices)
@@ -147,12 +149,20 @@ def oracle_satisfies_until(seq, left, ival, right):
     return False
 
 
+def step_jacobians(A, B):
+    """Jacobian of each defect c_k = x_{k+1} - f(x_k, u_k) with respect
+    to its window (x_k, u_k, x_{k+1}): J_k = [-A_k, -B_k, I]."""
+    K, n = A.shape[:2]
+    eye = np.broadcast_to(np.eye(n), (K, n, n))
+    return np.concatenate([-A, -B, eye], axis=2)
+
+
 def dense_dynamics_jacobian(prob, A, B):
     """Jacobian of the defects with respect to the packed variables,
     scattered from the per-step window blocks the Newton band uses."""
     K, n, m = prob.horizon, prob.model.state_dim, prob.model.input_dim
     order = _time_major_order(K, n, m)
-    Jk = _step_jacobians(A, B)
+    Jk = step_jacobians(A, B)
     J = np.zeros((K * n, len(order)))
     for k in range(K):
         window = order[k * (n + m):k * (n + m) + 2 * n + m]
@@ -186,6 +196,83 @@ def band_to_dense(ab):
         H[j + d, j] = ab[d, :N - d]
         H[j, j + d] = ab[d, :N - d]
     return H
+
+
+class _BincountNewtonBand:
+    """The Gauss-Newton band as a fresh array per call: each window's
+    J_k'J_k scattered into the (2n+m, N) lower band storage by one
+    bincount, factored by cholesky_banded and solved by
+    cho_solve_banded."""
+
+    def __init__(self, problem):
+        model = problem.model
+        K, n, m = problem.horizon, model.state_dim, model.input_dim
+        N = (K + 1) * n + K * m
+        s, w = n + m, 2 * n + m
+        self.order = _time_major_order(K, n, m)
+        self.pos = np.argsort(self.order)
+        pairs = max(N - s, 0)
+        weights = 2.0 * np.tile(np.concatenate([problem.r_weights,
+                                                problem.q_weights]),
+                                K + 1)[:pairs]
+        self.hq = np.zeros((w, N))
+        self.hq[0, :pairs] += weights
+        self.hq[0, N - pairs:] += weights
+        self.hq[s, :pairs] = -weights
+        # window entry (a, b) of step k sits at ab[a - b, k*s + b] when
+        # a >= b; the upper triangle goes to one spare slot past the end
+        rows, cols = np.indices((w, w)).reshape(2, -1)
+        slots = (rows - cols) * N + cols + (np.arange(K) * s)[:, None]
+        slots[:, rows < cols] = w * N
+        self.win_slots = slots.ravel()
+
+    def matrix(self, A, B, rho, active):
+        Jk = step_jacobians(A, B)
+        JtJ = np.matmul(np.ascontiguousarray(Jk.transpose(0, 2, 1)), Jk)
+        ab = self.hq + rho * np.bincount(
+            self.win_slots, weights=JtJ.ravel(),
+            minlength=self.hq.size + 1)[:-1].reshape(self.hq.shape)
+        ab[0] += 1e-10
+        keep = ~active[self.order]
+        ab *= keep
+        for d in range(1, len(ab)):
+            ab[d, :-d] *= keep[d:]  # ab[d, j] lies in row j + d
+        ab[0, ~keep] = 1.0
+        return ab
+
+    def step(self, g, A, B, rho, active):
+        if active.all():
+            return np.zeros_like(g)
+        try:
+            factor = cholesky_banded(self.matrix(A, B, rho, active),
+                                     lower=True, check_finite=False)
+        except LinAlgError:
+            return None
+        return cho_solve_banded((factor, True),
+                                np.where(active, 0.0, -g)[self.order],
+                                check_finite=False)[self.pos]
+
+
+def reference_newton_band(problem):
+    """The Gauss-Newton band kernel that _NewtonBand's preallocated
+    workspace and in-place LAPACK calls must reproduce bit for bit:
+    matrix() returns a fresh band, step() goes through scipy's
+    cholesky_banded and cho_solve_banded."""
+    return _BincountNewtonBand(problem)
+
+
+def reference_projected_gradient_norm(z, g, lb, ub):
+    """Largest component of the gradient after projecting out, with
+    boolean-indexed updates, the parts that point through a bound z
+    sits on (within 1e-12); 0 on fixed variables."""
+    pg = np.array(g, dtype=float)
+    at_lb = z <= lb + 1e-12
+    at_ub = z >= ub - 1e-12
+    fixed = at_lb & at_ub
+    pg[at_lb] = np.minimum(pg[at_lb], 0.0)
+    pg[at_ub] = np.maximum(pg[at_ub], 0.0)
+    pg[fixed] = 0.0
+    return float(np.max(np.abs(pg))) if len(pg) else 0.0
 
 
 def reference_validate(corridor, ws, waypoints):

@@ -11,9 +11,10 @@ from scipy.linalg import LinAlgError
 
 from helpers import (band_to_dense, count_calls, dense_cost_hessian,
                      dense_dynamics_jacobian, make_ws,
-                     reference_initial_guess, reference_position_bounds,
-                     region_atom)
-from stlplan import optimizer
+                     reference_initial_guess, reference_newton_band,
+                     reference_position_bounds,
+                     reference_projected_gradient_norm, region_atom)
+from stlplan import optimizer, scenario_cli
 from stlplan.corridor import SafeCorridor, construct_safe_corridor
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                InfeasibleConstraintError, NlpProblem,
@@ -622,6 +623,93 @@ def test_no_factorization_runs_when_every_variable_is_active(monkeypatch):
     assert calls == []
 
 
+def _band_cases(rng):
+    """(problem, A, B) on random unicycle, integrator and dense linear
+    problems of 1 to 7 steps."""
+    for trial in range(18):
+        model = (None, _integrator(2), _dense_linear_model(rng))[trial % 3]
+        prob, states, inputs = _random_problem(rng, K=1 + trial % 7,
+                                               model=model)
+        yield (prob, *prob.model.jacobians(states[:-1], inputs))
+
+
+def _active_masks(rng, band, n, m):
+    """None active, random, all but one, and whole windows pinned."""
+    N = len(band.order)
+    none = np.zeros(N, dtype=bool)
+    random = rng.random(N) < 0.3
+    all_but_one = np.ones(N, dtype=bool)
+    all_but_one[rng.integers(N)] = False
+    windows = np.zeros(N, dtype=bool)
+    K = (N - n) // (n + m)
+    for k in rng.choice(K, size=max(K // 2, 1), replace=False):
+        windows[band.order[k * (n + m):k * (n + m) + 2 * n + m]] = True
+    return none, random, all_but_one, windows
+
+
+def _step_bytes(step):
+    return None if step is None else step.tobytes()
+
+
+def test_newton_band_matches_the_reference_kernel_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for prob, A, B in _band_cases(rng):
+        n, m = prob.model.state_dim, prob.model.input_dim
+        band, ref = _NewtonBand(prob), reference_newton_band(prob)
+        g = rng.normal(size=len(band.order))
+        for rho in (1.0, 10.0, 1234.5, 1e8):
+            for active in _active_masks(rng, band, n, m):
+                ab = band.matrix(A, B, rho, active)
+                assert ab.flags.f_contiguous
+                assert (np.ascontiguousarray(ab).tobytes()
+                        == ref.matrix(A, B, rho, active).tobytes())
+                assert (_step_bytes(band.step(g, A, B, rho, active))
+                        == _step_bytes(ref.step(g, A, B, rho, active)))
+
+
+def test_reusing_the_band_workspace_leaks_nothing_between_calls():
+    # one instance through changing active sets, penalties, Jacobians
+    # and a failed factorization gives what a fresh instance gives
+    rng = np.random.default_rng(53)
+    for prob, A, B in _band_cases(rng):
+        n, m = prob.model.state_dim, prob.model.input_dim
+        band = _NewtonBand(prob)
+        masks = _active_masks(rng, band, n, m)
+        for i in range(8):
+            active = masks[int(rng.integers(len(masks)))]
+            rho = float(rng.choice([1.0, 10.0, 1e4, 1e8]))
+            A2, B2 = A * rng.uniform(0.5, 2.0), B * rng.uniform(0.5, 2.0)
+            g = rng.normal(size=len(band.order))
+            if i == 3:
+                # negative penalty: the factorization fails part way
+                assert band.step(g, A2, B2, -1e3, masks[0]) is None
+            fresh = _NewtonBand(prob)
+            assert (np.ascontiguousarray(band.matrix(A2, B2, rho,
+                                                     active)).tobytes()
+                    == np.ascontiguousarray(fresh.matrix(A2, B2, rho,
+                                                         active)).tobytes())
+            assert (_step_bytes(band.step(g, A2, B2, rho, active))
+                    == _step_bytes(_NewtonBand(prob).step(g, A2, B2, rho,
+                                                          active)))
+
+
+def test_splu_factors_in_place_and_rejects_an_indefinite_band():
+    rng = np.random.default_rng(59)
+    prob, states, inputs = _random_problem(rng, K=4)
+    band = _NewtonBand(prob)
+    A, B = prob.model.jacobians(states[:-1], inputs)
+    ab = band.matrix(A, B, 10.0, np.zeros(len(band.order), dtype=bool))
+    H = band_to_dense(ab)
+    factor = optimizer.splu(ab)
+    assert np.shares_memory(factor, ab)
+    L = np.tril(band_to_dense(factor))
+    np.testing.assert_allclose(L @ L.T, H, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(H)))
+    indefinite = np.asfortranarray([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]])
+    with pytest.raises(LinAlgError):
+        optimizer.splu(indefinite)
+
+
 # ---------------------------------------------------------------------------
 # solving
 
@@ -783,6 +871,142 @@ def test_newton_fallbacks_count_the_gradient_steps(monkeypatch):
     assert sum(e["inner_iterations"] for e in sol.log) > 0
     assert all(e["newton_fallbacks"] == e["inner_iterations"]
                for e in sol.log)
+
+
+def test_an_indefinite_band_falls_back_to_the_gradient_step(monkeypatch):
+    # a negative input-difference weight makes Hq + rho J'J indefinite
+    # on the dynamics' null space, whatever the penalty
+    model = _integrator()
+    K = 3
+    state_lb = np.full((K + 1, 1), -np.inf)
+    state_ub = np.full((K + 1, 1), np.inf)
+    state_lb[0] = state_ub[0] = 0.0
+    prob = NlpProblem(model=model, horizon=K, x0=np.zeros(1),
+                      state_lb=state_lb, state_ub=state_ub,
+                      input_lb=np.full((K, 1), -10.0),
+                      input_ub=np.full((K, 1), 10.0),
+                      q_weights=np.array([-5.0]), r_weights=np.ones(1))
+    raised = []
+    splu = optimizer.splu
+
+    def recording(ab):
+        try:
+            return splu(ab)
+        except LinAlgError:
+            raised.append(True)
+            raise
+    monkeypatch.setattr(optimizer, "splu", recording)
+    init = (np.zeros((K + 1, 1)), np.array([[0.5], [-0.5], [0.5]]))
+    sol = solve_nlp(prob, init=init,
+                    tolerances=SolverTolerances(max_outer=1, max_inner=3))
+    assert raised
+    assert sol.log[0]["newton_fallbacks"] >= len(raised)
+
+
+def test_projected_gradient_norm_matches_the_reference():
+    rng = np.random.default_rng(61)
+    for trial in range(200):
+        N = int(rng.integers(0, 30))
+        lb = rng.uniform(-1.0, 0.0, N)
+        ub = lb + rng.choice([0.0, 1e-13, 0.5, np.inf], N)
+        # on a bound, within 1e-12 or 1e-11 of one, or inside
+        z = np.where(rng.random(N) < 0.5, lb, ub) + rng.choice(
+            [0.0, 5e-13, -5e-13, 5e-12, 0.25], N)
+        z = np.where(np.isfinite(z), z, lb + 0.5)
+        g = rng.normal(size=N) * (rng.random(N) < 0.8)
+        bounds = optimizer._Bounds(lb, ub)
+        assert (bounds.projected_gradient_norm(z, g)
+                == reference_projected_gradient_norm(z, g, lb, ub))
+
+
+def test_inner_iteration_returns_the_defects_and_stationarity_of_its_end():
+    # solve_nlp logs the defects and projected gradient the inner
+    # iteration hands back, so they must be those of the iterate it
+    # returns, whichever way the iteration ended
+    prob, (states, inputs) = _unreachable_corner_problem()
+    lb, ub = prob.flat_bounds()
+    bounds = optimizer._Bounds(lb, ub)
+    rho = 10.0
+
+    def al(z):
+        S, U = prob.unpack(z)
+        c = prob.residuals(S, U)
+        return prob.cost(S, U) + 0.5 * rho * float((c * c).sum()), c
+
+    def al_grad(z, c):
+        S, U = prob.unpack(z)
+        gs, gu = prob.cost_grad(S, U)
+        A, B = prob.model.jacobians(S[:-1], U)
+        y = rho * c
+        gs[1:] += y
+        gs[:-1] -= np.einsum("kij,ki->kj", A, y)
+        gu -= np.einsum("kij,ki->kj", B, y)
+        return np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
+
+    z0 = np.clip(prob.pack(states, inputs), lb, ub)
+    for max_iter, gtol in ((0, 1e-3), (1, 1e-3), (3, 1e-3), (120, 1e-3),
+                           (120, 1e3)):
+        z, f_start, f, c, pg, counts = optimizer._inner_gauss_newton(
+            z0, bounds, al, al_grad, _NewtonBand(prob), rho, gtol,
+            max_iter)
+        assert counts["inner_iterations"] <= max_iter
+        assert c.tobytes() == prob.residuals(*prob.unpack(z)).tobytes()
+        assert f == al(z)[0] and f <= f_start
+        assert pg == reference_projected_gradient_norm(
+            z, al_grad(z, c)[0], lb, ub)
+
+
+def test_solver_log_counts_active_set_churn(monkeypatch):
+    # entered and left sum, per outer iteration, the variables whose
+    # active flag switched on or off between consecutive inner iterations
+    masks = []
+    active = optimizer._Bounds.active
+
+    def recording(self, z, g):
+        masks[-1].append(active(self, z, g))
+        return masks[-1][-1]
+    inner = optimizer._inner_gauss_newton
+
+    def outer(*args):
+        masks.append([])
+        return inner(*args)
+    monkeypatch.setattr(optimizer._Bounds, "active", recording)
+    monkeypatch.setattr(optimizer, "_inner_gauss_newton", outer)
+    prob, init = _unreachable_corner_problem()
+    sol = solve_nlp(prob, init=init)
+    assert len(masks) == len(sol.log)
+    for entry, seen in zip(sol.log, masks):
+        assert len(seen) == entry["inner_iterations"]
+        assert entry["active_entered"] == sum(
+            int(np.sum(b & ~a)) for a, b in zip(seen, seen[1:]))
+        assert entry["active_left"] == sum(
+            int(np.sum(a & ~b)) for a, b in zip(seen, seen[1:]))
+    assert sum(e["active_entered"] + e["active_left"] for e in sol.log) > 0
+
+
+def test_solves_match_the_reference_kernel_on_the_shipped_scenarios(
+        monkeypatch):
+    # every solve of each shipped scenario at its own seed, repeated
+    # with the bincount band kernel in place of the workspace one
+    calls = []
+    solve = scenario_cli.solve_nlp
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(scenario_cli, "solve_nlp", recording)
+    for name in scenario_cli.BUILTIN_SCENARIOS:
+        scenario_cli.run_pipeline(scenario_cli.load_scenario(name))
+    assert len(calls) >= 3
+    for args in calls:
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_NewtonBand", reference_newton_band)
+            ref = solve_nlp(*args)
+        sol = solve_nlp(*args)
+        assert sol.states.tobytes() == ref.states.tobytes()
+        assert sol.inputs.tobytes() == ref.inputs.tobytes()
+        assert sol.log == ref.log
+        assert sol.message == ref.message
 
 
 def test_importing_the_package_leaves_scipy_sparse_unloaded():
