@@ -38,12 +38,6 @@ class SafeCorridor:
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
 
-    def __len__(self):
-        return len(self.boxes)
-
-    def __getitem__(self, k):
-        return self.boxes[k]
-
     def runs(self):
         """Split the boxes into runs of consecutive steps sharing one box
         object: (the run index of every step as an array, the distinct
@@ -169,7 +163,7 @@ def _step_face(lo, hi, axis, side, ws, step):
     return target == ws.bounds.hi[axis]
 
 
-def safe_cor(point, ws, step=DEFAULT_STEP):
+def safe_cor(point, ws, step):
     """Largest box the face-expansion schedule reaches around one point.
 
     Faces expand round-robin (x low, x high, y low, y high, ...) by the
@@ -196,12 +190,10 @@ def safe_cor(point, ws, step=DEFAULT_STEP):
     return Box(tuple(lo), tuple(hi))
 
 
-def construct_safe_corridor(waypoints, ws, step=DEFAULT_STEP):
-    """Corridor for a waypoint sequence; a new box is grown only when a
-    waypoint leaves the previous one."""
-    pts = getattr(waypoints, "positions", None)
-    if pts is None:
-        pts = np.asarray(waypoints, dtype=float)
+def construct_safe_corridor(waypoints, ws, step):
+    """Corridor for a PointSequence of waypoints; a new box is grown only
+    when a waypoint leaves the previous one."""
+    pts = waypoints.positions
     boxes = []
     while len(boxes) < len(pts):
         k = len(boxes)

@@ -69,7 +69,27 @@ class Decomposition:
                      if s.kind == "G")
 
     def explain(self):
-        return explain(self)
+        """Human-readable decomposition report."""
+        lines = []
+        cuts = ", ".join(_fmt_num(c) for c in self.cuts)
+        lines.append(f"horizon {_fmt_num(self.formula.horizon)} s, "
+                     f"cut times ({cuts})")
+        for task in self.local_tasks:
+            lines.append(f"local task {task.index} over {task.window}:")
+            if not task.subtasks:
+                lines.append("  (no assigned sub-tasks)")
+            for sub in task.subtasks:
+                note = "kept whole" if sub.nested else "must hold"
+                lines.append(f"  {sub}  [{note}]")
+        if self.disjunctive_sets:
+            lines.append("disjunctive reach choices (one piece each):")
+            for d in self.disjunctive_sets:
+                alts = " | ".join(str(p) for p in d.pieces)
+                idx = self.local_index_of(d.final_piece)
+                lines.append(f"  {d.origin} -> {alts}")
+                lines.append(f"    fallback piece {d.final_piece} in local "
+                             f"task {idx}")
+        return "\n".join(lines)
 
 
 def compute_cuts(formula):
@@ -144,26 +164,3 @@ def decompose(formula, tau=None):
                   for i, w in enumerate(windows))
     return Decomposition(formula, cuts, tasks, tuple(disjunctive))
 
-
-def explain(decomposition):
-    """Human-readable decomposition report."""
-    lines = []
-    cuts = ", ".join(_fmt_num(c) for c in decomposition.cuts)
-    lines.append(f"horizon {_fmt_num(decomposition.formula.horizon)} s, "
-                 f"cut times ({cuts})")
-    for task in decomposition.local_tasks:
-        lines.append(f"local task {task.index} over {task.window}:")
-        if not task.subtasks:
-            lines.append("  (no assigned sub-tasks)")
-        for sub in task.subtasks:
-            note = "kept whole" if sub.nested else "must hold"
-            lines.append(f"  {sub}  [{note}]")
-    if decomposition.disjunctive_sets:
-        lines.append("disjunctive reach choices (one piece each):")
-        for d in decomposition.disjunctive_sets:
-            alts = " | ".join(str(p) for p in d.pieces)
-            idx = decomposition.local_index_of(d.final_piece)
-            lines.append(f"  {d.origin} -> {alts}")
-            lines.append(f"    fallback piece {d.final_piece} in local task "
-                         f"{idx}")
-    return "\n".join(lines)

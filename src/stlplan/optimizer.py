@@ -102,16 +102,16 @@ def unicycle_jacobians(x, u, tau):
     u = np.asarray(u, dtype=float)
     batch = x.shape[:-1]
     v = u[..., 0]
-    th = x[..., 2]
+    sin, cos = np.sin(x[..., 2]), np.cos(x[..., 2])
     A = np.zeros(batch + (3, 3))
     A[..., 0, 0] = 1.0
     A[..., 1, 1] = 1.0
     A[..., 2, 2] = 1.0
-    A[..., 0, 2] = -tau * v * np.sin(th)
-    A[..., 1, 2] = tau * v * np.cos(th)
+    A[..., 0, 2] = -tau * v * sin
+    A[..., 1, 2] = tau * v * cos
     B = np.zeros(batch + (3, 2))
-    B[..., 0, 0] = tau * np.cos(th)
-    B[..., 1, 0] = tau * np.sin(th)
+    B[..., 0, 0] = tau * cos
+    B[..., 1, 0] = tau * sin
     B[..., 2, 1] = tau
     return A, B
 
@@ -149,7 +149,6 @@ class NlpProblem:
     input_ub: np.ndarray
     q_weights: np.ndarray
     r_weights: np.ndarray
-    pair_rows: tuple = ()
 
     def pack(self, states, inputs):
         return np.concatenate([np.asarray(states, dtype=float).ravel(),
@@ -216,8 +215,8 @@ def _avoid_faces(lo, hi, wps, margin):
 
 
 def _position_bounds(pts, corridor, ws, pairs, margin):
-    """Per-step position bounds (lb, ub) of shape (K+1, d) and the pair
-    rows (k, label, prop) in (k, plan) order; see build_nlp.
+    """Per-step position bounds (lb, ub) of shape (K+1, d); see
+    build_nlp.
 
     Raises InfeasibleConstraintError for the earliest step whose bounds
     cannot be assembled or are empty.
@@ -274,16 +273,15 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
         raise InfeasibleConstraintError(
             f"constraints at step {k} have empty intersection "
             f"(corridor box against certified regions)")
-    return lb, ub, tuple((p.k, p.label, p.prop) for p in rows)
+    return lb, ub
 
 
-def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
-              r_weights=None, margin=DEFAULT_MARGIN):
+def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
     """Assemble the transcription for a plan and its corridor.
 
     plan supplies the waypoints (initialization and relaxation anchors)
     and the certified time/region pairs; the corridor supplies the
-    per-step free boxes.  Corridor faces retreat by a small margin
+    per-step free boxes.  Corridor faces retreat by DEFAULT_MARGIN
     (never past the waypoint) so the smoothed trajectory stays strictly
     off obstacle boundaries; region-membership bounds stay exact.
 
@@ -306,8 +304,7 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
     K = len(pts) - 1
     if len(corridor.boxes) != K + 1:
         raise OptimizationError("corridor and plan lengths disagree")
-    n, m = model.state_dim, model.input_dim
-    d = model.pos_dim
+    n, d = model.state_dim, model.pos_dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise OptimizationError(f"initial state must have {n} entries")
@@ -315,8 +312,7 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
         raise OptimizationError("initial state does not match the first "
                                 "waypoint")
 
-    lb, ub, pair_rows = _position_bounds(pts, corridor, ws, plan.pairs,
-                                         margin)
+    lb, ub = _position_bounds(pts, corridor, ws, plan.pairs, DEFAULT_MARGIN)
     state_lb = np.full((K + 1, n), -np.inf)
     state_ub = np.full((K + 1, n), np.inf)
     state_lb[:, :d] = lb
@@ -326,16 +322,11 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights=None,
 
     input_lb = np.tile(np.asarray(model.input_lo, dtype=float), (K, 1))
     input_ub = np.tile(np.asarray(model.input_hi, dtype=float), (K, 1))
-    if q_weights is None:
-        q_weights = np.ones(m)
-    if r_weights is None:
-        r_weights = np.ones(n)
     return NlpProblem(model=model, horizon=K, x0=x0,
                       state_lb=state_lb, state_ub=state_ub,
                       input_lb=input_lb, input_ub=input_ub,
                       q_weights=np.asarray(q_weights, dtype=float),
-                      r_weights=np.asarray(r_weights, dtype=float),
-                      pair_rows=pair_rows)
+                      r_weights=np.asarray(r_weights, dtype=float))
 
 
 def initial_guess(problem, waypoints):
@@ -617,7 +608,7 @@ def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
         "active_entered": entered, "active_left": left}
 
 
-def solve_nlp(problem, init=None, tolerances=None):
+def solve_nlp(problem, init, tolerances):
     """Augmented Lagrangian solve of the transcription.
 
     Only the dynamics equalities carry multipliers; each inner problem
@@ -627,9 +618,6 @@ def solve_nlp(problem, init=None, tolerances=None):
     the penalty grows when feasibility progress stalls; the merit value
     of an outer iteration never rises between its start and its end.
     """
-    tol = tolerances or SolverTolerances()
-    if init is None:
-        raise OptimizationError("an initialization is required")
     states, inputs = init
     z = problem.pack(states, inputs)
     lb, ub = problem.flat_bounds()
@@ -668,25 +656,25 @@ def solve_nlp(problem, init=None, tolerances=None):
     c = problem.residuals(*problem.unpack(z))
     # inner stationarity target, loose at first and tightened as the
     # multipliers settle; early subproblems are not worth polishing
-    gtol_floor = max(tol.eps_opt / 2.0, 1e-12)
+    gtol_floor = max(tolerances.eps_opt / 2.0, 1e-12)
     omega = max(1e-2, gtol_floor)
-    for outer in range(1, tol.max_outer + 1):
+    for outer in range(1, tolerances.max_outer + 1):
         z, merit_start, f_end, c, pg, counts = _inner_gauss_newton(
             z, bounds, lambda zv: al_value(zv, lam, rho),
             lambda zv, c: al_grad(zv, c, lam, rho), newton, rho, omega,
-            tol.max_inner)
+            tolerances.max_inner)
         viol = float(np.max(np.abs(c))) if c.size else 0.0
         log.append({"outer": outer, "merit_start": merit_start,
                     "merit_end": f_end, "violation": viol, "rho": rho,
                     "projected_gradient": pg, "gtol": omega, **counts})
-        if viol <= tol.eps_feas and pg <= tol.eps_opt:
+        if viol <= tolerances.eps_feas and pg <= tolerances.eps_opt:
             converged = True
             message = "converged"
             break
         lam = lam + rho * c
         if viol > 0.25 * viol_ref:
             rho = min(rho * 5.0, 1e8)
-            if rho >= 1e8 and viol > 10 * tol.eps_feas:
+            if rho >= 1e8 and viol > 10 * tolerances.eps_feas:
                 message = "penalty limit reached without feasibility"
                 break
         else:
@@ -704,11 +692,8 @@ def solve_nlp(problem, init=None, tolerances=None):
 
 
 def evaluate_solution(problem, states, inputs):
-    """Re-evaluate all constraints outside the solver.
-
-    Returns the worst dynamics defect, the worst bound violation, and
-    per-pair region membership checks recomputed from the geometry.
-    """
+    """Re-evaluate the constraints outside the solver: the worst
+    dynamics defect and the worst bound violation."""
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     c = problem.residuals(states, inputs)
@@ -716,9 +701,4 @@ def evaluate_solution(problem, states, inputs):
     z = problem.pack(states, inputs)
     lb, ub = problem.flat_bounds()
     bound = float(np.max(np.maximum(lb - z, z - ub)))
-    pair_ok = all(prop.holds(states[k, :problem.model.pos_dim])
-                  for k, _, prop in problem.pair_rows)
-    return {"dynamics_violation": dyn,
-            "bound_violation": max(bound, 0.0),
-            "pairs_satisfied": pair_ok,
-            "cost": problem.cost(states, inputs)}
+    return {"dynamics_violation": dyn, "bound_violation": max(bound, 0.0)}

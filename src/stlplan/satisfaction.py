@@ -34,7 +34,7 @@ class SatisfactionPair:
 
     k: int
     label: str
-    prop: object = None
+    prop: object
 
     @classmethod
     def make(cls, k, prop):

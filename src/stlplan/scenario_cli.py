@@ -20,7 +20,6 @@ import concurrent.futures
 import json
 import math
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -62,8 +61,6 @@ class Scenario:
     r_weights: tuple = (1.0, 1.0, 0.1)
     corridor_step: float = DEFAULT_STEP
     seed: int = 0
-    notes: str = ""
-    source: str = ""
 
     @property
     def horizon_steps(self):
@@ -226,7 +223,7 @@ def load_scenario(source):
     formula = parse_formula(spec["formula"], ws, tau=tau)
     _require_free_atoms(formula, ws)
     solver = spec.get("solver", {})
-    optional = {key: spec[key] for key in ("seed", "notes") if key in spec}
+    optional = {"seed": spec["seed"]} if "seed" in spec else {}
     optional.update((key, solver.pop(key))
                     for key in ("q_weights", "r_weights") if key in solver)
     optional.update((f"corridor_{key}", value)
@@ -238,8 +235,7 @@ def load_scenario(source):
                                      for axis in ("v", "omega")
                                      if axis in dyn}),
         planner=PlannerParams(**spec.get("planner", {})),
-        tolerances=SolverTolerances(**solver),
-        source=str(source), **optional)
+        tolerances=SolverTolerances(**solver), **optional)
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +455,18 @@ def verify_trajectory(scenario, positions, headings, inputs):
     }
 
 
-def run_pipeline(scenario, seed=None, out_dir=None):
-    """Run decompose / plan / corridor / optimize / verify and write all
-    artifacts.  Verification re-reads traj.csv from disk.  Partial
-    artifacts are still written when a stage fails."""
-    if out_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="stlplan-")
-        out = Path(tmp.name)
-    else:
-        tmp = None
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-    seed = scenario.seed if seed is None else int(seed)
+def run_pipeline(scenario, seed, out_dir):
+    """Run decompose / plan / corridor / optimize / verify with planner
+    seed `seed` and write all artifacts into out_dir.  Verification
+    re-reads traj.csv from disk.  Partial artifacts are still written
+    when a stage fails."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = RunReport(scenario=scenario, seed=seed, out_dir=str(out))
     try:
         _run_stages(scenario, seed, out, report)
     finally:
         _write_report_text(out, report)
-        if tmp is not None:
-            tmp.cleanup()
-            report.out_dir = ""
     return report
 
 
@@ -518,6 +506,22 @@ def _failure(stage, err):
                                else repr(err))
 
 
+def _plan_stage(scenario, dec, seed, out):
+    """The plan stage of `run` and `plan`: plan_global with planner seed
+    `seed`, GlobalPlan.validate against the speed limit and the horizon,
+    then plan.csv and pairs.csv in out.  Nothing is written when planning
+    or validation raises."""
+    ws, model = scenario.workspace, scenario.model
+    params = replace(scenario.planner, rng_seed=seed)
+    plan = plan_global(dec, scenario.x0[:2], ws, params, tau=scenario.tau,
+                       v_max=model.speed_limit)
+    plan.validate(ws, model.speed_limit,
+                  expected_len=scenario.horizon_steps + 1)
+    (out / "plan.csv").write_text(plan_csv_text(plan))
+    (out / "pairs.csv").write_text(pairs_csv_text(plan))
+    return plan
+
+
 def _attempt_stages(scenario, dec, out, attempt):
     """One plan / corridor / optimize / verify pass with planner seed
     attempt.seed, recorded in the fresh report `attempt`.  Any exception
@@ -529,17 +533,11 @@ def _attempt_stages(scenario, dec, out, attempt):
     start = time.perf_counter()
     stage = "plan"
     try:
-        params = replace(scenario.planner, rng_seed=attempt.seed)
-        plan = plan_global(dec, scenario.x0[:2], ws, params, tau=tau,
-                           v_max=model.speed_limit)
-        plan.validate(ws, model.speed_limit,
-                      expected_len=scenario.horizon_steps + 1)
+        plan = _plan_stage(scenario, dec, attempt.seed, out)
         attempt.plan = plan
         m["plan_seconds"] = time.perf_counter() - start
         m["plan_length"] = _polyline_length(plan.waypoints.positions)
         m["pair_count"] = len(plan.pairs)
-        (out / "plan.csv").write_text(plan_csv_text(plan))
-        (out / "pairs.csv").write_text(pairs_csv_text(plan))
         attempt.stage_log.append(("plan", f"{len(plan.waypoints)} waypoints, "
                                           f"{len(plan.pairs)} pairs"))
 
@@ -660,18 +658,13 @@ def _cmd_plan(args):
     scenario = load_scenario(args.scenario)
     seed = _seed(args, scenario)
     dec = decompose(scenario.formula, scenario.tau)
-    params = replace(scenario.planner, rng_seed=seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        plan = plan_global(dec, scenario.x0[:2], scenario.workspace, params,
-                           tau=scenario.tau,
-                           v_max=scenario.model.speed_limit)
+        plan = _plan_stage(scenario, dec, seed, out)
     except StlError as err:
         print(f"planning failed: {err}", file=sys.stderr)
         return 3
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "plan.csv").write_text(plan_csv_text(plan))
-    (out / "pairs.csv").write_text(pairs_csv_text(plan))
     print(f"{scenario.name} seed {seed}: {len(plan.waypoints)} waypoints, "
           f"{len(plan.pairs)} pairs -> {out}/plan.csv")
     return 0

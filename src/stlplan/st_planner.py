@@ -175,9 +175,8 @@ def sample(ws, target, window, params, rng, keepins=()):
 
 
 def _interp(p0, t0, p1, t1, t):
-    """The point at time t on the edge between the float lists p0 and p1."""
-    if t1 == t0:
-        return p0
+    """The point at time t on the edge between the float lists p0 and p1;
+    t1 - t0 is at least _MIN_EDGE_DT, which _edge_ok checks first."""
     s = (t - t0) / (t1 - t0)
     return [a + s * (b - a) for a, b in zip(p0, p1)]
 
@@ -247,7 +246,7 @@ def _try_complete(goal, p, t, tau, ws, guards):
 
 
 def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
-              v_max=math.inf, guards=()):
+              v_max, guards):
     """Grow one space-time tree from the root until the goal completes.
 
     The tree is held as position and time arrays, doubled from 64 rows
@@ -365,7 +364,7 @@ def _next_goal(sub, last_k, tau):
                            min(last_k * tau + gap, ai.hi)))
 
 
-def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max=math.inf):
+def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
     """Plan the waypoints of one local task window.
 
     q_init is the (position, time) the window starts from and guards
@@ -437,10 +436,10 @@ class GlobalPlan:
     waypoints: PointSequence
     pairs: SatisfactionSet
 
-    def validate(self, ws, v_max, expected_len=None):
+    def validate(self, ws, v_max, expected_len):
         """Check stitching, speed, and free-space invariants."""
         pts = self.waypoints.positions
-        if expected_len is not None and len(pts) != expected_len:
+        if len(pts) != expected_len:
             raise PlanningError(f"expected {expected_len} waypoints, have "
                                 f"{len(pts)}")
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -458,7 +457,7 @@ class GlobalPlan:
                                 f"not in free space")
 
 
-def plan_global(decomposition, p0, ws, params, *, tau, v_max=math.inf):
+def plan_global(decomposition, p0, ws, params, *, tau, v_max):
     """Plan every local window in order and stitch the results.
 
     Returns a GlobalPlan whose waypoint sequence spans the whole grid

@@ -29,6 +29,8 @@ from functools import cached_property
 import numpy as np
 
 GRID_TOL = 1e-9
+# rejection-sampling draws Workspace.sample_free makes before giving up
+SAMPLE_FREE_TRIES = 1000
 
 KINDS = ("F", "G", "FG", "GF")
 
@@ -271,8 +273,8 @@ class Workspace:
             tmax = np.where(move & (t2 < tmax), t2, tmax)
         return (hit & ~(tmin > tmax)).any(axis=1)
 
-    def sample_free(self, rng, max_tries=1000):
-        for _ in range(max_tries):
+    def sample_free(self, rng):
+        for _ in range(SAMPLE_FREE_TRIES):
             p = self.bounds.sample(rng)
             if not self.in_obstacle(p):
                 return p

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from stlplan.corridor import CorridorError, DEFAULT_STEP
+from stlplan.corridor import CorridorError
 from stlplan.satisfaction import SatisfactionPair
 from stlplan.optimizer import InfeasibleConstraintError, _time_major_order
 from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
@@ -313,12 +313,12 @@ def _reference_avoid_face(box, wp, margin):
 
 
 def reference_position_bounds(pts, corridor, ws, pairs, margin):
-    """The transcription's per-step position bounds and pair rows as a
-    loop over steps, each step assembled and checked in turn."""
+    """The transcription's per-step position bounds as a loop over
+    steps, each step assembled and checked in turn."""
     pair_groups = {}
     for p in pairs:
         pair_groups.setdefault(p.k, []).append(p)
-    lbs, ubs, pair_rows = [], [], []
+    lbs, ubs = [], []
     for k in range(len(pts)):
         wp = pts[k]
         lb = np.array(ws.bounds.lo, dtype=float)
@@ -356,14 +356,13 @@ def reference_position_bounds(pts, corridor, ws, pairs, margin):
                     lb[axis] = max(lb[axis], flo)
                 if fhi is not None:
                     ub[axis] = min(ub[axis], fhi)
-            pair_rows.append((k, pair.label, prop))
         if np.any(lb > ub):
             raise InfeasibleConstraintError(
                 f"constraints at step {k} have empty intersection "
                 f"(corridor box against certified regions)")
         lbs.append(lb)
         ubs.append(ub)
-    return np.array(lbs), np.array(ubs), tuple(pair_rows)
+    return np.array(lbs), np.array(ubs)
 
 
 def _reference_blocked_overlap(box_lo, box_hi, obstacle, axis):
@@ -375,7 +374,7 @@ def _reference_blocked_overlap(box_lo, box_hi, obstacle, axis):
     return True
 
 
-def reference_safe_cor(point, ws, step=DEFAULT_STEP):
+def reference_safe_cor(point, ws, step):
     """corridor.safe_cor round by round: every live face steps once per
     round, in the order x low, x high, y low, y high, and freezes on the
     first obstacle face or workspace bound it would cross."""

@@ -35,15 +35,17 @@ def _record(tag, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def matrix():
+def matrix(tmp_path_factory):
     """All shipped scenarios over seeds 0..9, full pipeline per run."""
+    out = tmp_path_factory.mktemp("matrix")
     runs = {}
     for name in SCENARIOS:
         scenario = load_scenario(name)
         rows = []
         for seed in SEEDS:
             t0 = time.perf_counter()
-            report = run_pipeline(scenario, seed=seed)
+            report = run_pipeline(scenario, seed=seed,
+                                  out_dir=out / f"{name}-seed{seed}")
             rows.append((seed, report, time.perf_counter() - t0))
         runs[name] = (scenario, rows)
     return runs

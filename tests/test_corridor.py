@@ -6,12 +6,17 @@ import pytest
 from helpers import make_ws, reference_safe_cor, reference_validate
 from stlplan.corridor import (DEFAULT_STEP, CorridorError, SafeCorridor,
                               construct_safe_corridor, safe_cor)
-from stlplan.stl_core import Box
+from stlplan.stl_core import Box, PointSequence
+
+
+def _corridor(pts, ws, step):
+    """construct_safe_corridor over pts as a grid sequence from k = 0."""
+    return construct_safe_corridor(PointSequence(0, 1.0, pts), ws, step)
 
 
 def test_no_obstacles_expands_to_the_full_workspace():
     ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)))
-    box = safe_cor((3.0, 2.0), ws)
+    box = safe_cor((3.0, 2.0), ws, DEFAULT_STEP)
     assert box.lo == (0.0, 0.0)
     assert box.hi == (10.0, 6.0)
 
@@ -19,7 +24,7 @@ def test_no_obstacles_expands_to_the_full_workspace():
 def test_single_wall_clips_one_face_exactly():
     ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)),
                  obstacles=[((4.0, 0.0), (5.0, 6.0))])
-    box = safe_cor((1.0, 1.0), ws)
+    box = safe_cor((1.0, 1.0), ws, DEFAULT_STEP)
     assert box.lo == (0.0, 0.0)
     assert box.hi == (4.0, 6.0)
 
@@ -56,13 +61,13 @@ def test_expansion_respects_diagonal_neighbours():
 def test_seed_inside_an_obstacle_is_rejected():
     ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
     with pytest.raises(CorridorError):
-        safe_cor((5.0, 5.0), ws)
+        safe_cor((5.0, 5.0), ws, DEFAULT_STEP)
 
 
 def test_seed_outside_the_bounds_is_rejected():
     ws = make_ws()
     with pytest.raises(CorridorError):
-        safe_cor((11.0, 5.0), ws)
+        safe_cor((11.0, 5.0), ws, DEFAULT_STEP)
 
 
 def _grow_outcome(grow, point, ws, step):
@@ -163,14 +168,15 @@ def test_corridor_reuses_boxes_while_points_stay_inside():
     pts = [(1.0, 1.0), (2.0, 2.0), (3.9, 5.9),  # all inside [0,4]x[0,6]
            (6.0, 3.0),                          # crosses to the far side
            (7.0, 3.0)]
-    cor = construct_safe_corridor(pts, ws)
-    assert len(cor) == 5
-    assert cor[0] is cor[1] is cor[2]
-    assert cor[3] is cor[4]
-    assert cor[0] is not cor[3]
+    cor = _corridor(pts, ws, DEFAULT_STEP)
+    boxes = cor.boxes
+    assert len(boxes) == 5
+    assert boxes[0] is boxes[1] is boxes[2]
+    assert boxes[3] is boxes[4]
+    assert boxes[0] is not boxes[3]
     assert len(cor.distinct()) == 2
-    assert cor[0].lo == (0.0, 0.0) and cor[0].hi == (4.0, 6.0)
-    assert cor[3].lo == (5.0, 0.0) and cor[3].hi == (10.0, 6.0)
+    assert boxes[0].lo == (0.0, 0.0) and boxes[0].hi == (4.0, 6.0)
+    assert boxes[3].lo == (5.0, 0.0) and boxes[3].hi == (10.0, 6.0)
 
 
 def test_revisiting_a_region_grows_a_fresh_box():
@@ -179,22 +185,23 @@ def test_revisiting_a_region_grows_a_fresh_box():
     ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)),
                  obstacles=[((4.0, 0.0), (5.0, 6.0))])
     pts = [(1.0, 1.0), (6.0, 3.0), (1.0, 1.0)]
-    cor = construct_safe_corridor(pts, ws)
+    cor = _corridor(pts, ws, DEFAULT_STEP)
     assert len(cor.distinct()) == 3
-    assert cor[0] is not cor[2]
-    assert cor[0].lo == cor[2].lo and cor[0].hi == cor[2].hi
+    assert cor.boxes[0] is not cor.boxes[2]
+    assert cor.boxes[0].lo == cor.boxes[2].lo
+    assert cor.boxes[0].hi == cor.boxes[2].hi
 
 
 def test_validate_accepts_a_good_corridor():
     ws = make_ws(obstacles=[((4.0, 0.0), (5.0, 6.0))])
     pts = [(1.0, 1.0), (2.0, 2.0)]
-    cor = construct_safe_corridor(pts, ws)
+    cor = _corridor(pts, ws, DEFAULT_STEP)
     cor.validate(ws, pts)
 
 
 def test_validate_rejects_broken_corridors():
     ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
-    good = construct_safe_corridor([(1.0, 1.0)], ws)
+    good = _corridor([(1.0, 1.0)], ws, DEFAULT_STEP)
     with pytest.raises(CorridorError):
         good.validate(ws, [(1.0, 1.0), (2.0, 2.0)])  # length mismatch
     stray = SafeCorridor((Box((8.0, 8.0), (9.0, 9.0)),))
@@ -272,7 +279,7 @@ def test_randomized_corridors_hold_the_invariants():
             p = rng.uniform(0.0, 10.0, size=2)
             if ws.point_free(p):
                 pts.append(p)
-        cor = construct_safe_corridor(pts, ws, 0.1)
+        cor = _corridor(pts, ws, 0.1)
         cor.validate(ws, pts)
         for box, p in zip(cor.boxes, pts):
             assert box.contains(p)
@@ -282,6 +289,6 @@ def test_pipeline_corridor_passes_validation(first_scenario_artifacts):
     cor = first_scenario_artifacts["corridor"]
     plan = first_scenario_artifacts["plan"]
     ws = first_scenario_artifacts["scenario"].workspace
-    assert len(cor) == len(plan.waypoints)
+    assert len(cor.boxes) == len(plan.waypoints)
     cor.validate(ws, plan.waypoints.positions)
-    assert 1 <= len(cor.distinct()) < len(cor)
+    assert 1 <= len(cor.distinct()) < len(cor.boxes)

@@ -3,8 +3,7 @@ import pytest
 
 from helpers import make_ws, region_atom
 from stlplan.decomposer import (Decomposition, DisjunctiveFSet, LocalTask,
-                                compute_cuts, decompose, explain,
-                                split_subtask)
+                                compute_cuts, decompose, split_subtask)
 from stlplan.scenario_cli import load_scenario
 from stlplan.stl_core import (PointSequence, StlError, SubTask, TimeInterval,
                               oracle_satisfies, parse_formula)
@@ -146,7 +145,7 @@ def test_guard_subtasks_collects_every_hold_piece():
 
 def test_explain_lists_cuts_and_fallbacks():
     scenario = load_scenario("scenario1")
-    text = explain(decompose(scenario.formula, scenario.tau))
+    text = decompose(scenario.formula, scenario.tau).explain()
     assert "cut times (0, 20, 30, 50, 60)" in text
     assert "fallback piece F[50,60] mu6 in local task 4" in text
 

@@ -15,7 +15,8 @@ from helpers import (band_to_dense, count_calls, dense_cost_hessian,
                      reference_position_bounds,
                      reference_projected_gradient_norm, region_atom)
 from stlplan import optimizer, scenario_cli
-from stlplan.corridor import SafeCorridor, construct_safe_corridor
+from stlplan.corridor import (DEFAULT_STEP, SafeCorridor,
+                              construct_safe_corridor)
 from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                InfeasibleConstraintError, NlpProblem,
                                OptimizationError, SolverTolerances,
@@ -27,6 +28,11 @@ from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
 from stlplan.satisfaction import SatisfactionPair, SatisfactionSet
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import Box, PointSequence
+
+
+# the cost weights of the transcription tests: every squared difference
+# of consecutive inputs and states weighs 1
+UNIT_WEIGHTS = {"q_weights": (1.0, 1.0), "r_weights": (1.0, 1.0, 1.0)}
 
 
 def _plan(points, tau=0.1, pairs=()):
@@ -70,10 +76,32 @@ def test_unicycle_jacobians_at_a_known_point():
                            [0.0, 0.1]], atol=1e-12)
 
 
+def _two_evaluation_jacobians(x, u, tau):
+    """The unicycle Jacobians with the sine and cosine of the heading
+    evaluated once for A and again for B."""
+    v, th = u[..., 0], x[..., 2]
+    A = np.zeros(x.shape[:-1] + (3, 3))
+    A[..., 0, 0] = A[..., 1, 1] = A[..., 2, 2] = 1.0
+    A[..., 0, 2] = -tau * v * np.sin(th)
+    A[..., 1, 2] = tau * v * np.cos(th)
+    B = np.zeros(x.shape[:-1] + (3, 2))
+    B[..., 0, 0] = tau * np.cos(th)
+    B[..., 1, 0] = tau * np.sin(th)
+    B[..., 2, 1] = tau
+    return A, B
+
+
 def test_unicycle_jacobians_match_finite_differences():
     rng = np.random.default_rng(7)
     tau = 0.1
     h = 1e-6
+    # one sine and cosine per heading gives the two-evaluation bytes
+    for _ in range(20):
+        x = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
+        u = rng.uniform([-4, -math.pi / 3], [4, math.pi / 3], size=(600, 2))
+        for got, want in zip(unicycle_jacobians(x, u, tau),
+                             _two_evaluation_jacobians(x, u, tau)):
+            assert got.tobytes() == want.tobytes()
     for _ in range(100):
         x = rng.uniform([-5, -5, -3 * math.pi], [5, 5, 3 * math.pi])
         u = rng.uniform([-4, -math.pi / 3], [4, math.pi / 3])
@@ -128,9 +156,10 @@ def test_speed_limit_comes_from_the_input_bounds():
 def test_one_step_problem_has_minimal_counts():
     ws = make_ws()
     plan = _plan([[1.0, 1.0], [1.2, 1.0]])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     model = unicycle_model(0.1)
-    prob = build_nlp(plan, cor, ws, model, np.array([1.0, 1.0, 0.0]))
+    prob = build_nlp(plan, cor, ws, model, np.array([1.0, 1.0, 0.0]),
+                     **UNIT_WEIGHTS)
     assert prob.horizon == 1
     assert prob.state_lb.shape == (2, 3)
     assert prob.input_lb.shape == (1, 2)
@@ -141,15 +170,23 @@ def test_first_scenario_problem_counts(first_scenario_artifacts):
     assert prob.horizon == 600
     assert prob.state_lb.shape == (601, 3)
     assert prob.input_lb.shape == (600, 2)
-    assert len(prob.pair_rows) == len(first_scenario_artifacts["plan"].pairs)
+    # at each certified step the position bounds lie inside a region to
+    # visit and, for a region to avoid, clear of it on some axis
+    for pair in first_scenario_artifacts["plan"].pairs:
+        lb, ub = prob.state_lb[pair.k, :2], prob.state_ub[pair.k, :2]
+        box = pair.prop.region.box
+        if pair.prop.negated:
+            assert np.any((ub < box.lo) | (lb > box.hi)), pair
+        else:
+            assert np.all((lb >= box.lo) & (ub <= box.hi)), pair
 
 
 def test_initial_state_is_pinned_and_heading_is_free():
     ws = make_ws()
     plan = _plan([[1.0, 1.0], [1.2, 1.0], [1.4, 1.0]])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     x0 = np.array([1.0, 1.0, 0.7])
-    prob = build_nlp(plan, cor, ws, unicycle_model(0.1), x0)
+    prob = build_nlp(plan, cor, ws, unicycle_model(0.1), x0, **UNIT_WEIGHTS)
     assert np.array_equal(prob.state_lb[0], x0)
     assert np.array_equal(prob.state_ub[0], x0)
     assert np.all(prob.state_lb[1:, 2] == -np.inf)
@@ -162,9 +199,9 @@ def test_margin_retreats_faces_but_never_past_a_waypoint():
     ws = make_ws()
     pts = [[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]]
     plan = _plan(pts)
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([0.0, 0.0, 0.0]))
+                     np.array([0.0, 0.0, 0.0]), **UNIT_WEIGHTS)
     assert prob.state_lb[1, 1] == 0.0
     assert prob.state_lb[1, 0] == pytest.approx(DEFAULT_MARGIN)
     assert prob.state_ub[1, 0] == pytest.approx(10.0 - DEFAULT_MARGIN)
@@ -175,13 +212,11 @@ def test_membership_pairs_tighten_the_position_bounds():
     atom = region_atom("goal", (2.0, 2.0), (3.0, 3.0))
     pair = SatisfactionPair.make(2, atom)
     plan = _plan([[1.0, 1.0], [1.7, 1.7], [2.4, 2.4]], pairs=[pair])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([1.0, 1.0, 0.0]))
+                     np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
     assert tuple(prob.state_lb[2, :2]) == (2.0, 2.0)
     assert tuple(prob.state_ub[2, :2]) == (3.0, 3.0)
-    assert prob.pair_rows[0][0] == 2
-    assert prob.pair_rows[0][2] is atom
 
 
 def test_avoidance_pairs_bound_one_axis_by_the_best_face():
@@ -189,9 +224,9 @@ def test_avoidance_pairs_bound_one_axis_by_the_best_face():
     atom = region_atom("bad", (2.0, 2.0), (3.0, 3.0), negated=True)
     pair = SatisfactionPair.make(1, atom)
     plan = _plan([[1.0, 2.5], [1.0, 2.5], [1.0, 2.5]], pairs=[pair])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([1.0, 2.5, 0.0]))
+                     np.array([1.0, 2.5, 0.0]), **UNIT_WEIGHTS)
     assert prob.state_ub[1, 0] == pytest.approx(2.0 - DEFAULT_MARGIN)
     assert prob.state_ub[1, 1] > 9.0  # other axes untouched
 
@@ -218,10 +253,10 @@ def test_waypoint_inside_a_certified_avoid_region_fails_early():
     atom = region_atom("bad", (2.0, 2.0), (3.0, 3.0), negated=True)
     pair = SatisfactionPair.make(1, atom)
     plan = _plan([[2.5, 2.5], [2.5, 2.5]], pairs=[pair])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     with pytest.raises(InfeasibleConstraintError):
         build_nlp(plan, cor, ws, unicycle_model(0.1),
-                  np.array([2.5, 2.5, 0.0]))
+                  np.array([2.5, 2.5, 0.0]), **UNIT_WEIGHTS)
 
 
 def test_disjoint_membership_and_corridor_fail_early():
@@ -231,10 +266,10 @@ def test_disjoint_membership_and_corridor_fail_early():
     atom = region_atom("far", (5.0, 5.0), (6.0, 6.0))
     pair = SatisfactionPair.make(1, atom)
     plan = _plan([[1.0, 1.0], [1.0, 1.0]], pairs=[pair])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     with pytest.raises(InfeasibleConstraintError):
         build_nlp(plan, cor, ws, unicycle_model(0.1),
-                  np.array([1.0, 1.0, 0.0]))
+                  np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
 
 
 def test_handoff_states_are_confined_to_the_doorway():
@@ -244,7 +279,7 @@ def test_handoff_states_are_confined_to_the_doorway():
     cor = SafeCorridor((box_a, box_a, box_b, box_b))
     plan = _plan([[1.0, 3.0], [2.0, 3.0], [4.5, 3.0], [5.0, 3.0]])
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([1.0, 3.0, 0.0]))
+                     np.array([1.0, 3.0, 0.0]), **UNIT_WEIGHTS)
     m = DEFAULT_MARGIN
     assert prob.state_lb[2, 0] == pytest.approx(3.0 + m)
     assert prob.state_ub[2, 0] == pytest.approx(4.0 - m)
@@ -262,7 +297,7 @@ def test_zero_width_doorways_stay_pinned_to_the_shared_face():
     cor = SafeCorridor((box_a, box_b))
     plan = _plan([[3.9, 3.0], [4.1, 3.0]])
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([3.9, 3.0, 0.0]))
+                     np.array([3.9, 3.0, 0.0]), **UNIT_WEIGHTS)
     assert prob.state_lb[1, 0] == 4.0
     assert prob.state_ub[1, 0] == 4.0
 
@@ -275,17 +310,17 @@ def test_boxes_sharing_no_doorway_fail_early():
     plan = _plan([[1.0, 1.0], [4.0, 4.0]])
     with pytest.raises(InfeasibleConstraintError):
         build_nlp(plan, cor, ws, unicycle_model(0.1),
-                  np.array([1.0, 1.0, 0.0]))
+                  np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
 
 
 def _bounds_outcome(fn, pts, boxes, ws, pairs, margin):
     """What a bound assembly gives on the first len(pts) steps: the
-    bounds' bytes and the pair rows, or the error's type and message."""
+    bounds' bytes, or the error's type and message."""
     try:
-        lb, ub, rows = fn(pts, SafeCorridor(boxes), ws, pairs, margin)
+        lb, ub = fn(pts, SafeCorridor(boxes), ws, pairs, margin)
     except InfeasibleConstraintError as err:
         return type(err), str(err)
-    return lb.tobytes(), ub.tobytes(), rows
+    return lb.tobytes(), ub.tobytes()
 
 
 def _assert_bounds_match_the_reference(pts, boxes, ws, pairs, margin):
@@ -410,15 +445,16 @@ def test_position_bounds_edge_cases_match_the_reference():
 def test_build_rejects_inconsistent_inputs():
     ws = make_ws()
     plan = _plan([[1.0, 1.0], [1.2, 1.0]])
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     model = unicycle_model(0.1)
     with pytest.raises(OptimizationError):
         build_nlp(plan, SafeCorridor(cor.boxes[:1]), ws, model,
-                  np.array([1.0, 1.0, 0.0]))
+                  np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
     with pytest.raises(OptimizationError):
-        build_nlp(plan, cor, ws, model, np.array([9.0, 9.0, 0.0]))
+        build_nlp(plan, cor, ws, model, np.array([9.0, 9.0, 0.0]),
+                  **UNIT_WEIGHTS)
     with pytest.raises(OptimizationError):
-        build_nlp(plan, cor, ws, model, np.array([1.0, 1.0]))
+        build_nlp(plan, cor, ws, model, np.array([1.0, 1.0]), **UNIT_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +785,7 @@ def test_two_step_problem_reaches_the_hand_optimum():
 def test_merit_never_rises_within_an_outer_iteration():
     prob = _two_step_problem()
     init = (np.array([[0.0], [0.3], [1.5]]), np.zeros((2, 1)))
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert len(sol.log) >= 1
     for entry in sol.log:
         assert entry["merit_end"] <= entry["merit_start"] + 1e-9
@@ -829,7 +865,7 @@ def _solve_counting_derivatives(monkeypatch):
     monkeypatch.setattr(NlpProblem, "cost_grad", counted_cost_grad)
     prob, init = _unreachable_corner_problem()
     prob.model = replace(base, jac_fn=jac)
-    return calls, solve_nlp(prob, init=init)
+    return calls, solve_nlp(prob, init=init, tolerances=SolverTolerances())
 
 
 def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
@@ -854,20 +890,20 @@ def test_one_factorization_per_inner_iteration(monkeypatch):
     # perfbench counts optimizer.splu calls as Gauss-Newton iterations
     calls = count_calls(monkeypatch, optimizer, "splu")
     prob, init = _unreachable_corner_problem()
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert len(calls) == sum(e["inner_iterations"] for e in sol.log) > 0
 
 
 def test_newton_fallbacks_count_the_gradient_steps(monkeypatch):
     prob, init = _unreachable_corner_problem()
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert all(0 <= e["newton_fallbacks"] <= e["inner_iterations"]
                for e in sol.log)
 
     def failing(ab):
         raise LinAlgError("leading minor not positive definite")
     monkeypatch.setattr(optimizer, "splu", failing)
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert sum(e["inner_iterations"] for e in sol.log) > 0
     assert all(e["newton_fallbacks"] == e["inner_iterations"]
                for e in sol.log)
@@ -973,7 +1009,7 @@ def test_solver_log_counts_active_set_churn(monkeypatch):
     monkeypatch.setattr(optimizer._Bounds, "active", recording)
     monkeypatch.setattr(optimizer, "_inner_gauss_newton", outer)
     prob, init = _unreachable_corner_problem()
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert len(masks) == len(sol.log)
     for entry, seen in zip(sol.log, masks):
         assert len(seen) == entry["inner_iterations"]
@@ -985,7 +1021,7 @@ def test_solver_log_counts_active_set_churn(monkeypatch):
 
 
 def test_solves_match_the_reference_kernel_on_the_shipped_scenarios(
-        monkeypatch):
+        monkeypatch, tmp_path):
     # every solve of each shipped scenario at its own seed, repeated
     # with the bincount band kernel in place of the workspace one
     calls = []
@@ -996,7 +1032,9 @@ def test_solves_match_the_reference_kernel_on_the_shipped_scenarios(
         return solve(*args)
     monkeypatch.setattr(scenario_cli, "solve_nlp", recording)
     for name in scenario_cli.BUILTIN_SCENARIOS:
-        scenario_cli.run_pipeline(scenario_cli.load_scenario(name))
+        scenario = scenario_cli.load_scenario(name)
+        scenario_cli.run_pipeline(scenario, seed=scenario.seed,
+                                  out_dir=tmp_path / name)
     assert len(calls) >= 3
     for args in calls:
         with monkeypatch.context() as patch:
@@ -1021,20 +1059,15 @@ def test_importing_the_package_leaves_scipy_sparse_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-def test_solver_requires_an_initialization():
-    with pytest.raises(OptimizationError):
-        solve_nlp(_two_step_problem())
-
-
 def test_stationary_feasible_start_converges_immediately():
     ws = make_ws()
     pts = [[2.0, 2.0]] * 4
     plan = _plan(pts)
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([2.0, 2.0, 0.5]))
+                     np.array([2.0, 2.0, 0.5]), **UNIT_WEIGHTS)
     init = initial_guess(prob, plan.waypoints.positions)
-    sol = solve_nlp(prob, init=init)
+    sol = solve_nlp(prob, init=init, tolerances=SolverTolerances())
     assert sol.converged
     assert sol.cost <= 1e-12
     assert sol.max_violation <= 1e-12
@@ -1045,9 +1078,9 @@ def test_initial_guess_is_dynamically_exact_on_straight_lines():
     ws = make_ws()
     pts = [[0.5 + 0.1 * k, 1.0] for k in range(11)]
     plan = _plan(pts)
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([0.5, 1.0, 0.0]))
+                     np.array([0.5, 1.0, 0.0]), **UNIT_WEIGHTS)
     states, inputs = initial_guess(prob, plan.waypoints.positions)
     assert np.allclose(inputs[:, 0], 1.0, atol=1e-9)
     assert np.allclose(inputs[:, 1], 0.0, atol=1e-9)
@@ -1058,9 +1091,9 @@ def test_initial_guess_carries_heading_through_standstills():
     ws = make_ws()
     pts = [[1.0, 1.0], [1.5, 1.5], [1.5, 1.5], [1.5, 1.5], [2.0, 2.0]]
     plan = _plan(pts, tau=1.0)
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(1.0),
-                     np.array([1.0, 1.0, 0.0]))
+                     np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
     states, _ = initial_guess(prob, plan.waypoints.positions)
     assert states[2, 2] == states[1, 2] == states[3, 2]
     assert states[1, 2] == pytest.approx(math.pi / 4)
@@ -1126,41 +1159,24 @@ def test_initial_guess_never_wraps_the_heading():
     pts = [[5.0, 5.0], [6.0, 5.0], [6.0, 6.0], [5.0, 6.0], [5.0, 5.0],
            [6.0, 5.0]]
     plan = _plan(pts, tau=1.0)
-    cor = construct_safe_corridor(plan.waypoints, ws)
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(1.0),
-                     np.array([5.0, 5.0, 0.0]))
+                     np.array([5.0, 5.0, 0.0]), **UNIT_WEIGHTS)
     states, _ = initial_guess(prob, plan.waypoints.positions)
     theta = states[:, 2]
     assert np.all(np.abs(np.diff(theta)) <= math.pi / 2 + 1e-9)
     assert theta[-1] == pytest.approx(2.0 * math.pi)
 
 
-def test_evaluate_solution_reports_defects_and_pairs():
+def test_evaluate_solution_reports_defects_and_bound_violations():
     prob = _two_step_problem()
     good = evaluate_solution(prob, [[0.0], [0.5], [1.0]],
                              [[0.5], [0.5]])
+    assert set(good) == {"dynamics_violation", "bound_violation"}
     assert good["dynamics_violation"] <= 1e-15
     assert good["bound_violation"] == 0.0
-    assert good["pairs_satisfied"]
-    assert good["cost"] == pytest.approx(0.5)
     bad = evaluate_solution(prob, [[0.0], [0.8], [0.9]],
                             [[0.5], [0.5]])
     assert bad["dynamics_violation"] == pytest.approx(0.4)
     assert bad["bound_violation"] == pytest.approx(0.1)
 
-
-def test_evaluate_solution_checks_pair_membership():
-    ws = make_ws()
-    atom = region_atom("goal", (2.0, 2.0), (3.0, 3.0))
-    pair = SatisfactionPair.make(1, atom)
-    plan = _plan([[2.5, 2.5], [2.5, 2.5]], pairs=[pair])
-    cor = construct_safe_corridor(plan.waypoints, ws)
-    prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
-                     np.array([2.5, 2.5, 0.0]))
-    states = np.array([[2.5, 2.5, 0.0], [2.5, 2.5, 0.0]])
-    ok = evaluate_solution(prob, states, np.zeros((1, 2)))
-    assert ok["pairs_satisfied"]
-    outside = states.copy()
-    outside[1, :2] = [5.0, 5.0]
-    bad = evaluate_solution(prob, outside, np.zeros((1, 2)))
-    assert not bad["pairs_satisfied"]

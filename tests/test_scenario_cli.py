@@ -17,7 +17,9 @@ from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   emit_svg, load_scenario, main,
                                   pairs_csv_text, plan_csv_text,
                                   read_traj_csv, run_pipeline, traj_csv_text)
-from stlplan.stl_core import StlError, parse_formula, pretty
+from stlplan.satisfaction import SatisfactionSet
+from stlplan.st_planner import GlobalPlan
+from stlplan.stl_core import PointSequence, StlError, parse_formula, pretty
 
 
 def _tiny_data():
@@ -317,20 +319,32 @@ def test_pipeline_satisfies_the_tiny_scenario(tiny_path, tmp_path):
 
 
 def test_one_factorization_per_inner_iteration_of_the_pipeline(
-        tiny_path, monkeypatch):
+        tiny_path, tmp_path, monkeypatch):
     # perfbench counts optimizer.splu calls as Gauss-Newton iterations
     calls = count_calls(monkeypatch, optimizer, "splu")
-    report = run_pipeline(load_scenario(tiny_path), seed=0)
+    report = run_pipeline(load_scenario(tiny_path), seed=0, out_dir=tmp_path)
     inner = sum(e["inner_iterations"] for a in report.attempts
                 if a.solution is not None for e in a.solution.log)
     assert report.satisfied
     assert len(calls) == inner > 0
 
 
-def test_pipeline_without_an_out_dir_keeps_nothing(tiny_path):
-    report = run_pipeline(load_scenario(tiny_path), seed=0)
-    assert report.satisfied
-    assert report.out_dir == ""
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipeline_keeps_the_plan_inside_an_always_region(tmp_path, seed):
+    # a non-negated G clause: every tree edge must stay in the keep-in
+    # box, so every waypoint of plan.csv lies inside it
+    data = _tiny_data()
+    data["workspace"]["regions"]["safe"] = [[0.0, 3.5], [0.0, 3.5]]
+    data["formula"] = "G[0,4] safe & F[0,2] goal"
+    scenario = load_scenario(_write_scenario(tmp_path, data))
+    out = tmp_path / "out"
+    report = run_pipeline(scenario, seed=seed, out_dir=out)
+    assert report.status == "satisfied", report.error
+    rows = (out / "plan.csv").read_text().splitlines()[1:]
+    assert len(rows) == scenario.horizon_steps + 1 == 9
+    for row in rows:
+        x, y = map(float, row.split(",")[2:])
+        assert 0.0 <= x <= 3.5 and 0.0 <= y <= 3.5, row
 
 
 def test_unreachable_goal_fails_the_planning_stage(tmp_path):
@@ -418,6 +432,7 @@ def test_a_replan_that_succeeds_leaves_no_stale_error(tiny_path, tmp_path,
 
 
 def test_the_report_keeps_no_object_of_an_earlier_attempt(tiny_path,
+                                                          tmp_path,
                                                           monkeypatch):
     construct = scenario_cli.construct_safe_corridor
     corridors = []
@@ -433,7 +448,7 @@ def test_the_report_keeps_no_object_of_an_earlier_attempt(tiny_path,
         states=np.zeros((5, 3)), inputs=np.zeros((4, 2)), cost=0.0,
         max_violation=1.0, outer_iterations=1, converged=False,
         message="forced failure"))
-    report = run_pipeline(load_scenario(tiny_path), seed=0)
+    report = run_pipeline(load_scenario(tiny_path), seed=0, out_dir=tmp_path)
     assert report.metrics["attempt_outcomes"] == [
         "failed:optimize"] + ["failed:corridor"] * 3
     assert report.corridor is None and report.solution is None
@@ -475,9 +490,33 @@ def test_cli_plan_writes_waypoint_artifacts(tiny_path, tmp_path, capsys):
     out = tmp_path / "planned"
     assert main(["plan", str(tiny_path), "--seed", "1",
                  "--out", str(out)]) == 0
-    assert (out / "plan.csv").exists()
-    assert (out / "pairs.csv").exists()
     assert "waypoints" in capsys.readouterr().out
+    # the plan stage of run, which needs no replan at this seed
+    ran = tmp_path / "ran"
+    assert main(["run", str(tiny_path), "--seed", "1",
+                 "--out", str(ran)]) == 0
+    assert "attempt 2" not in (ran / "report.txt").read_text()
+    for name in ("plan.csv", "pairs.csv"):
+        assert (out / name).read_bytes() == (ran / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_cli_rejects_a_plan_that_fails_validation(tiny_path, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  command):
+    # a planner result one waypoint short of the horizon: both commands
+    # validate it and stop before writing plan.csv
+    plan_global = scenario_cli.plan_global
+
+    def short(*args, **kwargs):
+        wps = plan_global(*args, **kwargs).waypoints
+        return GlobalPlan(PointSequence(0, wps.tau, wps.positions[:-1]),
+                          SatisfactionSet())
+    monkeypatch.setattr(scenario_cli, "plan_global", short)
+    out = tmp_path / "out"
+    assert main([command, str(tiny_path), "--out", str(out)]) == 3
+    assert "expected 5 waypoints, have 4" in capsys.readouterr().err
+    assert not (out / "plan.csv").exists()
 
 
 def test_cli_run_then_check_round_trip(tiny_path, tmp_path, capsys):

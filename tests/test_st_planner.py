@@ -195,7 +195,8 @@ def test_tree_completes_immediately_inside_the_target():
     goal = Goal(region_atom("t", (0.0, 0.0), (2.0, 2.0)), (0.0, 5.0))
     positions, times, arrival = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
                                           OPEN_WS, 5.0, PARAMS, rng,
-                                          tau=0.1)
+                                          tau=0.1, v_max=math.inf,
+                                          guards=())
     # the root itself is the arrival: no vertex follows it
     assert positions.shape == (0, 2) and times.shape == (0,)
     assert arrival == 0
@@ -210,7 +211,7 @@ def test_tree_reaches_an_open_room_target_reliably():
         try:
             positions, _, _ = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
                                         OPEN_WS, 20.0, params, rng,
-                                        tau=0.1)
+                                        tau=0.1, v_max=math.inf, guards=())
         except TreeFailure:
             continue
         assert goal.prop.holds(positions[-1])
@@ -228,7 +229,8 @@ def test_tree_fails_on_an_enclosed_target():
     params = PlannerParams(max_iters_per_tree=300)
     with pytest.raises(TreeFailure):
         grow_tree(np.array([1.0, 1.0]), 0.0, goal, ws, 20.0, params,
-                  np.random.default_rng(4), tau=0.1)
+                  np.random.default_rng(4), tau=0.1, v_max=math.inf,
+                  guards=())
 
 
 def test_tree_rejects_a_root_violating_a_guard():
@@ -238,7 +240,7 @@ def test_tree_rejects_a_root_violating_a_guard():
     with pytest.raises(PlanningError):
         grow_tree(np.array([1.0, 1.0]), 0.0, goal, OPEN_WS, 8.0,
                   PARAMS, np.random.default_rng(5), tau=0.1,
-                  guards=(guard,))
+                  v_max=math.inf, guards=(guard,))
 
 
 def _check_tree_path(positions, times, root_pos, root_time, goal, arrival,
@@ -317,7 +319,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
                 try:
                     positions, times, arrival = grow_tree(
                         pos, t0, goal, ws, max(t0, goal.deadline),
-                        params, rng, tau=tau, v_max=2.0)
+                        params, rng, tau=tau, v_max=2.0, guards=())
                 except TreeFailure:
                     failures += 1
                     continue
@@ -438,7 +440,7 @@ def test_plan_local_serves_a_single_reach_goal():
     task = LocalTask(1, TimeInterval(0, 6), (sub,))
     rng = np.random.default_rng(21)
     seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, PARAMS,
-                            rng, [], tau=0.5)
+                            rng, [], tau=0.5, v_max=math.inf)
     assert seq.k0 == 0 and seq.k_last == 12
     assert len(pairs) == 1
     ok, _ = stl_sat(seq, sub)
@@ -524,7 +526,7 @@ def test_plan_local_gives_up_on_an_impossible_hold():
     with pytest.raises(PlanningError):
         plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, params,
                    np.random.default_rng(31), [Guard.from_subtask(sub)],
-                   tau=0.5)
+                   tau=0.5, v_max=math.inf)
 
 
 def test_global_plan_covers_the_whole_grid(first_scenario_artifacts):
@@ -565,11 +567,11 @@ def test_global_plan_validation_names_the_first_offending_step():
     fast = plan([[1.0, 1.0], [1.5, 1.0], [3.0, 1.0], [5.0, 1.0]])
     with pytest.raises(PlanningError, match=r"speed limit at step 1: "
                                             r"1\.5 m to step 2"):
-        fast.validate(ws, 2.0)
+        fast.validate(ws, 2.0, expected_len=4)
     blocked = plan([[3.0, 5.0], [3.5, 5.0], [4.0, 5.0], [4.5, 5.0]])
     with pytest.raises(PlanningError, match=r"waypoint \[4\.0, 5\.0\] at "
                                             r"step 2 is not in free space"):
-        blocked.validate(ws, 2.0)
+        blocked.validate(ws, 2.0, expected_len=4)
 
 
 def test_global_plan_starts_at_the_initial_position(
