@@ -8,7 +8,11 @@ alone.  Downstream
 the pairs become pointwise constraints of the trajectory optimizer, so
 the checker keeps them minimal where it can:
 
-* F: the earliest witness only (the first True).
+* F: one witness, the last grid point of the first visit (the end of
+  the first run of True rows, or the interval's last grid point when
+  that run reaches it).  The tree enters a region at up to full speed,
+  so its arrival would pin the trajectory to that speed; the end of the
+  visit leaves the optimizer the time the tree spent inside.
 * G: every grid point in the window (all True).
 * FG: the grid points of the first satisfying hold window (the first
   window whose prefix-sum count of True rows is its length).
@@ -20,17 +24,17 @@ the checker keeps them minimal where it can:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .stl_core import CoverageError, _window_indices
 
 
-@dataclass(frozen=True, order=True)
-class SatisfactionPair:
+class SatisfactionPair(NamedTuple):
     """One certified sample: the sequence is inside (or outside, for a
-    negated atom) the region at grid index k."""
+    negated atom) the region at grid index k.  A named tuple, because a
+    plan builds hundreds of them."""
 
     k: int
     label: str
@@ -111,7 +115,11 @@ def _sat_eventually(sub, ks, holds):
     j = int(holds.argmax())
     if not holds[j]:
         return False, ()
-    return True, _pairs(sub.prop, ks[j:j + 1])
+    # certify the last index of the first visit, not the tree's arrival
+    end = j + int(holds[j:].argmin())
+    if holds[end]:
+        end = len(ks)  # the visit lasts to the interval's end
+    return True, _pairs(sub.prop, ks[end - 1:end])
 
 
 def _sat_always(sub, ks, holds):

@@ -459,7 +459,8 @@ def run_pipeline(scenario, seed, out_dir):
     """Run decompose / plan / corridor / optimize / verify with planner
     seed `seed` and write all artifacts into out_dir.  Verification
     re-reads traj.csv from disk.  Partial artifacts are still written
-    when a stage fails."""
+    when a stage fails.  A task that decompose rejects raises its
+    StlError after report.txt is written, as `validate` and `plan` do."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(scenario=scenario, seed=seed, out_dir=str(out))
@@ -476,6 +477,8 @@ def _run_stages(scenario, seed, out, report):
         dec = decompose(scenario.formula, scenario.tau)
     except Exception as err:
         report.status, report.error = _failure("decompose", err)
+        if isinstance(err, StlError):
+            raise  # a task decompose rejects is a configuration error
         return
     report.decomposition = dec
     report.stage_log.append(

@@ -503,10 +503,16 @@ def reference_stl_sat(seq, sub):
         return tuple(SatisfactionPair.make(k, sub.prop) for k in ks)
 
     if sub.kind == "F":
+        # the last index of the first run of grid points that hold
+        witness = None
         for k in outer_ks:
             if holds(k):
-                return True, pairs([k])
-        return False, ()
+                witness = k
+            elif witness is not None:
+                break
+        if witness is None:
+            return False, ()
+        return True, pairs([witness])
     if sub.kind == "G":
         if all(holds(k) for k in outer_ks):
             return True, pairs(outer_ks)

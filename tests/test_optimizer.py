@@ -25,7 +25,7 @@ from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                evaluate_solution, initial_guess, rollout,
                                solve_nlp, unicycle_jacobians, unicycle_model,
                                unicycle_step)
-from stlplan.satisfaction import SatisfactionPair, SatisfactionSet
+from stlplan.satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import Box, PointSequence
 
@@ -131,6 +131,27 @@ def test_batched_step_matches_per_row_calls():
     for k in range(20):
         Ak, Bk = unicycle_jacobians(xs[k], us[k], 0.1)
         assert np.allclose(A[k], Ak) and np.allclose(B[k], Bk)
+
+
+def test_the_model_takes_sine_and_cosine_once_per_set_of_headings(
+        monkeypatch):
+    # the solver's Jacobians follow the step of the same iterate
+    calls = count_calls(monkeypatch, optimizer, "_cos_sin")
+    model = unicycle_model(0.1)
+    rng = np.random.default_rng(5)
+    x = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
+    u = rng.uniform([-4, -1], [4, 1], size=(600, 2))
+    moved = x.copy()
+    moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
+    for states, n in ((x, 1), (moved, 2)):
+        got = (model.step(states, u), *model.jacobians(states, u))
+        assert len(calls) == n
+        want = (unicycle_step(states, u, 0.1),
+                *unicycle_jacobians(states, u, 0.1))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    assert model.step(x[0], u[0]).tobytes() == \
+        unicycle_step(x[0], u[0], 0.1).tobytes()
 
 
 def test_rollout_chains_the_step_function():
@@ -844,6 +865,51 @@ def test_failure_message_names_the_worst_defect_and_its_step(max_outer):
     assert sol.message.endswith(f"(worst defect {defect[k]:.2e} at step "
                                 f"{k})")
     assert defect[k] == pytest.approx(sol.max_violation)
+
+
+def test_earliest_reach_witnesses_stall_scenario1_seed_8(monkeypatch):
+    # the first-attempt NLP of scenario1 seed 8, but with each F pair
+    # moved back to the first index of its visit, as certified before:
+    # pinned to the tree's fastest arrival, the solve stalls at step 0
+    from stlplan import st_planner
+    from stlplan.decomposer import decompose
+
+    scenario = scenario_cli.load_scenario("scenario1")
+    dec = decompose(scenario.formula, scenario.tau)
+
+    def earliest_witness(seq, sub):
+        ok, pairs = stl_sat(seq, sub)
+        if ok and sub.kind == "F":
+            k = pairs[0].k
+            first = sub.active_interval().grid_indices(seq.tau).start
+            while k > first and sub.prop.holds(seq.at_index(k - 1)):
+                k -= 1
+            pairs = (SatisfactionPair.make(k, sub.prop),)
+        return ok, pairs
+
+    def first_attempt_plan():
+        params = replace(scenario.planner, rng_seed=8)
+        return st_planner.plan_global(
+            dec, scenario.x0[:2], scenario.workspace, params,
+            tau=scenario.tau, v_max=scenario.model.speed_limit)
+
+    plan = first_attempt_plan()
+    monkeypatch.setattr(st_planner, "stl_sat", earliest_witness)
+    early = first_attempt_plan()
+    assert early.waypoints.positions.tobytes() == \
+        plan.waypoints.positions.tobytes()
+    moved = {(p.k, p.label) for p in plan.pairs} ^ \
+        {(p.k, p.label) for p in early.pairs}
+    assert len(early.pairs) == len(plan.pairs) and moved
+    cor = construct_safe_corridor(early.waypoints, scenario.workspace,
+                                  scenario.corridor_step)
+    prob = build_nlp(early, cor, scenario.workspace, scenario.model,
+                     scenario.x0, q_weights=scenario.q_weights,
+                     r_weights=scenario.r_weights)
+    sol = solve_nlp(prob, initial_guess(prob, early.waypoints.positions),
+                    scenario.tolerances)
+    assert not sol.converged
+    assert sol.message.endswith(" at step 0)")
 
 
 def _solve_counting_derivatives(monkeypatch):

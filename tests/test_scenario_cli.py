@@ -562,6 +562,23 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     assert "v_bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["decompose"], ["plan"], ["run"],
+    ["run", "--repeat", "2"]],
+    ids=["validate", "decompose", "plan", "run", "run-repeat"])
+def test_cli_gives_one_verdict_for_a_task_decompose_rejects(
+        tmp_path, capsys, argv):
+    # loading accepts a horizon of zero; decompose rejects it
+    data = _tiny_data()
+    data["formula"] = "F[0,0] goal"
+    path = _write_scenario(tmp_path, data)
+    assert main([argv[0], str(path), *argv[1:]]
+                + (["--out", str(tmp_path / "out")]
+                   if argv[0] in ("plan", "run") else [])) == 4
+    assert "configuration error: task constrains only time zero; " \
+        "nothing to plan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["plan", "run"])
 def test_cli_rejects_a_negative_seed_before_any_stage(tiny_path, tmp_path,
                                                       capsys, command):

@@ -610,9 +610,14 @@ def test_disjunctive_fallback_fires_only_when_no_earlier_piece_holds():
         plan = plan_global(dec, (1.0, 1.0), ws, params, tau=0.5, v_max=2.0)
         t_ks = [p.k for p in plan.pairs if p.label == "t"]
         assert len(t_ks) == 1 and 4 <= t_ks[0] <= 8
-        # starting inside t, the earlier piece already holds at k=0
+        # starting inside t, the earlier piece already holds from k=0 on,
+        # and it is certified where that first visit ends
         plan = plan_global(dec, (5.0, 5.0), ws, params, tau=0.5, v_max=2.0)
-        assert [p.k for p in plan.pairs if p.label == "t"] == [0]
+        t_box = ws.regions[1].box
+        last = 0
+        while last < 8 and t_box.contains(plan.waypoints.at_index(last + 1)):
+            last += 1
+        assert [p.k for p in plan.pairs if p.label == "t"] == [last]
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
@@ -636,6 +641,36 @@ def test_each_disjunctive_set_is_certified_by_its_first_holding_piece(name):
             assert [(p.k, p.label) for p in plan.pairs
                     if p.label == label] == \
                 [(p.k, p.label) for p in first]
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_each_reach_pair_ends_the_first_visit(name):
+    # checked point by point with AtomicProp.holds, not via the reference
+    from dataclasses import replace
+    from stlplan.scenario_cli import load_scenario
+
+    scenario = load_scenario(name)
+    dec = decompose(scenario.formula, scenario.tau)
+    clauses = [[s] for task in dec.local_tasks for s in task.subtasks
+               if s.kind == "F"]
+    clauses += [list(d.pieces) for d in dec.disjunctive_sets]
+    assert clauses
+    for seed in range(3):
+        params = replace(scenario.planner, rng_seed=seed)
+        plan = plan_global(dec, scenario.x0[:2], scenario.workspace, params,
+                           tau=scenario.tau,
+                           v_max=scenario.model.speed_limit)
+        seq, keys = plan.waypoints, {(p.k, p.label) for p in plan.pairs}
+        for pieces in clauses:
+            # the plan certifies the clause through one of its pieces
+            sub, pair = next((s, pairs[0]) for s, (ok, pairs) in
+                             ((s, stl_sat(seq, s)) for s in pieces)
+                             if ok and (pairs[0].k, pairs[0].label) in keys)
+            ks = sub.active_interval().grid_indices(seq.tau)
+            holds = [sub.prop.holds(seq.at_index(k)) for k in ks]
+            first, i = holds.index(True), ks.index(pair.k)
+            assert all(holds[first:i + 1])
+            assert i + 1 == len(ks) or not holds[i + 1]
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
