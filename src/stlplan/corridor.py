@@ -51,7 +51,8 @@ class SafeCorridor:
 
     def distinct(self):
         """The distinct boxes in first-use order."""
-        return self.runs()[1]
+        return [b for prev, b in zip((None,) + self.boxes, self.boxes)
+                if b is not prev]
 
     def validate(self, ws, waypoints):
         """Raise unless every box contains its waypoint, stays inside the

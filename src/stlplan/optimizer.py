@@ -82,36 +82,31 @@ class DynamicsModel:
         return max(abs(self.input_lo[0]), abs(self.input_hi[0]))
 
 
+# ((shape, bytes) of the last headings _cos_sin was given, (cos, sin))
+_last_trig = None
+
+
 def _cos_sin(th):
-    return np.cos(th), np.sin(th)
+    """Cosine and sine of the headings th, remembered for the last set of
+    headings bit for bit: the solver takes the Jacobians of an accepted
+    iterate right after its step, at the same headings, so each accepted
+    iterate takes them once.  The one entry is replaced whole, so no
+    call pairs one call's headings with another's values; callers only
+    read the arrays."""
+    global _last_trig
+    key = (th.shape, th.tobytes())
+    if _last_trig is None or _last_trig[0] != key:
+        _last_trig = (key, (np.cos(th), np.sin(th)))
+    return _last_trig[1]
 
 
-def _last_cos_sin():
-    """_cos_sin remembering the last headings it was given, bit for bit.
-    The solver takes the Jacobians of an accepted iterate right after
-    its step, at the same headings, so each accepted iterate takes them
-    once.  The one entry is replaced whole, so no caller can pair one
-    call's headings with another's values."""
-    last = [None]
-
-    def cos_sin(th):
-        key = (th.shape, th.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            entry = last[0] = (key, _cos_sin(th))
-        return entry[1]
-    return cos_sin
-
-
-def unicycle_step(x, u, tau, cos_sin=_cos_sin):
+def unicycle_step(x, u, tau):
     """One step of the unicycle: positions advance along the heading at
-    the commanded speed, the heading advances at the commanded rate.
-    cos_sin(headings) gives their cosine and sine (unicycle_model's
-    remembers its last headings; the values are the same)."""
+    the commanded speed, the heading advances at the commanded rate."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     v, w = u[..., 0], u[..., 1]
-    cos, sin = cos_sin(x[..., 2])
+    cos, sin = _cos_sin(x[..., 2])
     out = x.copy()
     out[..., 0] += tau * v * cos
     out[..., 1] += tau * v * sin
@@ -119,14 +114,13 @@ def unicycle_step(x, u, tau, cos_sin=_cos_sin):
     return out
 
 
-def unicycle_jacobians(x, u, tau, cos_sin=_cos_sin):
-    """State and input Jacobians of the unicycle step; cos_sin as in
-    unicycle_step."""
+def unicycle_jacobians(x, u, tau):
+    """State and input Jacobians of the unicycle step."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     batch = x.shape[:-1]
     v = u[..., 0]
-    cos, sin = cos_sin(x[..., 2])
+    cos, sin = _cos_sin(x[..., 2])
     A = np.zeros(batch + (3, 3))
     A[..., 0, 0] = 1.0
     A[..., 1, 1] = 1.0
@@ -142,11 +136,10 @@ def unicycle_jacobians(x, u, tau, cos_sin=_cos_sin):
 
 def unicycle_model(tau, v_bounds=(-4.0, 4.0),
                    omega_bounds=(-math.pi / 3, math.pi / 3)):
-    cos_sin = _last_cos_sin()
     return DynamicsModel(
         name="unicycle", state_dim=3, input_dim=2, pos_dim=2, tau=tau,
-        step_fn=lambda x, u: unicycle_step(x, u, tau, cos_sin),
-        jac_fn=lambda x, u: unicycle_jacobians(x, u, tau, cos_sin),
+        step_fn=lambda x, u: unicycle_step(x, u, tau),
+        jac_fn=lambda x, u: unicycle_jacobians(x, u, tau),
         input_lo=(float(v_bounds[0]), float(omega_bounds[0])),
         input_hi=(float(v_bounds[1]), float(omega_bounds[1])))
 

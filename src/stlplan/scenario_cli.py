@@ -455,14 +455,25 @@ def verify_trajectory(scenario, positions, headings, inputs):
     }
 
 
+_ARTIFACTS = ("plan.csv", "pairs.csv", "corridor.csv", "traj.csv",
+              "figure.svg", "report.txt")
+
+
 def run_pipeline(scenario, seed, out_dir):
     """Run decompose / plan / corridor / optimize / verify with planner
     seed `seed` and write all artifacts into out_dir.  Verification
     re-reads traj.csv from disk.  Partial artifacts are still written
-    when a stage fails.  A task that decompose rejects raises its
-    StlError after report.txt is written, as `validate` and `plan` do."""
+    when a stage fails; those of an earlier run into out_dir are removed
+    first, so none outlives the run.  A task that decompose rejects
+    raises its StlError after report.txt is written, as `validate` and
+    `plan` do."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # unlinked, not overwritten: ext4 flushes a file truncated and
+    # rewritten in place on close (auto_da_alloc), which costs a rerun
+    # into the same out_dir about 2 ms more than writing new files
+    for name in _ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
     report = RunReport(scenario=scenario, seed=seed, out_dir=str(out))
     try:
         _run_stages(scenario, seed, out, report)
@@ -554,7 +565,7 @@ def _attempt_stages(scenario, dec, out, attempt):
         m["corridor_distinct_boxes"] = len(cor.distinct())
         (out / "corridor.csv").write_text(corridor_csv_text(cor))
         attempt.stage_log.append(
-            ("corridor", f"{len(cor.distinct())} distinct boxes"))
+            ("corridor", f"{m['corridor_distinct_boxes']} distinct boxes"))
 
         stage = "optimize"
         t0 = time.perf_counter()

@@ -251,27 +251,28 @@ class Workspace:
     def segments_collide(self, A, B):
         """segment_collides of each segment A[i]-B[i] of the (N, d)
         arrays A and B: Box.segment_intersects' slab clipping with the
-        same float operations, run on all segment-obstacle pairs."""
-        A = np.asarray(A, dtype=float)[:, None, :]
-        D = np.asarray(B, dtype=float)[:, None, :] - A
-        lo, hi = self._obs_lo, self._obs_hi
-        flat = D == 0.0
-        # an axis the segment does not move along must pass through the
-        # slab; the others clip the parameter interval [tmin, tmax]
-        hit = ~np.any(flat & ((A < lo) | (A > hi)), axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T1 = (lo - A) / D
-            T2 = (hi - A) / D
+        same float operations, run on all obstacle-segment pairs as
+        (O, N) arrays, one axis at a time, so that numpy's inner loops
+        run along the segments."""
+        A = np.asarray(A, dtype=float).T
+        D = np.asarray(B, dtype=float).T - A
+        hit = np.ones((len(self.obstacles), A.shape[1]), dtype=bool)
         tmin = np.zeros(hit.shape)
         tmax = np.ones(hit.shape)
-        for i in range(D.shape[2]):
-            swap = T1[..., i] > T2[..., i]
-            t1 = np.where(swap, T2[..., i], T1[..., i])
-            t2 = np.where(swap, T1[..., i], T2[..., i])
-            move = ~flat[..., i]
+        for a, d, lo, hi in zip(A, D, self._obs_lo.T[:, :, None],
+                                self._obs_hi.T[:, :, None]):
+            # an axis the segment does not move along must pass through
+            # the slab; the others clip the parameter interval [tmin, tmax]
+            move = d != 0.0
+            hit &= move | ((a >= lo) & (a <= hi))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (lo - a) / d
+                t2 = (hi - a) / d
+            swap = t1 > t2
+            t1, t2 = np.where(swap, t2, t1), np.where(swap, t1, t2)
             tmin = np.where(move & (t1 > tmin), t1, tmin)
             tmax = np.where(move & (t2 < tmax), t2, tmax)
-        return (hit & ~(tmin > tmax)).any(axis=1)
+        return (hit & ~(tmin > tmax)).any(axis=0)
 
     def sample_free(self, rng):
         for _ in range(SAMPLE_FREE_TRIES):

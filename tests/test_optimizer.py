@@ -136,22 +136,26 @@ def test_batched_step_matches_per_row_calls():
 def test_the_model_takes_sine_and_cosine_once_per_set_of_headings(
         monkeypatch):
     # the solver's Jacobians follow the step of the same iterate
-    calls = count_calls(monkeypatch, optimizer, "_cos_sin")
-    model = unicycle_model(0.1)
     rng = np.random.default_rng(5)
     x = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
     u = rng.uniform([-4, -1], [4, 1], size=(600, 2))
     moved = x.copy()
     moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
-    for states, n in ((x, 1), (moved, 2)):
-        got = (model.step(states, u), *model.jacobians(states, u))
+    trig = [(np.cos(s[:, 2]), np.sin(s[:, 2])) for s in (x, moved)]
+    monkeypatch.setattr(optimizer, "_last_trig", None)
+    calls = count_calls(monkeypatch, optimizer.np, "cos")
+    model = unicycle_model(0.1)
+    for n, (states, (cos, sin)) in enumerate(
+            ((x, trig[0]), (moved, trig[1]), (x, trig[0])), start=1):
+        step = model.step(states, u)
+        A, B = model.jacobians(states, u)
         assert len(calls) == n
-        want = (unicycle_step(states, u, 0.1),
-                *unicycle_jacobians(states, u, 0.1))
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-    assert model.step(x[0], u[0]).tobytes() == \
-        unicycle_step(x[0], u[0], 0.1).tobytes()
+        # the float operations on these headings' own cosine and sine
+        v = u[:, 0]
+        assert step[:, 0].tobytes() == (states[:, 0] + 0.1 * v * cos).tobytes()
+        assert step[:, 1].tobytes() == (states[:, 1] + 0.1 * v * sin).tobytes()
+        assert A[:, 0, 2].tobytes() == (-0.1 * v * sin).tobytes()
+        assert B[:, 0, 0].tobytes() == (0.1 * cos).tobytes()
 
 
 def test_rollout_chains_the_step_function():

@@ -366,6 +366,21 @@ def test_unreachable_goal_fails_the_planning_stage(tmp_path):
     assert not (out / "traj.csv").exists()
 
 
+def test_a_failed_run_leaves_no_artifact_of_an_earlier_run(
+        tiny_path, tmp_path, monkeypatch):
+    scenario = load_scenario(tiny_path)
+    out = tmp_path / "out"
+    assert run_pipeline(scenario, seed=0, out_dir=out).satisfied
+
+    def no_plan(*args, **kwargs):
+        raise StlError("no plan")
+    monkeypatch.setattr(scenario_cli, "plan_global", no_plan)
+    report = run_pipeline(scenario, seed=0, out_dir=out)
+    assert report.status == "failed:plan"
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+    assert "status: failed:plan" in (out / "report.txt").read_text()
+
+
 def test_identical_seeds_give_byte_identical_artifacts(tiny_path, tmp_path):
     scenario = load_scenario(tiny_path)
     outs = [tmp_path / "a", tmp_path / "b"]

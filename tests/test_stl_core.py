@@ -149,6 +149,19 @@ def test_batched_predicates_on_touching_and_degenerate_segments():
     assert empty.segments_collide(A[:0], B[:0]).shape == (0,)
 
 
+def test_batched_predicates_on_non_finite_endpoints():
+    # a checked traj.csv can hold nan or inf; both tests give the same
+    # verdict on them, segment by segment
+    ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
+    nan, inf = np.nan, np.inf
+    A = np.array([[nan, 5.0], [3.0, 5.0], [inf, 5.0], [3.0, 5.0],
+                  [3.0, inf], [-inf, 5.0]])
+    B = np.array([[7.0, 5.0], [nan, 5.0], [7.0, 5.0], [inf, 5.0],
+                  [3.0, 5.0], [inf, 5.0]])
+    scalar, batched = _scalar_and_batched(ws, A, B)
+    assert scalar == batched
+
+
 def _point_forms(p):
     return [np.array(p, dtype=float), [float(v) for v in p],
             tuple(float(v) for v in p)]
