@@ -16,7 +16,8 @@ of its box, and the workspace and obstacle tests once per distinct box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -34,25 +35,21 @@ class SafeCorridor:
     """One box per waypoint; consecutive entries may share the object."""
 
     boxes: tuple
+    _runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        boxes = tuple(self.boxes)
+        first = [b is not prev for prev, b in zip((None,) + boxes, boxes)]
+        run = np.cumsum(first, dtype=np.intp) - 1
+        run.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "_runs", (run, tuple(compress(boxes, first))))
 
     def runs(self):
-        """Split the boxes into runs of consecutive steps sharing one box
-        object: (the run index of every step as an array, the distinct
-        boxes in first-use order)."""
-        distinct, run = [], []
-        for b in self.boxes:
-            if not distinct or distinct[-1] is not b:
-                distinct.append(b)
-            run.append(len(distinct) - 1)
-        return np.array(run, dtype=np.intp), distinct
-
-    def distinct(self):
-        """The distinct boxes in first-use order."""
-        return [b for prev, b in zip((None,) + self.boxes, self.boxes)
-                if b is not prev]
+        """The boxes split into runs of consecutive steps sharing one box
+        object, derived once: (the run index of every step as a read-only
+        array, the distinct boxes in first-use order)."""
+        return self._runs
 
     def validate(self, ws, waypoints):
         """Raise unless every box contains its waypoint, stays inside the

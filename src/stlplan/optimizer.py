@@ -1,24 +1,26 @@
 """Direct-transcription trajectory optimization over a corridor.
 
 Decision variables are the states x_0..x_K and inputs u_0..u_{K-1} of a
-discrete-time model.  The cost penalizes input differences and state
-differences, so the result is a smooth trajectory threading the
-waypoints' corridor.  Dynamics enter as equality constraints driven to
-feasibility by an augmented Lagrangian outer loop; every inequality of
-the problem (workspace, corridor box per step, region membership or
-avoidance at certified times, input limits, fixed initial state) is
-axis-aligned and folds into per-variable bounds.  Each subproblem is
-minimized by projected Gauss-Newton steps: the cost is an exact
-quadratic, the penalty contributes rho J'J from the dynamics Jacobian,
-and bounds hold exactly at every iterate.  In time-major order the
+discrete-time model, packed in time-major order (x_0, u_0, x_1, u_1,
+..., u_{K-1}, x_K): the bounds, the gradient, the active set and the
+Newton step all index that one vector.  The cost penalizes input
+differences and state differences, so the result is a smooth trajectory
+threading the waypoints' corridor.  Dynamics enter as equality
+constraints driven to feasibility by an augmented Lagrangian outer loop;
+every inequality of the problem (workspace, corridor box per step,
+region membership or avoidance at certified times, input limits, fixed
+initial state) is axis-aligned and folds into per-variable bounds.  Each
+subproblem is minimized by projected Gauss-Newton steps: the cost is an
+exact quadratic, the penalty contributes rho J'J from the dynamics
+Jacobian, and bounds hold exactly at every iterate.  In that order the
 normal equations form a symmetric band of half-width at most 2n+m-1,
-held in LAPACK lower band storage; variables held at an active bound
-are pinned to a zero step rather than sliced out.  The band lives in a
+held in LAPACK lower band storage; variables held at an active bound are
+pinned to a zero step rather than sliced out.  The band lives in a
 workspace allocated once per solve: each iteration fills it in place,
 LAPACK pbtrf factors it by Cholesky in place (the storage is
-Fortran-ordered, so nothing is copied) and pbtrs solves with the
-factor.  If the factorization fails, the iteration takes the projected
-gradient step instead.
+Fortran-ordered, so nothing is copied) and pbtrs solves with the factor.
+If the factorization fails, the iteration takes the projected gradient
+step instead.
 
 Avoidance of a box region is nonconvex; it is enforced by picking, per
 certified time, the separating face with the largest clearance at the
@@ -169,19 +171,26 @@ class NlpProblem:
     r_weights: np.ndarray
 
     def pack(self, states, inputs):
-        return np.concatenate([np.asarray(states, dtype=float).ravel(),
-                               np.asarray(inputs, dtype=float).ravel()])
+        K, n, m = self.horizon, self.model.state_dim, self.model.input_dim
+        z = np.empty((K + 1) * n + K * m)
+        S, U = self.unpack(z)
+        S[...] = states
+        U[...] = inputs
+        return z
 
     def unpack(self, z):
-        n = (self.horizon + 1) * self.model.state_dim
-        states = z[:n].reshape(self.horizon + 1, self.model.state_dim)
-        inputs = z[n:].reshape(self.horizon, self.model.input_dim)
+        """States (K+1, n) and inputs (K, m) as views into the float
+        vector z; raises ValueError when z is not contiguous or short."""
+        K, n, m = self.horizon, self.model.state_dim, self.model.input_dim
+        row = (n + m) * z.itemsize
+        states = np.ndarray((K + 1, n), buffer=z, strides=(row, z.itemsize))
+        inputs = np.ndarray((K, m), buffer=z, offset=n * z.itemsize,
+                            strides=(row, z.itemsize))
         return states, inputs
 
     def flat_bounds(self):
-        lb = np.concatenate([self.state_lb.ravel(), self.input_lb.ravel()])
-        ub = np.concatenate([self.state_ub.ravel(), self.input_ub.ravel()])
-        return lb, ub
+        return (self.pack(self.state_lb, self.input_lb),
+                self.pack(self.state_ub, self.input_ub))
 
     def cost(self, states, inputs):
         du = inputs[1:] - inputs[:-1]
@@ -425,15 +434,6 @@ class _Bounds:
         return float(np.where(blocked, 0.0, np.abs(g)).max(initial=0.0))
 
 
-def _time_major_order(K, n, m):
-    """Packed index of each variable in time-major order
-    (x_0, u_0, x_1, u_1, ..., u_{K-1}, x_K)."""
-    nx = (K + 1) * n
-    x = np.arange(nx).reshape(K + 1, n)
-    u = np.arange(nx, nx + K * m).reshape(K, m)
-    return np.concatenate([np.hstack([x[:-1], u]).ravel(), x[-1]])
-
-
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
@@ -457,9 +457,10 @@ class _NewtonBand:
     """The Gauss-Newton matrix Hq + rho J'J of one problem in LAPACK
     lower band storage, filled in a workspace allocated once per solve.
 
-    In time-major order step k's defect touches only the contiguous
-    window (x_k, u_k, x_{k+1}), so the matrix is a band of half-width at
-    most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for d = 0..bw.
+    In the packed time-major order step k's defect touches only the
+    contiguous window (x_k, u_k, x_{k+1}), so the matrix is a band of
+    half-width at most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for
+    d = 0..bw.
     The workspace holds that storage transposed, as an (N, 2n+m) C
     array: its transpose is Fortran-ordered, so LAPACK factors it in
     place with no copy.  Hq is a constant band built once.
@@ -484,8 +485,6 @@ class _NewtonBand:
         K, n, m = problem.horizon, model.state_dim, model.input_dim
         N = (K + 1) * n + K * m
         s, w = n + m, 2 * n + m
-        self.order = _time_major_order(K, n, m)
-        self.pos = np.argsort(self.order)
         # variable j and its difference partner j + s, for j < N - s
         pairs = max(N - s, 0)
         weights = 2.0 * np.tile(np.concatenate([problem.r_weights,
@@ -542,7 +541,7 @@ class _NewtonBand:
         diag += 1e-10
         # multiplied by 0 as a full 0/1 mask would be, so every zero of
         # a pinned row or column keeps the sign of the value it replaces
-        pinned = self._pinned = self.pos[np.flatnonzero(active)]
+        pinned = self._pinned = np.flatnonzero(active)
         slots = (band.shape[1] * pinned)[:, None] + self._pin_slots
         flat = band.reshape(-1)
         flat[slots[slots >= 0]] *= 0.0
@@ -550,19 +549,18 @@ class _NewtonBand:
         return band.T
 
     def step(self, g, A, B, rho, active):
-        """Gauss-Newton step on the free variables in packed order,
-        exactly 0 on the active ones; None if the factorization fails."""
+        """Gauss-Newton step on the free variables, exactly 0 on the
+        active ones; None if the factorization fails."""
         if active.all():
             return np.zeros_like(g)
         try:
             factor = splu(self.matrix(A, B, rho, active))
         except LinAlgError:
             return None
-        rhs = np.take(g, self.order, out=self._rhs)
-        np.negative(rhs, out=rhs)
+        rhs = np.negative(g, out=self._rhs)
         rhs[self._pinned] = 0.0
         x, _ = _pbtrs(factor, rhs, lower=1, overwrite_b=1)
-        return x[self.pos]
+        return x
 
 
 def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
@@ -664,7 +662,7 @@ def solve_nlp(problem, init, tolerances):
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
+        return problem.pack(gs, gu), (A, B)
 
     newton = _NewtonBand(problem)
     log = []

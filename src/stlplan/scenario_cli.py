@@ -293,7 +293,8 @@ def read_traj_csv(path, tau):
 
     The file is outside input: an unreadable file, a foreign header, a
     row without its seven cells, a non-numeric cell, a k cell that is
-    not the row's index or a t cell that is not k * tau raises
+    not the row's index, a t cell that is not k * tau, or v and omega
+    missing from a row but the last or present in the last raises
     ConfigError naming the path and the line."""
     try:
         lines = Path(path).read_text().strip().splitlines()
@@ -315,8 +316,13 @@ def read_traj_csv(path, tau):
                                  f"not k * tau = {step * tau:g}")
             positions.append((float(x), float(y)))
             headings.append(float(theta))
-            if v or omega:
+            if line_no < len(lines):
+                if not (v and omega):
+                    raise ValueError(f"the row of step {step} lacks v or "
+                                     f"omega")
                 inputs.append((float(v), float(omega)))
+            elif v or omega:
+                raise ValueError("the last row takes no v or omega")
         except ValueError as err:
             raise ConfigError(f"{path}:{line_no}: {err}") from None
     return (np.array(positions), np.array(headings),
@@ -358,7 +364,7 @@ def emit_svg(scenario, plan=None, cor=None, traj=None):
         parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="11" '
                      f'text-anchor="middle" fill="#1d4f75">{r.name}</text>')
     if cor is not None:
-        for box in cor.distinct():
+        for box in cor.runs()[1]:
             parts.append(rect(box, 'fill="none" stroke="#d98e8e" '
                                    'stroke-dasharray="4 3"'))
     if plan is not None:
@@ -419,21 +425,19 @@ def _polyline_length(points):
 def verify_trajectory(scenario, positions, headings, inputs):
     """Check a trajectory the way `run` and `check` both accept it: the
     oracle on the grid positions, every segment of the polyline against
-    the obstacles, one input row per step within the bounds, every
-    position inside the workspace bounds, the first state at x0, and
-    every step within eps_feas of the model's step from the state and
-    input before it (headings compared modulo 2 pi, as traj.csv wraps
-    them).  A NaN fails each of the last three.  Returns {check name:
-    passed} in that order."""
+    the obstacles, every input within the bounds, every position inside
+    the workspace bounds, the first state at x0, and every step within
+    eps_feas of the model's step from the state and input before it
+    (headings compared modulo 2 pi, as traj.csv wraps them).  A NaN
+    fails each of the last three.  Returns {check name: passed} in that
+    order.  The arrays are read_traj_csv's, of the scenario's horizon."""
     model = scenario.model
     ws = scenario.workspace
     states = np.column_stack([positions, headings])
     with np.errstate(invalid="ignore"):
         # row 0: the offset from x0; row k: the defect of step k - 1
-        gap = scenario.x0 - states[:1]
-        if len(inputs) == len(states) - 1:
-            gap = np.vstack([gap, model.step(states[:-1], inputs) -
-                             states[1:]])
+        gap = np.vstack([scenario.x0 - states[:1],
+                         model.step(states[:-1], inputs) - states[1:]])
         gap[:, 2] = (gap[:, 2] + math.pi) % (2.0 * math.pi) - math.pi
     gap = np.abs(gap)
     return {
@@ -442,16 +446,14 @@ def verify_trajectory(scenario, positions, headings, inputs):
         "collision_free": not ws.segments_collide(positions[:-1],
                                                   positions[1:]).any(),
         "inputs_within_bounds": bool(
-            len(inputs) == scenario.horizon_steps
-            and np.all(inputs >= np.array(model.input_lo) - 1e-9)
+            np.all(inputs >= np.array(model.input_lo) - 1e-9)
             and np.all(inputs <= np.array(model.input_hi) + 1e-9)),
         "inside_workspace": bool(np.all((positions >= ws.bounds.lo) &
                                         (positions <= ws.bounds.hi))),
         "starts_at_x0": bool(np.all(gap[0] <= 1e-9)),
         "dynamics_feasible": bool(
-            len(gap) == len(states)
-            and np.all(gap[1:] <= scenario.tolerances.eps_feas * (1.0 + 1e-6)
-                       + 1e-12)),
+            np.all(gap[1:] <= scenario.tolerances.eps_feas * (1.0 + 1e-6)
+                   + 1e-12)),
     }
 
 
@@ -562,7 +564,7 @@ def _attempt_stages(scenario, dec, out, attempt):
         cor.validate(ws, plan.waypoints.positions)
         attempt.corridor = cor
         m["corridor_seconds"] = time.perf_counter() - t0
-        m["corridor_distinct_boxes"] = len(cor.distinct())
+        m["corridor_distinct_boxes"] = len(cor.runs()[1])
         (out / "corridor.csv").write_text(corridor_csv_text(cor))
         attempt.stage_log.append(
             ("corridor", f"{m['corridor_distinct_boxes']} distinct boxes"))
@@ -694,7 +696,9 @@ def _run_one(source, seed, out_dir):
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
     seed = _seed(args, scenario)
-    if args.repeat <= 1:
+    if args.repeat < 1:
+        raise ConfigError("--repeat must be a positive integer")
+    if args.repeat == 1:
         report = run_pipeline(scenario, seed=seed, out_dir=args.out)
         for stage, detail in report.stage_log:
             print(f"{stage}: {detail}")

@@ -23,7 +23,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from stlplan.corridor import CorridorError
 from stlplan.satisfaction import SatisfactionPair
-from stlplan.optimizer import InfeasibleConstraintError, _time_major_order
+from stlplan.optimizer import InfeasibleConstraintError
 from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
                               Region, SubTask, TimeInterval, Workspace,
                               _window_indices)
@@ -159,14 +159,13 @@ def step_jacobians(A, B):
 
 def dense_dynamics_jacobian(prob, A, B):
     """Jacobian of the defects with respect to the packed variables,
-    scattered from the per-step window blocks the Newton band uses."""
+    scattered from the per-step window blocks the Newton band uses: J_k
+    fills the columns k(n+m) .. k(n+m)+2n+m-1 of its rows."""
     K, n, m = prob.horizon, prob.model.state_dim, prob.model.input_dim
-    order = _time_major_order(K, n, m)
     Jk = step_jacobians(A, B)
-    J = np.zeros((K * n, len(order)))
+    J = np.zeros((K * n, (K + 1) * n + K * m))
     for k in range(K):
-        window = order[k * (n + m):k * (n + m) + 2 * n + m]
-        J[k * n:(k + 1) * n, window] = Jk[k]
+        J[k * n:(k + 1) * n, k * (n + m):k * (n + m) + 2 * n + m] = Jk[k]
     return J
 
 
@@ -177,13 +176,19 @@ def _dense_difference_hessian(count, weights):
 
 
 def dense_cost_hessian(prob):
-    """Hessian of the quadratic cost over the packed variables."""
-    Hx = _dense_difference_hessian(prob.horizon + 1, prob.r_weights)
-    Hu = _dense_difference_hessian(prob.horizon, prob.q_weights)
+    """Hessian of the quadratic cost over the packed variables: the
+    state and input blocks, built over all states then all inputs, moved
+    to the places pack gives those variables."""
+    K, n, m = prob.horizon, prob.model.state_dim, prob.model.input_dim
+    Hx = _dense_difference_hessian(K + 1, prob.r_weights)
+    Hu = _dense_difference_hessian(K, prob.q_weights)
     H = np.zeros((len(Hx) + len(Hu),) * 2)
     H[:len(Hx), :len(Hx)] = Hx
     H[len(Hx):, len(Hx):] = Hu
-    return H
+    idx = np.arange(len(H))
+    at = prob.pack(idx[:len(Hx)].reshape(K + 1, n),
+                   idx[len(Hx):].reshape(K, m)).astype(np.intp)
+    return H[np.ix_(at, at)]
 
 
 def band_to_dense(ab):
@@ -209,8 +214,6 @@ class _BincountNewtonBand:
         K, n, m = problem.horizon, model.state_dim, model.input_dim
         N = (K + 1) * n + K * m
         s, w = n + m, 2 * n + m
-        self.order = _time_major_order(K, n, m)
-        self.pos = np.argsort(self.order)
         pairs = max(N - s, 0)
         weights = 2.0 * np.tile(np.concatenate([problem.r_weights,
                                                 problem.q_weights]),
@@ -233,7 +236,7 @@ class _BincountNewtonBand:
             self.win_slots, weights=JtJ.ravel(),
             minlength=self.hq.size + 1)[:-1].reshape(self.hq.shape)
         ab[0] += 1e-10
-        keep = ~active[self.order]
+        keep = ~active
         ab *= keep
         for d in range(1, len(ab)):
             ab[d, :-d] *= keep[d:]  # ab[d, j] lies in row j + d
@@ -248,9 +251,8 @@ class _BincountNewtonBand:
                                      lower=True, check_finite=False)
         except LinAlgError:
             return None
-        return cho_solve_banded((factor, True),
-                                np.where(active, 0.0, -g)[self.order],
-                                check_finite=False)[self.pos]
+        return cho_solve_banded((factor, True), np.where(active, 0.0, -g),
+                                check_finite=False)
 
 
 def reference_newton_band(problem):

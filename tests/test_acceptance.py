@@ -215,7 +215,7 @@ def _fd_gradient_errors(rng):
     J = dense_dynamics_jacobian(prob,
                                 *model.jacobians(states[:-1], inputs))
     y = (lam + rho * prob.residuals(states, inputs)).ravel()
-    grad = np.concatenate([gs.ravel(), gu.ravel()]) + J.T @ y
+    grad = prob.pack(gs, gu) + J.T @ y
 
     h = 1e-6
     worst = 0.0

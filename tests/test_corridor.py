@@ -174,22 +174,41 @@ def test_corridor_reuses_boxes_while_points_stay_inside():
     assert boxes[0] is boxes[1] is boxes[2]
     assert boxes[3] is boxes[4]
     assert boxes[0] is not boxes[3]
-    assert len(cor.distinct()) == 2
+    assert len(cor.runs()[1]) == 2
     assert boxes[0].lo == (0.0, 0.0) and boxes[0].hi == (4.0, 6.0)
     assert boxes[3].lo == (5.0, 0.0) and boxes[3].hi == (10.0, 6.0)
 
 
 def test_revisiting_a_region_grows_a_fresh_box():
-    # distinct() keeps first-use order and only merges consecutive reuse,
+    # runs() keeps first-use order and only merges consecutive reuse,
     # so coming back to an earlier region grows an equal but new box
     ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)),
                  obstacles=[((4.0, 0.0), (5.0, 6.0))])
     pts = [(1.0, 1.0), (6.0, 3.0), (1.0, 1.0)]
     cor = _corridor(pts, ws, DEFAULT_STEP)
-    assert len(cor.distinct()) == 3
+    assert len(cor.runs()[1]) == 3
     assert cor.boxes[0] is not cor.boxes[2]
     assert cor.boxes[0].lo == cor.boxes[2].lo
     assert cor.boxes[0].hi == cor.boxes[2].hi
+
+
+def test_runs_are_derived_once_per_corridor():
+    # the run index and the distinct boxes come from the constructor;
+    # every call hands back the same objects, and the shared index
+    # cannot be written through
+    ws = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)),
+                 obstacles=[((4.0, 0.0), (5.0, 6.0))])
+    pts = [(1.0, 1.0), (2.0, 2.0), (6.0, 3.0), (7.0, 3.0), (1.0, 1.0)]
+    cor = _corridor(pts, ws, DEFAULT_STEP)
+    run, distinct = cor.runs()
+    assert run.tolist() == [0, 0, 1, 1, 2]
+    assert all(d is cor.boxes[k] for d, k in zip(distinct, (0, 2, 4)))
+    assert len(distinct) == 3
+    assert cor.runs()[0] is run and cor.runs()[1] is distinct
+    with pytest.raises(ValueError):
+        run[0] = 1
+    empty_run, empty_distinct = SafeCorridor(()).runs()
+    assert empty_run.shape == (0,) and empty_distinct == ()
 
 
 def test_validate_accepts_a_good_corridor():
@@ -291,4 +310,4 @@ def test_pipeline_corridor_passes_validation(first_scenario_artifacts):
     ws = first_scenario_artifacts["scenario"].workspace
     assert len(cor.boxes) == len(plan.waypoints)
     cor.validate(ws, plan.waypoints.positions)
-    assert 1 <= len(cor.distinct()) < len(cor.boxes)
+    assert 1 <= len(cor.runs()[1]) < len(cor.boxes)

@@ -501,13 +501,19 @@ def _random_problem(rng, K=6, model=None):
     return prob, states, inputs
 
 
+def _n_vars(prob):
+    """Length of the packed vector of a problem."""
+    K, n, m = prob.horizon, prob.model.state_dim, prob.model.input_dim
+    return (K + 1) * n + K * m
+
+
 def test_cost_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     h = 1e-6
     for _ in range(50):
         prob, states, inputs = _random_problem(rng)
         gs, gu = prob.cost_grad(states, inputs)
-        g = np.concatenate([gs.ravel(), gu.ravel()])
+        g = prob.pack(gs, gu)
         z = prob.pack(states, inputs)
         idx = rng.integers(0, len(z), size=8)
         for i in idx:
@@ -518,6 +524,51 @@ def test_cost_gradient_matches_finite_differences():
             fd = (prob.cost(sp_, up_) - prob.cost(sm_, um_)) / (2 * h)
             scale = max(1.0, abs(fd))
             assert abs(g[i] - fd) / scale <= 1e-5
+
+
+def _assert_time_major(z, S, U):
+    """z holds x_k at k(n+m) .. k(n+m)+n-1, u_k right after it, and x_K
+    last."""
+    (K1, n), m = S.shape, U.shape[1]
+    assert z.shape == (K1 * n + (K1 - 1) * m,)
+    for k in range(K1):
+        for i in range(n):
+            assert z[k * (n + m) + i] == S[k, i]
+        for j in range(m if k < K1 - 1 else 0):
+            assert z[k * (n + m) + n + j] == U[k, j]
+    assert np.array_equal(z[len(z) - n:], S[-1])
+
+
+@pytest.mark.parametrize("kind", ["unicycle", "integrator", "dense"])
+@pytest.mark.parametrize("K", [0, 1, 5])
+def test_pack_unpack_and_bounds_share_the_time_major_layout(K, kind):
+    rng = np.random.default_rng(61)
+    model = {"unicycle": None, "integrator": _integrator(2),
+             "dense": _dense_linear_model(rng)}[kind]
+    prob, states, inputs = _random_problem(rng, K=K, model=model)
+    n, m = prob.model.state_dim, prob.model.input_dim
+    z = prob.pack(states, inputs)
+    _assert_time_major(z, states, inputs)
+    S, U = prob.unpack(z)
+    assert np.array_equal(S, states) and np.array_equal(U, inputs)
+    S[K, 0] = 7.0
+    assert z[K * (n + m)] == 7.0
+    if K:
+        U[K - 1, m - 1] = -7.0
+        assert z[(K - 1) * (n + m) + n + m - 1] == -7.0
+
+    prob = replace(prob, state_lb=rng.uniform(-3.0, -1.0, (K + 1, n)),
+                   state_ub=rng.uniform(1.0, 3.0, (K + 1, n)),
+                   input_lb=rng.uniform(-3.0, -1.0, (K, m)),
+                   input_ub=rng.uniform(1.0, 3.0, (K, m)))
+    lb, ub = prob.flat_bounds()
+    _assert_time_major(lb, prob.state_lb, prob.input_lb)
+    _assert_time_major(ub, prob.state_ub, prob.input_ub)
+
+    with pytest.raises(ValueError):
+        prob.unpack(np.repeat(z, 2)[::2])  # same values, not contiguous
+    with pytest.raises(ValueError):
+        prob.unpack(z[:-1])
 
 
 def _fd_dynamics_jacobian(prob, states, inputs, h):
@@ -559,7 +610,7 @@ def test_cost_hessian_reproduces_the_quadratic_cost():
     rng = np.random.default_rng(29)
     prob, states, inputs = _random_problem(rng)
     band = _NewtonBand(prob)
-    H = band_to_dense(band.hq)[np.ix_(band.pos, band.pos)]
+    H = band_to_dense(band.hq)
     np.testing.assert_allclose(H, dense_cost_hessian(prob), rtol=1e-12,
                                atol=0.0)
     z = prob.pack(states, inputs)
@@ -568,8 +619,8 @@ def test_cost_hessian_reproduces_the_quadratic_cost():
 
 
 def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
-    # nothing active: the band, permuted back to packed order, is
-    # Hq + rho J'J with J from central differences of the residuals
+    # nothing active: the band is Hq + rho J'J with J from central
+    # differences of the residuals
     rng = np.random.default_rng(31)
     h = 1e-6
     for K in (1, 2, 3, 4, 5, 6) * 4:
@@ -578,11 +629,11 @@ def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
         rho = float(rng.uniform(1.0, 1e3))
         band = _NewtonBand(prob)
         A, B = prob.model.jacobians(states[:-1], inputs)
-        active = np.zeros(len(band.order), dtype=bool)
+        active = np.zeros(_n_vars(prob), dtype=bool)
         ab = band.matrix(A, B, rho, active)
         # lower band storage of half-width 2n+m-1
-        assert ab.shape == (2 * n + m, len(band.order))
-        H = band_to_dense(ab)[np.ix_(band.pos, band.pos)]
+        assert ab.shape == (2 * n + m, _n_vars(prob))
+        H = band_to_dense(ab)
         J_fd = _fd_dynamics_jacobian(prob, states, inputs, h)
         ref = dense_cost_hessian(prob) + rho * (J_fd.T @ J_fd)
         assert np.all(np.abs(H - ref) / np.maximum(1.0, np.abs(ref))
@@ -609,7 +660,7 @@ def test_pinning_active_variables_equals_slicing_them_out():
         rho = float(rng.uniform(1.0, 1e3))
         A, B = prob.model.jacobians(states[:-1], inputs)
         band = _NewtonBand(prob)
-        N = len(band.order)
+        N = _n_vars(prob)
         g = rng.normal(size=N)
         if trial % 5 == 1:  # all but one active
             active = np.ones(N, dtype=bool)
@@ -653,14 +704,13 @@ def test_newton_band_holds_a_full_width_band():
         rho = float(rng.uniform(1.0, 1e3))
         A, B = prob.model.jacobians(states[:-1], inputs)
         band = _NewtonBand(prob)
-        N = len(band.order)
+        N = _n_vars(prob)
         J = dense_dynamics_jacobian(prob, A, B)
         ref = dense_cost_hessian(prob) + rho * (J.T @ J) + 1e-10 * np.eye(N)
-        ref_tm = ref[np.ix_(band.order, band.order)]
-        assert np.any(np.diagonal(ref_tm, -bw) != 0.0)
+        assert np.any(np.diagonal(ref, -bw) != 0.0)
         ab = band.matrix(A, B, rho, np.zeros(N, dtype=bool))
         assert ab.shape == (bw + 1, N)
-        np.testing.assert_allclose(band_to_dense(ab), ref_tm, rtol=1e-12,
+        np.testing.assert_allclose(band_to_dense(ab), ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
         g = rng.normal(size=N)
         active = rng.random(N) < rng.uniform(0.0, 0.6)
@@ -677,7 +727,7 @@ def test_no_factorization_runs_when_every_variable_is_active(monkeypatch):
     rng = np.random.default_rng(41)
     prob, states, inputs = _random_problem(rng, K=3)
     band = _NewtonBand(prob)
-    g = rng.normal(size=len(band.order))
+    g = rng.normal(size=_n_vars(prob))
     A, B = prob.model.jacobians(states[:-1], inputs)
     step = band.step(g, A, B, 10.0, np.ones(len(g), dtype=bool))
     assert np.all(step == 0.0)
@@ -694,9 +744,9 @@ def _band_cases(rng):
         yield (prob, *prob.model.jacobians(states[:-1], inputs))
 
 
-def _active_masks(rng, band, n, m):
+def _active_masks(rng, prob):
     """None active, random, all but one, and whole windows pinned."""
-    N = len(band.order)
+    n, m, N = prob.model.state_dim, prob.model.input_dim, _n_vars(prob)
     none = np.zeros(N, dtype=bool)
     random = rng.random(N) < 0.3
     all_but_one = np.ones(N, dtype=bool)
@@ -704,7 +754,7 @@ def _active_masks(rng, band, n, m):
     windows = np.zeros(N, dtype=bool)
     K = (N - n) // (n + m)
     for k in rng.choice(K, size=max(K // 2, 1), replace=False):
-        windows[band.order[k * (n + m):k * (n + m) + 2 * n + m]] = True
+        windows[k * (n + m):k * (n + m) + 2 * n + m] = True
     return none, random, all_but_one, windows
 
 
@@ -715,11 +765,10 @@ def _step_bytes(step):
 def test_newton_band_matches_the_reference_kernel_bit_for_bit():
     rng = np.random.default_rng(47)
     for prob, A, B in _band_cases(rng):
-        n, m = prob.model.state_dim, prob.model.input_dim
         band, ref = _NewtonBand(prob), reference_newton_band(prob)
-        g = rng.normal(size=len(band.order))
+        g = rng.normal(size=_n_vars(prob))
         for rho in (1.0, 10.0, 1234.5, 1e8):
-            for active in _active_masks(rng, band, n, m):
+            for active in _active_masks(rng, prob):
                 ab = band.matrix(A, B, rho, active)
                 assert ab.flags.f_contiguous
                 assert (np.ascontiguousarray(ab).tobytes()
@@ -733,14 +782,13 @@ def test_reusing_the_band_workspace_leaks_nothing_between_calls():
     # and a failed factorization gives what a fresh instance gives
     rng = np.random.default_rng(53)
     for prob, A, B in _band_cases(rng):
-        n, m = prob.model.state_dim, prob.model.input_dim
         band = _NewtonBand(prob)
-        masks = _active_masks(rng, band, n, m)
+        masks = _active_masks(rng, prob)
         for i in range(8):
             active = masks[int(rng.integers(len(masks)))]
             rho = float(rng.choice([1.0, 10.0, 1e4, 1e8]))
             A2, B2 = A * rng.uniform(0.5, 2.0), B * rng.uniform(0.5, 2.0)
-            g = rng.normal(size=len(band.order))
+            g = rng.normal(size=_n_vars(prob))
             if i == 3:
                 # negative penalty: the factorization fails part way
                 assert band.step(g, A2, B2, -1e3, masks[0]) is None
@@ -759,7 +807,7 @@ def test_splu_factors_in_place_and_rejects_an_indefinite_band():
     prob, states, inputs = _random_problem(rng, K=4)
     band = _NewtonBand(prob)
     A, B = prob.model.jacobians(states[:-1], inputs)
-    ab = band.matrix(A, B, 10.0, np.zeros(len(band.order), dtype=bool))
+    ab = band.matrix(A, B, 10.0, np.zeros(_n_vars(prob), dtype=bool))
     H = band_to_dense(ab)
     factor = optimizer.splu(ab)
     assert np.shares_memory(factor, ab)
@@ -1047,7 +1095,7 @@ def test_inner_iteration_returns_the_defects_and_stationarity_of_its_end():
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return np.concatenate([gs.ravel(), gu.ravel()]), (A, B)
+        return prob.pack(gs, gu), (A, B)
 
     z0 = np.clip(prob.pack(states, inputs), lb, ub)
     for max_iter, gtol in ((0, 1e-3), (1, 1e-3), (3, 1e-3), (120, 1e-3),

@@ -605,6 +605,18 @@ def test_cli_rejects_a_negative_seed_before_any_stage(tiny_path, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("repeat", ["0", "-3"])
+def test_cli_rejects_a_repeat_below_one_before_any_run(
+        tiny_path, tmp_path, capsys, monkeypatch, repeat):
+    runs = count_calls(monkeypatch, scenario_cli, "run_pipeline")
+    out = tmp_path / "out"
+    assert main(["run", str(tiny_path), "--repeat", repeat,
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "--repeat must be a positive integer" in captured.err
+    assert captured.out == "" and not out.exists() and runs == []
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "traj.csv"],
     ["run", "scenario1", "--seed", "x"],
@@ -665,6 +677,24 @@ def test_read_traj_csv_rejects_a_row_out_of_step(tmp_path):
         read_traj_csv(path, 0.5)
 
 
+@pytest.mark.parametrize("tails, line", [
+    (["0.0,0.0", ",", "0.0,0.0", ","], 3),
+    (["0.0,0.0", "0.0,0.0", "0.0,0.0", "0.0,0.0"], 5),
+    (["0.0,0.0", "0.0,", "0.0,0.0", ","], 3),
+    (["0.0,0.0", "0.0,0.0", "0.0,0.0", ",0.0"], 5),
+], ids=["middle-row-blank", "last-row-filled", "one-blank-cell",
+        "last-row-one-cell"])
+def test_read_traj_csv_rejects_misplaced_input_cells(tmp_path, tails, line):
+    # every row but the last carries v and omega, the last neither
+    path = tmp_path / "traj.csv"
+    path.write_text("k,t,x,y,theta,v,omega\n" + "".join(
+        f"{k},{k * 0.5},0.5,0.5,0.0,{tail}\n"
+        for k, tail in enumerate(tails)))
+    with pytest.raises(ConfigError,
+                       match=f"{re.escape(str(path))}:{line}: "):
+        read_traj_csv(path, 0.5)
+
+
 @pytest.mark.parametrize("t", ["0.6", "99", "abc", "nan", "inf", "1e308"])
 def test_read_traj_csv_rejects_a_t_that_is_not_k_tau(tmp_path, t):
     path = tmp_path / "traj.csv"
@@ -688,6 +718,23 @@ def test_cli_check_rejects_a_row_whose_t_is_wrong(tiny_path, tmp_path,
     capsys.readouterr()
     assert main(["check", str(path), str(tiny_path)]) == 4
     assert f"{path}:4: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, v, omega", [(2, "", ""), (4, "0.0", "0.0")],
+                         ids=["middle-row-blank", "last-row-filled"])
+def test_cli_check_rejects_misplaced_input_cells(tiny_path, tmp_path,
+                                                 capsys, row, v, omega):
+    out = tmp_path / "run"
+    assert main(["run", str(tiny_path), "--out", str(out)]) == 0
+    path = out / "traj.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[5:] = [v, omega]
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(path), str(tiny_path)]) == 4
+    assert f"{path}:{row + 2}: " in capsys.readouterr().err
 
 
 def _tamper(path, k, **cells):
