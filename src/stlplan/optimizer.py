@@ -179,8 +179,7 @@ class NlpProblem:
         return z
 
     def unpack(self, z):
-        """States (K+1, n) and inputs (K, m) as views into the float
-        vector z; raises ValueError when z is not contiguous or short."""
+        """States (K+1, n) and inputs (K, m) as strided views into z."""
         K, n, m = self.horizon, self.model.state_dim, self.model.input_dim
         row = (n + m) * z.itemsize
         states = np.ndarray((K + 1, n), buffer=z, strides=(row, z.itemsize))
@@ -647,15 +646,17 @@ def solve_nlp(problem, init, tolerances):
     rho = 10.0
     viol_ref = np.inf
 
+    # numpy runs the model and the cost several times faster on
+    # contiguous copies than on unpack's strided views
     def al_value(zvec, lam, rho):
-        S, U = problem.unpack(zvec)
+        S, U = map(np.ascontiguousarray, problem.unpack(zvec))
         c = problem.residuals(S, U)
         f = problem.cost(S, U) + float((lam * c).sum()) \
             + 0.5 * rho * float((c * c).sum())
         return f, c
 
     def al_grad(zvec, c, lam, rho):
-        S, U = problem.unpack(zvec)
+        S, U = map(np.ascontiguousarray, problem.unpack(zvec))
         y = lam + rho * c
         gs, gu = problem.cost_grad(S, U)
         A, B = model.jacobians(S[:-1], U)

@@ -318,8 +318,7 @@ def read_traj_csv(path, tau):
             headings.append(float(theta))
             if line_no < len(lines):
                 if not (v and omega):
-                    raise ValueError(f"the row of step {step} lacks v or "
-                                     f"omega")
+                    raise ValueError(f"step {step} lacks v or omega")
                 inputs.append((float(v), float(omega)))
             elif v or omega:
                 raise ValueError("the last row takes no v or omega")
