@@ -456,10 +456,9 @@ class _NewtonBand:
     """The Gauss-Newton matrix Hq + rho J'J of one problem in LAPACK
     lower band storage, filled in a workspace allocated once per solve.
 
-    In the packed time-major order step k's defect touches only the
-    contiguous window (x_k, u_k, x_{k+1}), so the matrix is a band of
-    half-width at most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for
-    d = 0..bw.
+    In the packed order step k's defect touches only the contiguous
+    window (x_k, u_k, x_{k+1}), so the matrix is a band of half-width at
+    most bw = 2n+m-1, stored as ab[d, j] = H[j + d, j] for d = 0..bw.
     The workspace holds that storage transposed, as an (N, 2n+m) C
     array: its transpose is Fortran-ordered, so LAPACK factors it in
     place with no copy.  Hq is a constant band built once.
