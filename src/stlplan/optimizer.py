@@ -12,8 +12,10 @@ region membership or avoidance at certified times, input limits, fixed
 initial state) is axis-aligned and folds into per-variable bounds.  Each
 subproblem is minimized by projected Gauss-Newton steps: the cost is an
 exact quadratic, the penalty contributes rho J'J from the dynamics
-Jacobian, and bounds hold exactly at every iterate.  In that order the
-normal equations form a symmetric band of half-width at most 2n+m-1,
+Jacobian, and bounds hold exactly at every iterate.  The model is
+linearized once per evaluated point, and an accepted point's gradient
+and Newton band reuse that linearization.  In the time-major order
+the normal equations form a symmetric band of half-width at most 2n+m-1,
 held in LAPACK lower band storage; variables held at an active bound are
 pinned to a zero step rather than sliced out.  The band lives in a
 workspace allocated once per solve: each iteration fills it in place,
@@ -59,89 +61,66 @@ class SolverTolerances:
 
 @dataclass(frozen=True)
 class DynamicsModel:
-    """Discrete-time model with batched step and Jacobian evaluation."""
+    """Discrete-time model whose batched linearization returns the next
+    states together with the state and input Jacobians."""
 
     name: str
     state_dim: int
     input_dim: int
     pos_dim: int
     tau: float
-    step_fn: object
-    jac_fn: object
+    linearize_fn: object
     input_lo: tuple
     input_hi: tuple
 
-    def step(self, x, u):
-        return self.step_fn(np.asarray(x, dtype=float),
-                            np.asarray(u, dtype=float))
+    def linearize(self, x, u):
+        """(next states, A, B) of the steps from states x under inputs
+        u."""
+        return self.linearize_fn(np.asarray(x, dtype=float),
+                                 np.asarray(u, dtype=float))
 
-    def jacobians(self, x, u):
-        return self.jac_fn(np.asarray(x, dtype=float),
-                           np.asarray(u, dtype=float))
+    def step(self, x, u):
+        return self.linearize(x, u)[0]
 
     @property
     def speed_limit(self):
         return max(abs(self.input_lo[0]), abs(self.input_hi[0]))
 
 
-# ((shape, bytes) of the last headings _cos_sin was given, (cos, sin))
-_last_trig = None
-
-
-def _cos_sin(th):
-    """Cosine and sine of the headings th, remembered for the last set of
-    headings bit for bit: the solver takes the Jacobians of an accepted
-    iterate right after its step, at the same headings, so each accepted
-    iterate takes them once.  The one entry is replaced whole, so no
-    call pairs one call's headings with another's values; callers only
-    read the arrays."""
-    global _last_trig
-    key = (th.shape, th.tobytes())
-    if _last_trig is None or _last_trig[0] != key:
-        _last_trig = (key, (np.cos(th), np.sin(th)))
-    return _last_trig[1]
-
-
-def unicycle_step(x, u, tau):
-    """One step of the unicycle: positions advance along the heading at
-    the commanded speed, the heading advances at the commanded rate."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v, w = u[..., 0], u[..., 1]
-    cos, sin = _cos_sin(x[..., 2])
-    out = x.copy()
-    out[..., 0] += tau * v * cos
-    out[..., 1] += tau * v * sin
-    out[..., 2] += tau * w
-    return out
-
-
-def unicycle_jacobians(x, u, tau):
-    """State and input Jacobians of the unicycle step."""
+def unicycle_linearize(x, u, tau):
+    """One step of the unicycle and its state and input Jacobians: the
+    positions advance along the heading at the commanded speed, the
+    heading advances at the commanded rate.  The heading's cosine and
+    sine are taken once for all three."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     batch = x.shape[:-1]
-    v = u[..., 0]
-    cos, sin = _cos_sin(x[..., 2])
+    v, w = u[..., 0], u[..., 1]
+    cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
+    tv = tau * v
+    vcos, vsin = tv * cos, tv * sin
+    out = x.copy()
+    out[..., 0] += vcos
+    out[..., 1] += vsin
+    out[..., 2] += tau * w
     A = np.zeros(batch + (3, 3))
     A[..., 0, 0] = 1.0
     A[..., 1, 1] = 1.0
     A[..., 2, 2] = 1.0
-    A[..., 0, 2] = -tau * v * sin
-    A[..., 1, 2] = tau * v * cos
+    A[..., 0, 2] = -vsin
+    A[..., 1, 2] = vcos
     B = np.zeros(batch + (3, 2))
     B[..., 0, 0] = tau * cos
     B[..., 1, 0] = tau * sin
     B[..., 2, 1] = tau
-    return A, B
+    return out, A, B
 
 
 def unicycle_model(tau, v_bounds=(-4.0, 4.0),
                    omega_bounds=(-math.pi / 3, math.pi / 3)):
     return DynamicsModel(
         name="unicycle", state_dim=3, input_dim=2, pos_dim=2, tau=tau,
-        step_fn=lambda x, u: unicycle_step(x, u, tau),
-        jac_fn=lambda x, u: unicycle_jacobians(x, u, tau),
+        linearize_fn=lambda x, u: unicycle_linearize(x, u, tau),
         input_lo=(float(v_bounds[0]), float(omega_bounds[0])),
         input_hi=(float(v_bounds[1]), float(omega_bounds[1])))
 
@@ -568,11 +547,13 @@ def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
     Directions come from the Gauss-Newton model of the augmented
     Lagrangian restricted to the estimated free variables; steps are
     projected back onto the bounds under an Armijo backtracking line
-    search, so the subproblem value never increases.  al(z) returns the
-    value and the defects c at z; al_grad(z, c) returns the gradient and
-    the Jacobian blocks (A, B), and runs only at the start iterate and
-    at accepted ones, never for a rejected trial.  Where the
-    factorization fails or its step is no descent direction, the
+    search, so the subproblem value never increases.  al(z) linearizes
+    the dynamics at z once and returns the value, the defects c and the
+    point (S, U, A, B): the states, the inputs and the Jacobian blocks.
+    al_grad(c, point) builds the gradient from those alone; it runs only
+    at the start iterate and at accepted ones, never for a rejected
+    trial, and the Newton band takes A and B from the same point.  Where
+    the factorization fails or its step is no descent direction, the
     projected gradient step is taken instead; those iterations are
     counted as fallbacks.
 
@@ -582,8 +563,8 @@ def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
     that entered and left the active set between consecutive iterations.
     """
     lb, ub = bounds.lb, bounds.ub
-    f, c = al(z)
-    g, jac = al_grad(z, c)
+    f, c, point = al(z)
+    g = al_grad(c, point)
     pg = bounds.projected_gradient_norm(z, g)
     f_start = f
     nit = fallbacks = entered = left = 0
@@ -600,7 +581,7 @@ def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
             left += changed - joined
         previous = active
         p = np.where(active, 0.0, -g)
-        step = newton.step(g, *jac, rho, active)
+        step = newton.step(g, *point[2:], rho, active)
         if step is not None and g @ step < 0.0:
             p = step
         else:
@@ -608,10 +589,10 @@ def _inner_gauss_newton(z, bounds, al, al_grad, newton, rho, gtol,
         alpha = 1.0
         for _ in range(40):
             z_try = np.clip(z + alpha * p, lb, ub)
-            f_try, c_try = al(z_try)
+            f_try, c_try, point_try = al(z_try)
             if f_try <= f + 1e-4 * float(g @ (z_try - z)) + 1e-12:
-                z, f, c = z_try, f_try, c_try
-                g, jac = al_grad(z, c)
+                z, f, c, point = z_try, f_try, c_try, point_try
+                g = al_grad(c, point)
                 pg = bounds.projected_gradient_norm(z, g)
                 break
             alpha *= 0.5
@@ -647,28 +628,27 @@ def solve_nlp(problem, init, tolerances):
 
     # numpy runs the model and the cost several times faster on
     # contiguous copies than on unpack's strided views
-    def al_value(zvec, lam, rho):
+    def al_value(zvec):
         S, U = map(np.ascontiguousarray, problem.unpack(zvec))
-        c = problem.residuals(S, U)
+        nxt, A, B = model.linearize(S[:-1], U)
+        c = S[1:] - nxt
         f = problem.cost(S, U) + float((lam * c).sum()) \
             + 0.5 * rho * float((c * c).sum())
-        return f, c
+        return f, c, (S, U, A, B)
 
-    def al_grad(zvec, c, lam, rho):
-        S, U = map(np.ascontiguousarray, problem.unpack(zvec))
+    def al_grad(c, point):
+        S, U, A, B = point
         y = lam + rho * c
         gs, gu = problem.cost_grad(S, U)
-        A, B = model.jacobians(S[:-1], U)
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return problem.pack(gs, gu), (A, B)
+        return problem.pack(gs, gu)
 
     newton = _NewtonBand(problem)
     log = []
     converged = False
     message = "outer iteration budget exhausted"
-    viol = np.inf
     c = problem.residuals(*problem.unpack(z))
     # inner stationarity target, loose at first and tightened as the
     # multipliers settle; early subproblems are not worth polishing
@@ -676,8 +656,7 @@ def solve_nlp(problem, init, tolerances):
     omega = max(1e-2, gtol_floor)
     for outer in range(1, tolerances.max_outer + 1):
         z, merit_start, f_end, c, pg, counts = _inner_gauss_newton(
-            z, bounds, lambda zv: al_value(zv, lam, rho),
-            lambda zv, c: al_grad(zv, c, lam, rho), newton, rho, omega,
+            z, bounds, al_value, al_grad, newton, rho, omega,
             tolerances.max_inner)
         viol = float(np.max(np.abs(c))) if c.size else 0.0
         log.append({"outer": outer, "merit_start": merit_start,
@@ -698,12 +677,13 @@ def solve_nlp(problem, init, tolerances):
         omega = max(0.3 * omega, gtol_floor)
 
     S, U = problem.unpack(z)
+    defect = np.max(np.abs(c), axis=1)
     if not converged and K:
-        defect = np.max(np.abs(c), axis=1)
         k = int(np.argmax(defect))
         message += f" (worst defect {defect[k]:.2e} at step {k})"
     return NlpSolution(states=S, inputs=U, cost=problem.cost(S, U),
-                       max_violation=viol, outer_iterations=len(log),
+                       max_violation=float(defect.max(initial=0.0)),
+                       outer_iterations=len(log),
                        converged=converged, message=message, log=log)
 
 

@@ -346,7 +346,9 @@ def _next_goal(sub, last_k, tau):
 
     F and FG need one arrival.  GF arrives within gap of its active
     interval's start and of each arrival until gap covers the interval's
-    end.  G is served by the guards."""
+    end; a gap shorter than tau asks for the next grid index, so a zero
+    gap visits every grid time of the interval.  G is served by the
+    guards."""
     if sub.kind in ("F", "FG"):
         if last_k is not None:
             return None
@@ -361,7 +363,8 @@ def _next_goal(sub, last_k, tau):
     if ai.hi - last_k * tau <= gap + _TIME_TOL:
         return None
     return Goal(sub.prop, ((last_k + 1) * tau,
-                           min(last_k * tau + gap, ai.hi)))
+                           min(max(last_k * tau + gap, (last_k + 1) * tau),
+                               ai.hi)))
 
 
 def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):

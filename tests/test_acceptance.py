@@ -213,7 +213,7 @@ def _fd_gradient_errors(rng):
     z = prob.pack(states, inputs)
     gs, gu = prob.cost_grad(states, inputs)
     J = dense_dynamics_jacobian(prob,
-                                *model.jacobians(states[:-1], inputs))
+                                *model.linearize(states[:-1], inputs)[1:])
     y = (lam + rho * prob.residuals(states, inputs)).ravel()
     grad = prob.pack(gs, gu) + J.T @ y
 
@@ -240,12 +240,11 @@ def test_criterion_7_derivatives_kkt_and_violations(matrix):
     fd_ok = worst_fd <= 1e-5
 
     # two-step scalar integrator with the hand-solved optimum
-    def jac(x, u):
+    def linearize(x, u):
         eye = np.ones(x.shape[:-1] + (1, 1))
-        return eye, eye.copy()
+        return x + u, eye, eye.copy()
     model = DynamicsModel(name="integrator", state_dim=1, input_dim=1,
-                          pos_dim=1, tau=1.0,
-                          step_fn=lambda x, u: x + u, jac_fn=jac,
+                          pos_dim=1, tau=1.0, linearize_fn=linearize,
                           input_lo=(-10.0,), input_hi=(10.0,))
     prob = NlpProblem(model=model, horizon=2, x0=np.zeros(1),
                       state_lb=np.array([[0.0], [-np.inf], [1.0]]),

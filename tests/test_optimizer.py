@@ -23,8 +23,7 @@ from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                _avoid_faces, _NewtonBand, _position_bounds,
                                build_nlp,
                                evaluate_solution, initial_guess, rollout,
-                               solve_nlp, unicycle_jacobians, unicycle_model,
-                               unicycle_step)
+                               solve_nlp, unicycle_linearize, unicycle_model)
 from stlplan.satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import Box, PointSequence
@@ -41,33 +40,40 @@ def _plan(points, tau=0.1, pairs=()):
 
 def _integrator(dim=1):
     """Scalar-per-axis single integrator, the smallest test model."""
-    def jac(x, u):
+    def linearize(x, u):
         batch = x.shape[:-1]
         eye = np.broadcast_to(np.eye(dim), batch + (dim, dim)).copy()
-        return eye, eye.copy()
+        return x + u, eye, eye.copy()
     return DynamicsModel(name="integrator", state_dim=dim, input_dim=dim,
-                         pos_dim=dim, tau=1.0,
-                         step_fn=lambda x, u: x + u, jac_fn=jac,
+                         pos_dim=dim, tau=1.0, linearize_fn=linearize,
                          input_lo=(-10.0,) * dim, input_hi=(10.0,) * dim)
+
+
+def _unicycle_step(x, u, tau):
+    return unicycle_linearize(x, u, tau)[0]
+
+
+def _unicycle_jacobians(x, u, tau):
+    return unicycle_linearize(x, u, tau)[1:]
 
 
 # ---------------------------------------------------------------------------
 # dynamics
 
 def test_unicycle_step_drives_straight():
-    x1 = unicycle_step([0.0, 0.0, 0.0], [1.0, 0.0], 0.1)
+    x1 = _unicycle_step([0.0, 0.0, 0.0], [1.0, 0.0], 0.1)
     assert np.allclose(x1, [0.1, 0.0, 0.0], atol=1e-15)
 
 
 def test_unicycle_step_turns_while_heading_up():
-    x1 = unicycle_step([0.0, 0.0, math.pi / 2], [2.0, 1.0], 0.1)
+    x1 = _unicycle_step([0.0, 0.0, math.pi / 2], [2.0, 1.0], 0.1)
     assert abs(x1[0]) <= 1e-12
     assert x1[1] == pytest.approx(0.2, abs=1e-12)
     assert x1[2] == pytest.approx(math.pi / 2 + 0.1, abs=1e-15)
 
 
 def test_unicycle_jacobians_at_a_known_point():
-    A, B = unicycle_jacobians([0.0, 0.0, math.pi / 2], [2.0, 1.0], 0.1)
+    A, B = _unicycle_jacobians([0.0, 0.0, math.pi / 2], [2.0, 1.0], 0.1)
     assert np.allclose(A, [[1.0, 0.0, -0.2],
                            [0.0, 1.0, 0.0],
                            [0.0, 0.0, 1.0]], atol=1e-12)
@@ -99,24 +105,24 @@ def test_unicycle_jacobians_match_finite_differences():
     for _ in range(20):
         x = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
         u = rng.uniform([-4, -math.pi / 3], [4, math.pi / 3], size=(600, 2))
-        for got, want in zip(unicycle_jacobians(x, u, tau),
+        for got, want in zip(_unicycle_jacobians(x, u, tau),
                              _two_evaluation_jacobians(x, u, tau)):
             assert got.tobytes() == want.tobytes()
     for _ in range(100):
         x = rng.uniform([-5, -5, -3 * math.pi], [5, 5, 3 * math.pi])
         u = rng.uniform([-4, -math.pi / 3], [4, math.pi / 3])
-        A, B = unicycle_jacobians(x, u, tau)
+        A, B = _unicycle_jacobians(x, u, tau)
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            col = (unicycle_step(x + e, u, tau)
-                   - unicycle_step(x - e, u, tau)) / (2 * h)
+            col = (_unicycle_step(x + e, u, tau)
+                   - _unicycle_step(x - e, u, tau)) / (2 * h)
             assert np.allclose(A[:, j], col, atol=1e-6)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            col = (unicycle_step(x, u + e, tau)
-                   - unicycle_step(x, u - e, tau)) / (2 * h)
+            col = (_unicycle_step(x, u + e, tau)
+                   - _unicycle_step(x, u - e, tau)) / (2 * h)
             assert np.allclose(B[:, j], col, atol=1e-6)
 
 
@@ -124,38 +130,35 @@ def test_batched_step_matches_per_row_calls():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-3, 3, size=(20, 3))
     us = rng.uniform(-2, 2, size=(20, 2))
-    batch = unicycle_step(xs, us, 0.1)
+    batch = _unicycle_step(xs, us, 0.1)
     for x, u, b in zip(xs, us, batch):
-        assert np.allclose(unicycle_step(x, u, 0.1), b, atol=1e-15)
-    A, B = unicycle_jacobians(xs, us, 0.1)
+        assert np.allclose(_unicycle_step(x, u, 0.1), b, atol=1e-15)
+    A, B = _unicycle_jacobians(xs, us, 0.1)
     for k in range(20):
-        Ak, Bk = unicycle_jacobians(xs[k], us[k], 0.1)
+        Ak, Bk = _unicycle_jacobians(xs[k], us[k], 0.1)
         assert np.allclose(A[k], Ak) and np.allclose(B[k], Bk)
 
 
 def test_the_model_takes_sine_and_cosine_once_per_set_of_headings(
         monkeypatch):
-    # the solver's Jacobians follow the step of the same iterate
+    # one linearization gives the step and both Jacobians of the solver's
+    # iterate from a single cosine and sine of its headings
     rng = np.random.default_rng(5)
-    x = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
+    states = rng.uniform([-5, -5, -30.0], [5, 5, 30.0], size=(600, 3))
     u = rng.uniform([-4, -1], [4, 1], size=(600, 2))
-    moved = x.copy()
-    moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
-    trig = [(np.cos(s[:, 2]), np.sin(s[:, 2])) for s in (x, moved)]
-    monkeypatch.setattr(optimizer, "_last_trig", None)
+    cos, sin = np.cos(states[:, 2]), np.sin(states[:, 2])
     calls = count_calls(monkeypatch, optimizer.np, "cos")
-    model = unicycle_model(0.1)
-    for n, (states, (cos, sin)) in enumerate(
-            ((x, trig[0]), (moved, trig[1]), (x, trig[0])), start=1):
-        step = model.step(states, u)
-        A, B = model.jacobians(states, u)
-        assert len(calls) == n
-        # the float operations on these headings' own cosine and sine
-        v = u[:, 0]
-        assert step[:, 0].tobytes() == (states[:, 0] + 0.1 * v * cos).tobytes()
-        assert step[:, 1].tobytes() == (states[:, 1] + 0.1 * v * sin).tobytes()
-        assert A[:, 0, 2].tobytes() == (-0.1 * v * sin).tobytes()
-        assert B[:, 0, 0].tobytes() == (0.1 * cos).tobytes()
+    sines = count_calls(monkeypatch, optimizer.np, "sin")
+    step, A, B = unicycle_model(0.1).linearize(states, u)
+    assert len(calls) == len(sines) == 1
+    # the float operations on these headings' own cosine and sine
+    v = u[:, 0]
+    assert step[:, 0].tobytes() == (states[:, 0] + 0.1 * v * cos).tobytes()
+    assert step[:, 1].tobytes() == (states[:, 1] + 0.1 * v * sin).tobytes()
+    assert A[:, 0, 2].tobytes() == (-0.1 * v * sin).tobytes()
+    assert A[:, 1, 2].tobytes() == (0.1 * v * cos).tobytes()
+    assert B[:, 0, 0].tobytes() == (0.1 * cos).tobytes()
+    assert B[:, 1, 0].tobytes() == (0.1 * sin).tobytes()
 
 
 def test_rollout_chains_the_step_function():
@@ -591,7 +594,7 @@ def test_dynamics_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(50):
         prob, states, inputs = _random_problem(rng, K=4)
-        A, B = prob.model.jacobians(states[:-1], inputs)
+        A, B = prob.model.linearize(states[:-1], inputs)[1:]
         J = dense_dynamics_jacobian(prob, A, B)
         z = prob.pack(states, inputs)
         idx = rng.integers(0, len(z), size=6)
@@ -628,7 +631,7 @@ def test_newton_band_matches_the_finite_difference_gauss_newton_matrix():
         n, m = prob.model.state_dim, prob.model.input_dim
         rho = float(rng.uniform(1.0, 1e3))
         band = _NewtonBand(prob)
-        A, B = prob.model.jacobians(states[:-1], inputs)
+        A, B = prob.model.linearize(states[:-1], inputs)[1:]
         active = np.zeros(_n_vars(prob), dtype=bool)
         ab = band.matrix(A, B, rho, active)
         # lower band storage of half-width 2n+m-1
@@ -658,7 +661,7 @@ def test_pinning_active_variables_equals_slicing_them_out():
         prob, states, inputs = _random_problem(rng, K=K)
         n = prob.model.state_dim
         rho = float(rng.uniform(1.0, 1e3))
-        A, B = prob.model.jacobians(states[:-1], inputs)
+        A, B = prob.model.linearize(states[:-1], inputs)[1:]
         band = _NewtonBand(prob)
         N = _n_vars(prob)
         g = rng.normal(size=N)
@@ -681,15 +684,14 @@ def _dense_linear_model(rng, n=3, m=2):
     A0 = rng.normal(size=(n, n))
     B0 = rng.normal(size=(n, m))
 
-    def jac(x, u):
+    def linearize(x, u):
         batch = x.shape[:-1]
-        return (np.broadcast_to(A0, batch + (n, n)).copy(),
+        return (x @ A0.T + u @ B0.T,
+                np.broadcast_to(A0, batch + (n, n)).copy(),
                 np.broadcast_to(B0, batch + (n, m)).copy())
     return DynamicsModel(name="dense", state_dim=n, input_dim=m,
-                         pos_dim=2, tau=0.1,
-                         step_fn=lambda x, u: x @ A0.T + u @ B0.T,
-                         jac_fn=jac, input_lo=(-1.0,) * m,
-                         input_hi=(1.0,) * m)
+                         pos_dim=2, tau=0.1, linearize_fn=linearize,
+                         input_lo=(-1.0,) * m, input_hi=(1.0,) * m)
 
 
 def test_newton_band_holds_a_full_width_band():
@@ -702,7 +704,7 @@ def test_newton_band_holds_a_full_width_band():
         n, m = prob.model.state_dim, prob.model.input_dim
         bw = 2 * n + m - 1
         rho = float(rng.uniform(1.0, 1e3))
-        A, B = prob.model.jacobians(states[:-1], inputs)
+        A, B = prob.model.linearize(states[:-1], inputs)[1:]
         band = _NewtonBand(prob)
         N = _n_vars(prob)
         J = dense_dynamics_jacobian(prob, A, B)
@@ -728,7 +730,7 @@ def test_no_factorization_runs_when_every_variable_is_active(monkeypatch):
     prob, states, inputs = _random_problem(rng, K=3)
     band = _NewtonBand(prob)
     g = rng.normal(size=_n_vars(prob))
-    A, B = prob.model.jacobians(states[:-1], inputs)
+    A, B = prob.model.linearize(states[:-1], inputs)[1:]
     step = band.step(g, A, B, 10.0, np.ones(len(g), dtype=bool))
     assert np.all(step == 0.0)
     assert calls == []
@@ -741,7 +743,7 @@ def _band_cases(rng):
         model = (None, _integrator(2), _dense_linear_model(rng))[trial % 3]
         prob, states, inputs = _random_problem(rng, K=1 + trial % 7,
                                                model=model)
-        yield (prob, *prob.model.jacobians(states[:-1], inputs))
+        yield (prob, *prob.model.linearize(states[:-1], inputs)[1:])
 
 
 def _active_masks(rng, prob):
@@ -806,7 +808,7 @@ def test_splu_factors_in_place_and_rejects_an_indefinite_band():
     rng = np.random.default_rng(59)
     prob, states, inputs = _random_problem(rng, K=4)
     band = _NewtonBand(prob)
-    A, B = prob.model.jacobians(states[:-1], inputs)
+    A, B = prob.model.linearize(states[:-1], inputs)[1:]
     ab = band.matrix(A, B, 10.0, np.zeros(_n_vars(prob), dtype=bool))
     H = band_to_dense(ab)
     factor = optimizer.splu(ab)
@@ -906,7 +908,7 @@ def test_infeasible_solve_ends_at_the_penalty_limit(max_inner):
     assert sol.outer_iterations <= 12
 
 
-@pytest.mark.parametrize("max_outer", [1, 50])
+@pytest.mark.parametrize("max_outer", [0, 1, 50])
 def test_failure_message_names_the_worst_defect_and_its_step(max_outer):
     prob, init = _unreachable_corner_problem()
     sol = solve_nlp(prob, init=init,
@@ -965,14 +967,16 @@ def test_earliest_reach_witnesses_stall_scenario1_seed_8(monkeypatch):
 
 
 def _solve_counting_derivatives(monkeypatch):
-    """Solve the unreachable-corner problem counting dynamics Jacobian
-    and cost gradient evaluations."""
-    calls = {"jac": 0, "cost_grad": 0}
+    """Solve the unreachable-corner problem counting linearizations,
+    cost gradient evaluations, the inner iterations' value evaluations
+    and the linearizations their gradient calls make."""
+    calls = {"linearize": 0, "cost_grad": 0, "value": 0,
+             "grad_linearize": 0}
     base = unicycle_model(0.1, v_bounds=(-1.0, 1.0))
 
-    def jac(x, u):
-        calls["jac"] += 1
-        return base.jac_fn(x, u)
+    def linearize(x, u):
+        calls["linearize"] += 1
+        return base.linearize_fn(x, u)
 
     cost_grad = NlpProblem.cost_grad
 
@@ -980,28 +984,45 @@ def _solve_counting_derivatives(monkeypatch):
         calls["cost_grad"] += 1
         return cost_grad(self, states, inputs)
 
+    inner = optimizer._inner_gauss_newton
+
+    def counted_inner(z, bounds, al, al_grad, *rest):
+        def value(zv):
+            calls["value"] += 1
+            return al(zv)
+
+        def grad(c, point):
+            before = calls["linearize"]
+            g = al_grad(c, point)
+            calls["grad_linearize"] += calls["linearize"] - before
+            return g
+        return inner(z, bounds, value, grad, *rest)
+
     monkeypatch.setattr(NlpProblem, "cost_grad", counted_cost_grad)
+    monkeypatch.setattr(optimizer, "_inner_gauss_newton", counted_inner)
     prob, init = _unreachable_corner_problem()
-    prob.model = replace(base, jac_fn=jac)
+    prob.model = replace(base, linearize_fn=linearize)
     return calls, solve_nlp(prob, init=init, tolerances=SolverTolerances())
 
 
 def test_dynamics_jacobians_are_evaluated_once_per_al_evaluation(
         monkeypatch):
-    # the Gauss-Newton matrix reuses the Jacobian blocks of the
-    # gradient's evaluation instead of computing them again
+    # each value evaluation linearizes its point once, and the gradient
+    # and the Gauss-Newton matrix reuse that linearization; the one more
+    # gives the starting defects
     calls, sol = _solve_counting_derivatives(monkeypatch)
     assert sum(e["inner_iterations"] for e in sol.log) > 0
-    assert calls["jac"] == calls["cost_grad"] > 0
+    assert calls["linearize"] == calls["value"] + 1 > 1
+    assert calls["grad_linearize"] == 0
 
 
 def test_line_search_trials_evaluate_no_derivatives(monkeypatch):
-    # derivatives run at each inner solve's start iterate and at accepted
-    # ones; a rejected trial costs one value evaluation only
+    # the gradient runs at each inner solve's start iterate and at
+    # accepted ones; a rejected trial costs one value evaluation only
     calls, sol = _solve_counting_derivatives(monkeypatch)
     budget = sol.outer_iterations + sum(e["inner_iterations"]
                                         for e in sol.log)
-    assert calls["jac"] == calls["cost_grad"] <= budget
+    assert 0 < calls["cost_grad"] <= budget
 
 
 def test_one_factorization_per_inner_iteration(monkeypatch):
@@ -1084,18 +1105,19 @@ def test_inner_iteration_returns_the_defects_and_stationarity_of_its_end():
 
     def al(z):
         S, U = prob.unpack(z)
-        c = prob.residuals(S, U)
-        return prob.cost(S, U) + 0.5 * rho * float((c * c).sum()), c
+        nxt, A, B = prob.model.linearize(S[:-1], U)
+        c = S[1:] - nxt
+        return (prob.cost(S, U) + 0.5 * rho * float((c * c).sum()), c,
+                (S, U, A, B))
 
-    def al_grad(z, c):
-        S, U = prob.unpack(z)
+    def al_grad(c, point):
+        S, U, A, B = point
         gs, gu = prob.cost_grad(S, U)
-        A, B = prob.model.jacobians(S[:-1], U)
         y = rho * c
         gs[1:] += y
         gs[:-1] -= np.einsum("kij,ki->kj", A, y)
         gu -= np.einsum("kij,ki->kj", B, y)
-        return prob.pack(gs, gu), (A, B)
+        return prob.pack(gs, gu)
 
     z0 = np.clip(prob.pack(states, inputs), lb, ub)
     for max_iter, gtol in ((0, 1e-3), (1, 1e-3), (3, 1e-3), (120, 1e-3),
@@ -1107,7 +1129,7 @@ def test_inner_iteration_returns_the_defects_and_stationarity_of_its_end():
         assert c.tobytes() == prob.residuals(*prob.unpack(z)).tobytes()
         assert f == al(z)[0] and f <= f_start
         assert pg == reference_projected_gradient_norm(
-            z, al_grad(z, c)[0], lb, ub)
+            z, al_grad(c, al(z)[2]), lb, ub)
 
 
 def test_solver_log_counts_active_set_churn(monkeypatch):

@@ -492,6 +492,13 @@ def test_next_goal_schedules_each_kind_of_sub_task():
     assert 3.7 - 30 * tau > 0.7
     assert _next_goal(patrol, 30, tau) is None
     assert _next_goal(patrol, 37, tau) is None
+    # a zero-gap patrol over [3, 5] visits every grid time: the window
+    # after each arrival is the next grid index, never empty
+    every = SubTask("GF", TimeInterval(3, 5), TimeInterval(0, 0), target)
+    assert _next_goal(every, None, tau) == Goal(target, (3, 3))
+    assert _next_goal(every, 30, tau) == Goal(target, (31 * tau, 31 * tau))
+    assert _next_goal(every, 49, tau) == Goal(target, (50 * tau, 5))
+    assert _next_goal(every, 50, tau) is None
 
 
 def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
