@@ -22,7 +22,7 @@ from .stl_core import (
     pretty,
 )
 from .decomposer import Decomposition, DisjunctiveFSet, LocalTask, decompose
-from .satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
+from .satisfaction import SatisfactionPair, stl_sat
 from .st_planner import GlobalPlan, PlannerParams, plan_global
 from .corridor import SafeCorridor, construct_safe_corridor, safe_cor
 from .optimizer import (
@@ -41,7 +41,7 @@ __all__ = [
     "TimeInterval", "Workspace",
     "oracle_satisfies", "oracle_satisfies_formula", "parse_formula", "pretty",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
-    "SatisfactionPair", "SatisfactionSet", "stl_sat",
+    "SatisfactionPair", "stl_sat",
     "GlobalPlan", "PlannerParams", "plan_global",
     "SafeCorridor", "construct_safe_corridor", "safe_cor",
     "NlpProblem", "NlpSolution", "SolverTolerances", "build_nlp", "rollout",

@@ -245,7 +245,7 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
     lb[hand] = np.maximum(ws.bounds.lo, door_lb + wide * margin)
     ub[hand] = np.minimum(ws.bounds.hi, door_ub - wide * margin)
 
-    rows = sorted((p for p in pairs if 0 <= p.k < K1), key=lambda p: p.k)
+    rows = [p for p in pairs if 0 <= p.k < K1]
     ks = np.array([p.k for p in rows], dtype=np.intp)
     shape = (len(rows), pts.shape[1])
     rlo = np.array([p.prop.region.box.lo for p in rows]).reshape(shape)

@@ -45,25 +45,6 @@ class SatisfactionPair(NamedTuple):
         return cls(k, prop.label, prop)
 
 
-class SatisfactionSet:
-    """Deduplicated, ordered collection of satisfaction pairs; of pairs
-    sharing (k, label) the last one given is kept."""
-
-    def __init__(self, pairs=()):
-        unique = {(p.k, p.label): p for p in pairs}
-        self.pairs = tuple(unique[key] for key in sorted(unique))
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        inner = ", ".join(f"({p.k}, {p.label})" for p in self.pairs)
-        return f"SatisfactionSet([{inner}])"
-
-
 def stl_sat(seq, sub):
     """Decide one sub-task over a uniform sequence.
 

@@ -1,18 +1,17 @@
 """Timed waypoint planning with goal-biased space-time trees.
 
 Each local task is planned greedily from one goal schedule: every
-reach clause (plain eventually, reach-and-hold, and each repeating
-visit of a patrol clause) has a next goal that follows from its last
-arrival, and a random tree through position x time is grown to the
-goal with the earliest deadline, reaches before patrols on ties.
-Every always-clause of the formula acts as a windowed keep-in /
+reach clause (plain eventually, reach-and-hold, each repeating visit of
+a patrol clause, and the entry of a keep-in always-clause) has a next
+goal that follows from its last arrival.  The goal with the earliest
+deadline is served next, reaches before patrols on ties: in place when
+the current point meets it, else by a random tree through position x
+time.  Every always-clause of the formula acts as a windowed keep-in /
 keep-out constraint on every tree edge of every window, so the returned
-waypoints respect them by construction.  Each tree hands its path on
-as position and time arrays; the window's joined path is sampled onto
-the grid and every sub-task re-checked; on failure the attempt restarts
-with fresh randomness.  The certifying pairs of every window are
-collected in order and deduplicated once, into the plan's
-SatisfactionSet.
+waypoints respect them by construction.  The window's joined path is
+sampled onto the grid and every sub-task re-checked; on failure the
+attempt restarts with fresh randomness.  The certifying pairs of every
+window are collected in order; the GlobalPlan deduplicates them once.
 
 A disjunctive reach set is certified by the first earlier piece that
 the waypoints stitched so far already satisfy; when none does, its
@@ -36,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .satisfaction import SatisfactionSet, stl_sat
+from .satisfaction import stl_sat
 from .stl_core import PointSequence, StlError, _floats, grid_ceil
 
 _MIN_EDGE_DT = 1e-6
@@ -249,27 +248,17 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
               v_max, guards):
     """Grow one space-time tree from the root until the goal completes.
 
-    The tree is held as position and time arrays, doubled from 64 rows
-    as it fills, plus a parent index per row.  Returns (positions,
-    times, arrival) of the path after the root, times strictly
-    increasing: the tree chain down to the vertex the completing edge
-    leaves from, then the completion tail at the completing position.
-    A root that completes the goal yields only its tail times later
-    than root_time, possibly none.  Times are sampled from root_time to
-    end_time plus the time overshoot; the goal's own arrival window
-    decides completion.  Raises TreeFailure when the iteration budget
-    runs out.
+    The root is not tested against the goal: the attempt completes a
+    goal met in place itself.  The tree is held as position and time
+    arrays, doubled from 64 rows as it fills, plus a parent index per
+    row.  Returns (positions, times, arrival) of the path after the
+    root, at least one row, times strictly increasing: the tree chain
+    down to the vertex the completing edge leaves from, then the
+    completion tail at the completing position.  Times are sampled from
+    root_time to end_time plus the time overshoot; the goal's own
+    arrival window decides completion.  Raises TreeFailure when the
+    iteration budget runs out.
     """
-    for g in guards:
-        if not g.point_ok(root_pos, root_time):
-            raise PlanningError(
-                f"start point {root_pos.tolist()} at t={root_time} violates "
-                f"an always-constraint; no tree can repair its own root")
-    done = _try_complete(goal, root_pos, root_time, tau, ws, guards)
-    if done is not None:
-        tail, arrival = done
-        tail = np.array([t for t in tail if t > root_time + 1e-15])
-        return np.full((len(tail), len(root_pos)), root_pos), tail, arrival
     positions = np.zeros((64, len(root_pos)))
     times = np.zeros(64)
     positions[0] = root_pos
@@ -347,15 +336,15 @@ def _next_goal(sub, last_k, tau):
     F and FG need one arrival.  GF arrives within gap of its active
     interval's start and of each arrival until gap covers the interval's
     end; a gap shorter than tau asks for the next grid index, so a zero
-    gap visits every grid time of the interval.  G is served by the
-    guards."""
-    if sub.kind in ("F", "FG"):
-        if last_k is not None:
-            return None
-        hold = sub.inner.hi if sub.kind == "FG" else 0.0
-        return Goal(sub.prop, (sub.outer.lo, sub.outer.hi), hold_after=hold)
+    gap visits every grid time of the interval.  A keep-in G arrives by
+    the start of its window and waits there; from then on, and for a
+    keep-out G throughout, the guards serve it."""
     if sub.kind != "GF":
-        return None
+        if last_k is not None or (sub.kind == "G" and sub.prop.negated):
+            return None
+        hi = sub.outer.lo if sub.kind == "G" else sub.outer.hi
+        hold = sub.inner.hi if sub.kind == "FG" else 0.0
+        return Goal(sub.prop, (sub.outer.lo, hi), hold_after=hold)
     ai = sub.active_interval()
     gap = sub.inner.length
     if last_k is None:
@@ -370,11 +359,16 @@ def _next_goal(sub, last_k, tau):
 def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
     """Plan the waypoints of one local task window.
 
-    q_init is the (position, time) the window starts from and guards
-    constrain every tree edge.  Every sub-task of the task is planned
-    and certified.  Returns (sequence, list of the sub-tasks'
-    certifying pairs in sub-task order).
+    q_init is the (position, time) the window starts from, checked
+    against the guards once, and guards constrain every tree edge.
+    Every sub-task of the task is planned and certified.  Returns
+    (sequence, list of the sub-tasks' certifying pairs in sub-task
+    order).
     """
+    if not all(g.point_ok(*q_init) for g in guards):
+        raise PlanningError(
+            f"start point {q_init[0].tolist()} at t={q_init[1]} violates an "
+            f"always-constraint; no tree can repair its own root")
     k_lo = grid_ceil(task.window.lo, tau)
     k_hi = grid_ceil(task.window.hi, tau)
 
@@ -405,39 +399,60 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
 
 def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
              end_time):
+    """One pass of the goal schedule from q_init to end_time: one goal
+    per sub-task, of which only the one just served is replaced.  A due
+    goal that the current point already meets is completed in place,
+    drawing no random numbers; any other is reached by a tree.  Returns
+    the joined (positions, times)."""
     pos, time = q_init
-    parts = [(pos[None], np.array([time]))]
-    last_k = [None] * len(subtasks)
+    positions, times = [pos], [time]
+    goals = [_next_goal(sub, None, tau) for sub in subtasks]
     while True:
-        due = [(goal.deadline, sub.kind == "GF", i, goal)
-               for i, sub in enumerate(subtasks)
-               if (goal := _next_goal(sub, last_k[i], tau)) is not None]
+        # a keep-in goal whose time has passed was met: its guard held since
+        due = [(goal.deadline, sub.kind == "GF", i)
+               for i, (sub, goal) in enumerate(zip(subtasks, goals))
+               if goal is not None and not (
+                   sub.kind == "G" and time > goal.deadline + _TIME_TOL)]
         if not due:
             break
-        *_, i, goal = min(due)  # i is unique: goals are never compared
-        p, t, last_k[i] = grow_tree(pos, time, goal, ws, end_time, params,
-                                    rng, tau=tau, v_max=v_max, guards=guards)
-        parts.append((p, t))
-        if len(t):
-            pos, time = p[-1], t[-1]
+        *_, i = min(due)
+        done = _try_complete(goals[i], pos, time, tau, ws, guards)
+        if done is None:
+            p, t, arrival = grow_tree(pos, time, goals[i], ws, end_time,
+                                      params, rng, tau=tau, v_max=v_max,
+                                      guards=guards)
+        else:
+            tail, arrival = done  # its first time is the current row's
+            p, t = [pos] * (len(tail) - 1), tail[1:]
+        positions.extend(p)
+        times.extend(t)
+        goals[i] = _next_goal(subtasks[i], arrival, tau)
+        pos, time = positions[-1], times[-1]
 
     if time < end_time:
         if _edge_ok(ws, guards, pos, time, pos, end_time, v_max):
-            parts.append((pos[None], np.array([end_time])))
+            p, t = [pos], [end_time]
         else:
-            parts.append(grow_tree(pos, time, Goal.by_time(end_time), ws,
-                                   end_time, params, rng, tau=tau,
-                                   v_max=v_max, guards=guards)[:2])
-    positions, times = zip(*parts)
-    return np.vstack(positions), np.concatenate(times)
+            p, t, _ = grow_tree(pos, time, Goal.by_time(end_time), ws,
+                                end_time, params, rng, tau=tau, v_max=v_max,
+                                guards=guards)
+        positions.extend(p)
+        times.extend(t)
+    return np.array(positions), np.array(times)
 
 
 @dataclass
 class GlobalPlan:
-    """Concatenated waypoints of all windows plus the certifying pairs."""
+    """Concatenated waypoints of all windows plus the certifying pairs,
+    deduplicated and ordered by (k, label) on construction; of pairs
+    sharing (k, label) the last one given is kept."""
 
     waypoints: PointSequence
-    pairs: SatisfactionSet
+    pairs: tuple
+
+    def __post_init__(self):
+        unique = {(p.k, p.label): p for p in self.pairs}
+        self.pairs = tuple(unique[key] for key in sorted(unique))
 
     def validate(self, ws, v_max, expected_len):
         """Check stitching, speed, and free-space invariants."""
@@ -464,8 +479,8 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
     """Plan every local window in order and stitch the results.
 
     Returns a GlobalPlan whose waypoint sequence spans the whole grid
-    and whose satisfaction set certifies every sub-task, including one
-    piece of every disjunctive reach set.
+    and whose pairs certify every sub-task, including one piece of
+    every disjunctive reach set.
     """
     p0 = np.asarray(p0, dtype=float)
     if not ws.point_free(p0):
@@ -495,4 +510,4 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
                                       tau=tau, v_max=v_max)
         merged = merged.concat(seq)
         pairs.extend(local_pairs)
-    return GlobalPlan(merged, SatisfactionSet(pairs))
+    return GlobalPlan(merged, pairs)

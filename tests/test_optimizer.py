@@ -24,7 +24,7 @@ from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                build_nlp,
                                evaluate_solution, initial_guess, rollout,
                                solve_nlp, unicycle_linearize, unicycle_model)
-from stlplan.satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
+from stlplan.satisfaction import SatisfactionPair, stl_sat
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import Box, PointSequence
 
@@ -35,7 +35,7 @@ UNIT_WEIGHTS = {"q_weights": (1.0, 1.0), "r_weights": (1.0, 1.0, 1.0)}
 
 
 def _plan(points, tau=0.1, pairs=()):
-    return GlobalPlan(PointSequence(0, tau, points), SatisfactionSet(pairs))
+    return GlobalPlan(PointSequence(0, tau, points), pairs)
 
 
 def _integrator(dim=1):
@@ -390,7 +390,7 @@ def _random_bounds_case(rng):
         pairs.append(SatisfactionPair.make(int(rng.integers(0, steps + 2)),
                                            atom))
     margin = float(rng.choice([DEFAULT_MARGIN, 0.25]))
-    return pts, boxes, SatisfactionSet(pairs), margin
+    return pts, boxes, _plan(pts, pairs=pairs).pairs, margin
 
 
 def test_position_bounds_match_the_per_step_reference():
@@ -463,7 +463,8 @@ def test_position_bounds_edge_cases_match_the_reference():
                 "empty before doorway": "step 1 have empty intersection"}
     for name, (pts, boxes, pairs) in cases.items():
         got = _assert_bounds_match_the_reference(
-            np.array(pts), boxes, ws, SatisfactionSet(pairs), DEFAULT_MARGIN)
+            np.array(pts), boxes, ws, _plan(pts, pairs=pairs).pairs,
+            DEFAULT_MARGIN)
         if expected[name] is None:
             assert got[0] is not InfeasibleConstraintError, name
         else:

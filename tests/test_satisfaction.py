@@ -3,7 +3,7 @@ import pytest
 
 from helpers import (honoring_sequence, random_instance, reference_stl_sat,
                      region_atom)
-from stlplan.satisfaction import SatisfactionPair, SatisfactionSet, stl_sat
+from stlplan.satisfaction import stl_sat
 from stlplan.stl_core import (CoverageError, PointSequence, SubTask,
                               TimeInterval, oracle_satisfies)
 
@@ -99,15 +99,6 @@ def test_checker_needs_full_coverage():
     sub = SubTask("F", TimeInterval(0, 2), None, ATOM)
     with pytest.raises(CoverageError):
         stl_sat(_seq([1], 1.0, 2), sub)
-
-
-def test_pair_set_deduplicates_and_orders():
-    pairs = SatisfactionSet([SatisfactionPair.make(4, ATOM),
-                             SatisfactionPair.make(1, ATOM),
-                             SatisfactionPair.make(4, ATOM)])
-    assert [p.k for p in pairs] == [1, 4]
-    merged = SatisfactionSet(pairs.pairs + (SatisfactionPair.make(2, ATOM),))
-    assert [p.k for p in merged] == [1, 2, 4]
 
 
 def test_checker_matches_oracle_on_exhaustive_branches():

@@ -17,7 +17,6 @@ from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   emit_svg, load_scenario, main,
                                   pairs_csv_text, plan_csv_text,
                                   read_traj_csv, run_pipeline, traj_csv_text)
-from stlplan.satisfaction import SatisfactionSet
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import PointSequence, StlError, parse_formula, pretty
 
@@ -318,6 +317,23 @@ def test_pipeline_satisfies_the_tiny_scenario(tiny_path, tmp_path):
     assert m["attempts"] >= 1
 
 
+def test_a_keep_in_always_clause_that_starts_late_plans_and_verifies(
+        tmp_path):
+    # scenario3 with G[3,5] mu1 from an x0 outside mu1: the planner must
+    # enter mu1 by 3 s and wait there for the guard to hold
+    data = json.loads((Path(scenario_cli.__file__).parent / "scenarios" /
+                       "scenario3.json").read_text())
+    data["formula"] = "G[3,5] mu1"
+    path = _write_scenario(tmp_path, data, "keep_in.json")
+    out = tmp_path / "out"
+    report = run_pipeline(load_scenario(path), seed=0, out_dir=out)
+    assert report.status == "satisfied"
+    assert report.metrics["satisfied"]
+    pairs = (out / "pairs.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in pairs] == \
+        [str(k) for k in range(30, 51)]
+
+
 def test_one_factorization_per_inner_iteration_of_the_pipeline(
         tiny_path, tmp_path, monkeypatch):
     # perfbench counts optimizer.splu calls as Gauss-Newton iterations
@@ -525,8 +541,7 @@ def test_cli_rejects_a_plan_that_fails_validation(tiny_path, tmp_path,
 
     def short(*args, **kwargs):
         wps = plan_global(*args, **kwargs).waypoints
-        return GlobalPlan(PointSequence(0, wps.tau, wps.positions[:-1]),
-                          SatisfactionSet())
+        return GlobalPlan(PointSequence(0, wps.tau, wps.positions[:-1]), ())
     monkeypatch.setattr(scenario_cli, "plan_global", short)
     out = tmp_path / "out"
     assert main([command, str(tiny_path), "--out", str(out)]) == 3

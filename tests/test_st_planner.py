@@ -8,7 +8,7 @@ from helpers import (make_ws, reference_contains, reference_discretize_path,
                      reference_segment_intersects, reference_stl_sat,
                      region_atom)
 from stlplan.decomposer import LocalTask, decompose
-from stlplan.satisfaction import SatisfactionSet, stl_sat
+from stlplan.satisfaction import SatisfactionPair, stl_sat
 from stlplan import st_planner
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, TreeFailure, _attempt,
@@ -190,16 +190,26 @@ def test_tree_lengths_are_np_linalg_norm_to_the_bit():
 # ---------------------------------------------------------------------------
 # tree growth
 
-def test_tree_completes_immediately_inside_the_target():
+def _no_tree(*args, **kwargs):
+    raise AssertionError("grow_tree was called")
+
+
+def test_tree_completes_immediately_inside_the_target(monkeypatch):
+    # the attempt completes a goal that the start already meets in place:
+    # no tree grows, no row follows the start but the window's end, and
+    # the reach is certified
+    monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
+    target = region_atom("t", (0.0, 0.0), (2.0, 2.0))
+    sub = SubTask("F", TimeInterval(0, 5), None, target)
     rng = np.random.default_rng(2)
-    goal = Goal(region_atom("t", (0.0, 0.0), (2.0, 2.0)), (0.0, 5.0))
-    positions, times, arrival = grow_tree(np.array([1.0, 1.0]), 0.0, goal,
-                                          OPEN_WS, 5.0, PARAMS, rng,
-                                          tau=0.1, v_max=math.inf,
-                                          guards=())
-    # the root itself is the arrival: no vertex follows it
-    assert positions.shape == (0, 2) and times.shape == (0,)
-    assert arrival == 0
+    state = rng.bit_generator.state
+    positions, times = _attempt((np.array([1.0, 1.0]), 0.0), OPEN_WS,
+                                PARAMS, rng, (sub,), [], 0.1, math.inf, 5.0)
+    assert positions.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert times.tolist() == [0.0, 5.0]
+    assert rng.bit_generator.state == state
+    assert stl_sat(discretize_path(positions, times, 0, 50, 0.1), sub)[1] \
+        == (SatisfactionPair.make(50, target),)
 
 
 def test_tree_reaches_an_open_room_target_reliably():
@@ -233,14 +243,19 @@ def test_tree_fails_on_an_enclosed_target():
                   guards=())
 
 
-def test_tree_rejects_a_root_violating_a_guard():
+def test_tree_rejects_a_root_violating_a_guard(monkeypatch):
+    # plan_local checks the window's start against the guards once,
+    # before any attempt: no tree and no restart can repair it
+    monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
     guard = Guard(region_atom("k", (5.0, 5.0), (6.0, 6.0)).region.box,
                   0.0, 8.0, keep_in=True)
-    goal = Goal(region_atom("t", (5.0, 5.0), (6.0, 6.0)), (0.0, 8.0))
-    with pytest.raises(PlanningError):
-        grow_tree(np.array([1.0, 1.0]), 0.0, goal, OPEN_WS, 8.0,
-                  PARAMS, np.random.default_rng(5), tau=0.1,
-                  v_max=math.inf, guards=(guard,))
+    sub = SubTask("F", TimeInterval(0, 8), None,
+                  region_atom("t", (5.0, 5.0), (6.0, 6.0)))
+    task = LocalTask(1, TimeInterval(0, 8), (sub,))
+    with pytest.raises(PlanningError, match="violates an always-constraint"):
+        plan_local(task, (np.array([1.0, 1.0]), 0.0), OPEN_WS, PARAMS,
+                   np.random.default_rng(5), [guard], tau=0.1,
+                   v_max=math.inf)
 
 
 def _check_tree_path(positions, times, root_pos, root_time, goal, arrival,
@@ -301,7 +316,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
         (far, 3.0, Goal.by_time(3.0)),
         (far, 3.05, Goal.by_time(3.0)),
         # roots already inside the target, on the grid, a rounding step
-        # off it and between grid points
+        # off it and between grid points: the tree still grows an edge
         (inside, 1.0, Goal(target, (0.0, 9.0))),
         (inside, 0.3, Goal(target, (0.0, 9.0))),
         (inside, 3 * tau, Goal(target, (0.0, 9.0), hold_after=0.5)),
@@ -476,8 +491,14 @@ def test_next_goal_schedules_each_kind_of_sub_task():
     assert _next_goal(hold, None, 0.5) == Goal(target, (3, 6),
                                                hold_after=2)
     assert _next_goal(hold, 8, 0.5) is None
-    assert _next_goal(SubTask("G", TimeInterval(0, 6), None, target),
-                      None, 0.5) is None
+    # a keep-in G arrives by its window's start once; a keep-out G is
+    # served by the guards alone
+    keep = SubTask("G", TimeInterval(3, 6), None, target)
+    assert _next_goal(keep, None, 0.5) == Goal(target, (3, 3))
+    assert _next_goal(keep, 6, 0.5) is None
+    avoid = SubTask("G", TimeInterval(3, 6), None,
+                    region_atom("t", (4.0, 4.0), (6.0, 6.0), negated=True))
+    assert _next_goal(avoid, None, 0.5) is None
     # a patrol over the active interval [0, 3.7]: a visit within 0.7 s of
     # the start and of every arrival, until 0.7 s covers the end
     tau = 0.1
@@ -504,7 +525,9 @@ def test_next_goal_schedules_each_kind_of_sub_task():
 def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
         monkeypatch):
     # the patrol comes first in sub-task order and its first window
-    # closes at 3, as the reach's does; the reach is grown to first
+    # closes at 3, as the reach's does; the reach is grown to first.  The
+    # stand-in tree waits one second outside the target, so no goal is
+    # ever met in place
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
     patrol = SubTask("GF", TimeInterval(0, 4), TimeInterval(0, 3), target)
     reach = SubTask("F", TimeInterval(1, 3), None, target)
@@ -512,15 +535,48 @@ def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
 
     def record(root_pos, root_time, goal, ws, end_time, *args, **kwargs):
         calls.append((goal.window, end_time))
-        return (np.zeros((0, 2)), np.zeros(0),
+        return (root_pos[None], np.array([root_time + 1.0]),
                 grid_ceil(goal.deadline, kwargs["tau"]))
 
     monkeypatch.setattr(st_planner, "grow_tree", record)
-    positions, times = _attempt((np.array([5.0, 5.0]), 0.0), OPEN_WS,
+    positions, times = _attempt((np.array([1.0, 1.0]), 0.0), OPEN_WS,
                                 PARAMS, np.random.default_rng(0),
                                 (patrol, reach), [], 0.5, 2.0, 8.0)
     assert calls == [((1, 3), 8.0), ((0, 3), 8.0), ((3.5, 6), 8.0)]
-    assert times.tolist() == [0.0, 8.0]
+    assert times.tolist() == [0.0, 1.0, 2.0, 3.0, 8.0]
+
+
+def test_attempt_serves_a_patrol_in_place_without_trees(monkeypatch):
+    # a vehicle that starts inside its patrol region meets every visit
+    # where it stands: the whole schedule is served in place
+    monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    patrol = SubTask("GF", TimeInterval(0, 4), TimeInterval(0, 0.5), target)
+    task = LocalTask(1, TimeInterval(0, 4.5), (patrol,))
+    seq, pairs = plan_local(task, (np.array([5.0, 5.0]), 0.0), OPEN_WS,
+                            PARAMS, np.random.default_rng(0), [], tau=0.1,
+                            v_max=2.0)
+    assert np.all(seq.positions == [5.0, 5.0])
+    assert [p.k for p in pairs] == list(range(46))
+
+
+@pytest.mark.parametrize("after_hold", [False, True],
+                         ids=["alone", "after-a-hold"])
+def test_keep_in_always_clause_is_entered_by_its_start(after_hold):
+    # G[3,5] k from outside k: the attempt arrives in k by 3 and waits,
+    # and the guard keeps it there.  After a hold in k that lasts past
+    # 3, the keep-in goal's time has passed when it falls due; the guard
+    # has held the path in k since then, so it is met
+    k = region_atom("k", (3.0, 3.0), (4.0, 4.0))
+    keep = SubTask("G", TimeInterval(3, 5), None, k)
+    hold = SubTask("FG", TimeInterval(0, 2), TimeInterval(0, 3), k)
+    subs = (hold, keep) if after_hold else (keep,)
+    task = LocalTask(1, TimeInterval(0, 5), subs)
+    seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 0.0), OPEN_WS,
+                            PARAMS, np.random.default_rng(3),
+                            [Guard.from_subtask(keep)], tau=0.1, v_max=4.0)
+    assert all(stl_sat(seq, sub)[0] for sub in subs)
+    assert {p.k for p in pairs} >= set(range(30, 51))
 
 
 def test_plan_local_gives_up_on_an_impossible_hold():
@@ -565,11 +621,27 @@ def test_global_plan_respects_speed_and_free_space(
     plan.validate(ws, scenario.model.speed_limit, expected_len=601)
 
 
+def test_global_plan_deduplicates_and_orders_its_pairs():
+    atom = region_atom("a", (0.0, 0.0), (1.0, 1.0))
+    twin = region_atom("a", (0.0, 0.0), (2.0, 2.0))
+    other = region_atom("b", (0.0, 0.0), (1.0, 1.0))
+    seq = PointSequence(0, 0.5, [[0.5, 0.5]] * 6)
+    given = [SatisfactionPair.make(4, atom), SatisfactionPair.make(1, atom),
+             SatisfactionPair.make(4, other), SatisfactionPair.make(2, atom),
+             SatisfactionPair.make(4, twin)]
+    pairs = GlobalPlan(seq, given).pairs
+    assert [(p.k, p.label) for p in pairs] == [(1, "a"), (2, "a"), (4, "a"),
+                                                (4, "b")]
+    # of pairs sharing (k, label) the last given is kept
+    assert pairs[2].prop is twin
+    assert isinstance(pairs, tuple)
+
+
 def test_global_plan_validation_names_the_first_offending_step():
     ws = make_ws(obstacles=[((4.0, 4.0), (6.0, 6.0))])
 
     def plan(points):
-        return GlobalPlan(PointSequence(0, 0.5, points), SatisfactionSet())
+        return GlobalPlan(PointSequence(0, 0.5, points), ())
     # v_max 2 and tau 0.5 allow 1 m per step
     fast = plan([[1.0, 1.0], [1.5, 1.0], [3.0, 1.0], [5.0, 1.0]])
     with pytest.raises(PlanningError, match=r"speed limit at step 1: "
