@@ -16,7 +16,6 @@ from .stl_core import (
     SubTask,
     TimeInterval,
     Workspace,
-    oracle_satisfies,
     oracle_satisfies_formula,
     parse_formula,
     pretty,
@@ -39,7 +38,7 @@ from .scenario_cli import Scenario, load_scenario, run_pipeline
 __all__ = [
     "AtomicProp", "Box", "Formula", "PointSequence", "Region", "SubTask",
     "TimeInterval", "Workspace",
-    "oracle_satisfies", "oracle_satisfies_formula", "parse_formula", "pretty",
+    "oracle_satisfies_formula", "parse_formula", "pretty",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
     "SatisfactionPair", "stl_sat",
     "GlobalPlan", "PlannerParams", "plan_global",

@@ -130,17 +130,16 @@ def split_subtask(sub, cuts):
     return pieces
 
 
-def decompose(formula, tau=None):
+def decompose(formula, tau):
     """Split a formula along the timeline into per-window local tasks.
 
-    When tau is given the formula is validated against it first.  Pieces
+    The formula is first validated against the sampling step tau.  Pieces
     of split G sub-tasks and all unsplit sub-tasks are assigned to the
     cut window that contains their active interval (earliest window on
     boundary ties); cut-spanning F sub-tasks become disjunctive sets
     that are resolved during planning.
     """
-    if tau is not None:
-        formula.validate(tau)
+    formula.validate(tau)
     if formula.horizon <= 0.0:
         raise StlError("task constrains only time zero; nothing to plan")
     cuts = compute_cuts(formula)

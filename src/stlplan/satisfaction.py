@@ -1,12 +1,13 @@
 """Satisfaction checking of sub-tasks over uniform waypoint sequences.
 
-`stl_sat` decides each sub-task kind over the sample grid and, when
-satisfied, returns the time/region pairs that certify it.  Per call it
-compares the sequence's rows with the prop's box once, as one boolean
-array over the grid rows the check reads, and decides from that array
-alone.  Downstream
-the pairs become pointwise constraints of the trajectory optimizer, so
-the checker keeps them minimal where it can:
+`stl_sat`, the package's only satisfaction evaluator, decides each
+sub-task kind over the sample grid and, when satisfied, returns the
+time/region pairs that certify it.  `run` and `check` reach it through
+stl_core.oracle_satisfies_formula.  Per call it compares the sequence's
+rows with the prop's box once, as one boolean array over the grid rows
+the check reads, and decides from that array alone.  Downstream the
+pairs become pointwise constraints of the trajectory optimizer, so the
+checker keeps them minimal where it can:
 
 * F: one witness, the last grid point of the first visit (the end of
   the first run of True rows, or the interval's last grid point when
@@ -17,8 +18,8 @@ the checker keeps them minimal where it can:
 * FG: the grid points of the first satisfying hold window (the first
   window whose prefix-sum count of True rows is its length).
 * GF: every visit inside the active interval, accepted when every
-  anchored inner window holds a visit (the oracle's grid test, a
-  bisection over the True rows).
+  anchored inner window holds a visit (a bisection over the True
+  rows).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stl_core import CoverageError, _window_indices
+from .stl_core import CoverageError, grid_ceil, grid_floor
 
 
 class SatisfactionPair(NamedTuple):
@@ -40,16 +41,16 @@ class SatisfactionPair(NamedTuple):
     label: str
     prop: object
 
-    @classmethod
-    def make(cls, k, prop):
-        return cls(k, prop.label, prop)
-
 
 def stl_sat(seq, sub):
     """Decide one sub-task over a uniform sequence.
 
-    Returns (satisfied, pairs): a tuple of the certifying pairs, unique
-    and in increasing k, empty whenever the sub-task is unsatisfied.
+    Quantifiers range over the grid points in each interval, inner
+    windows anchored at the outer grid time.  Box membership is closed
+    and a row with a NaN coordinate lies outside every box, so a negated
+    atom holds there.  Returns (satisfied, pairs): a tuple of the
+    certifying pairs, unique and in increasing k, empty whenever the
+    sub-task is unsatisfied.
     """
     ai, tau = sub.active_interval(), seq.tau
     seq.require_coverage(ai)
@@ -72,6 +73,14 @@ def stl_sat(seq, sub):
     if sub.kind == "FG":
         return _sat_reach_hold(sub, ks, holds, outer_ks, tau)
     return _sat_recurring(sub, ks, holds, outer_ks, tau)
+
+
+def _window_indices(k1, inner, tau):
+    """The grid indices of the inner window anchored at grid index k1."""
+    t1 = k1 * tau
+    lo = grid_ceil(t1 + inner.lo, tau)
+    hi = grid_floor(t1 + inner.hi, tau)
+    return range(lo, hi + 1)
 
 
 def _holds(seq, prop, ks):

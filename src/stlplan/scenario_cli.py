@@ -5,8 +5,7 @@ and tuning for the planner and solver.  The pipeline decomposes the
 formula, plans timed waypoints, builds the corridor, solves the
 trajectory optimization, writes all artifacts, and then verifies the
 trajectory the way a consumer would see it: re-loaded from traj.csv and
-checked against the brute-force oracle plus collision and input-bound
-scans.
+checked with satisfaction.stl_sat plus collision and input-bound scans.
 
 Exit codes: 0 task satisfied, 2 pipeline completed but the trajectory
 does not satisfy the task, 3 a stage failed, 4 configuration error (a
@@ -422,14 +421,15 @@ def _polyline_length(points):
 
 
 def verify_trajectory(scenario, positions, headings, inputs):
-    """Check a trajectory the way `run` and `check` both accept it: the
-    oracle on the grid positions, every segment of the polyline against
-    the obstacles, every input within the bounds, every position inside
-    the workspace bounds, the first state at x0, and every step within
-    eps_feas of the model's step from the state and input before it
-    (headings compared modulo 2 pi, as traj.csv wraps them).  A NaN
-    fails each of the last three.  Returns {check name: passed} in that
-    order.  The arrays are read_traj_csv's, of the scenario's horizon."""
+    """Check a trajectory the way `run` and `check` both accept it: every
+    sub-task by stl_sat on the grid positions, every segment of the
+    polyline against the obstacles, every input within the bounds, every
+    position inside the workspace bounds, the first state at x0, and
+    every step within eps_feas of the model's step from the state and
+    input before it (headings compared modulo 2 pi, as traj.csv wraps
+    them).  A NaN fails each of the last three.  Returns {check name:
+    passed} in that order.  The arrays are read_traj_csv's, of the
+    scenario's horizon."""
     model = scenario.model
     ws = scenario.workspace
     states = np.column_stack([positions, headings])

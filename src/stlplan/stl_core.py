@@ -2,8 +2,9 @@
 
 Workspace geometry (axis-aligned boxes, obstacles, labeled regions),
 time intervals on a sampling grid, a restricted temporal-logic formula
-AST with parser and printer, uniformly sampled point sequences, and a
-brute-force satisfaction oracle used to cross-check the fast checker.
+AST with parser and printer, uniformly sampled point sequences, and the
+verdict of a whole formula over a sequence, decided sub-task by sub-task
+by satisfaction.stl_sat.
 
 The formula fragment is a conjunction of clauses, each one of
 
@@ -674,43 +675,10 @@ class PointSequence:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
-
-def oracle_satisfies(seq, sub):
-    """Brute-force check of one sub-task over a uniform sequence.
-
-    Quantifiers range over the grid points inside each interval; nested
-    windows are anchored at the outer witness time. Serves as the
-    independent reference for the fast satisfaction checker.
-    """
-    seq.require_coverage(sub.active_interval())
-    tau = seq.tau
-    outer_ks = sub.outer.grid_indices(tau)
-    if sub.kind == "F":
-        return any(sub.prop.holds(seq.at_index(k)) for k in outer_ks)
-    if sub.kind == "G":
-        return all(sub.prop.holds(seq.at_index(k)) for k in outer_ks)
-    if sub.kind == "FG":
-        for k1 in outer_ks:
-            window = _window_indices(k1, sub.inner, tau)
-            if all(sub.prop.holds(seq.at_index(k2)) for k2 in window):
-                return True
-        return False
-    # GF
-    for k1 in outer_ks:
-        window = _window_indices(k1, sub.inner, tau)
-        if not any(sub.prop.holds(seq.at_index(k2)) for k2 in window):
-            return False
-    return True
-
-
-def _window_indices(k1, inner, tau):
-    t1 = k1 * tau
-    lo = grid_ceil(t1 + inner.lo, tau)
-    hi = grid_floor(t1 + inner.hi, tau)
-    return range(lo, hi + 1)
-
+# formula satisfaction
 
 def oracle_satisfies_formula(seq, formula):
-    """Check every sub-task of the conjunction against the sequence."""
-    return all(oracle_satisfies(seq, sub) for sub in formula.subtasks)
+    """Check every sub-task of the conjunction against the sequence with
+    satisfaction.stl_sat, the package's one satisfaction checker."""
+    from .satisfaction import stl_sat  # satisfaction imports this module
+    return all(stl_sat(seq, sub)[0] for sub in formula.subtasks)

@@ -22,11 +22,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from stlplan.corridor import CorridorError
-from stlplan.satisfaction import SatisfactionPair
+from stlplan.satisfaction import SatisfactionPair, _window_indices
 from stlplan.optimizer import InfeasibleConstraintError
 from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
-                              Region, SubTask, TimeInterval, Workspace,
-                              _window_indices)
+                              Region, SubTask, TimeInterval, Workspace)
 
 TIME_EPS = 1e-9
 
@@ -45,8 +44,9 @@ def region_atom(name, lo, hi, negated=False):
 
 
 def direct_eval(seq, sub):
-    """Double-loop satisfaction over float times; the reference the
-    package oracle is checked against."""
+    """Double-loop satisfaction over float times; the reference that
+    satisfaction.stl_sat, the package's only evaluator, is checked
+    against."""
     times = [(seq.k0 + j) * seq.tau for j in range(len(seq))]
     inside = [bool(sub.prop.holds(seq.positions[j]))
               for j in range(len(seq))]
@@ -502,7 +502,8 @@ def reference_stl_sat(seq, sub):
         return _reference_holds(sub.prop, seq.at_index(k))
 
     def pairs(ks):
-        return tuple(SatisfactionPair.make(k, sub.prop) for k in ks)
+        return tuple(SatisfactionPair(k, sub.prop.label, sub.prop)
+                     for k in ks)
 
     if sub.kind == "F":
         # the last index of the first run of grid points that hold

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from helpers import (dense_dynamics_jacobian, honoring_sequence,
+from helpers import (dense_dynamics_jacobian, direct_eval, honoring_sequence,
                      random_instance)
 from stlplan.decomposer import decompose
 from stlplan.optimizer import (DynamicsModel, NlpProblem, SolverTolerances,
                                rollout, solve_nlp, unicycle_model)
 from stlplan.satisfaction import stl_sat
 from stlplan.scenario_cli import load_scenario, main, run_pipeline
-from stlplan.stl_core import oracle_satisfies
 
 SCENARIOS = ("scenario1", "scenario2", "scenario3")
 SEEDS = tuple(range(10))
@@ -113,7 +112,7 @@ def test_criterion_4_checker_agrees_with_the_oracle():
         seq, sub = random_instance(rng, max_samples=40)
         counts[sub.kind] += 1
         ok, _ = stl_sat(seq, sub)
-        truth = oracle_satisfies(seq, sub)
+        truth = direct_eval(seq, sub)
         if sub.kind == "GF":
             if ok and not truth:
                 unsound_gf += 1
@@ -125,7 +124,7 @@ def test_criterion_4_checker_agrees_with_the_oracle():
     ok = mismatches == 0 and unsound_gf == 0 and all(
         counts[k] > 100 for k in counts)
     _record("criterion 4 (2000 randomized instances agree with the "
-            "oracle)", ok,
+            "direct double-loop evaluator)", ok,
             f"{exact} exact F/G/FG, {mismatches} mismatches, "
             f"{unsound_gf} unsound GF, mix {counts}")
 
@@ -141,7 +140,7 @@ def test_criterion_5_pairs_are_sufficient():
             continue
         satisfied += 1
         other = honoring_sequence(seq, sub, pairs, rng)
-        if not oracle_satisfies(other, sub):
+        if not direct_eval(other, sub):
             broken += 1
     _record("criterion 5 (pairs force satisfaction of any honoring "
             "sequence)", broken == 0,

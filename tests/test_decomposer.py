@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import make_ws, region_atom
+from helpers import direct_eval, make_ws, region_atom
 from stlplan.decomposer import (Decomposition, DisjunctiveFSet, LocalTask,
                                 compute_cuts, decompose, split_subtask)
 from stlplan.scenario_cli import load_scenario
 from stlplan.stl_core import (PointSequence, StlError, SubTask, TimeInterval,
-                              oracle_satisfies, parse_formula)
+                              parse_formula)
 
 
 def _sub(kind, outer, inner=None, negated=False, box=((0, 0), (2, 2))):
@@ -205,14 +205,14 @@ def test_decomposition_is_sound_for_random_formulas():
             else:
                 pts[j] = rng.uniform(0.0, 10.0, size=2)
         seq = PointSequence(0, 1.0, pts)
-        assigned_ok = all(oracle_satisfies(seq, s)
+        assigned_ok = all(direct_eval(seq, s)
                           for t in dec.local_tasks for s in t.subtasks)
-        sets_ok = all(any(oracle_satisfies(seq, p) for p in d.pieces)
+        sets_ok = all(any(direct_eval(seq, p) for p in d.pieces)
                       for d in dec.disjunctive_sets)
         if assigned_ok and sets_ok:
             premise_held += 1
             for sub in formula.subtasks:
-                assert oracle_satisfies(seq, sub)
+                assert direct_eval(seq, sub)
     assert premise_held > 10
 
 
@@ -230,8 +230,8 @@ def test_hold_split_is_equivalent_to_the_original():
                        rng.uniform(0, 2, (b + 1, 2)),
                        rng.uniform(0, 10, (b + 1, 2)))
         seq = PointSequence(0, 1.0, pts)
-        whole = oracle_satisfies(seq, sub)
-        assert whole == all(oracle_satisfies(seq, p) for p in pieces)
+        whole = direct_eval(seq, sub)
+        assert whole == all(direct_eval(seq, p) for p in pieces)
 
 
 def test_reach_split_covers_exactly_the_original():
@@ -249,5 +249,5 @@ def test_reach_split_covers_exactly_the_original():
                        rng.uniform(0, 2, (b + 1, 2)),
                        rng.uniform(2.5, 10, (b + 1, 2)))
         seq = PointSequence(0, 1.0, pts)
-        whole = oracle_satisfies(seq, sub)
-        assert whole == any(oracle_satisfies(seq, p) for p in pieces)
+        whole = direct_eval(seq, sub)
+        assert whole == any(direct_eval(seq, p) for p in pieces)

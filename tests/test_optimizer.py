@@ -238,7 +238,7 @@ def test_margin_retreats_faces_but_never_past_a_waypoint():
 def test_membership_pairs_tighten_the_position_bounds():
     ws = make_ws()
     atom = region_atom("goal", (2.0, 2.0), (3.0, 3.0))
-    pair = SatisfactionPair.make(2, atom)
+    pair = SatisfactionPair(2, atom.label, atom)
     plan = _plan([[1.0, 1.0], [1.7, 1.7], [2.4, 2.4]], pairs=[pair])
     cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
@@ -250,7 +250,7 @@ def test_membership_pairs_tighten_the_position_bounds():
 def test_avoidance_pairs_bound_one_axis_by_the_best_face():
     ws = make_ws()
     atom = region_atom("bad", (2.0, 2.0), (3.0, 3.0), negated=True)
-    pair = SatisfactionPair.make(1, atom)
+    pair = SatisfactionPair(1, atom.label, atom)
     plan = _plan([[1.0, 2.5], [1.0, 2.5], [1.0, 2.5]], pairs=[pair])
     cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     prob = build_nlp(plan, cor, ws, unicycle_model(0.1),
@@ -279,7 +279,7 @@ def test_avoid_face_selection_rules():
 def test_waypoint_inside_a_certified_avoid_region_fails_early():
     ws = make_ws()
     atom = region_atom("bad", (2.0, 2.0), (3.0, 3.0), negated=True)
-    pair = SatisfactionPair.make(1, atom)
+    pair = SatisfactionPair(1, atom.label, atom)
     plan = _plan([[2.5, 2.5], [2.5, 2.5]], pairs=[pair])
     cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     with pytest.raises(InfeasibleConstraintError):
@@ -292,7 +292,7 @@ def test_disjoint_membership_and_corridor_fail_early():
     # demands membership in a region entirely beyond the wall
     ws = make_ws(obstacles=[((3.0, 0.0), (4.0, 10.0))])
     atom = region_atom("far", (5.0, 5.0), (6.0, 6.0))
-    pair = SatisfactionPair.make(1, atom)
+    pair = SatisfactionPair(1, atom.label, atom)
     plan = _plan([[1.0, 1.0], [1.0, 1.0]], pairs=[pair])
     cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
     with pytest.raises(InfeasibleConstraintError):
@@ -387,8 +387,8 @@ def _random_bounds_case(rng):
         atom = region_atom(f"r{i}", tuple(lo),
                            tuple(lo + rng.integers(1, 7, size=2) / 2.0),
                            negated=bool(rng.random() < 0.5))
-        pairs.append(SatisfactionPair.make(int(rng.integers(0, steps + 2)),
-                                           atom))
+        pairs.append(SatisfactionPair(int(rng.integers(0, steps + 2)),
+                                      atom.label, atom))
     margin = float(rng.choice([DEFAULT_MARGIN, 0.25]))
     return pts, boxes, _plan(pts, pairs=pairs).pairs, margin
 
@@ -413,8 +413,8 @@ def test_position_bounds_edge_cases_match_the_reference():
     far = Box((5.0, 0.0), (8.0, 6.0))
 
     def pair(k, lo, hi, negated=False):
-        return SatisfactionPair.make(k, region_atom(f"r{lo}{hi}{negated}",
-                                                    lo, hi, negated))
+        atom = region_atom(f"r{lo}{hi}{negated}", lo, hi, negated)
+        return SatisfactionPair(k, atom.label, atom)
 
     # clearances of the x and y low faces differ by under 1e-12
     tie = [[1.0, 1.0 + 5e-13], [1.0 + 5e-13, 1.0], [1.0, 1.0]]
@@ -939,7 +939,7 @@ def test_earliest_reach_witnesses_stall_scenario1_seed_8(monkeypatch):
             first = sub.active_interval().grid_indices(seq.tau).start
             while k > first and sub.prop.holds(seq.at_index(k - 1)):
                 k -= 1
-            pairs = (SatisfactionPair.make(k, sub.prop),)
+            pairs = (SatisfactionPair(k, sub.prop.label, sub.prop),)
         return ok, pairs
 
     def first_attempt_plan():

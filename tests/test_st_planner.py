@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (make_ws, reference_contains, reference_discretize_path,
-                     reference_in_obstacle, reference_segment_collides,
+from helpers import (direct_eval, make_ws, reference_contains,
+                     reference_discretize_path, reference_in_obstacle,
+                     reference_segment_collides,
                      reference_segment_intersects, reference_stl_sat,
                      region_atom)
 from stlplan.decomposer import LocalTask, decompose
@@ -17,8 +18,7 @@ from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
 from stlplan.stl_core import (Box, PointSequence, SubTask, TimeInterval,
-                              Workspace, grid_ceil, oracle_satisfies,
-                              oracle_satisfies_formula, parse_formula)
+                              Workspace, grid_ceil, parse_formula)
 
 PARAMS = PlannerParams()
 OPEN_WS = make_ws()
@@ -209,7 +209,7 @@ def test_tree_completes_immediately_inside_the_target(monkeypatch):
     assert times.tolist() == [0.0, 5.0]
     assert rng.bit_generator.state == state
     assert stl_sat(discretize_path(positions, times, 0, 50, 0.1), sub)[1] \
-        == (SatisfactionPair.make(50, target),)
+        == (SatisfactionPair(50, target.label, target),)
 
 
 def test_tree_reaches_an_open_room_target_reliably():
@@ -602,9 +602,10 @@ def test_global_plan_satisfies_every_subtask(first_scenario_artifacts):
     plan = first_scenario_artifacts["plan"]
     scenario = first_scenario_artifacts["scenario"]
     dec = first_scenario_artifacts["decomposition"]
-    assert oracle_satisfies_formula(plan.waypoints, scenario.formula)
+    assert all(direct_eval(plan.waypoints, sub)
+               for sub in scenario.formula.subtasks)
     for d in dec.disjunctive_sets:
-        assert any(oracle_satisfies(plan.waypoints, p) for p in d.pieces)
+        assert any(direct_eval(plan.waypoints, p) for p in d.pieces)
 
 
 def test_global_plan_respects_speed_and_free_space(
@@ -626,9 +627,9 @@ def test_global_plan_deduplicates_and_orders_its_pairs():
     twin = region_atom("a", (0.0, 0.0), (2.0, 2.0))
     other = region_atom("b", (0.0, 0.0), (1.0, 1.0))
     seq = PointSequence(0, 0.5, [[0.5, 0.5]] * 6)
-    given = [SatisfactionPair.make(4, atom), SatisfactionPair.make(1, atom),
-             SatisfactionPair.make(4, other), SatisfactionPair.make(2, atom),
-             SatisfactionPair.make(4, twin)]
+    given = [SatisfactionPair(k, prop.label, prop)
+             for k, prop in ((4, atom), (1, atom), (4, other), (2, atom),
+                             (4, twin))]
     pairs = GlobalPlan(seq, given).pairs
     assert [(p.k, p.label) for p in pairs] == [(1, "a"), (2, "a"), (4, "a"),
                                                 (4, "b")]

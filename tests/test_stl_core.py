@@ -8,12 +8,11 @@ from helpers import (direct_eval, make_ws, oracle_satisfies_until,
                      random_instance, reference_contains,
                      reference_in_obstacle, reference_segment_collides,
                      reference_segment_intersects, region_atom)
-from stlplan.stl_core import (AtomicProp, Box, CoverageError,
+from stlplan.stl_core import (AtomicProp, Box, CoverageError, Formula,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
                               SubTask, TimeInterval, UnknownRegionError,
                               Workspace, grid_ceil, grid_floor,
-                              oracle_satisfies,
                               oracle_satisfies_formula, parse_formula, pretty,
                               snap_index)
 
@@ -422,7 +421,11 @@ def test_sequence_concat_requires_shared_junction():
 
 
 # ---------------------------------------------------------------------------
-# oracle
+# formula satisfaction
+
+def _formula(*subtasks):
+    return Formula(subtasks, ())
+
 
 def test_oracle_trivial_cases():
     atom = region_atom("r", (0.0, 0.0), (1.0, 1.0))
@@ -430,22 +433,27 @@ def test_oracle_trivial_cases():
     outside = PointSequence(0, 0.1, [[5.0, 5.0]] * 11)
     g = SubTask("G", TimeInterval(0, 1), None, atom)
     f = SubTask("F", TimeInterval(0, 1), None, atom)
-    assert oracle_satisfies(inside, g)
-    assert not oracle_satisfies(outside, f)
+    assert oracle_satisfies_formula(inside, _formula(g))
+    assert not oracle_satisfies_formula(outside, _formula(f))
 
 
 def test_oracle_requires_grid_coverage():
     atom = region_atom("r", (0.0, 0.0), (1.0, 1.0))
     seq = PointSequence(0, 0.1, [[0.5, 0.5]] * 5)
     with pytest.raises(CoverageError):
-        oracle_satisfies(seq, SubTask("F", TimeInterval(0, 1), None, atom))
+        oracle_satisfies_formula(
+            seq, _formula(SubTask("F", TimeInterval(0, 1), None, atom)))
 
 
 def test_oracle_agrees_with_independent_double_loop():
     rng = np.random.default_rng(42)
+    seen = {"F": 0, "G": 0, "FG": 0, "GF": 0}
     for _ in range(1000):
         seq, sub = random_instance(rng, max_samples=30)
-        assert oracle_satisfies(seq, sub) == direct_eval(seq, sub)
+        seen[sub.kind] += 1
+        assert oracle_satisfies_formula(seq, _formula(sub)) == \
+            direct_eval(seq, sub)
+    assert min(seen.values()) > 100
 
 
 def test_until_rewrite_implies_until_semantics():
@@ -470,7 +478,7 @@ def test_until_rewrite_implies_until_semantics():
         seq = PointSequence(0, tau, pts)
         g = SubTask("G", ival, None, left)
         f = SubTask("F", ival, None, right)
-        if oracle_satisfies(seq, g) and oracle_satisfies(seq, f):
+        if direct_eval(seq, g) and direct_eval(seq, f):
             checked += 1
             assert oracle_satisfies_until(seq, left, ival, right)
     assert checked > 20
@@ -484,7 +492,7 @@ def test_until_rewrite_is_strictly_stronger():
     seq = PointSequence(0, 1.0, [[0.5, 0.5], [2.5, 0.5], [5.0, 5.0]])
     ival = TimeInterval(0, 2)
     assert oracle_satisfies_until(seq, left, ival, right)
-    assert not oracle_satisfies(seq, SubTask("G", ival, None, left))
+    assert not direct_eval(seq, SubTask("G", ival, None, left))
 
 
 def test_formula_conjunction_checks_every_subtask():
