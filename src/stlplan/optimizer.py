@@ -22,7 +22,10 @@ workspace allocated once per solve: each iteration fills it in place,
 LAPACK pbtrf factors it by Cholesky in place (the storage is
 Fortran-ordered, so nothing is copied) and pbtrs solves with the factor.
 If the factorization fails, the iteration takes the projected gradient
-step instead.
+step instead.  SciPy's LAPACK bindings are imported where they are
+called, pbtrf inside splu and pbtrs once per solve by _NewtonBand, so
+importing this module loads no SciPy and a process that never solves
+never pays for it.
 
 Avoidance of a box region is nonconvex; it is enforced by picking, per
 certified time, the separating face with the largest clearance at the
@@ -36,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .stl_core import StlError
 
@@ -412,9 +415,6 @@ class _Bounds:
         return float(np.where(blocked, 0.0, np.abs(g)).max(initial=0.0))
 
 
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-
-
 # perfbench times factorizations under this name; the rename waits for
 # the benchmark change in ROADMAP item 1
 def splu(ab):
@@ -424,7 +424,9 @@ def splu(ab):
     Fortran-ordered, as _NewtonBand.matrix returns it; otherwise the
     factor lands in a copy.  Raises LinAlgError when a leading minor is
     not positive definite."""
-    factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+    from scipy.linalg.lapack import dpbtrf
+
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise LinAlgError(f"leading minor {info} of the band is not "
                           f"positive definite")
@@ -458,6 +460,9 @@ class _NewtonBand:
     """
 
     def __init__(self, problem):
+        from scipy.linalg.lapack import dpbtrs
+
+        self._pbtrs = dpbtrs
         model = problem.model
         K, n, m = problem.horizon, model.state_dim, model.input_dim
         N = (K + 1) * n + K * m
@@ -536,7 +541,7 @@ class _NewtonBand:
             return None
         rhs = np.negative(g, out=self._rhs)
         rhs[self._pinned] = 0.0
-        x, _ = _pbtrs(factor, rhs, lower=1, overwrite_b=1)
+        x, _ = self._pbtrs(factor, rhs, lower=1, overwrite_b=1)
         return x
 
 

@@ -440,6 +440,8 @@ def verify_trajectory(scenario, positions, headings, inputs):
         gap[:, 2] = (gap[:, 2] + math.pi) % (2.0 * math.pi) - math.pi
     gap = np.abs(gap)
     return {
+        # stl_sat's verdict per sub-task; perfbench wraps this name, so it
+        # stays until the next benchmark change (see FOUND in CHANGES.md)
         "satisfied": bool(oracle_satisfies_formula(
             PointSequence(0, scenario.tau, positions), scenario.formula)),
         "collision_free": not ws.segments_collide(positions[:-1],
@@ -708,6 +710,9 @@ def _cmd_run(args):
     out = Path(args.out)
     jobs = [(args.scenario, seed + i, str(out / f"seed{seed + i}"))
             for i in range(args.repeat)]
+    # load the solver's LAPACK once here, so forked workers inherit it
+    import scipy.linalg.lapack
+
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(args.repeat, 8)) as pool:
         futures = [pool.submit(_run_one, *job) for job in jobs]

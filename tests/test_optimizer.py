@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -1188,16 +1189,120 @@ def test_solves_match_the_reference_kernel_on_the_shipped_scenarios(
         assert sol.message == ref.message
 
 
-def test_importing_the_package_leaves_scipy_sparse_unloaded():
+# the plan workload's stage chain on scenario3, reporting after each step
+# whether SciPy is loaded
+_STAGES_THEN_SOLVE = """
+import json, sys
+from dataclasses import replace
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import stlplan
+seen = {"import": scipy_loaded()}
+from stlplan.corridor import construct_safe_corridor
+from stlplan.decomposer import decompose
+from stlplan.optimizer import build_nlp, initial_guess, solve_nlp
+from stlplan.scenario_cli import load_scenario
+from stlplan.st_planner import plan_global
+
+sc = load_scenario("scenario3")
+dec = decompose(sc.formula, sc.tau)
+plan = plan_global(dec, sc.x0[:2], sc.workspace,
+                   replace(sc.planner, rng_seed=sc.seed), tau=sc.tau,
+                   v_max=sc.model.speed_limit)
+cor = construct_safe_corridor(plan.waypoints, sc.workspace, sc.corridor_step)
+problem = build_nlp(plan, cor, sc.workspace, sc.model, sc.x0,
+                    q_weights=sc.q_weights, r_weights=sc.r_weights)
+init = initial_guess(problem, plan.waypoints.positions)
+seen["stages"] = scipy_loaded()
+solve_nlp(problem, init, sc.tolerances)
+seen["solve"] = "scipy.linalg" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+@pytest.fixture(scope="module")
+def scenario3_run(tmp_path_factory):
+    """run_pipeline in this process on the third shipped scenario at its
+    own seed; the report's out_dir holds the artifacts."""
+    scenario = scenario_cli.load_scenario("scenario3")
+    return scenario_cli.run_pipeline(scenario, scenario.seed,
+                                     tmp_path_factory.mktemp("scenario3"))
+
+
+def _src_env():
     src = str(Path(optimizer.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stlplan; print(sorted(m for m in sys.modules "
-         "if m.startswith('scipy.sparse')))"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_scipy_loads_at_the_first_solve_only():
+    done = subprocess.run([sys.executable, "-c", _STAGES_THEN_SOLVE],
+                          capture_output=True, text=True, env=_src_env())
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    seen = json.loads(done.stdout)
+    assert seen == {"import": [], "stages": [], "solve": True}
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "plan",
+                                     "check", "run"])
+def test_only_the_command_that_solves_loads_scipy(scenario3_run, tmp_path,
+                                                  command):
+    traj = str(Path(scenario3_run.out_dir) / "traj.csv")
+    args = {"validate": ["scenario3"], "decompose": ["scenario3"],
+            "plan": ["scenario3", "--out", str(tmp_path)],
+            "check": [traj, "scenario3"],
+            "run": ["scenario3", "--out", str(tmp_path)]}[command]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stlplan", command, *args],
+        capture_output=True, text=True, env=_src_env())
+    assert done.returncode == 0, done.stderr
+    # -X importtime writes one "import time: self | cumulative | name"
+    # line per module imported
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "stlplan.scenario_cli" in imported
+    scipy = {m for m in imported if m.split(".")[0] == "scipy"}
+    if command == "run":
+        assert "scipy.linalg" in scipy
+    else:
+        assert scipy == set()
+
+
+# stlplan run scenario3 in an interpreter that has loaded no SciPy yet,
+# printing the log of every solve
+_FIRST_RUN = """
+import json, sys
+from stlplan import scenario_cli
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+logs = []
+solve_nlp = scenario_cli.solve_nlp
+
+def logged(*args):
+    solution = solve_nlp(*args)
+    logs.append(repr(solution.log))
+    return solution
+
+scenario_cli.solve_nlp = logged
+code = scenario_cli.main(["run", "scenario3", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "logs": logs}))
+"""
+
+
+def test_the_first_solve_of_a_fresh_process_is_byte_identical(
+        scenario3_run, tmp_path):
+    done = subprocess.run([sys.executable, "-c", _FIRST_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=_src_env())
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout.splitlines()[-1])
+    assert fresh["code"] == scenario3_run.exit_code() == 0
+    assert fresh["logs"] == [repr(a.solution.log)
+                             for a in scenario3_run.attempts
+                             if a.solution is not None]
+    for name in ("traj.csv", "pairs.csv"):
+        assert ((tmp_path / name).read_bytes()
+                == (Path(scenario3_run.out_dir) / name).read_bytes()), name
 
 
 def test_stationary_feasible_start_converges_immediately():
