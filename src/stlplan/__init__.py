@@ -18,7 +18,6 @@ from .stl_core import (
     Workspace,
     oracle_satisfies_formula,
     parse_formula,
-    pretty,
 )
 from .decomposer import Decomposition, DisjunctiveFSet, LocalTask, decompose
 from .satisfaction import SatisfactionPair, stl_sat
@@ -38,7 +37,7 @@ from .scenario_cli import Scenario, load_scenario, run_pipeline
 __all__ = [
     "AtomicProp", "Box", "Formula", "PointSequence", "Region", "SubTask",
     "TimeInterval", "Workspace",
-    "oracle_satisfies_formula", "parse_formula", "pretty",
+    "oracle_satisfies_formula", "parse_formula",
     "Decomposition", "DisjunctiveFSet", "LocalTask", "decompose",
     "SatisfactionPair", "stl_sat",
     "GlobalPlan", "PlannerParams", "plan_global",

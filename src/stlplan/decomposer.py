@@ -5,7 +5,9 @@ intervals, skipping candidates that fall strictly inside the active
 interval of a nested (FG/GF) sub-task so those stay whole.  Plain F and
 G sub-tasks that span several cut windows are split at the cuts: every
 piece of a G must hold, while an F spanning cuts turns into a
-disjunctive family of reach pieces of which one must be satisfied.
+disjunctive set of reach pieces of which one must be satisfied.  A
+local task is the planner's whole input for its window: the pieces that
+must hold there and the sets whose final piece lies there.
 """
 
 from __future__ import annotations
@@ -17,14 +19,17 @@ from .stl_core import StlError, SubTask, TimeInterval, _fmt_num
 
 @dataclass(frozen=True)
 class LocalTask:
-    """Sub-tasks whose active intervals fit one cut window."""
+    """Sub-tasks whose active intervals fit one cut window, and the
+    disjunctive sets (choices) whose final piece fits it."""
 
     index: int
     window: TimeInterval
     subtasks: tuple
+    choices: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
+        object.__setattr__(self, "choices", tuple(self.choices))
 
 
 @dataclass(frozen=True)
@@ -55,14 +60,6 @@ class Decomposition:
     local_tasks: tuple
     disjunctive_sets: tuple
 
-    def local_index_of(self, sub):
-        """1-based index of the cut window containing the sub-task."""
-        ai = sub.active_interval()
-        for task in self.local_tasks:
-            if task.window.contains_interval(ai):
-                return task.index
-        raise StlError(f"{sub} fits no cut window")
-
     def guard_subtasks(self):
         """Every assigned always-piece, across all local tasks."""
         return tuple(s for task in self.local_tasks for s in task.subtasks
@@ -83,12 +80,13 @@ class Decomposition:
                 lines.append(f"  {sub}  [{note}]")
         if self.disjunctive_sets:
             lines.append("disjunctive reach choices (one piece each):")
+            index = {d: task.index for task in self.local_tasks
+                     for d in task.choices}
             for d in self.disjunctive_sets:
                 alts = " | ".join(str(p) for p in d.pieces)
-                idx = self.local_index_of(d.final_piece)
                 lines.append(f"  {d.origin} -> {alts}")
                 lines.append(f"    fallback piece {d.final_piece} in local "
-                             f"task {idx}")
+                             f"task {index[d]}")
         return "\n".join(lines)
 
 
@@ -136,8 +134,9 @@ def decompose(formula, tau):
     The formula is first validated against the sampling step tau.  Pieces
     of split G sub-tasks and all unsplit sub-tasks are assigned to the
     cut window that contains their active interval (earliest window on
-    boundary ties); cut-spanning F sub-tasks become disjunctive sets
-    that are resolved during planning.
+    boundary ties); each cut-spanning F sub-task becomes a disjunctive
+    set, filed as a choice of the window of its final piece, where the
+    planner resolves it.
     """
     formula.validate(tau)
     if formula.horizon <= 0.0:
@@ -145,21 +144,24 @@ def decompose(formula, tau):
     cuts = compute_cuts(formula)
     windows = [TimeInterval(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     assigned = [[] for _ in windows]
+    choices = [[] for _ in windows]
     disjunctive = []
+
+    def window_of(piece):
+        ai = piece.active_interval()
+        for i, w in enumerate(windows):
+            if w.contains_interval(ai):
+                return i
+        raise AssertionError(f"piece {piece} fits no cut window")
+
     for sub in formula.subtasks:
         result = split_subtask(sub, cuts)
         if isinstance(result, DisjunctiveFSet):
             disjunctive.append(result)
+            choices[window_of(result.final_piece)].append(result)
             continue
         for piece in result:
-            ai = piece.active_interval()
-            for i, w in enumerate(windows):
-                if w.contains_interval(ai):
-                    assigned[i].append(piece)
-                    break
-            else:
-                raise AssertionError(f"piece {piece} fits no cut window")
-    tasks = tuple(LocalTask(i + 1, w, tuple(assigned[i]))
+            assigned[window_of(piece)].append(piece)
+    tasks = tuple(LocalTask(i + 1, w, assigned[i], choices[i])
                   for i, w in enumerate(windows))
     return Decomposition(formula, cuts, tasks, tuple(disjunctive))
-

@@ -458,8 +458,22 @@ def verify_trajectory(scenario, positions, headings, inputs):
     }
 
 
-_ARTIFACTS = ("plan.csv", "pairs.csv", "corridor.csv", "traj.csv",
-              "figure.svg", "report.txt")
+_PLAN_ARTIFACTS = ("plan.csv", "pairs.csv")
+_ARTIFACTS = _PLAN_ARTIFACTS + ("corridor.csv", "traj.csv", "figure.svg",
+                                "report.txt")
+
+
+def _cleared_out(out_dir, artifacts):
+    """out_dir, created if missing, without these artifacts of an
+    earlier run, so none outlives the run about to write them."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # unlinked, not overwritten: ext4 flushes a file truncated and
+    # rewritten in place on close (auto_da_alloc), which costs a rerun
+    # into the same out_dir about 2 ms more than writing new files
+    for name in artifacts:
+        (out / name).unlink(missing_ok=True)
+    return out
 
 
 def run_pipeline(scenario, seed, out_dir):
@@ -470,13 +484,7 @@ def run_pipeline(scenario, seed, out_dir):
     first, so none outlives the run.  A task that decompose rejects
     raises its StlError after report.txt is written, as `validate` and
     `plan` do."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # unlinked, not overwritten: ext4 flushes a file truncated and
-    # rewritten in place on close (auto_da_alloc), which costs a rerun
-    # into the same out_dir about 2 ms more than writing new files
-    for name in _ARTIFACTS:
-        (out / name).unlink(missing_ok=True)
+    out = _cleared_out(out_dir, _ARTIFACTS)
     report = RunReport(scenario=scenario, seed=seed, out_dir=str(out))
     try:
         _run_stages(scenario, seed, out, report)
@@ -675,8 +683,7 @@ def _cmd_plan(args):
     scenario = load_scenario(args.scenario)
     seed = _seed(args, scenario)
     dec = decompose(scenario.formula, scenario.tau)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _cleared_out(args.out, _PLAN_ARTIFACTS)
     try:
         plan = _plan_stage(scenario, dec, seed, out)
     except StlError as err:

@@ -491,9 +491,7 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
     guards = [Guard.from_subtask(s) for s in decomposition.guard_subtasks()]
     for task in decomposition.local_tasks:
         fallbacks = []
-        for dset in decomposition.disjunctive_sets:
-            if decomposition.local_index_of(dset.final_piece) != task.index:
-                continue
+        for dset in task.choices:
             for piece in dset.pieces[:-1]:
                 ok, piece_pairs = stl_sat(merged, piece)
                 if ok:

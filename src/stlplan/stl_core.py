@@ -2,9 +2,9 @@
 
 Workspace geometry (axis-aligned boxes, obstacles, labeled regions),
 time intervals on a sampling grid, a restricted temporal-logic formula
-AST with parser and printer, uniformly sampled point sequences, and the
-verdict of a whole formula over a sequence, decided sub-task by sub-task
-by satisfaction.stl_sat.
+and its parser, uniformly sampled point sequences, and the verdict of a
+whole formula over a sequence, decided sub-task by sub-task by
+satisfaction.stl_sat.
 
 The formula fragment is a conjunction of clauses, each one of
 
@@ -16,8 +16,9 @@ The formula fragment is a conjunction of clauses, each one of
 
 where an atom is a region label, a negated label, or a parenthesized
 conjunction of labels (intersected into a single region at parse time).
-The until rewrite is sufficient but not necessary: any sequence
-satisfying the rewritten pair satisfies the until, not conversely.
+The parser turns each clause straight into sub-tasks, the until into
+its rewritten pair, which is sufficient but not necessary: any sequence
+satisfying the pair satisfies the until, not conversely.
 """
 
 from __future__ import annotations
@@ -388,14 +389,12 @@ class SubTask:
 
 @dataclass(frozen=True)
 class Formula:
-    """Conjunction of sub-tasks, with source clauses kept for printing."""
+    """Conjunction of sub-tasks."""
 
     subtasks: tuple
-    clauses: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
-        object.__setattr__(self, "clauses", tuple(self.clauses))
         if not self.subtasks:
             raise ValueError("empty formula")
 
@@ -424,9 +423,6 @@ class Formula:
                     raise NestedOverlapError(
                         f"nested sub-tasks {nested[i]} and {nested[j]} have "
                         f"overlapping active intervals")
-
-    def __str__(self):
-        return pretty(self)
 
 
 # ---------------------------------------------------------------------------
@@ -487,29 +483,30 @@ class _Parser:
         return tok
 
     def parse(self):
-        clauses = [self.clause()]
+        subtasks = self.clause()
         while self.peek()[0] == "&":
             self.take()
-            clauses.append(self.clause())
+            subtasks += self.clause()
         tok = self.peek()
         if tok[0] != "end":
             raise FormulaSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        subtasks = []
-        for cl in clauses:
-            subtasks.extend(_clause_subtasks(cl))
-        return Formula(tuple(subtasks), tuple(clauses))
+        return Formula(subtasks)
 
     def clause(self):
+        """The sub-tasks of one clause."""
         tok = self.peek()
         if tok[0] == "op" and tok[1] in ("F", "G"):
-            return self.temporal_clause()
+            return [self.temporal_clause()]
         left = self.atom()
         op = self.take("op")
         if op[1] != "U":
             raise FormulaSyntaxError(f"expected U, found {op[1]!r}", op[2])
         ival = self.interval()
         right = self.atom()
-        return ("until", left, ival, right)
+        # Sufficient rewrite: hold the left atom over the whole window and
+        # reach the right atom inside it.
+        return [SubTask("G", ival, None, left),
+                SubTask("F", ival, None, right)]
 
     def temporal_clause(self):
         op1 = self.take("op")
@@ -526,9 +523,9 @@ class _Parser:
                 raise FormulaSyntaxError("nesting deeper than two operators",
                                          nxt[2])
             prop = self.atom()
-            return ("sub", SubTask(op1[1] + op2[1], iv1, iv2, prop))
+            return SubTask(op1[1] + op2[1], iv1, iv2, prop)
         prop = self.atom()
-        return ("sub", SubTask(op1[1], iv1, None, prop))
+        return SubTask(op1[1], iv1, None, prop)
 
     def interval(self):
         self.take("[")
@@ -570,15 +567,6 @@ class _Parser:
         return AtomicProp(self.ws.region(name[1]))
 
 
-def _clause_subtasks(clause):
-    if clause[0] == "sub":
-        return [clause[1]]
-    _, left, ival, right = clause
-    # Sufficient rewrite: hold the left atom over the whole window and
-    # reach the right atom inside it.
-    return [SubTask("G", ival, None, left), SubTask("F", ival, None, right)]
-
-
 def parse_formula(text, workspace, tau=None):
     """Parse a task formula against a workspace region table.
 
@@ -589,31 +577,6 @@ def parse_formula(text, workspace, tau=None):
     if tau is not None:
         formula.validate(tau)
     return formula
-
-
-def pretty(formula):
-    """Render a formula to text; parsing the result reproduces the AST."""
-    parts = []
-    for cl in formula.clauses:
-        if cl[0] == "sub":
-            parts.append(_pretty_sub(cl[1]))
-        else:
-            _, left, ival, right = cl
-            parts.append(f"{_pretty_atom(left)} U{ival} {_pretty_atom(right)}")
-    return " & ".join(parts)
-
-
-def _pretty_sub(sub):
-    if sub.nested:
-        return (f"{sub.kind[0]}{sub.outer} {sub.kind[1]}{sub.inner} "
-                f"{_pretty_atom(sub.prop)}")
-    return f"{sub.kind}{sub.outer} {_pretty_atom(sub.prop)}"
-
-
-def _pretty_atom(prop):
-    if "&" in prop.region.name:
-        return "(" + " & ".join(prop.region.name.split("&")) + ")"
-    return prop.label
 
 
 # ---------------------------------------------------------------------------

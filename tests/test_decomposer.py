@@ -112,11 +112,12 @@ def test_first_scenario_decomposes_into_four_windows():
     reach3 = sets["F[0,30] mu3"]
     assert [str(p) for p in reach3.pieces] == ["F[0,20] mu3",
                                                "F[20,30] mu3"]
-    assert dec.local_index_of(reach3.final_piece) == 2
+    assert dec.local_tasks[1].choices == (reach3,)
     reach6 = sets["F[0,60] mu6"]
     assert [str(p) for p in reach6.pieces] == \
         ["F[0,20] mu6", "F[20,30] mu6", "F[30,50] mu6", "F[50,60] mu6"]
-    assert dec.local_index_of(reach6.final_piece) == 4
+    assert dec.local_tasks[3].choices == (reach6,)
+    assert dec.local_tasks[0].choices == dec.local_tasks[2].choices == ()
 
 
 def test_single_subtask_formula_decomposes_to_itself():
@@ -143,11 +144,86 @@ def test_guard_subtasks_collects_every_hold_piece():
                                               "G[20,30] !mu4"]
 
 
+# the text of explain(), which report.txt embeds, for each shipped
+# scenario: one block per window, then the disjunctive sets in formula
+# order, each with the window of its fallback piece
+EXPLAINED = {
+    "scenario1": (
+        "horizon 60 s, cut times (0, 20, 30, 50, 60)\n"
+        "local task 1 over [0,20]:\n"
+        "  G[0,10] F[0,10] mu1&mu2  [kept whole]\n"
+        "  G[0,20] !mu4  [must hold]\n"
+        "local task 2 over [20,30]:\n"
+        "  G[20,30] !mu4  [must hold]\n"
+        "local task 3 over [30,50]:\n"
+        "  G[30,46] F[0,4] mu5  [kept whole]\n"
+        "local task 4 over [50,60]:\n"
+        "  (no assigned sub-tasks)\n"
+        "disjunctive reach choices (one piece each):\n"
+        "  F[0,30] mu3 -> F[0,20] mu3 | F[20,30] mu3\n"
+        "    fallback piece F[20,30] mu3 in local task 2\n"
+        "  F[0,60] mu6 -> F[0,20] mu6 | F[20,30] mu6 | F[30,50] mu6 | "
+        "F[50,60] mu6\n"
+        "    fallback piece F[50,60] mu6 in local task 4"),
+    "scenario2": (
+        "horizon 60 s, cut times (0, 20, 40, 60)\n"
+        "local task 1 over [0,20]:\n"
+        "  G[0,20] !mu4  [must hold]\n"
+        "  F[0,20] mu1  [must hold]\n"
+        "local task 2 over [20,40]:\n"
+        "  G[20,40] !mu5  [must hold]\n"
+        "  F[20,40] mu2  [must hold]\n"
+        "local task 3 over [40,60]:\n"
+        "  (no assigned sub-tasks)\n"
+        "disjunctive reach choices (one piece each):\n"
+        "  F[0,60] mu3 -> F[0,20] mu3 | F[20,40] mu3 | F[40,60] mu3\n"
+        "    fallback piece F[40,60] mu3 in local task 3"),
+    "scenario3": (
+        "horizon 50 s, cut times (0, 15, 25, 45, 50)\n"
+        "local task 1 over [0,15]:\n"
+        "  F[0,10] G[0,5] mu1  [kept whole]\n"
+        "local task 2 over [15,25]:\n"
+        "  (no assigned sub-tasks)\n"
+        "local task 3 over [25,45]:\n"
+        "  F[30,40] G[0,5] mu3  [kept whole]\n"
+        "local task 4 over [45,50]:\n"
+        "  (no assigned sub-tasks)\n"
+        "disjunctive reach choices (one piece each):\n"
+        "  F[0,25] mu2 -> F[0,15] mu2 | F[15,25] mu2\n"
+        "    fallback piece F[15,25] mu2 in local task 2\n"
+        "  F[30,50] mu4 -> F[30,45] mu4 | F[45,50] mu4\n"
+        "    fallback piece F[45,50] mu4 in local task 4"),
+}
+
+
 def test_explain_lists_cuts_and_fallbacks():
-    scenario = load_scenario("scenario1")
-    text = decompose(scenario.formula, scenario.tau).explain()
-    assert "cut times (0, 20, 30, 50, 60)" in text
-    assert "fallback piece F[50,60] mu6 in local task 4" in text
+    for name, text in EXPLAINED.items():
+        scenario = load_scenario(name)
+        assert decompose(scenario.formula, scenario.tau).explain() == text
+
+
+def test_explain_keeps_formula_order_when_fallback_windows_run_backwards():
+    # a's fallback piece is in window 3 and b's in window 2; each window
+    # files its own choice, and explain still lists a before b
+    ws = make_ws(regions=[("a", (0, 0), (1, 1)), ("b", (2, 0), (3, 1)),
+                          ("c", (4, 0), (5, 1))])
+    f = parse_formula("F[0,60] a & F[0,30] b & F[0,20] c", ws, tau=0.5)
+    dec = decompose(f, 0.5)
+    assert [[str(d.origin) for d in t.choices] for t in dec.local_tasks] == \
+        [[], ["F[0,30] b"], ["F[0,60] a"]]
+    assert dec.explain() == (
+        "horizon 60 s, cut times (0, 20, 30, 60)\n"
+        "local task 1 over [0,20]:\n"
+        "  F[0,20] c  [must hold]\n"
+        "local task 2 over [20,30]:\n"
+        "  (no assigned sub-tasks)\n"
+        "local task 3 over [30,60]:\n"
+        "  (no assigned sub-tasks)\n"
+        "disjunctive reach choices (one piece each):\n"
+        "  F[0,60] a -> F[0,20] a | F[20,30] a | F[30,60] a\n"
+        "    fallback piece F[30,60] a in local task 3\n"
+        "  F[0,30] b -> F[0,20] b | F[20,30] b\n"
+        "    fallback piece F[20,30] b in local task 2")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +259,7 @@ def _random_formula(rng):
         subtasks.append(SubTask("F", TimeInterval(0, 5), None,
                                 region_atom("r", (0, 0), (3, 3))))
     from stlplan.stl_core import Formula
-    return Formula(tuple(subtasks), tuple(("sub", s) for s in subtasks))
+    return Formula(subtasks)
 
 
 def test_decomposition_is_sound_for_random_formulas():

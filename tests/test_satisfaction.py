@@ -159,7 +159,7 @@ def test_nan_rows_lie_outside_every_box(kind, negated):
         if first:
             assert truth == negated
         assert stl_sat(seq, sub)[0] == truth
-        assert oracle_satisfies_formula(seq, Formula((sub,), ())) == truth
+        assert oracle_satisfies_formula(seq, Formula((sub,))) == truth
         verdicts.append(truth)
     assert 0 < sum(verdicts) < len(verdicts)
 

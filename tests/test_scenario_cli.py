@@ -18,7 +18,7 @@ from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
                                   pairs_csv_text, plan_csv_text,
                                   read_traj_csv, run_pipeline, traj_csv_text)
 from stlplan.st_planner import GlobalPlan
-from stlplan.stl_core import PointSequence, StlError, parse_formula, pretty
+from stlplan.stl_core import PointSequence, StlError, parse_formula
 
 
 def _tiny_data():
@@ -88,8 +88,8 @@ def test_builtin_names_accept_a_json_suffix():
 def test_every_builtin_loads_and_round_trips_its_formula():
     for name in BUILTIN_SCENARIOS:
         s = load_scenario(name)
-        again = parse_formula(pretty(s.formula), s.workspace, tau=s.tau)
-        assert pretty(again) == pretty(s.formula)
+        assert parse_formula(s.formula_text, s.workspace, tau=s.tau) == \
+            s.formula
         assert s.horizon_steps * s.tau == pytest.approx(s.formula.horizon)
 
 
@@ -529,6 +529,22 @@ def test_cli_plan_writes_waypoint_artifacts(tiny_path, tmp_path, capsys):
     assert "attempt 2" not in (ran / "report.txt").read_text()
     for name in ("plan.csv", "pairs.csv"):
         assert (out / name).read_bytes() == (ran / name).read_bytes()
+
+
+def test_cli_plan_that_fails_removes_an_earlier_plan(tmp_path, capsys):
+    # scenario3 with one tree iteration and no restart cannot plan; the
+    # plan.csv and pairs.csv of an earlier plan into --out must not stay
+    out = tmp_path / "out"
+    assert main(["plan", "scenario3", "--out", str(out)]) == 0
+    assert (out / "plan.csv").exists() and (out / "pairs.csv").exists()
+    data = json.loads((Path(scenario_cli.__file__).parent / "scenarios" /
+                       "scenario3.json").read_text())
+    data["planner"].update(max_iters_per_tree=1, max_restarts=0)
+    path = _write_scenario(tmp_path, data, "starved.json")
+    assert main(["plan", str(path), "--out", str(out)]) == 3
+    assert "planning failed" in capsys.readouterr().err
+    assert not (out / "plan.csv").exists()
+    assert not (out / "pairs.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from stlplan.stl_core import (AtomicProp, Box, CoverageError, Formula,
                               NestedOverlapError, PointSequence, Region,
                               SubTask, TimeInterval, UnknownRegionError,
                               Workspace, grid_ceil, grid_floor,
-                              oracle_satisfies_formula, parse_formula, pretty,
+                              oracle_satisfies_formula, parse_formula,
                               snap_index)
 
 WS = make_ws(regions=[
@@ -366,25 +365,31 @@ def test_overlapping_nested_active_intervals_rejected():
     parse_formula("G[0,10] F[0,10] mu1 & F[20,30] G[0,5] mu5", WS, tau=0.1)
 
 
-def _squash(text):
-    return re.sub(r"\s+", "", text)
+# formula texts and the str() of each sub-task they parse to
+_PARSED = [
+    ("F[0,60] mu6", ["F[0,60] mu6"]),
+    ("!mu4 U[0,30] mu3", ["G[0,30] !mu4", "F[0,30] mu3"]),
+    ("G[0,10] F[0,10] (mu1 & mu2) & !mu4 U[0,30] mu3 & G[30,46] F[0,4] mu5 "
+     "& F[0,60] mu6",
+     ["G[0,10] F[0,10] mu1&mu2", "G[0,30] !mu4", "F[0,30] mu3",
+      "G[30,46] F[0,4] mu5", "F[0,60] mu6"]),
+    ("!mu4 U[0,20] mu1 & !mu5 U[20,40] mu2 & F[0,60] mu3",
+     ["G[0,20] !mu4", "F[0,20] mu1", "G[20,40] !mu5", "F[20,40] mu2",
+      "F[0,60] mu3"]),
+    ("F[0,10] G[0,5] mu1 & F[0,25] mu2 & F[30,40] G[0,5] mu3 & F[30,50] mu4",
+     ["F[0,10] G[0,5] mu1", "F[0,25] mu2", "F[30,40] G[0,5] mu3",
+      "F[30,50] mu4"]),
+]
 
 
-@pytest.mark.parametrize("text", [
-    "F[0,60] mu6",
-    "!mu4 U[0,30] mu3",
-    "G[0,10] F[0,10] (mu1 & mu2) & !mu4 U[0,30] mu3 & G[30,46] F[0,4] mu5 "
-    "& F[0,60] mu6",
-    "!mu4 U[0,20] mu1 & !mu5 U[20,40] mu2 & F[0,60] mu3",
-    "F[0,10] G[0,5] mu1 & F[0,25] mu2 & F[30,40] G[0,5] mu3 & F[30,50] mu4",
-])
-def test_round_trip_printing(text):
+@pytest.mark.parametrize("text, expected", _PARSED,
+                         ids=[text for text, _ in _PARSED])
+def test_round_trip_printing(text, expected):
+    # each clause parses straight to its sub-tasks, an until to its G and
+    # F pieces, and SubTask.__str__ prints each one back
     ws = make_ws(regions=[(f"mu{i}", (i * 0.5, 0.0), (i * 0.5 + 2.0, 1.0))
                           for i in range(1, 7)])
-    f = parse_formula(text, ws)
-    printed = pretty(f)
-    assert _squash(printed) == _squash(text)
-    assert parse_formula(printed, ws) == f
+    assert [str(sub) for sub in parse_formula(text, ws).subtasks] == expected
 
 
 def test_formula_horizon_is_last_constrained_time():
@@ -424,7 +429,7 @@ def test_sequence_concat_requires_shared_junction():
 # formula satisfaction
 
 def _formula(*subtasks):
-    return Formula(subtasks, ())
+    return Formula(subtasks)
 
 
 def test_oracle_trivial_cases():
