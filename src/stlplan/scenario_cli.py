@@ -174,7 +174,6 @@ _SCENARIO = _table({
                         "omega": _interval}, required=("model",)),
     "planner": _table({"goal_bias": _fraction, "step": _positive,
                        "time_step": _or_null(_positive),
-                       "time_overshoot": _or_null(_positive),
                        "max_iters_per_tree": _count, "max_restarts": _count}),
     "solver": _table({"eps_feas": _positive, "eps_opt": _positive,
                       "max_outer": _count, "max_inner": _count,
@@ -199,6 +198,17 @@ def _require_free_atoms(formula, ws):
                     f"obstacle {i}; no free point satisfies it")
 
 
+def _unique_keys(pairs):
+    """dict(pairs) of one JSON object, but a key given twice, which
+    json.loads alone would collapse to its last value, is a ConfigError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate JSON key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_scenario(source):
     """Load and validate a scenario from a path or a built-in name."""
     path = Path(source)
@@ -208,10 +218,10 @@ def load_scenario(source):
             raise ConfigError(f"no such scenario file or built-in: {source}")
         path = resources.files("stlplan") / "scenarios" / f"{stem}.json"
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {source}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"invalid JSON: {err}") from None
 
     spec = _SCENARIO(data, "")
@@ -327,8 +337,8 @@ def read_traj_csv(path, tau):
             np.array(inputs) if inputs else np.zeros((0, 2)))
 
 
-def emit_svg(scenario, plan=None, cor=None, traj=None):
-    """Deterministic SVG picture of the scenario and any artifacts."""
+def emit_svg(scenario, plan, cor, traj):
+    """Deterministic SVG picture of the scenario and all its artifacts."""
     ws = scenario.workspace
     scale = 80.0
     pad = 24.0
@@ -361,23 +371,20 @@ def emit_svg(scenario, plan=None, cor=None, traj=None):
         cx, cy = sx(r.box.center[0]), sy(r.box.center[1])
         parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="11" '
                      f'text-anchor="middle" fill="#1d4f75">{r.name}</text>')
-    if cor is not None:
-        for box in cor.runs()[1]:
-            parts.append(rect(box, 'fill="none" stroke="#d98e8e" '
-                                   'stroke-dasharray="4 3"'))
-    if plan is not None:
-        pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}"
-                       for p in plan.waypoints.positions)
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="#7f7f7f" stroke-width="1"/>')
-        for pair in plan.pairs:
-            p = plan.waypoints.at_index(pair.k)
-            parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" '
-                         f'r="3" fill="#2a62b8"/>')
-    if traj is not None:
-        pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in traj)
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="#c0392b" stroke-width="2"/>')
+    for box in cor.runs()[1]:
+        parts.append(rect(box, 'fill="none" stroke="#d98e8e" '
+                               'stroke-dasharray="4 3"'))
+    pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}"
+                   for p in plan.waypoints.positions)
+    parts.append(f'<polyline points="{pts}" fill="none" '
+                 f'stroke="#7f7f7f" stroke-width="1"/>')
+    for pair in plan.pairs:
+        p = plan.waypoints.at_index(pair.k)
+        parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" '
+                     f'r="3" fill="#2a62b8"/>')
+    pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in traj)
+    parts.append(f'<polyline points="{pts}" fill="none" '
+                 f'stroke="#c0392b" stroke-width="2"/>')
     p0 = scenario.x0[:2]
     parts.append(f'<circle cx="{sx(p0[0]):.2f}" cy="{sy(p0[1]):.2f}" r="4" '
                  f'fill="#1f9d44"/>')
@@ -686,8 +693,9 @@ def _cmd_plan(args):
     out = _cleared_out(args.out, _PLAN_ARTIFACTS)
     try:
         plan = _plan_stage(scenario, dec, seed, out)
-    except StlError as err:
-        print(f"planning failed: {err}", file=sys.stderr)
+    except Exception as err:  # as `run` records failed:plan
+        _, error = _failure("plan", err)
+        print(f"planning failed: {error}", file=sys.stderr)
         return 3
     print(f"{scenario.name} seed {seed}: {len(plan.waypoints)} waypoints, "
           f"{len(plan.pairs)} pairs -> {out}/plan.csv")

@@ -54,23 +54,18 @@ class TreeFailure(StlError):
 class PlannerParams:
     """Tuning knobs of the tree planner.
 
-    time_step and time_overshoot default to five and two sampling steps
-    when left unset.
+    time_step defaults to five sampling steps when left unset.
     """
 
     goal_bias: float = 0.3
     step: float = 0.5
     time_step: float | None = None
-    time_overshoot: float | None = None
     max_iters_per_tree: int = 5000
     max_restarts: int = 50
     rng_seed: int = 0
 
     def resolved_time_step(self, tau):
         return 5.0 * tau if self.time_step is None else self.time_step
-
-    def resolved_overshoot(self, tau):
-        return 2.0 * tau if self.time_overshoot is None else self.time_overshoot
 
 
 @dataclass(frozen=True)
@@ -255,7 +250,7 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     root, at least one row, times strictly increasing: the tree chain
     down to the vertex the completing edge leaves from, then the
     completion tail at the completing position.  Times are sampled from
-    root_time to end_time plus the time overshoot; the goal's own
+    root_time to two sampling periods past end_time; the goal's own
     arrival window decides completion.  Raises TreeFailure when the
     iteration budget runs out.
     """
@@ -266,7 +261,7 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
     target = goal.sample_box
-    window = (root_time, end_time + params.resolved_overshoot(tau))
+    window = (root_time, end_time + 2.0 * tau)
     for _ in range(params.max_iters_per_tree):
         samp_pos, samp_time = sample(ws, target, window, params, rng,
                                      keepins=keepins)

@@ -609,15 +609,10 @@ class PointSequence:
                                 f"{self.k_last}]")
         return self.positions[j]
 
-    def covers(self, interval):
-        """True when every grid point inside the interval is present."""
-        ks = interval.grid_indices(self.tau)
-        if len(ks) == 0:
-            return True
-        return self.k0 <= ks.start and ks.stop - 1 <= self.k_last
-
     def require_coverage(self, interval):
-        if not self.covers(interval):
+        """Raise CoverageError if a grid point of interval is missing."""
+        ks = interval.grid_indices(self.tau)
+        if ks and not self.k0 <= ks.start <= ks.stop - 1 <= self.k_last:
             raise CoverageError(
                 f"sequence covers grid [{self.k0}, {self.k_last}] but the "
                 f"check needs {interval}")

@@ -179,6 +179,7 @@ def test_unknown_sources_are_config_errors():
      "workspace.regions key ' goal2'"),
     (lambda d: d["workspace"]["regions"].update({"": [[0, 1], [0, 1]]}),
      "workspace.regions key ''"),
+    (lambda d: d["planner"].update(time_overshoot=0.2), "time_overshoot"),
 ])
 def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     data = _tiny_data()
@@ -213,11 +214,29 @@ def test_x0_inside_an_obstacle_is_rejected(tmp_path):
         load_scenario(_write_scenario(tmp_path, data))
 
 
-def test_invalid_json_is_a_config_error(tmp_path):
+def _scenario3_text():
+    return (Path(scenario_cli.__file__).parent / "scenarios" /
+            "scenario3.json").read_text()
+
+
+@pytest.mark.parametrize("text, hint", [
+    ("{not json", "invalid JSON"),
+    # json.loads alone keeps the last of a duplicated key, at any level
+    (_scenario3_text().replace('"regions": {',
+                               '"regions": {"mu1": [[0, 1], [0, 1]], ', 1),
+     "duplicate JSON key 'mu1'"),
+    (_scenario3_text().replace('{', '{"tau": 0.5, ', 1),
+     "duplicate JSON key 'tau'"),
+    # deeper than the decoder's recursion limit
+    ("[" * 100000 + "]" * 100000, "invalid JSON"),
+], ids=["syntax", "duplicate-region", "duplicate-tau", "deep"])
+def test_invalid_json_is_a_config_error(tmp_path, capsys, text, hint):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=hint):
         load_scenario(path)
+    assert main(["validate", str(path)]) == 4
+    assert f"configuration error: {hint}" in capsys.readouterr().err
 
 
 def test_misaligned_formula_fails_at_load(tmp_path):
@@ -275,22 +294,19 @@ def test_svg_variants_gain_layers(first_scenario_artifacts):
     scenario = first_scenario_artifacts["scenario"]
     plan = first_scenario_artifacts["plan"]
     cor = first_scenario_artifacts["corridor"]
-    base = emit_svg(scenario)
-    assert base.startswith("<svg") and base.rstrip().endswith("</svg>")
-    for name in ("mu1", "mu6"):
-        assert f">{name}</text>" in base
-    assert base.count("<rect") == 1 + 5 + 6  # bounds + obstacles + regions
-    assert "polyline" not in base
-    with_plan = emit_svg(scenario, plan=plan)
-    assert with_plan.count("polyline") == 1
-    assert with_plan.count("<circle") == len(plan.pairs) + 1
-    with_cor = emit_svg(scenario, plan=plan, cor=cor)
-    assert "stroke-dasharray" in with_cor
     traj = plan.waypoints.positions
-    full = emit_svg(scenario, plan=plan, cor=cor, traj=traj)
-    assert full.count("polyline") == 2
+    full = emit_svg(scenario, plan, cor, traj)
+    assert full.startswith("<svg") and full.rstrip().endswith("</svg>")
+    for name in ("mu1", "mu6"):
+        assert f">{name}</text>" in full
+    boxes = len(cor.runs()[1])
+    # bounds + obstacles + regions + one dashed rect per distinct box
+    assert full.count("<rect") == 1 + 5 + 6 + boxes
+    assert full.count("stroke-dasharray") == boxes
+    assert full.count("polyline") == 2  # the plan and the trajectory
+    assert full.count("<circle") == len(plan.pairs) + 1  # pairs + x0
     assert "#c0392b" in full
-    assert emit_svg(scenario, plan=plan, cor=cor, traj=traj) == full
+    assert emit_svg(scenario, plan, cor, traj) == full
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +578,20 @@ def test_cli_rejects_a_plan_that_fails_validation(tiny_path, tmp_path,
     out = tmp_path / "out"
     assert main([command, str(tiny_path), "--out", str(out)]) == 3
     assert "expected 5 waypoints, have 4" in capsys.readouterr().err
+    assert not (out / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_cli_classifies_any_planner_error_as_a_failed_plan(
+        tiny_path, tmp_path, monkeypatch, capsys, command):
+    # an error that is no StlError: `run` records it as failed:plan, and
+    # `plan` must exit 3 with it too, not end in a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("planner broke")
+    monkeypatch.setattr(scenario_cli, "plan_global", broken)
+    out = tmp_path / "out"
+    assert main([command, str(tiny_path), "--out", str(out)]) == 3
+    assert "ValueError('planner broke')" in capsys.readouterr().err
     assert not (out / "plan.csv").exists()
 
 

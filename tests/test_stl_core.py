@@ -405,8 +405,9 @@ def test_sequence_indexing_and_coverage():
     seq = PointSequence(10, 0.5, [[0, 0], [1, 0], [2, 0]])
     assert seq.k_last == 12
     assert np.array_equal(seq.at_index(11), [1, 0])
-    assert seq.covers(TimeInterval(5.0, 6.0))
-    assert not seq.covers(TimeInterval(5.0, 6.5))
+    seq.require_coverage(TimeInterval(5.0, 6.0))
+    with pytest.raises(CoverageError):
+        seq.require_coverage(TimeInterval(5.0, 6.5))
     with pytest.raises(CoverageError):
         seq.at_index(13)
     with pytest.raises(CoverageError):
