@@ -6,12 +6,15 @@ a patrol clause, and the entry of a keep-in always-clause) has a next
 goal that follows from its last arrival.  The goal with the earliest
 deadline is served next, reaches before patrols on ties: in place when
 the current point meets it, else by a random tree through position x
-time.  Every always-clause of the formula acts as a windowed keep-in /
-keep-out constraint on every tree edge of every window, so the returned
-waypoints respect them by construction.  The window's joined path is
-sampled onto the grid and every sub-task re-checked; on failure the
-attempt restarts with fresh randomness.  The certifying pairs of every
-window are collected in order; the GlobalPlan deduplicates them once.
+time.  When no goal is due, the window's end is the last goal, served
+the same way: by waiting in place until the end when the guards allow
+it, else by a tree to a point from which they do.  Every always-clause
+of the formula acts as a windowed keep-in / keep-out constraint on
+every tree edge of every window, so the returned waypoints respect them
+by construction.  The window's joined path is sampled onto the grid and
+every sub-task re-checked; on failure the attempt restarts with fresh
+randomness.  The certifying pairs of every window are collected in
+order; the GlobalPlan deduplicates them once.
 
 A disjunctive reach set is certified by the first earlier piece that
 the waypoints stitched so far already satisfy; when none does, its
@@ -93,8 +96,8 @@ class Guard:
 
 @dataclass(frozen=True)
 class Goal:
-    """A reach objective: be at prop's region within the arrival window,
-    optionally holding position there for hold_after more seconds."""
+    """A reach objective: be at prop's region, or anywhere without a prop,
+    within the arrival window, then hold position for hold_after s."""
 
     prop: object
     window: tuple
@@ -109,11 +112,6 @@ class Goal:
         if self.prop is None or self.prop.negated:
             return None
         return self.prop.region.box
-
-    @classmethod
-    def by_time(cls, t):
-        """Pure filler goal: any vertex at or after time t completes."""
-        return cls(None, (t, t))
 
 
 def nearest(positions, times, pos, time):
@@ -209,12 +207,8 @@ def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
 def _try_complete(goal, p, t, tau, ws, guards):
     """If (p, t) completes the goal, return the times of the certifying
     tail, all at position p and ending on exact grid times, and the
-    arrival grid index."""
-    if goal.prop is None:
-        if t >= goal.window[0]:
-            return [t], None
-        return None
-    if not goal.prop.holds(p):
+    arrival grid index; a goal without a prop holds everywhere."""
+    if goal.prop is not None and not goal.prop.holds(p):
         return None
     if t > goal.window[1] + _TIME_TOL:
         return None
@@ -251,8 +245,8 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     down to the vertex the completing edge leaves from, then the
     completion tail at the completing position.  Times are sampled from
     root_time to two sampling periods past end_time; the goal's own
-    arrival window decides completion.  Raises TreeFailure when the
-    iteration budget runs out.
+    arrival window decides completion.  Raises TreeFailure, naming the
+    goal's region or time, when the iteration budget runs out.
     """
     positions = np.zeros((64, len(root_pos)))
     times = np.zeros(64)
@@ -292,9 +286,10 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
         positions[n] = new_pos
         times[n] = new_time
         parent.append(ni)
-    raise TreeFailure(
-        f"tree exhausted {params.max_iters_per_tree} iterations without "
-        f"completing its goal")
+    aim = (goal.prop.label if goal.prop is not None
+           else f"the window's end at {goal.deadline:g} s")
+    raise TreeFailure(f"tree exhausted {params.max_iters_per_tree} "
+                      f"iterations without reaching {aim}")
 
 
 def discretize_path(positions, times, k_lo, k_hi, tau):
@@ -395,10 +390,10 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
 def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
              end_time):
     """One pass of the goal schedule from q_init to end_time: one goal
-    per sub-task, of which only the one just served is replaced.  A due
-    goal that the current point already meets is completed in place,
-    drawing no random numbers; any other is reached by a tree.  Returns
-    the joined (positions, times)."""
+    per sub-task, of which only the one just served is replaced, then
+    the window's end.  A goal that the current point already meets is
+    completed in place, drawing no random numbers; any other is reached
+    by a tree.  Returns the joined (positions, times)."""
     pos, time = q_init
     positions, times = [pos], [time]
     goals = [_next_goal(sub, None, tau) for sub in subtasks]
@@ -408,32 +403,23 @@ def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
                for i, (sub, goal) in enumerate(zip(subtasks, goals))
                if goal is not None and not (
                    sub.kind == "G" and time > goal.deadline + _TIME_TOL)]
-        if not due:
-            break
-        *_, i = min(due)
-        done = _try_complete(goals[i], pos, time, tau, ws, guards)
+        # with no goal due, the window's end is the last one
+        *_, i = min(due, default=(None,))
+        goal = Goal(None, (end_time, end_time)) if i is None else goals[i]
+        done = _try_complete(goal, pos, time, tau, ws, guards)
         if done is None:
-            p, t, arrival = grow_tree(pos, time, goals[i], ws, end_time,
-                                      params, rng, tau=tau, v_max=v_max,
+            p, t, arrival = grow_tree(pos, time, goal, ws, end_time, params,
+                                      rng, tau=tau, v_max=v_max,
                                       guards=guards)
         else:
             tail, arrival = done  # its first time is the current row's
             p, t = [pos] * (len(tail) - 1), tail[1:]
         positions.extend(p)
         times.extend(t)
+        if i is None:
+            return np.array(positions), np.array(times)
         goals[i] = _next_goal(subtasks[i], arrival, tau)
         pos, time = positions[-1], times[-1]
-
-    if time < end_time:
-        if _edge_ok(ws, guards, pos, time, pos, end_time, v_max):
-            p, t = [pos], [end_time]
-        else:
-            p, t, _ = grow_tree(pos, time, Goal.by_time(end_time), ws,
-                                end_time, params, rng, tau=tau, v_max=v_max,
-                                guards=guards)
-        positions.extend(p)
-        times.extend(t)
-    return np.array(positions), np.array(times)
 
 
 @dataclass

@@ -134,17 +134,21 @@ def test_only_unsatisfiable_atoms_inside_an_obstacle_are_rejected(
             load_scenario(path)
 
 
-def test_unknown_sources_are_config_errors():
+def test_unknown_sources_are_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario("scenario9")
     with pytest.raises(ConfigError):
         load_scenario("no/such/file.json")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_scenario(str(tmp_path))  # a directory
 
 
 @pytest.mark.parametrize("mutate, hint", [
     (lambda d: d.pop("tau"), "missing"),
     (lambda d: d.update(tau=-0.1), "tau"),
     (lambda d: d["workspace"].update(bounds=[[0, 4]]), "bounds"),
+    (lambda d: d["workspace"].update(bounds=[[4, 0], [0, 4]]),
+     "workspace.bounds[0] must be [lo, hi] with lo < hi"),
     (lambda d: d["workspace"]["obstacles"].append([[3, 5], [0, 1]]),
      "obstacle"),
     (lambda d: d["workspace"]["regions"].update(F=[[0, 1], [0, 1]]),
@@ -350,6 +354,25 @@ def test_a_keep_in_always_clause_that_starts_late_plans_and_verifies(
         [str(k) for k in range(30, 51)]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("formula", [
+    "F[0,5] mu1 & G[6,10] !mu1",
+    "F[0,3] G[0,2] mu1 & G[6,10] !mu1",
+    "G[0,4] F[0,2] mu4 & G[7,10] !mu4"])
+def test_a_window_that_must_leave_before_a_keep_out_plans_and_verifies(
+        tmp_path, formula, seed):
+    # after its last goal the window must leave that goal's region before
+    # a keep-out starts: the window's end is reached like any other goal
+    data = _shipped_data("scenario3")
+    data["formula"] = formula
+    data["planner"]["max_restarts"] = 5
+    path = _write_scenario(tmp_path, data, "keep_out.json")
+    out = tmp_path / "out"
+    report = run_pipeline(load_scenario(path), seed=seed, out_dir=out)
+    assert report.status == "satisfied"
+    assert main(["check", str(out / "traj.csv"), str(path)]) == 0
+
+
 def test_one_factorization_per_inner_iteration_of_the_pipeline(
         tiny_path, tmp_path, monkeypatch):
     # perfbench counts optimizer.splu calls as Gauss-Newton iterations
@@ -395,6 +418,8 @@ def test_unreachable_goal_fails_the_planning_stage(tmp_path):
     assert report.metrics["attempts"] == 1  # replanning cannot help here
     text = (out / "report.txt").read_text()
     assert "status: failed:plan" in text
+    # the starved tree names its goal's region
+    assert "without reaching goal" in text
     assert not (out / "traj.csv").exists()
 
 
@@ -476,6 +501,25 @@ def test_a_replan_that_succeeds_leaves_no_stale_error(tiny_path, tmp_path,
     assert re.fullmatch(r"attempt 2 \(seed 1000000000, \d+\.\d\d s\): "
                         r"satisfied", lines[1])
     assert "last error" not in text
+
+
+def test_a_run_whose_verification_fails_ends_unsatisfied(tiny_path, tmp_path,
+                                                         monkeypatch):
+    verify = scenario_cli.verify_trajectory
+
+    def colliding(*args):
+        return {**verify(*args), "collision_free": False}
+    monkeypatch.setattr(scenario_cli, "verify_trajectory", colliding)
+    out = tmp_path / "out"
+    report = run_pipeline(load_scenario(tiny_path), seed=0, out_dir=out)
+    assert report.status == "unsatisfied" and report.exit_code() == 2
+    assert report.metrics["attempt_outcomes"] == ["unsatisfied"] * 4
+    assert len(report.attempts) == 4
+    assert "collision_free=False" in report.error
+    assert report.error == report.metrics["verify_detail"]
+    text = (out / "report.txt").read_text()
+    assert f"last error: {report.error}\n" in text
+    assert main(["run", str(tiny_path), "--out", str(tmp_path / "cli")]) == 2
 
 
 def test_the_report_keeps_no_object_of_an_earlier_attempt(tiny_path,

@@ -13,8 +13,8 @@ from stlplan.satisfaction import SatisfactionPair, stl_sat
 from stlplan import st_planner
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 PlanningError, TreeFailure, _attempt,
-                                _edge_ok, _next_goal, discretize_path,
-                                grow_tree,
+                                _edge_ok, _next_goal, _try_complete,
+                                discretize_path, grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
 from stlplan.stl_core import (Box, PointSequence, SubTask, TimeInterval,
@@ -279,8 +279,9 @@ def _check_tree_path(positions, times, root_pos, root_time, goal, arrival,
                    for a, b in zip(positions[:-1], positions[1:]))
     end, end_time = positions[-1], times[-1]
     if goal.prop is None:
-        assert arrival is None
-        assert end_time >= goal.window[0]
+        # the window's end: the path ends exactly there, on the grid
+        assert end_time == goal.window[1]
+        assert arrival == grid_ceil(end_time, tau)
         return
     assert goal.prop.holds(end)
     g = arrival * tau
@@ -311,10 +312,8 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
         # reach and hold
         (far, 0.0, Goal(target, (2.0, 9.0), hold_after=1.5)),
         (far, 0.0, Goal(target, (0.0, 9.0), hold_after=0.3)),
-        # fillers
-        (far, 0.0, Goal.by_time(3.0)),
-        (far, 3.0, Goal.by_time(3.0)),
-        (far, 3.05, Goal.by_time(3.0)),
+        # the window's end, from a root before it
+        (far, 0.0, Goal(None, (3.0, 3.0))),
         # roots already inside the target, on the grid, a rounding step
         # off it and between grid points: the tree still grows an edge
         (inside, 1.0, Goal(target, (0.0, 9.0))),
@@ -341,6 +340,11 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
                 _check_tree_path(positions, times, pos, t0, goal, arrival,
                                  ws, params, tau, 2.0)
     assert failures <= 5
+    # a root already at the window's end completes in place, as the
+    # attempt completes it before any tree
+    for ws in (OPEN_WS, wall):
+        assert _try_complete(Goal(None, (3.0, 3.0)), far, 3.0, tau, ws,
+                             ()) == ([3.0], 30)
 
 
 # ---------------------------------------------------------------------------

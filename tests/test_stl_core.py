@@ -315,6 +315,13 @@ def test_parse_nested_with_intersected_atoms():
     assert sub.inner == TimeInterval(0, 10)
     # parse-time intersection of the two rectangles
     assert sub.prop.region.box == Box((8.0, 4.0), (9.0, 6.0))
+    # a three-name atom intersects every box it names
+    three = parse_formula("F[0,5] (mu1 & mu2 & mu1)", WS, tau=0.1)
+    assert three.subtasks[0].prop.region.box == sub.prop.region.box
+    with pytest.raises(FormulaSyntaxError,
+                       match="regions mu1 & mu2 & mu4 have empty "
+                             "intersection"):
+        parse_formula("F[0,5] (mu1 & mu2 & mu4)", WS, tau=0.1)
 
 
 def test_parse_errors_carry_positions():
@@ -323,6 +330,13 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 12
     with pytest.raises(FormulaSyntaxError) as err:
         parse_formula("F[0 60] mu6", WS)
+    assert err.value.position == 4
+    # a second atom after a complete clause, and an atom before F
+    with pytest.raises(FormulaSyntaxError, match="unexpected 'mu2'") as err:
+        parse_formula("F[0,5] mu1 mu2", WS)
+    assert err.value.position == 11
+    with pytest.raises(FormulaSyntaxError, match="expected U") as err:
+        parse_formula("mu1 F[0,5] mu2", WS)
     assert err.value.position == 4
 
 
