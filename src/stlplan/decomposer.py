@@ -2,19 +2,20 @@
 
 The planning horizon is cut at the upper ends of sub-task active
 intervals, skipping candidates that fall strictly inside the active
-interval of a nested (FG/GF) sub-task so those stay whole.  Plain F and
-G sub-tasks that span several cut windows are split at the cuts: every
-piece of a G must hold, while an F spanning cuts turns into a
-disjunctive set of reach pieces of which one must be satisfied.  A
-local task is the planner's whole input for its window: the pieces that
-must hold there and the sets whose final piece lies there.
+interval of a nested (FG/GF) sub-task so those stay whole; like every
+interval, the cuts are grid steps.  Plain F and G sub-tasks that span
+several cut windows are split at the cuts: every piece of a G must
+hold, while an F spanning cuts turns into a disjunctive set of reach
+pieces of which one must be satisfied.  A local task is the planner's
+whole input for its window: the pieces that must hold there and the
+sets whose final piece lies there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .stl_core import StlError, SubTask, TimeInterval, _fmt_num
+from .stl_core import StlError, SubTask, TimeInterval, seconds
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,11 @@ class DisjunctiveFSet:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The local tasks of a formula between consecutive cut steps; tau
+    prints the cuts in seconds."""
+
     formula: object
+    tau: float
     cuts: tuple
     local_tasks: tuple
     disjunctive_sets: tuple
@@ -68,9 +73,9 @@ class Decomposition:
     def explain(self):
         """Human-readable decomposition report."""
         lines = []
-        cuts = ", ".join(_fmt_num(c) for c in self.cuts)
-        lines.append(f"horizon {_fmt_num(self.formula.horizon)} s, "
-                     f"cut times ({cuts})")
+        cuts = ", ".join(seconds(c, self.tau) for c in self.cuts)
+        horizon = seconds(self.formula.horizon, self.tau)
+        lines.append(f"horizon {horizon} s, cut times ({cuts})")
         for task in self.local_tasks:
             lines.append(f"local task {task.index} over {task.window}:")
             if not task.subtasks:
@@ -91,13 +96,13 @@ class Decomposition:
 
 
 def compute_cuts(formula):
-    """Cut times: zero plus every active-interval upper end that does not
+    """Cut steps: zero plus every active-interval upper end that does not
     fall strictly inside a nested sub-task's active interval."""
     nested = [s.active_interval() for s in formula.subtasks if s.nested]
     candidates = {s.active_interval().hi for s in formula.subtasks}
     kept = {c for c in candidates
             if not any(n.interior_contains(c) for n in nested)}
-    cuts = tuple(sorted(kept | {0.0}))
+    cuts = tuple(sorted(kept | {0}))
     # The horizon itself is never interior to a nested interval, so the
     # last cut always equals the horizon.
     assert cuts[-1] == formula.horizon
@@ -105,7 +110,7 @@ def compute_cuts(formula):
 
 
 def split_subtask(sub, cuts):
-    """Split one sub-task at the cut times inside its active interval.
+    """Split one sub-task at the cut steps inside its active interval.
 
     Returns a list of pieces (all of which must hold), or a
     DisjunctiveFSet when a reach sub-task spans several windows.  Nested
@@ -115,13 +120,14 @@ def split_subtask(sub, cuts):
     if sub.nested:
         inside = [c for c in cuts if ai.interior_contains(c)]
         if inside:
-            raise StlError(f"cut at {inside[0]} splits nested sub-task {sub}")
+            raise StlError(f"cut at {seconds(inside[0], ai.tau)} s splits "
+                           f"nested sub-task {sub}")
         return [sub]
     inner_cuts = [c for c in cuts if ai.interior_contains(c)]
     if not inner_cuts:
         return [sub]
     bounds = [ai.lo] + inner_cuts + [ai.hi]
-    pieces = [SubTask(sub.kind, TimeInterval(a, b), None, sub.prop)
+    pieces = [SubTask(sub.kind, TimeInterval(a, b, ai.tau), None, sub.prop)
               for a, b in zip(bounds[:-1], bounds[1:])]
     if sub.kind == "F":
         return DisjunctiveFSet(sub, tuple(pieces))
@@ -131,18 +137,17 @@ def split_subtask(sub, cuts):
 def decompose(formula, tau):
     """Split a formula along the timeline into per-window local tasks.
 
-    The formula is first validated against the sampling step tau.  Pieces
-    of split G sub-tasks and all unsplit sub-tasks are assigned to the
-    cut window that contains their active interval (earliest window on
-    boundary ties); each cut-spanning F sub-task becomes a disjunctive
-    set, filed as a choice of the window of its final piece, where the
-    planner resolves it.
+    The windows are intervals of grid steps of the sampling period tau.
+    Pieces of split G sub-tasks and all unsplit sub-tasks are assigned
+    to the cut window that contains their active interval (earliest
+    window on boundary ties); each cut-spanning F sub-task becomes a
+    disjunctive set, filed as a choice of the window of its final piece,
+    where the planner resolves it.
     """
-    formula.validate(tau)
-    if formula.horizon <= 0.0:
+    if formula.horizon == 0:
         raise StlError("task constrains only time zero; nothing to plan")
     cuts = compute_cuts(formula)
-    windows = [TimeInterval(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    windows = [TimeInterval(a, b, tau) for a, b in zip(cuts[:-1], cuts[1:])]
     assigned = [[] for _ in windows]
     choices = [[] for _ in windows]
     disjunctive = []
@@ -164,4 +169,4 @@ def decompose(formula, tau):
             assigned[window_of(piece)].append(piece)
     tasks = tuple(LocalTask(i + 1, w, assigned[i], choices[i])
                   for i, w in enumerate(windows))
-    return Decomposition(formula, cuts, tasks, tuple(disjunctive))
+    return Decomposition(formula, tau, cuts, tasks, tuple(disjunctive))

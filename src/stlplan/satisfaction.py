@@ -2,12 +2,14 @@
 
 `stl_sat`, the package's only satisfaction evaluator, decides each
 sub-task kind over the sample grid and, when satisfied, returns the
-time/region pairs that certify it.  `run` and `check` reach it through
-stl_core.oracle_satisfies_formula.  Per call it compares the sequence's
-rows with the prop's box once, as one boolean array over the grid rows
-the check reads, and decides from that array alone.  Downstream the
-pairs become pointwise constraints of the trajectory optimizer, so the
-checker keeps them minimal where it can:
+step/region pairs that certify it.  `run` and `check` reach it through
+stl_core.oracle_satisfies_formula.  Sub-task intervals are grid steps,
+so every quantifier ranges over integers and nothing is rounded.  Per
+call it compares the sequence's rows with the prop's box once, as one
+boolean array over the grid rows the check reads, and decides from
+that array alone.  Downstream the pairs become pointwise constraints of
+the trajectory optimizer, so the checker keeps them minimal where it
+can:
 
 * F: one witness, the last grid point of the first visit (the end of
   the first run of True rows, or the interval's last grid point when
@@ -29,8 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stl_core import CoverageError, grid_ceil, grid_floor
-
 
 class SatisfactionPair(NamedTuple):
     """One certified sample: the sequence is inside (or outside, for a
@@ -45,51 +45,32 @@ class SatisfactionPair(NamedTuple):
 def stl_sat(seq, sub):
     """Decide one sub-task over a uniform sequence.
 
-    Quantifiers range over the grid points in each interval, inner
-    windows anchored at the outer grid time.  Box membership is closed
-    and a row with a NaN coordinate lies outside every box, so a negated
-    atom holds there.  Returns (satisfied, pairs): a tuple of the
-    certifying pairs, unique and in increasing k, empty whenever the
-    sub-task is unsatisfied.
+    Quantifiers range over the grid steps of each interval, an inner
+    window over the steps of the inner interval offset by the outer
+    step.  Box membership is closed and a row with a NaN coordinate lies
+    outside every box, so a negated atom holds there.  Raises
+    CoverageError when the sequence misses a step of the active
+    interval.  Returns (satisfied, pairs): a tuple of the certifying
+    pairs, unique and in increasing k, empty whenever the sub-task is
+    unsatisfied.
     """
-    ai, tau = sub.active_interval(), seq.tau
+    ai = sub.active_interval()
     seq.require_coverage(ai)
-    outer_ks = sub.outer.grid_indices(tau)
-    if len(outer_ks) == 0:
-        raise CoverageError(f"no grid point falls inside {sub.outer} at "
-                            f"step {tau}")
-    if sub.kind == "FG":
-        # the rows the hold windows read: with endpoints just inside the
-        # grid tolerance, the last one can end a row past ai's grid
-        ks = range(_window_indices(outer_ks[0], sub.inner, tau).start,
-                   _window_indices(outer_ks[-1], sub.inner, tau).stop)
-    else:
-        ks = ai.grid_indices(tau)
+    ks = range(ai.lo, ai.hi + 1)
     holds = _holds(seq, sub.prop, ks)
     if sub.kind == "F":
         return _sat_eventually(sub, ks, holds)
     if sub.kind == "G":
         return _sat_always(sub, ks, holds)
     if sub.kind == "FG":
-        return _sat_reach_hold(sub, ks, holds, outer_ks, tau)
-    return _sat_recurring(sub, ks, holds, outer_ks, tau)
-
-
-def _window_indices(k1, inner, tau):
-    """The grid indices of the inner window anchored at grid index k1."""
-    t1 = k1 * tau
-    lo = grid_ceil(t1 + inner.lo, tau)
-    hi = grid_floor(t1 + inner.hi, tau)
-    return range(lo, hi + 1)
+        return _sat_reach_hold(sub, ks, holds)
+    return _sat_recurring(sub, ks, holds)
 
 
 def _holds(seq, prop, ks):
     """Whether prop holds at each grid index of the range ks, as one
     boolean array: AtomicProp.holds' closed box comparisons, row-wise."""
     j = ks.start - seq.k0
-    if j < 0 or j + len(ks) > len(seq):
-        raise CoverageError(f"grid indices {ks.start}..{ks.stop - 1} outside "
-                            f"[{seq.k0}, {seq.k_last}]")
     pts = seq.positions[j:j + len(ks)]
     box = prop.region.box
     inside = np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
@@ -118,22 +99,22 @@ def _sat_always(sub, ks, holds):
     return True, _pairs(sub.prop, ks)
 
 
-def _sat_reach_hold(sub, ks, holds, outer_ks, tau):
+def _sat_reach_hold(sub, ks, holds):
     # held[i] counts the rows before ks[i] at which the prop holds
     held = np.concatenate(([0], np.cumsum(holds))).tolist()
-    for k1 in outer_ks:
-        window = _window_indices(k1, sub.inner, tau)
+    for k1 in range(sub.outer.lo, sub.outer.hi + 1):
+        window = range(k1 + sub.inner.lo, k1 + sub.inner.hi + 1)
         a, b = window.start - ks.start, window.stop - ks.start
         if held[b] - held[a] == b - a:
             return True, _pairs(sub.prop, window)
     return False, ()
 
 
-def _sat_recurring(sub, ks, holds, outer_ks, tau):
+def _sat_recurring(sub, ks, holds):
     visit_ks = [ks[j] for j in np.flatnonzero(holds).tolist()]
-    for k1 in outer_ks:
+    for k1 in range(sub.outer.lo, sub.outer.hi + 1):
         # the first visit at or after the window opens must lie inside it
-        window = _window_indices(k1, sub.inner, tau)
+        window = range(k1 + sub.inner.lo, k1 + sub.inner.hi + 1)
         i = bisect.bisect_left(visit_ks, window.start)
         if i == len(visit_ks) or visit_ks[i] not in window:
             return False, ()

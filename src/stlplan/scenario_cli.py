@@ -34,7 +34,7 @@ from .optimizer import (InfeasibleConstraintError, SolverTolerances,
 from .st_planner import PlannerParams, plan_global
 from .stl_core import (Box, PointSequence, Region, StlError, Workspace,
                        is_identifier, oracle_satisfies_formula, parse_formula,
-                       snap_index)
+                       seconds, snap_index)
 
 BUILTIN_SCENARIOS = ("scenario1", "scenario2", "scenario3")
 _REPLAN_LIMIT = 3
@@ -63,10 +63,7 @@ class Scenario:
 
     @property
     def horizon_steps(self):
-        k = snap_index(self.formula.horizon, self.tau)
-        if k is None:
-            raise ConfigError("horizon is not a grid multiple")
-        return k
+        return self.formula.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +655,7 @@ def _cmd_validate(args):
     print(f"{scenario.name}: valid "
           f"({len(scenario.workspace.regions)} regions, "
           f"{len(scenario.workspace.obstacles)} obstacles, "
-          f"horizon {scenario.formula.horizon:g} s, "
+          f"horizon {seconds(scenario.formula.horizon, scenario.tau)} s, "
           f"{len(dec.local_tasks)} local tasks)")
     return 0
 
@@ -669,7 +666,7 @@ def _cmd_decompose(args):
     if args.explain:
         print(dec.explain())
     else:
-        cuts = ", ".join(f"{c:g}" for c in dec.cuts)
+        cuts = ", ".join(seconds(c, dec.tau) for c in dec.cuts)
         print(f"cut times: ({cuts})")
         for task in dec.local_tasks:
             print(f"local task {task.index} over {task.window}: "

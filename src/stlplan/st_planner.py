@@ -16,6 +16,12 @@ every sub-task re-checked; on failure the attempt restarts with fresh
 randomness.  The certifying pairs of every window are collected in
 order; the GlobalPlan deduplicates them once.
 
+The schedule works in grid steps, as the sub-tasks' intervals are: a
+goal's arrival window and hold are steps, and a goal is completed at
+the first grid step at or after the tree's arrival.  Seconds are the
+tree's own: the sampled times of its vertices, and the guards' windows
+(steps * tau) they are checked against.
+
 A disjunctive reach set is certified by the first earlier piece that
 the waypoints stitched so far already satisfy; when none does, its
 final piece is planned as one more sub-task of that piece's window.
@@ -39,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .satisfaction import stl_sat
-from .stl_core import PointSequence, StlError, _floats, grid_ceil
+from .stl_core import PointSequence, StlError, _floats, grid_ceil, seconds
 
 _MIN_EDGE_DT = 1e-6
 _TIME_TOL = 1e-9
@@ -81,11 +87,11 @@ class Guard:
     keep_in: bool
 
     @classmethod
-    def from_subtask(cls, sub):
+    def from_subtask(cls, sub, tau):
         if sub.kind != "G":
             raise ValueError("guards come from always-clauses only")
-        return cls(sub.prop.region.box, sub.outer.lo, sub.outer.hi,
-                   keep_in=not sub.prop.negated)
+        return cls(sub.prop.region.box, sub.outer.lo * tau,
+                   sub.outer.hi * tau, keep_in=not sub.prop.negated)
 
     def point_ok(self, p, t):
         if t < self.lo - _TIME_TOL or t > self.hi + _TIME_TOL:
@@ -97,11 +103,12 @@ class Guard:
 @dataclass(frozen=True)
 class Goal:
     """A reach objective: be at prop's region, or anywhere without a prop,
-    within the arrival window, then hold position for hold_after s."""
+    at a grid step of the arrival window (lo, hi), then hold position
+    for hold_after steps."""
 
     prop: object
     window: tuple
-    hold_after: float = 0.0
+    hold_after: int = 0
 
     @property
     def deadline(self):
@@ -210,12 +217,10 @@ def _try_complete(goal, p, t, tau, ws, guards):
     arrival grid index; a goal without a prop holds everywhere."""
     if goal.prop is not None and not goal.prop.holds(p):
         return None
-    if t > goal.window[1] + _TIME_TOL:
+    g_k = max(grid_ceil(t, tau), goal.window[0])
+    if g_k > goal.window[1]:
         return None
-    g_k = grid_ceil(max(t, goal.window[0]), tau)
     g = g_k * tau
-    if g > goal.window[1] + _TIME_TOL:
-        return None
     if g > t + _TIME_TOL:
         # wait in place until the window opens / the next grid sample
         if not _edge_ok(ws, guards, p, t, p, g, math.inf):
@@ -224,9 +229,8 @@ def _try_complete(goal, p, t, tau, ws, guards):
     else:
         # arrival is (within tolerance) already on the grid sample
         tail = [g]
-    if goal.hold_after > 0.0:
-        k_end = g_k + grid_ceil(goal.hold_after, tau)
-        g_end = k_end * tau
+    if goal.hold_after > 0:
+        g_end = (g_k + goal.hold_after) * tau
         if not _edge_ok(ws, guards, p, g, p, g_end, math.inf):
             return None
         tail.append(g_end)
@@ -287,7 +291,7 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
         times[n] = new_time
         parent.append(ni)
     aim = (goal.prop.label if goal.prop is not None
-           else f"the window's end at {goal.deadline:g} s")
+           else f"the window's end at {seconds(goal.deadline, tau)} s")
     raise TreeFailure(f"tree exhausted {params.max_iters_per_tree} "
                       f"iterations without reaching {aim}")
 
@@ -319,31 +323,29 @@ def discretize_path(positions, times, k_lo, k_hi, tau):
     return PointSequence(k_lo, tau, out)
 
 
-def _next_goal(sub, last_k, tau):
+def _next_goal(sub, last_k):
     """The Goal that serves sub next, given the grid index last_k of its
     last arrival (None before the first), or None when it needs no more.
 
-    F and FG need one arrival.  GF arrives within gap of its active
-    interval's start and of each arrival until gap covers the interval's
-    end; a gap shorter than tau asks for the next grid index, so a zero
-    gap visits every grid time of the interval.  A keep-in G arrives by
-    the start of its window and waits there; from then on, and for a
-    keep-out G throughout, the guards serve it."""
+    F and FG need one arrival.  GF arrives within gap steps of its
+    active interval's start and of each arrival until gap covers the
+    interval's end; a zero gap asks for the next step, so it visits
+    every grid step of the interval.  A keep-in G arrives by the start
+    of its window and waits there; from then on, and for a keep-out G
+    throughout, the guards serve it."""
     if sub.kind != "GF":
         if last_k is not None or (sub.kind == "G" and sub.prop.negated):
             return None
         hi = sub.outer.lo if sub.kind == "G" else sub.outer.hi
-        hold = sub.inner.hi if sub.kind == "FG" else 0.0
+        hold = sub.inner.hi if sub.kind == "FG" else 0
         return Goal(sub.prop, (sub.outer.lo, hi), hold_after=hold)
     ai = sub.active_interval()
     gap = sub.inner.length
     if last_k is None:
         return Goal(sub.prop, (ai.lo, min(ai.lo + gap, ai.hi)))
-    if ai.hi - last_k * tau <= gap + _TIME_TOL:
+    if ai.hi - last_k <= gap:
         return None
-    return Goal(sub.prop, ((last_k + 1) * tau,
-                           min(max(last_k * tau + gap, (last_k + 1) * tau),
-                               ai.hi)))
+    return Goal(sub.prop, (last_k + 1, min(last_k + max(gap, 1), ai.hi)))
 
 
 def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
@@ -359,15 +361,13 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
         raise PlanningError(
             f"start point {q_init[0].tolist()} at t={q_init[1]} violates an "
             f"always-constraint; no tree can repair its own root")
-    k_lo = grid_ceil(task.window.lo, tau)
-    k_hi = grid_ceil(task.window.hi, tau)
-
+    k_lo, k_hi = task.window.lo, task.window.hi
     tally = collections.Counter()
     for _ in range(params.max_restarts + 1):
         try:
             positions, times = _attempt(q_init, ws, params, rng,
                                         task.subtasks, guards, tau, v_max,
-                                        k_hi * tau)
+                                        k_hi)
         except TreeFailure as err:
             tally[str(err)] += 1
             continue
@@ -388,28 +388,28 @@ def plan_local(task, q_init, ws, params, rng, guards, *, tau, v_max):
 
 
 def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
-             end_time):
-    """One pass of the goal schedule from q_init to end_time: one goal
-    per sub-task, of which only the one just served is replaced, then
-    the window's end.  A goal that the current point already meets is
-    completed in place, drawing no random numbers; any other is reached
-    by a tree.  Returns the joined (positions, times)."""
+             end_k):
+    """One pass of the goal schedule from q_init to grid step end_k: one
+    goal per sub-task, of which only the one just served is replaced,
+    then the window's end.  A goal that the current point already meets
+    is completed in place, drawing no random numbers; any other is
+    reached by a tree.  Returns the joined (positions, times)."""
     pos, time = q_init
     positions, times = [pos], [time]
-    goals = [_next_goal(sub, None, tau) for sub in subtasks]
+    goals = [_next_goal(sub, None) for sub in subtasks]
     while True:
         # a keep-in goal whose time has passed was met: its guard held since
         due = [(goal.deadline, sub.kind == "GF", i)
                for i, (sub, goal) in enumerate(zip(subtasks, goals))
                if goal is not None and not (
-                   sub.kind == "G" and time > goal.deadline + _TIME_TOL)]
+                   sub.kind == "G" and grid_ceil(time, tau) > goal.deadline)]
         # with no goal due, the window's end is the last one
         *_, i = min(due, default=(None,))
-        goal = Goal(None, (end_time, end_time)) if i is None else goals[i]
+        goal = Goal(None, (end_k, end_k)) if i is None else goals[i]
         done = _try_complete(goal, pos, time, tau, ws, guards)
         if done is None:
-            p, t, arrival = grow_tree(pos, time, goal, ws, end_time, params,
-                                      rng, tau=tau, v_max=v_max,
+            p, t, arrival = grow_tree(pos, time, goal, ws, end_k * tau,
+                                      params, rng, tau=tau, v_max=v_max,
                                       guards=guards)
         else:
             tail, arrival = done  # its first time is the current row's
@@ -418,7 +418,7 @@ def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
         times.extend(t)
         if i is None:
             return np.array(positions), np.array(times)
-        goals[i] = _next_goal(subtasks[i], arrival, tau)
+        goals[i] = _next_goal(subtasks[i], arrival)
         pos, time = positions[-1], times[-1]
 
 
@@ -469,7 +469,8 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
                             f"space")
     merged = PointSequence(0, tau, [p0])
     pairs = []
-    guards = [Guard.from_subtask(s) for s in decomposition.guard_subtasks()]
+    guards = [Guard.from_subtask(s, tau)
+              for s in decomposition.guard_subtasks()]
     for task in decomposition.local_tasks:
         fallbacks = []
         for dset in task.choices:

@@ -6,6 +6,12 @@ and its parser, uniformly sampled point sequences, and the verdict of a
 whole formula over a sequence, decided sub-task by sub-task by
 satisfaction.stl_sat.
 
+Time in a formula is counted in grid steps of the sampling period tau.
+The parser snaps each interval endpoint, written in seconds, to its
+step once (within GRID_TOL relative) and rejects an endpoint off the
+grid; every later stage works on the integer steps.  Seconds appear
+again only in printing, as step * tau.
+
 The formula fragment is a conjunction of clauses, each one of
 
     F[a,b] atom          eventually
@@ -51,7 +57,7 @@ class UnknownRegionError(StlError):
     pass
 
 
-class IntervalAlignmentError(StlError):
+class IntervalAlignmentError(FormulaSyntaxError):
     """An interval endpoint is not an integer multiple of the sampling step."""
 
 
@@ -79,9 +85,10 @@ def grid_ceil(t, tau):
     return int(math.ceil(t / tau - GRID_TOL))
 
 
-def grid_floor(t, tau):
-    """Largest grid index k with k*tau <= t (tolerant of float noise)."""
-    return int(math.floor(t / tau + GRID_TOL))
+def seconds(k, tau):
+    """Grid step k printed in seconds: k * tau to ten significant
+    digits, so that step 3 at tau 0.1 prints as 0.3."""
+    return f"{k * tau:.10g}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,44 +296,33 @@ class Workspace:
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """Closed interval [lo, hi] of nonnegative times."""
+    """Closed interval [lo, hi] of grid steps, 0 <= lo <= hi; tau, the
+    sampling period, only turns the steps into seconds for printing."""
 
-    lo: float
-    hi: float
+    lo: int
+    hi: int
+    tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (0.0 <= self.lo <= self.hi < math.inf):
-            raise ValueError(f"bad time interval [{self.lo}, {self.hi}]")
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int)
+                and 0 <= self.lo <= self.hi):
+            raise ValueError(f"bad step interval [{self.lo}, {self.hi}]")
 
     @property
     def length(self):
         return self.hi - self.lo
 
     def minkowski(self, other):
-        return TimeInterval(self.lo + other.lo, self.hi + other.hi)
+        return TimeInterval(self.lo + other.lo, self.hi + other.hi, self.tau)
 
-    def interior_contains(self, t):
-        return self.lo < t < self.hi
+    def interior_contains(self, k):
+        return self.lo < k < self.hi
 
     def contains_interval(self, other):
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def grid_indices(self, tau):
-        """Grid indices k with lo <= k*tau <= hi, in increasing order."""
-        k0 = grid_ceil(self.lo, tau)
-        k1 = grid_floor(self.hi, tau)
-        return range(k0, k1 + 1)
-
     def __str__(self):
-        return f"[{_fmt_num(self.lo)},{_fmt_num(self.hi)}]"
-
-
-def _fmt_num(v):
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
+        return f"[{seconds(self.lo, self.tau)},{seconds(self.hi, self.tau)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ class SubTask:
         return self.kind in ("FG", "GF")
 
     def active_interval(self):
-        """The span of times whose samples the clause can constrain."""
+        """The grid steps whose samples the clause can constrain."""
         if self.nested:
             return self.outer.minkowski(self.inner)
         return self.outer
@@ -389,7 +385,8 @@ class SubTask:
 
 @dataclass(frozen=True)
 class Formula:
-    """Conjunction of sub-tasks."""
+    """Conjunction of sub-tasks, of which no two nested ones have
+    overlapping active-interval interiors."""
 
     subtasks: tuple
 
@@ -397,32 +394,19 @@ class Formula:
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
         if not self.subtasks:
             raise ValueError("empty formula")
+        nested = [s for s in self.subtasks if s.nested]
+        for i, s in enumerate(nested):
+            for t in nested[i + 1:]:
+                a, b = s.active_interval(), t.active_interval()
+                if max(a.lo, b.lo) < min(a.hi, b.hi):
+                    raise NestedOverlapError(
+                        f"nested sub-tasks {s} and {t} have overlapping "
+                        f"active intervals")
 
     @property
     def horizon(self):
-        """Largest time any sub-task constrains."""
+        """Last grid step any sub-task constrains."""
         return max(s.active_interval().hi for s in self.subtasks)
-
-    def validate(self, tau):
-        """Check grid alignment of every interval endpoint and pairwise
-        disjointness of nested active-interval interiors."""
-        for sub in self.subtasks:
-            ivals = [sub.outer] + ([sub.inner] if sub.inner else [])
-            for iv in ivals:
-                for endpoint in (iv.lo, iv.hi):
-                    if snap_index(endpoint, tau) is None:
-                        raise IntervalAlignmentError(
-                            f"endpoint {endpoint} of {sub} is not a multiple "
-                            f"of the sampling step {tau}")
-        nested = [s for s in self.subtasks if s.nested]
-        for i in range(len(nested)):
-            for j in range(i + 1, len(nested)):
-                a = nested[i].active_interval()
-                b = nested[j].active_interval()
-                if max(a.lo, b.lo) < min(a.hi, b.hi):
-                    raise NestedOverlapError(
-                        f"nested sub-tasks {nested[i]} and {nested[j]} have "
-                        f"overlapping active intervals")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +449,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, workspace):
+    def __init__(self, text, workspace, tau):
         self.tokens = _tokenize(text)
         self.ws = workspace
+        self.tau = tau
         self.i = 0
 
     def peek(self):
@@ -529,14 +514,28 @@ class _Parser:
 
     def interval(self):
         self.take("[")
-        lo = float(self.take("num")[1])
+        lo = self.step()
         self.take(",")
-        hi = float(self.take("num")[1])
+        hi = self.step()
         closing = self.take("]")
         if hi < lo:
-            raise FormulaSyntaxError(f"interval upper bound {hi} below lower "
-                                     f"bound {lo}", closing[2])
-        return TimeInterval(lo, hi)
+            raise FormulaSyntaxError(
+                f"interval upper bound {seconds(hi, self.tau)} below lower "
+                f"bound {seconds(lo, self.tau)}", closing[2])
+        return TimeInterval(lo, hi, self.tau)
+
+    def step(self):
+        """The grid step of the next token, an endpoint in seconds."""
+        _, text, at = self.take("num")
+        t = float(text)
+        if not math.isfinite(t / self.tau):
+            raise FormulaSyntaxError("endpoint is too large", at)
+        k = snap_index(t, self.tau)
+        if k is None:
+            raise IntervalAlignmentError(
+                f"endpoint {text} is not a multiple of the sampling step "
+                f"{self.tau}", at)
+        return k
 
     def atom(self):
         tok = self.peek()
@@ -567,16 +566,11 @@ class _Parser:
         return AtomicProp(self.ws.region(name[1]))
 
 
-def parse_formula(text, workspace, tau=None):
-    """Parse a task formula against a workspace region table.
-
-    When tau is given the parsed formula is validated for grid alignment
-    and nested-interval disjointness.
-    """
-    formula = _Parser(text, workspace).parse()
-    if tau is not None:
-        formula.validate(tau)
-    return formula
+def parse_formula(text, workspace, tau):
+    """Parse a task formula against a workspace region table, its
+    interval endpoints snapped to grid steps of the sampling period
+    tau."""
+    return _Parser(text, workspace, tau).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +604,8 @@ class PointSequence:
         return self.positions[j]
 
     def require_coverage(self, interval):
-        """Raise CoverageError if a grid point of interval is missing."""
-        ks = interval.grid_indices(self.tau)
-        if ks and not self.k0 <= ks.start <= ks.stop - 1 <= self.k_last:
+        """Raise CoverageError if a grid step of interval is missing."""
+        if not self.k0 <= interval.lo <= interval.hi <= self.k_last:
             raise CoverageError(
                 f"sequence covers grid [{self.k0}, {self.k_last}] but the "
                 f"check needs {interval}")

@@ -11,8 +11,9 @@ per-point satisfaction checker that the float and membership-array
 versions must agree with, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
-works on float time lists with tolerant interval membership instead of
-integer grid indices, so agreement between the two is meaningful.
+works on float time lists (interval endpoints read as steps * tau) with
+tolerant interval membership instead of integer grid indices, so
+agreement between the two is meaningful.
 """
 
 import bisect
@@ -22,10 +23,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from stlplan.corridor import CorridorError
-from stlplan.satisfaction import SatisfactionPair, _window_indices
+from stlplan.satisfaction import SatisfactionPair
 from stlplan.optimizer import InfeasibleConstraintError
-from stlplan.stl_core import (AtomicProp, Box, CoverageError, PointSequence,
-                              Region, SubTask, TimeInterval, Workspace)
+from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
+                              SubTask, TimeInterval, Workspace)
 
 TIME_EPS = 1e-9
 
@@ -46,8 +47,9 @@ def region_atom(name, lo, hi, negated=False):
 def direct_eval(seq, sub):
     """Double-loop satisfaction over float times; the reference that
     satisfaction.stl_sat, the package's only evaluator, is checked
-    against."""
-    times = [(seq.k0 + j) * seq.tau for j in range(len(seq))]
+    against.  Interval endpoints are read in seconds, steps * tau."""
+    tau = seq.tau
+    times = [(seq.k0 + j) * tau for j in range(len(seq))]
     inside = [bool(sub.prop.holds(seq.positions[j]))
               for j in range(len(seq))]
 
@@ -55,7 +57,7 @@ def direct_eval(seq, sub):
         return lo - TIME_EPS <= t <= hi + TIME_EPS
 
     outer = [j for j, t in enumerate(times)
-             if within(t, sub.outer.lo, sub.outer.hi)]
+             if within(t, sub.outer.lo * tau, sub.outer.hi * tau)]
     if sub.kind == "F":
         return any(inside[j] for j in outer)
     if sub.kind == "G":
@@ -63,15 +65,15 @@ def direct_eval(seq, sub):
     if sub.kind == "FG":
         for j in outer:
             window = [i for i, t in enumerate(times)
-                      if within(t, times[j] + sub.inner.lo,
-                                times[j] + sub.inner.hi)]
+                      if within(t, times[j] + sub.inner.lo * tau,
+                                times[j] + sub.inner.hi * tau)]
             if all(inside[i] for i in window):
                 return True
         return False
     for j in outer:
         window = [i for i, t in enumerate(times)
-                  if within(t, times[j] + sub.inner.lo,
-                            times[j] + sub.inner.hi)]
+                  if within(t, times[j] + sub.inner.lo * tau,
+                            times[j] + sub.inner.hi * tau)]
         if not any(inside[i] for i in window):
             return False
     return True
@@ -89,15 +91,15 @@ def random_instance(rng, max_samples=40, inside_bias=0.5):
     if kind in ("F", "G"):
         a = int(rng.integers(0, last))
         b = int(rng.integers(a, last + 1))
-        outer = TimeInterval(a * tau, b * tau)
+        outer = TimeInterval(a, b, tau)
         inner = None
     else:
         d = int(rng.integers(1, max(2, last // 2)))
         b = int(rng.integers(0, last - d + 1))
         a = int(rng.integers(0, b + 1))
         c = int(rng.integers(0, d + 1))
-        outer = TimeInterval(a * tau, b * tau)
-        inner = TimeInterval(c * tau, d * tau)
+        outer = TimeInterval(a, b, tau)
+        inner = TimeInterval(c, d, tau)
     lo = rng.uniform(0.0, 6.0, size=2)
     hi = lo + rng.uniform(1.0, 4.0, size=2)
     negated = bool(rng.random() < 0.25)
@@ -138,8 +140,8 @@ def oracle_satisfies_until(seq, left, ival, right):
     reach rewrite strengthens: some grid witness of the right atom
     inside the window, with the left atom holding at every grid point
     from the sequence start up to the witness."""
-    seq.require_coverage(TimeInterval(seq.k0 * seq.tau, ival.hi))
-    for k1 in ival.grid_indices(seq.tau):
+    seq.require_coverage(TimeInterval(seq.k0, ival.hi, seq.tau))
+    for k1 in range(ival.lo, ival.hi + 1):
         if k1 < seq.k0:
             continue
         if right.holds(seq.at_index(k1)):
@@ -494,9 +496,10 @@ def _reference_holds(prop, p):
 def reference_stl_sat(seq, sub):
     """satisfaction.stl_sat deciding one grid point at a time."""
     seq.require_coverage(sub.active_interval())
-    outer_ks = sub.outer.grid_indices(seq.tau)
-    if len(outer_ks) == 0:
-        raise CoverageError(f"no grid point falls inside {sub.outer}")
+    outer_ks = range(sub.outer.lo, sub.outer.hi + 1)
+
+    def window_of(k1):
+        return range(k1 + sub.inner.lo, k1 + sub.inner.hi + 1)
 
     def holds(k):
         return _reference_holds(sub.prop, seq.at_index(k))
@@ -522,14 +525,14 @@ def reference_stl_sat(seq, sub):
         return False, ()
     if sub.kind == "FG":
         for k1 in outer_ks:
-            window = _window_indices(k1, sub.inner, seq.tau)
+            window = window_of(k1)
             if all(holds(k2) for k2 in window):
                 return True, pairs(window)
         return False, ()
-    visit_ks = [k for k in sub.active_interval().grid_indices(seq.tau)
-                if holds(k)]
+    ai = sub.active_interval()
+    visit_ks = [k for k in range(ai.lo, ai.hi + 1) if holds(k)]
     for k1 in outer_ks:
-        window = _window_indices(k1, sub.inner, seq.tau)
+        window = window_of(k1)
         i = bisect.bisect_left(visit_ks, window.start)
         if i == len(visit_ks) or visit_ks[i] not in window:
             return False, ()

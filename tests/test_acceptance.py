@@ -82,7 +82,7 @@ def test_criterion_2_trajectory_lengths(matrix):
 def test_criterion_3_first_scenario_decomposition():
     scenario = load_scenario("scenario1")
     dec = decompose(scenario.formula, scenario.tau)
-    ok = dec.cuts == (0.0, 20.0, 30.0, 50.0, 60.0)
+    ok = dec.cuts == (0, 200, 300, 500, 600)
     windows = [str(t.window) for t in dec.local_tasks]
     ok = ok and windows == ["[0,20]", "[20,30]", "[30,50]", "[50,60]"]
     subtasks = [sorted(str(s) for s in t.subtasks) for t in dec.local_tasks]

@@ -10,18 +10,20 @@ from stlplan.stl_core import (PointSequence, StlError, SubTask, TimeInterval,
 
 
 def _sub(kind, outer, inner=None, negated=False, box=((0, 0), (2, 2))):
+    """A sub-task on a 1 s grid, so that steps read as seconds."""
     prop = region_atom("r", box[0], box[1], negated=negated)
-    iv = TimeInterval(*outer)
-    return SubTask(kind, iv, TimeInterval(*inner) if inner else None, prop)
+    iv = TimeInterval(*outer, 1.0)
+    return SubTask(kind, iv, TimeInterval(*inner, 1.0) if inner else None,
+                   prop)
 
 
 # ---------------------------------------------------------------------------
 # cuts
 
 def test_cuts_of_the_shipped_scenarios():
-    for name, expected in [("scenario1", (0.0, 20.0, 30.0, 50.0, 60.0)),
-                           ("scenario2", (0.0, 20.0, 40.0, 60.0)),
-                           ("scenario3", (0.0, 15.0, 25.0, 45.0, 50.0))]:
+    for name, expected in [("scenario1", (0, 200, 300, 500, 600)),
+                           ("scenario2", (0, 200, 400, 600)),
+                           ("scenario3", (0, 150, 250, 450, 500))]:
         scenario = load_scenario(name)
         assert compute_cuts(scenario.formula) == expected
 
@@ -29,7 +31,7 @@ def test_cuts_of_the_shipped_scenarios():
 def test_single_subtask_cuts_are_start_and_horizon():
     ws = make_ws(regions=[("mu", (0.0, 0.0), (1.0, 1.0))])
     f = parse_formula("F[0,60] mu", ws, tau=0.1)
-    assert compute_cuts(f) == (0.0, 60.0)
+    assert compute_cuts(f) == (0, 600)
 
 
 def test_upper_bounds_inside_nested_spans_are_skipped():
@@ -37,34 +39,34 @@ def test_upper_bounds_inside_nested_spans_are_skipped():
                           ("b", (2.0, 2.0), (3.0, 3.0))])
     # the F upper bound 15 falls strictly inside the patrol span [0,20]
     f = parse_formula("G[0,10] F[0,10] a & F[0,15] b", ws, tau=0.1)
-    assert compute_cuts(f) == (0.0, 20.0)
+    assert compute_cuts(f) == (0, 200)
 
 
 # ---------------------------------------------------------------------------
 # splitting
 
 def test_split_hold_subtask_into_window_pieces():
-    cuts = (0.0, 20.0, 30.0, 50.0, 60.0)
+    cuts = (0, 20, 30, 50, 60)
     g = _sub("G", (0, 30), negated=True)
     pieces = split_subtask(g, cuts)
     assert [(p.kind, p.outer.lo, p.outer.hi) for p in pieces] == \
-        [("G", 0.0, 20.0), ("G", 20.0, 30.0)]
+        [("G", 0, 20), ("G", 20, 30)]
     assert all(p.prop is g.prop for p in pieces)
 
 
 def test_split_reach_subtask_becomes_disjunctive_set():
-    cuts = (0.0, 20.0, 30.0, 50.0, 60.0)
+    cuts = (0, 20, 30, 50, 60)
     f = _sub("F", (0, 60))
     dset = split_subtask(f, cuts)
     assert isinstance(dset, DisjunctiveFSet)
     assert [(p.outer.lo, p.outer.hi) for p in dset.pieces] == \
-        [(0.0, 20.0), (20.0, 30.0), (30.0, 50.0), (50.0, 60.0)]
+        [(0, 20), (20, 30), (30, 50), (50, 60)]
     assert dset.origin is f
-    assert dset.final_piece.outer == TimeInterval(50, 60)
+    assert dset.final_piece.outer == TimeInterval(50, 60, 1.0)
 
 
 def test_split_leaves_single_window_subtasks_alone():
-    cuts = (0.0, 20.0, 30.0, 50.0, 60.0)
+    cuts = (0, 20, 30, 50, 60)
     f = _sub("F", (50, 60))
     assert split_subtask(f, cuts) == [f]
     gf = _sub("GF", (0, 10), (0, 10))
@@ -77,9 +79,9 @@ def test_split_pieces_tile_the_original_interval():
         ends = np.unique(rng.integers(0, 40, size=rng.integers(2, 6)))
         if len(ends) < 2:
             continue
-        cuts = tuple(float(c) for c in ends)
-        lo = float(rng.integers(0, 39))
-        hi = float(rng.integers(lo, 40))
+        cuts = tuple(int(c) for c in ends)
+        lo = int(rng.integers(0, 39))
+        hi = int(rng.integers(lo, 40))
         sub = _sub(str(rng.choice(["F", "G"])), (lo, hi))
         pieces = split_subtask(sub, cuts)
         if isinstance(pieces, DisjunctiveFSet):
@@ -96,10 +98,9 @@ def test_split_pieces_tile_the_original_interval():
 def test_first_scenario_decomposes_into_four_windows():
     scenario = load_scenario("scenario1")
     dec = decompose(scenario.formula, scenario.tau)
-    assert dec.cuts == (0.0, 20.0, 30.0, 50.0, 60.0)
+    assert dec.cuts == (0, 200, 300, 500, 600)
     windows = [(t.window.lo, t.window.hi) for t in dec.local_tasks]
-    assert windows == [(0.0, 20.0), (20.0, 30.0), (30.0, 50.0),
-                       (50.0, 60.0)]
+    assert windows == [(0, 200), (200, 300), (300, 500), (500, 600)]
 
     by_window = {t.index: sorted(str(s) for s in t.subtasks)
                  for t in dec.local_tasks}
@@ -127,6 +128,22 @@ def test_single_subtask_formula_decomposes_to_itself():
     assert len(dec.local_tasks) == 1
     assert dec.local_tasks[0].subtasks == f.subtasks
     assert dec.disjunctive_sets == ()
+
+
+def test_nested_windows_that_touch_at_a_step_decompose_apart():
+    # 0.1 + 0.2 s is 0.30000000000000004 s, past 0.3 s; steps 1 + 2 are
+    # step 3, so the two reach-and-hold clauses touch and do not overlap
+    ws = make_ws(regions=[("mu1", (0.0, 0.0), (1.0, 1.0)),
+                          ("mu3", (2.0, 2.0), (3.0, 3.0))])
+    f = parse_formula("F[0,0.1] G[0,0.2] mu1 & F[0.3,0.4] G[0,0.1] mu3", ws,
+                      tau=0.1)
+    dec = decompose(f, 0.1)
+    assert dec.cuts == (0, 3, 5)
+    assert [(t.window.lo, t.window.hi) for t in dec.local_tasks] == \
+        [(0, 3), (3, 5)]
+    assert [[str(s) for s in t.subtasks] for t in dec.local_tasks] == \
+        [["F[0,0.1] G[0,0.2] mu1"], ["F[0.3,0.4] G[0,0.1] mu3"]]
+    assert dec.explain().startswith("horizon 0.5 s, cut times (0, 0.3, 0.5)")
 
 
 def test_zero_horizon_formula_is_rejected():
@@ -242,7 +259,8 @@ def _random_formula(rng):
         if kind in ("F", "G"):
             a = int(rng.integers(0, 20))
             b = int(rng.integers(a + 1, 25))
-            subtasks.append(SubTask(kind, TimeInterval(a, b), None, prop))
+            subtasks.append(SubTask(kind, TimeInterval(a, b, 1.0), None,
+                                    prop))
             continue
         for _ in range(20):
             a = int(rng.integers(0, 15))
@@ -252,11 +270,11 @@ def _random_formula(rng):
             if all(span[1] <= s[0] or s[1] <= span[0]
                    for s in nested_spans):
                 nested_spans.append(span)
-                subtasks.append(SubTask(kind, TimeInterval(a, b),
-                                        TimeInterval(0, d), prop))
+                subtasks.append(SubTask(kind, TimeInterval(a, b, 1.0),
+                                        TimeInterval(0, d, 1.0), prop))
                 break
     if not subtasks:
-        subtasks.append(SubTask("F", TimeInterval(0, 5), None,
+        subtasks.append(SubTask("F", TimeInterval(0, 5, 1.0), None,
                                 region_atom("r", (0, 0), (3, 3))))
     from stlplan.stl_core import Formula
     return Formula(subtasks)
@@ -267,9 +285,8 @@ def test_decomposition_is_sound_for_random_formulas():
     premise_held = 0
     for _ in range(200):
         formula = _random_formula(rng)
-        formula.validate(1.0)
         dec = decompose(formula, 1.0)
-        k_hi = int(formula.horizon)
+        k_hi = formula.horizon
         targets = [s.prop.region.box for s in formula.subtasks
                    if not s.prop.negated]
         pts = np.empty((k_hi + 1, 2))
@@ -300,7 +317,7 @@ def test_hold_split_is_equivalent_to_the_original():
         sub = _sub("G", (a, b), negated=bool(rng.random() < 0.3))
         inner = sorted(set(int(c) for c in rng.integers(a + 1, b, size=2)
                            if a < c < b))
-        cuts = tuple([float(a)] + [float(c) for c in inner] + [float(b)])
+        cuts = tuple([a] + inner + [b])
         pieces = split_subtask(sub, cuts)
         pts = np.where(rng.random((b + 1, 2)) < 0.5,
                        rng.uniform(0, 2, (b + 1, 2)),
@@ -317,7 +334,7 @@ def test_reach_split_covers_exactly_the_original():
         b = int(rng.integers(a + 2, 20))
         sub = _sub("F", (a, b))
         mid = int(rng.integers(a + 1, b))
-        cuts = (float(a), float(mid), float(b))
+        cuts = (a, mid, b)
         result = split_subtask(sub, cuts)
         pieces = result.pieces if isinstance(result, DisjunctiveFSet) \
             else result

@@ -937,7 +937,7 @@ def test_earliest_reach_witnesses_stall_scenario1_seed_8(monkeypatch):
         ok, pairs = stl_sat(seq, sub)
         if ok and sub.kind == "F":
             k = pairs[0].k
-            first = sub.active_interval().grid_indices(seq.tau).start
+            first = sub.active_interval().lo
             while k > first and sub.prop.holds(seq.at_index(k - 1)):
                 k -= 1
             pairs = (SatisfactionPair(k, sub.prop.label, sub.prop),)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import (direct_eval, honoring_sequence, random_instance,
-                     reference_stl_sat, region_atom)
+from helpers import (direct_eval, honoring_sequence, make_ws,
+                     random_instance, reference_stl_sat, region_atom)
 from stlplan.satisfaction import stl_sat
 from stlplan.stl_core import (AtomicProp, CoverageError, Formula,
                               PointSequence, SubTask, TimeInterval,
-                              oracle_satisfies_formula)
+                              oracle_satisfies_formula, parse_formula)
 
 ATOM = region_atom("mu", (0.0, 0.0), (1.0, 1.0))
+WS = make_ws(regions=[("mu", (0.0, 0.0), (1.0, 1.0))])
 FAR = np.array([5.0, 5.0])
 IN = np.array([0.5, 0.5])
 
@@ -22,39 +23,45 @@ def _seq(inside_ks, tau, length, k0=0):
 
 def test_reach_returns_first_witness_only():
     seq = _seq([3], 0.1, 11)
-    ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 1), None, ATOM))
+    ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 10, 0.1), None,
+                                     ATOM))
     assert ok
     assert [(p.k, p.label) for p in pairs] == [(3, "mu")]
     assert pairs[0].k * 0.1 == pytest.approx(0.3)
 
     two = _seq([3, 7], 0.1, 11)
-    ok, pairs = stl_sat(two, SubTask("F", TimeInterval(0, 1), None, ATOM))
+    ok, pairs = stl_sat(two, SubTask("F", TimeInterval(0, 10, 0.1), None,
+                                     ATOM))
     assert ok
     assert [p.k for p in pairs] == [3]
 
 
 def test_reach_fails_with_empty_pairs():
     seq = _seq([], 0.1, 11)
-    ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 1), None, ATOM))
+    ok, pairs = stl_sat(seq, SubTask("F", TimeInterval(0, 10, 0.1), None,
+                                     ATOM))
     assert not ok
     assert len(pairs) == 0
 
 
 def test_hold_emits_one_pair_per_grid_point():
     seq = _seq(range(11), 0.1, 11)
-    ok, pairs = stl_sat(seq, SubTask("G", TimeInterval(0, 1), None, ATOM))
+    ok, pairs = stl_sat(seq, SubTask("G", TimeInterval(0, 10, 0.1), None,
+                                     ATOM))
     assert ok
     assert [p.k for p in pairs] == list(range(11))
     assert len(pairs) == 11
 
     broken = _seq([k for k in range(11) if k != 6], 0.1, 11)
-    ok, pairs = stl_sat(broken, SubTask("G", TimeInterval(0, 1), None, ATOM))
+    ok, pairs = stl_sat(broken, SubTask("G", TimeInterval(0, 10, 0.1), None,
+                                        ATOM))
     assert not ok and len(pairs) == 0
 
 
 def test_reach_hold_emits_first_satisfying_window():
     # hold window [0,4] anchored in [30,46]; inside exactly during [32,36]
-    sub = SubTask("FG", TimeInterval(30, 46), TimeInterval(0, 4), ATOM)
+    sub = SubTask("FG", TimeInterval(300, 460, 0.1), TimeInterval(0, 40, 0.1),
+                  ATOM)
     seq = _seq(range(320, 361), 0.1, 501)
     ok, pairs = stl_sat(seq, sub)
     assert ok
@@ -68,7 +75,8 @@ def test_reach_hold_emits_first_satisfying_window():
 
 
 def test_patrol_gap_test_on_two_visits():
-    sub = SubTask("GF", TimeInterval(0, 10), TimeInterval(0, 10), ATOM)
+    sub = SubTask("GF", TimeInterval(0, 10, 1.0), TimeInterval(0, 10, 1.0),
+                  ATOM)
     # visits at 5 and 14: every window [k, k + 10], k = 0..10, holds one
     ok, pairs = stl_sat(_seq([5, 14], 1.0, 21), sub)
     assert ok
@@ -79,7 +87,8 @@ def test_patrol_gap_test_on_two_visits():
 
 
 def test_patrol_rejects_wide_gaps_anywhere():
-    sub = SubTask("GF", TimeInterval(0, 10), TimeInterval(0, 3), ATOM)
+    sub = SubTask("GF", TimeInterval(0, 10, 1.0), TimeInterval(0, 3, 1.0),
+                  ATOM)
     assert stl_sat(_seq([2, 5, 8, 11], 1.0, 14), sub)[0]
     assert not stl_sat(_seq([4, 6, 9, 12], 1.0, 14), sub)[0]  # late start
     assert not stl_sat(_seq([2, 8, 11], 1.0, 14), sub)[0]     # 6 s hole
@@ -88,7 +97,8 @@ def test_patrol_rejects_wide_gaps_anywhere():
 def test_patrol_accepts_visits_aligned_with_every_window():
     # every anchored window holds a visit although consecutive visits
     # are further apart than the window length
-    sub = SubTask("GF", TimeInterval(0, 2), TimeInterval(0, 1), ATOM)
+    sub = SubTask("GF", TimeInterval(0, 2, 1.0), TimeInterval(0, 1, 1.0),
+                  ATOM)
     seq = _seq([1, 3], 1.0, 4)
     assert direct_eval(seq, sub)
     ok, pairs = stl_sat(seq, sub)
@@ -97,7 +107,7 @@ def test_patrol_accepts_visits_aligned_with_every_window():
 
 
 def test_checker_needs_full_coverage():
-    sub = SubTask("F", TimeInterval(0, 2), None, ATOM)
+    sub = SubTask("F", TimeInterval(0, 2, 1.0), None, ATOM)
     with pytest.raises(CoverageError):
         stl_sat(_seq([1], 1.0, 2), sub)
 
@@ -115,7 +125,7 @@ def test_emitted_pairs_replay_against_the_geometry():
         for pair in pairs:
             replayed += 1
             assert sub.prop.holds(seq.at_index(pair.k))
-            assert ai.lo - 1e-9 <= pair.k * seq.tau <= ai.hi + 1e-9
+            assert ai.lo <= pair.k <= ai.hi
     assert replayed > 200
 
 
@@ -188,10 +198,9 @@ def test_membership_checker_matches_the_per_point_reference():
                                 np.take_along_axis(grid, pick, axis=0))
         if rng.random() < 0.3:
             # the same rows, with the sequence and the clause 7 steps later
-            shift = 7 * seq.tau
             seq = PointSequence(7, seq.tau, seq.positions)
-            sub = SubTask(sub.kind, TimeInterval(sub.outer.lo + shift,
-                                                 sub.outer.hi + shift),
+            sub = SubTask(sub.kind, TimeInterval(sub.outer.lo + 7,
+                                                 sub.outer.hi + 7, seq.tau),
                           sub.inner, sub.prop)
         ok, _ = _same_verdict(seq, sub)
         seen[sub.kind, ok] += 1
@@ -215,9 +224,10 @@ EXPECTED_AT_THE_ENDS = {
 def test_membership_checker_at_both_ends_of_the_active_interval(kind, end):
     # outer [1, 3], inner [0, 1], tau 0.5: the active interval of F/G is
     # grid 2..6 and that of FG/GF grid 2..8, inside a sequence 0..10
-    inner = TimeInterval(0, 1) if kind in ("FG", "GF") else None
-    sub = SubTask(kind, TimeInterval(1, 3), inner, ATOM)
-    ks = sub.active_interval().grid_indices(0.5)
+    inner = TimeInterval(0, 2, 0.5) if kind in ("FG", "GF") else None
+    sub = SubTask(kind, TimeInterval(2, 6, 0.5), inner, ATOM)
+    ai = sub.active_interval()
+    ks = range(ai.lo, ai.hi + 1)
     edge = ks[0] if end == "first" else ks[-1]
     width = 3 if kind in ("FG", "GF") else 1  # one inner window of rows
     rows = range(edge, edge + width) if end == "first" else \
@@ -234,14 +244,34 @@ def test_membership_checker_at_both_ends_of_the_active_interval(kind, end):
     assert verdicts == EXPECTED_AT_THE_ENDS[kind, end]
 
 
-def test_reach_hold_reads_a_window_row_past_the_active_grid():
+def test_reach_hold_endpoints_within_the_tolerance_snap_to_steps():
     # both upper endpoints sit just below the grid, within the alignment
-    # tolerance: the active interval's grid ends at k=14, the last hold
-    # window (anchored at k=10) at k=15
+    # tolerance: they snap to steps 10 and 5, so the active interval and
+    # the last hold window (anchored at k=10) both end at k=15
     tau = 0.1
-    sub = SubTask("FG", TimeInterval(0, 0.99999999993),
-                  TimeInterval(0, 0.49999999994), ATOM)
-    assert sub.active_interval().grid_indices(tau)[-1] == 14
+    sub, = parse_formula("F[0,0.99999999993] G[0,0.49999999994] mu", WS,
+                         tau=tau).subtasks
+    assert sub.active_interval() == TimeInterval(0, 15, tau)
     ok, pairs = _same_verdict(_seq(range(10, 16), tau, 16), sub)
     assert ok and [p.k for p in pairs] == list(range(10, 16))
     assert not _same_verdict(_seq(range(10, 15), tau, 16), sub)[0]
+
+
+@pytest.mark.parametrize("text", [
+    "F[0.1,0.3] G[0.2,0.3] mu", "G[0.1,0.3] F[0,0.2] mu",
+    "F[0.7,0.7] G[0,0.1] mu", "G[0.1,0.2] F[0.1,0.6] mu"])
+def test_stl_sat_agrees_with_the_double_loop_where_seconds_do_not_add_up(
+        text):
+    # at tau 0.1 the float sums 0.1 + 0.2 = 0.30000000000000004 and
+    # 0.7 + 0.1 = 0.7999999999999999 miss the grid time they name; the
+    # steps add up exactly.  Every pattern of rows inside the region
+    # over the active interval gets the same verdict from both.
+    sub, = parse_formula(text, WS, tau=0.1).subtasks
+    rows = sub.active_interval().hi + 1
+    verdicts = set()
+    for mask in range(2 ** rows):
+        seq = _seq([k for k in range(rows) if mask >> k & 1], 0.1, rows)
+        truth = direct_eval(seq, sub)
+        assert stl_sat(seq, sub)[0] == truth, (text, mask)
+        verdicts.add(truth)
+    assert verdicts == {False, True}

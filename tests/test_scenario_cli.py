@@ -86,11 +86,12 @@ def test_builtin_names_accept_a_json_suffix():
 
 
 def test_every_builtin_loads_and_round_trips_its_formula():
+    horizons = {"scenario1": 600, "scenario2": 600, "scenario3": 500}
     for name in BUILTIN_SCENARIOS:
         s = load_scenario(name)
         assert parse_formula(s.formula_text, s.workspace, tau=s.tau) == \
             s.formula
-        assert s.horizon_steps * s.tau == pytest.approx(s.formula.horizon)
+        assert s.horizon_steps == s.formula.horizon == horizons[name]
 
 
 def _shipped_data(name):
@@ -249,6 +250,36 @@ def test_misaligned_formula_fails_at_load(tmp_path):
     path = _write_scenario(tmp_path, data)
     with pytest.raises(StlError):
         load_scenario(path)
+
+
+def test_an_overflowing_interval_literal_is_a_config_error(tmp_path,
+                                                           capsys):
+    # 400 nines read as an infinite float: a syntax error at the
+    # literal's position, exit 4, not a traceback
+    data = _tiny_data()
+    data["formula"] = "F[0," + "9" * 400 + "] goal"
+    path = _write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 4
+    assert "is too large (at position 4)" in capsys.readouterr().err
+
+
+def test_cli_prints_cut_steps_in_seconds_without_float_noise(tmp_path,
+                                                             capsys):
+    # the first hold ends at step 1 + 2 = 3, printed 0.3, not as the
+    # float sum 0.1 + 0.2 = 0.30000000000000004
+    data = json.loads(_scenario3_text())
+    data["formula"] = "F[0,0.1] G[0,0.2] mu1 & F[0.3,0.7] mu2"
+    path = _write_scenario(tmp_path, data)
+    assert main(["decompose", str(path), "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("horizon 0.7 s, cut times (0, 0.3, 0.7)\n"
+                          "local task 1 over [0,0.3]:\n")
+    assert "0.30000000000000004" not in out
+    # and a second hold that starts where the first ends is valid
+    data["formula"] = "F[0,0.1] G[0,0.2] mu1 & F[0.3,0.4] G[0,0.1] mu3"
+    path = _write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    assert "horizon 0.5 s, 2 local tasks" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

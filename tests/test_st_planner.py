@@ -18,7 +18,7 @@ from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
 from stlplan.stl_core import (Box, PointSequence, SubTask, TimeInterval,
-                              Workspace, grid_ceil, parse_formula)
+                              Workspace, parse_formula)
 
 PARAMS = PlannerParams()
 OPEN_WS = make_ws()
@@ -200,11 +200,11 @@ def test_tree_completes_immediately_inside_the_target(monkeypatch):
     # the reach is certified
     monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
     target = region_atom("t", (0.0, 0.0), (2.0, 2.0))
-    sub = SubTask("F", TimeInterval(0, 5), None, target)
+    sub = SubTask("F", TimeInterval(0, 50, 0.1), None, target)
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
     positions, times = _attempt((np.array([1.0, 1.0]), 0.0), OPEN_WS,
-                                PARAMS, rng, (sub,), [], 0.1, math.inf, 5.0)
+                                PARAMS, rng, (sub,), [], 0.1, math.inf, 50)
     assert positions.tolist() == [[1.0, 1.0], [1.0, 1.0]]
     assert times.tolist() == [0.0, 5.0]
     assert rng.bit_generator.state == state
@@ -213,7 +213,7 @@ def test_tree_completes_immediately_inside_the_target(monkeypatch):
 
 
 def test_tree_reaches_an_open_room_target_reliably():
-    goal = Goal(region_atom("t", (8.0, 8.0), (9.0, 9.0)), (0.0, 20.0))
+    goal = Goal(region_atom("t", (8.0, 8.0), (9.0, 9.0)), (0, 200))
     params = PlannerParams(goal_bias=0.5)
     wins = 0
     for seed in range(50):
@@ -235,7 +235,7 @@ def test_tree_fails_on_an_enclosed_target():
                             ((3.5, 4.0), (4.0, 6.0)),
                             ((6.0, 4.0), (6.5, 6.0))],
                  regions=[("t", (4.5, 4.5), (5.5, 5.5))])
-    goal = Goal(region_atom("t", (4.5, 4.5), (5.5, 5.5)), (0.0, 20.0))
+    goal = Goal(region_atom("t", (4.5, 4.5), (5.5, 5.5)), (0, 200))
     params = PlannerParams(max_iters_per_tree=300)
     with pytest.raises(TreeFailure):
         grow_tree(np.array([1.0, 1.0]), 0.0, goal, ws, 20.0, params,
@@ -249,9 +249,9 @@ def test_tree_rejects_a_root_violating_a_guard(monkeypatch):
     monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
     guard = Guard(region_atom("k", (5.0, 5.0), (6.0, 6.0)).region.box,
                   0.0, 8.0, keep_in=True)
-    sub = SubTask("F", TimeInterval(0, 8), None,
+    sub = SubTask("F", TimeInterval(0, 80, 0.1), None,
                   region_atom("t", (5.0, 5.0), (6.0, 6.0)))
-    task = LocalTask(1, TimeInterval(0, 8), (sub,))
+    task = LocalTask(1, TimeInterval(0, 80, 0.1), (sub,))
     with pytest.raises(PlanningError, match="violates an always-constraint"):
         plan_local(task, (np.array([1.0, 1.0]), 0.0), OPEN_WS, PARAMS,
                    np.random.default_rng(5), [guard], tau=0.1,
@@ -280,14 +280,13 @@ def _check_tree_path(positions, times, root_pos, root_time, goal, arrival,
     end, end_time = positions[-1], times[-1]
     if goal.prop is None:
         # the window's end: the path ends exactly there, on the grid
-        assert end_time == goal.window[1]
-        assert arrival == grid_ceil(end_time, tau)
+        assert end_time == goal.window[1] * tau
+        assert arrival == goal.window[1]
         return
     assert goal.prop.holds(end)
     g = arrival * tau
-    assert goal.window[0] - 1e-9 <= g <= goal.window[1] + 1e-9
-    hold = grid_ceil(goal.hold_after, tau) if goal.hold_after else 0
-    assert abs(end_time - (arrival + hold) * tau) <= 1e-9
+    assert goal.window[0] <= arrival <= goal.window[1]
+    assert abs(end_time - (arrival + goal.hold_after) * tau) <= 1e-9
     # the tail holds one position from its first vertex, no later than
     # the grid arrival, to the end
     first = len(times) - 1
@@ -305,24 +304,24 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     wall = make_ws(obstacles=[((3.0, 0.0), (3.5, 7.0))])
     cases = [
         # reach, arriving before the window opens and waiting
-        (far, 0.0, Goal(target, (4.0, 9.0))),
-        (far, 0.0, Goal(target, (0.0, 9.0))),
+        (far, 0.0, Goal(target, (40, 90))),
+        (far, 0.0, Goal(target, (0, 90))),
         # one step from the target, so a root edge can complete
-        (np.array([3.8, 5.0]), 0.0, Goal(target, (0.0, 9.0))),
+        (np.array([3.8, 5.0]), 0.0, Goal(target, (0, 90))),
         # reach and hold
-        (far, 0.0, Goal(target, (2.0, 9.0), hold_after=1.5)),
-        (far, 0.0, Goal(target, (0.0, 9.0), hold_after=0.3)),
+        (far, 0.0, Goal(target, (20, 90), hold_after=15)),
+        (far, 0.0, Goal(target, (0, 90), hold_after=3)),
         # the window's end, from a root before it
-        (far, 0.0, Goal(None, (3.0, 3.0))),
+        (far, 0.0, Goal(None, (30, 30))),
         # roots already inside the target, on the grid, a rounding step
         # off it and between grid points: the tree still grows an edge
-        (inside, 1.0, Goal(target, (0.0, 9.0))),
-        (inside, 0.3, Goal(target, (0.0, 9.0))),
-        (inside, 3 * tau, Goal(target, (0.0, 9.0), hold_after=0.5)),
-        (inside, 1.03, Goal(target, (0.0, 9.0))),
-        (inside, 1.03, Goal(target, (0.0, 9.0), hold_after=0.5)),
-        (inside, 1.0, Goal(target, (2.5, 9.0))),
-        (inside, 1.03, Goal(target, (2.5, 9.0), hold_after=1.0)),
+        (inside, 1.0, Goal(target, (0, 90))),
+        (inside, 0.3, Goal(target, (0, 90))),
+        (inside, 3 * tau, Goal(target, (0, 90), hold_after=5)),
+        (inside, 1.03, Goal(target, (0, 90))),
+        (inside, 1.03, Goal(target, (0, 90), hold_after=5)),
+        (inside, 1.0, Goal(target, (25, 90))),
+        (inside, 1.03, Goal(target, (25, 90), hold_after=10)),
     ]
     params = PlannerParams(goal_bias=0.5)
     failures = 0
@@ -332,7 +331,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
                 rng = np.random.default_rng(seed)
                 try:
                     positions, times, arrival = grow_tree(
-                        pos, t0, goal, ws, max(t0, goal.deadline),
+                        pos, t0, goal, ws, max(t0, goal.deadline * tau),
                         params, rng, tau=tau, v_max=2.0, guards=())
                 except TreeFailure:
                     failures += 1
@@ -343,7 +342,7 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     # a root already at the window's end completes in place, as the
     # attempt completes it before any tree
     for ws in (OPEN_WS, wall):
-        assert _try_complete(Goal(None, (3.0, 3.0)), far, 3.0, tau, ws,
+        assert _try_complete(Goal(None, (30, 30)), far, 3.0, tau, ws,
                              ()) == ([3.0], 30)
 
 
@@ -454,9 +453,9 @@ def test_paths_must_span_the_requested_window():
 
 def test_plan_local_serves_a_single_reach_goal():
     ws = make_ws(regions=[("t", (4.0, 4.0), (6.0, 6.0))])
-    sub = SubTask("F", TimeInterval(3, 6), None,
+    sub = SubTask("F", TimeInterval(6, 12, 0.5), None,
                   region_atom("t", (4.0, 4.0), (6.0, 6.0)))
-    task = LocalTask(1, TimeInterval(0, 6), (sub,))
+    task = LocalTask(1, TimeInterval(0, 12, 0.5), (sub,))
     rng = np.random.default_rng(21)
     seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, PARAMS,
                             rng, [], tau=0.5, v_max=math.inf)
@@ -472,12 +471,12 @@ def test_attempt_joins_its_trees_into_one_path():
     # target from the arrival to the window end; from inside the target
     # the tree adds no row and the path is q_init plus the standstill
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    sub = SubTask("F", TimeInterval(0, 3), None, target)
+    sub = SubTask("F", TimeInterval(0, 6, 0.5), None, target)
     for start, rows in (([1.0, 1.0], None), ([5.0, 5.0], 2)):
         for seed in range(5):
             positions, times = _attempt(
                 (np.array(start), 0.0), OPEN_WS, PARAMS,
-                np.random.default_rng(seed), (sub,), [], 0.5, 2.0, 6.0)
+                np.random.default_rng(seed), (sub,), [], 0.5, 2.0, 12)
             assert positions.shape == (len(times), 2)
             assert np.array_equal(positions[0], start) and times[0] == 0.0
             assert np.all(np.diff(times) > 0) and times[-1] == 6.0
@@ -488,42 +487,42 @@ def test_attempt_joins_its_trees_into_one_path():
 
 def test_next_goal_schedules_each_kind_of_sub_task():
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    reach = SubTask("F", TimeInterval(3, 6), None, target)
-    assert _next_goal(reach, None, 0.5) == Goal(target, (3, 6))
-    assert _next_goal(reach, 8, 0.5) is None
-    hold = SubTask("FG", TimeInterval(3, 6), TimeInterval(0, 2), target)
-    assert _next_goal(hold, None, 0.5) == Goal(target, (3, 6),
-                                               hold_after=2)
-    assert _next_goal(hold, 8, 0.5) is None
+    reach = SubTask("F", TimeInterval(6, 12, 0.5), None, target)
+    assert _next_goal(reach, None) == Goal(target, (6, 12))
+    assert _next_goal(reach, 8) is None
+    hold = SubTask("FG", TimeInterval(6, 12, 0.5), TimeInterval(0, 4, 0.5),
+                   target)
+    assert _next_goal(hold, None) == Goal(target, (6, 12), hold_after=4)
+    assert _next_goal(hold, 8) is None
     # a keep-in G arrives by its window's start once; a keep-out G is
     # served by the guards alone
-    keep = SubTask("G", TimeInterval(3, 6), None, target)
-    assert _next_goal(keep, None, 0.5) == Goal(target, (3, 3))
-    assert _next_goal(keep, 6, 0.5) is None
-    avoid = SubTask("G", TimeInterval(3, 6), None,
+    keep = SubTask("G", TimeInterval(6, 12, 0.5), None, target)
+    assert _next_goal(keep, None) == Goal(target, (6, 6))
+    assert _next_goal(keep, 6) is None
+    avoid = SubTask("G", TimeInterval(6, 12, 0.5), None,
                     region_atom("t", (4.0, 4.0), (6.0, 6.0), negated=True))
-    assert _next_goal(avoid, None, 0.5) is None
-    # a patrol over the active interval [0, 3.7]: a visit within 0.7 s of
-    # the start and of every arrival, until 0.7 s covers the end
+    assert _next_goal(avoid, None) is None
+    # a patrol over the active interval [0, 37] (3.7 s at tau 0.1): a
+    # visit within 7 steps of the start and of every arrival, until 7
+    # steps cover the end
     tau = 0.1
-    patrol = SubTask("GF", TimeInterval(0, 3), TimeInterval(0, 0.7), target)
-    assert _next_goal(patrol, None, tau) == Goal(target, (0, 0.7))
-    assert _next_goal(patrol, 5, tau) == Goal(target, (6 * tau,
-                                                       5 * tau + 0.7))
-    assert _next_goal(patrol, 29, tau) == Goal(target, (30 * tau,
-                                                        29 * tau + 0.7))
-    # 3.7 - 30 * tau is 0.7000000000000002: the window closing at 3.7
-    # was the last one
-    assert 3.7 - 30 * tau > 0.7
-    assert _next_goal(patrol, 30, tau) is None
-    assert _next_goal(patrol, 37, tau) is None
-    # a zero-gap patrol over [3, 5] visits every grid time: the window
+    patrol = SubTask("GF", TimeInterval(0, 30, tau), TimeInterval(0, 7, tau),
+                     target)
+    assert _next_goal(patrol, None) == Goal(target, (0, 7))
+    assert _next_goal(patrol, 5) == Goal(target, (6, 12))
+    assert _next_goal(patrol, 29) == Goal(target, (30, 36))
+    # 37 - 30 is the gap: the window closing at step 37 was the last one,
+    # though 3.7 - 30 * tau s is 0.7000000000000002 s, past the 0.7 s gap
+    assert _next_goal(patrol, 30) is None
+    assert _next_goal(patrol, 37) is None
+    # a zero-gap patrol over [30, 50] visits every grid step: the window
     # after each arrival is the next grid index, never empty
-    every = SubTask("GF", TimeInterval(3, 5), TimeInterval(0, 0), target)
-    assert _next_goal(every, None, tau) == Goal(target, (3, 3))
-    assert _next_goal(every, 30, tau) == Goal(target, (31 * tau, 31 * tau))
-    assert _next_goal(every, 49, tau) == Goal(target, (50 * tau, 5))
-    assert _next_goal(every, 50, tau) is None
+    every = SubTask("GF", TimeInterval(30, 50, tau), TimeInterval(0, 0, tau),
+                    target)
+    assert _next_goal(every, None) == Goal(target, (30, 30))
+    assert _next_goal(every, 30) == Goal(target, (31, 31))
+    assert _next_goal(every, 49) == Goal(target, (50, 50))
+    assert _next_goal(every, 50) is None
 
 
 def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
@@ -533,20 +532,20 @@ def test_attempt_serves_a_reach_before_a_patrol_of_equal_deadline(
     # stand-in tree waits one second outside the target, so no goal is
     # ever met in place
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    patrol = SubTask("GF", TimeInterval(0, 4), TimeInterval(0, 3), target)
-    reach = SubTask("F", TimeInterval(1, 3), None, target)
+    patrol = SubTask("GF", TimeInterval(0, 8, 0.5), TimeInterval(0, 6, 0.5),
+                     target)
+    reach = SubTask("F", TimeInterval(2, 6, 0.5), None, target)
     calls = []
 
     def record(root_pos, root_time, goal, ws, end_time, *args, **kwargs):
         calls.append((goal.window, end_time))
-        return (root_pos[None], np.array([root_time + 1.0]),
-                grid_ceil(goal.deadline, kwargs["tau"]))
+        return (root_pos[None], np.array([root_time + 1.0]), goal.deadline)
 
     monkeypatch.setattr(st_planner, "grow_tree", record)
     positions, times = _attempt((np.array([1.0, 1.0]), 0.0), OPEN_WS,
                                 PARAMS, np.random.default_rng(0),
-                                (patrol, reach), [], 0.5, 2.0, 8.0)
-    assert calls == [((1, 3), 8.0), ((0, 3), 8.0), ((3.5, 6), 8.0)]
+                                (patrol, reach), [], 0.5, 2.0, 16)
+    assert calls == [((2, 6), 8.0), ((0, 6), 8.0), ((7, 12), 8.0)]
     assert times.tolist() == [0.0, 1.0, 2.0, 3.0, 8.0]
 
 
@@ -555,8 +554,9 @@ def test_attempt_serves_a_patrol_in_place_without_trees(monkeypatch):
     # where it stands: the whole schedule is served in place
     monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
     target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
-    patrol = SubTask("GF", TimeInterval(0, 4), TimeInterval(0, 0.5), target)
-    task = LocalTask(1, TimeInterval(0, 4.5), (patrol,))
+    patrol = SubTask("GF", TimeInterval(0, 40, 0.1), TimeInterval(0, 5, 0.1),
+                     target)
+    task = LocalTask(1, TimeInterval(0, 45, 0.1), (patrol,))
     seq, pairs = plan_local(task, (np.array([5.0, 5.0]), 0.0), OPEN_WS,
                             PARAMS, np.random.default_rng(0), [], tau=0.1,
                             v_max=2.0)
@@ -572,13 +572,15 @@ def test_keep_in_always_clause_is_entered_by_its_start(after_hold):
     # 3, the keep-in goal's time has passed when it falls due; the guard
     # has held the path in k since then, so it is met
     k = region_atom("k", (3.0, 3.0), (4.0, 4.0))
-    keep = SubTask("G", TimeInterval(3, 5), None, k)
-    hold = SubTask("FG", TimeInterval(0, 2), TimeInterval(0, 3), k)
+    keep = SubTask("G", TimeInterval(30, 50, 0.1), None, k)
+    hold = SubTask("FG", TimeInterval(0, 20, 0.1), TimeInterval(0, 30, 0.1),
+                   k)
     subs = (hold, keep) if after_hold else (keep,)
-    task = LocalTask(1, TimeInterval(0, 5), subs)
+    task = LocalTask(1, TimeInterval(0, 50, 0.1), subs)
     seq, pairs = plan_local(task, (np.array([1.0, 1.0]), 0.0), OPEN_WS,
                             PARAMS, np.random.default_rng(3),
-                            [Guard.from_subtask(keep)], tau=0.1, v_max=4.0)
+                            [Guard.from_subtask(keep, 0.1)], tau=0.1,
+                            v_max=4.0)
     assert all(stl_sat(seq, sub)[0] for sub in subs)
     assert {p.k for p in pairs} >= set(range(30, 51))
 
@@ -586,13 +588,13 @@ def test_keep_in_always_clause_is_entered_by_its_start(after_hold):
 def test_plan_local_gives_up_on_an_impossible_hold():
     # the keep-in box is disjoint from the start, so every restart fails
     ws = make_ws(regions=[("k", (5.0, 5.0), (6.0, 6.0))])
-    sub = SubTask("G", TimeInterval(0, 2), None,
+    sub = SubTask("G", TimeInterval(0, 4, 0.5), None,
                   region_atom("k", (5.0, 5.0), (6.0, 6.0)))
-    task = LocalTask(1, TimeInterval(0, 2), (sub,))
+    task = LocalTask(1, TimeInterval(0, 4, 0.5), (sub,))
     params = PlannerParams(max_iters_per_tree=50, max_restarts=2)
     with pytest.raises(PlanningError):
         plan_local(task, (np.array([1.0, 1.0]), 0.0), ws, params,
-                   np.random.default_rng(31), [Guard.from_subtask(sub)],
+                   np.random.default_rng(31), [Guard.from_subtask(sub, 0.5)],
                    tau=0.5, v_max=math.inf)
 
 
@@ -750,7 +752,8 @@ def test_each_reach_pair_ends_the_first_visit(name):
             sub, pair = next((s, pairs[0]) for s, (ok, pairs) in
                              ((s, stl_sat(seq, s)) for s in pieces)
                              if ok and (pairs[0].k, pairs[0].label) in keys)
-            ks = sub.active_interval().grid_indices(seq.tau)
+            ai = sub.active_interval()
+            ks = range(ai.lo, ai.hi + 1)
             holds = [sub.prop.holds(seq.at_index(k)) for k in ks]
             first, i = holds.index(True), ks.index(pair.k)
             assert all(holds[first:i + 1])

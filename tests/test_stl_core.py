@@ -11,9 +11,8 @@ from stlplan.stl_core import (AtomicProp, Box, CoverageError, Formula,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
                               SubTask, TimeInterval, UnknownRegionError,
-                              Workspace, grid_ceil, grid_floor,
-                              oracle_satisfies_formula, parse_formula,
-                              snap_index)
+                              Workspace, grid_ceil, oracle_satisfies_formula,
+                              parse_formula, snap_index)
 
 WS = make_ws(regions=[
     ("mu1", (7.0, 4.0), (9.0, 6.0)),
@@ -39,11 +38,11 @@ def test_snap_index_rejects_off_grid():
     assert snap_index(0.1001, 0.1) is None
 
 
-def test_grid_ceil_floor_tolerate_float_noise():
+def test_grid_ceil_tolerates_float_noise():
     assert grid_ceil(0.30000000000000004, 0.1) == 3
-    assert grid_floor(0.29999999999999993, 0.1) == 3
+    assert grid_ceil(0.29999999999999993, 0.1) == 3
     assert grid_ceil(0.21, 0.1) == 3
-    assert grid_floor(0.29, 0.1) == 2
+    assert grid_ceil(0.29, 0.1) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -245,42 +244,45 @@ def test_duplicate_region_names_rejected():
 # time intervals
 
 def test_minkowski_sum_examples():
-    assert TimeInterval(30, 46).minkowski(TimeInterval(0, 4)) == \
-        TimeInterval(30, 50)
-    assert TimeInterval(0, 10).minkowski(TimeInterval(0, 10)) == \
-        TimeInterval(0, 20)
+    assert TimeInterval(30, 46, 1.0).minkowski(TimeInterval(0, 4, 1.0)) == \
+        TimeInterval(30, 50, 1.0)
+    assert TimeInterval(0, 10, 1.0).minkowski(TimeInterval(0, 10, 1.0)) == \
+        TimeInterval(0, 20, 1.0)
 
 
 def test_minkowski_commutative_and_monotone():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = sorted(rng.uniform(0, 50, size=2))
-        b = sorted(rng.uniform(0, 50, size=2))
-        p = TimeInterval(a[0], a[1])
-        q = TimeInterval(b[0], b[1])
+        a = sorted(rng.integers(0, 50, size=2).tolist())
+        b = sorted(rng.integers(0, 50, size=2).tolist())
+        p = TimeInterval(a[0], a[1], 0.1)
+        q = TimeInterval(b[0], b[1], 0.1)
         assert p.minkowski(q) == q.minkowski(p)
-        wider = TimeInterval(b[0], b[1] + 1.0)
-        assert p.minkowski(wider).hi > p.minkowski(q).hi - 1e-12
+        wider = TimeInterval(b[0], b[1] + 1, 0.1)
+        assert p.minkowski(wider).hi == p.minkowski(q).hi + 1
         assert p.minkowski(wider).lo == p.minkowski(q).lo
 
 
 def test_active_interval_plain_and_nested():
-    f = SubTask("F", TimeInterval(0, 60), None, region_atom("r", (0, 0),
-                                                            (1, 1)))
-    assert f.active_interval() == TimeInterval(0, 60)
-    gf = SubTask("GF", TimeInterval(0, 10), TimeInterval(0, 10),
+    f = SubTask("F", TimeInterval(0, 60, 1.0), None,
+                region_atom("r", (0, 0), (1, 1)))
+    assert f.active_interval() == TimeInterval(0, 60, 1.0)
+    gf = SubTask("GF", TimeInterval(0, 10, 1.0), TimeInterval(0, 10, 1.0),
                  region_atom("r", (0, 0), (1, 1)))
-    assert gf.active_interval() == TimeInterval(0, 20)
-    fg = SubTask("FG", TimeInterval(30, 46), TimeInterval(0, 4),
+    assert gf.active_interval() == TimeInterval(0, 20, 1.0)
+    fg = SubTask("FG", TimeInterval(30, 46, 1.0), TimeInterval(0, 4, 1.0),
                  region_atom("r", (0, 0), (1, 1)))
-    assert fg.active_interval() == TimeInterval(30, 50)
+    assert fg.active_interval() == TimeInterval(30, 50, 1.0)
 
 
 def test_negative_time_interval_rejected():
     with pytest.raises(ValueError):
-        TimeInterval(-1.0, 2.0)
+        TimeInterval(-1, 2, 1.0)
     with pytest.raises(ValueError):
-        TimeInterval(3.0, 2.0)
+        TimeInterval(3, 2, 1.0)
+    # endpoints are grid steps, never seconds
+    with pytest.raises(ValueError):
+        TimeInterval(0.0, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ def test_parse_single_eventually():
     assert len(f.subtasks) == 1
     sub = f.subtasks[0]
     assert sub.kind == "F"
-    assert sub.outer == TimeInterval(0, 60)
+    assert sub.outer == TimeInterval(0, 600, 0.1)
     assert sub.inner is None
     assert sub.prop.region.name == "mu6"
     assert not sub.prop.negated
@@ -301,18 +303,18 @@ def test_parse_until_rewrites_to_hold_and_reach():
     f = parse_formula("!mu4 U[0,30] mu3", WS, tau=0.1)
     assert len(f.subtasks) == 2
     g, r = f.subtasks
-    assert (g.kind, g.outer, g.prop.label) == ("G", TimeInterval(0, 30),
-                                               "!mu4")
-    assert (r.kind, r.outer, r.prop.label) == ("F", TimeInterval(0, 30),
-                                               "mu3")
+    assert (g.kind, g.outer, g.prop.label) == (
+        "G", TimeInterval(0, 300, 0.1), "!mu4")
+    assert (r.kind, r.outer, r.prop.label) == (
+        "F", TimeInterval(0, 300, 0.1), "mu3")
 
 
 def test_parse_nested_with_intersected_atoms():
     f = parse_formula("G[0,10] F[0,10] (mu1 & mu2)", WS, tau=0.1)
     sub = f.subtasks[0]
     assert sub.kind == "GF"
-    assert sub.outer == TimeInterval(0, 10)
-    assert sub.inner == TimeInterval(0, 10)
+    assert sub.outer == TimeInterval(0, 100, 0.1)
+    assert sub.inner == TimeInterval(0, 100, 0.1)
     # parse-time intersection of the two rectangles
     assert sub.prop.region.box == Box((8.0, 4.0), (9.0, 6.0))
     # a three-name atom intersects every box it names
@@ -326,49 +328,71 @@ def test_parse_nested_with_intersected_atoms():
 
 def test_parse_errors_carry_positions():
     with pytest.raises(FormulaSyntaxError) as err:
-        parse_formula("F[0,60] mu6 %", WS)
+        parse_formula("F[0,60] mu6 %", WS, tau=0.1)
     assert err.value.position == 12
     with pytest.raises(FormulaSyntaxError) as err:
-        parse_formula("F[0 60] mu6", WS)
+        parse_formula("F[0 60] mu6", WS, tau=0.1)
     assert err.value.position == 4
     # a second atom after a complete clause, and an atom before F
     with pytest.raises(FormulaSyntaxError, match="unexpected 'mu2'") as err:
-        parse_formula("F[0,5] mu1 mu2", WS)
+        parse_formula("F[0,5] mu1 mu2", WS, tau=0.1)
     assert err.value.position == 11
     with pytest.raises(FormulaSyntaxError, match="expected U") as err:
-        parse_formula("mu1 F[0,5] mu2", WS)
+        parse_formula("mu1 F[0,5] mu2", WS, tau=0.1)
     assert err.value.position == 4
 
 
 def test_parse_rejects_unknown_region():
     with pytest.raises(UnknownRegionError):
-        parse_formula("F[0,1] nowhere", WS)
+        parse_formula("F[0,1] nowhere", WS, tau=0.1)
 
 
 def test_parse_rejects_same_operator_nesting():
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("F[0,1] F[0,1] mu1", WS)
+        parse_formula("F[0,1] F[0,1] mu1", WS, tau=0.1)
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("G[0,1] G[0,1] mu1", WS)
+        parse_formula("G[0,1] G[0,1] mu1", WS, tau=0.1)
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("G[0,2] F[0,1] G[0,1] mu1", WS)
+        parse_formula("G[0,2] F[0,1] G[0,1] mu1", WS, tau=0.1)
 
 
 def test_parse_rejects_inverted_interval():
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("F[3,1] mu1", WS)
+        parse_formula("F[3,1] mu1", WS, tau=0.1)
 
 
 def test_parse_rejects_empty_intersection():
     with pytest.raises(FormulaSyntaxError):
-        parse_formula("F[0,1] (mu3 & mu6)", WS)
+        parse_formula("F[0,1] (mu3 & mu6)", WS, tau=0.1)
 
 
 def test_endpoint_off_the_sampling_grid_rejected():
-    with pytest.raises(IntervalAlignmentError):
+    with pytest.raises(IntervalAlignmentError) as err:
         parse_formula("F[0,0.15] mu6", WS, tau=0.1)
-    # fine without a grid to validate against
-    parse_formula("F[0,0.15] mu6", WS)
+    assert err.value.position == 4
+    # fine on a grid it lies on, as the step it names
+    f = parse_formula("F[0,0.15] mu6", WS, tau=0.05)
+    assert f.subtasks[0].outer == TimeInterval(0, 3, 0.05)
+
+
+@pytest.mark.parametrize("digits", [308, 400])
+def test_an_endpoint_too_large_for_a_float_is_a_syntax_error(digits):
+    # 400 nines overflow the float to inf; 308 stay finite, but their
+    # step count at tau 0.1 does not
+    with pytest.raises(FormulaSyntaxError, match="too large") as err:
+        parse_formula("F[0," + "9" * digits + "] mu6", WS, tau=0.1)
+    assert err.value.position == 4
+
+
+def test_endpoints_snap_to_steps_before_any_sum():
+    # 0.1 + 0.2 is 0.30000000000000004 s, but step 1 + step 2 is step 3:
+    # the two active intervals touch at step 3 and do not overlap
+    f = parse_formula("F[0,0.1] G[0,0.2] mu1 & F[0.3,0.4] G[0,0.1] mu3",
+                      WS, tau=0.1)
+    assert [s.active_interval() for s in f.subtasks] == [
+        TimeInterval(0, 3, 0.1), TimeInterval(3, 5, 0.1)]
+    assert [str(s) for s in f.subtasks] == [
+        "F[0,0.1] G[0,0.2] mu1", "F[0.3,0.4] G[0,0.1] mu3"]
 
 
 def test_overlapping_nested_active_intervals_rejected():
@@ -403,13 +427,14 @@ def test_round_trip_printing(text, expected):
     # F pieces, and SubTask.__str__ prints each one back
     ws = make_ws(regions=[(f"mu{i}", (i * 0.5, 0.0), (i * 0.5 + 2.0, 1.0))
                           for i in range(1, 7)])
-    assert [str(sub) for sub in parse_formula(text, ws).subtasks] == expected
+    assert [str(sub) for sub in parse_formula(text, ws, tau=0.1).subtasks] \
+        == expected
 
 
 def test_formula_horizon_is_last_constrained_time():
     f = parse_formula("G[0,10] F[0,10] (mu1 & mu2) & F[0,60] mu6", WS,
                       tau=0.1)
-    assert f.horizon == 60.0
+    assert f.horizon == 600
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +444,13 @@ def test_sequence_indexing_and_coverage():
     seq = PointSequence(10, 0.5, [[0, 0], [1, 0], [2, 0]])
     assert seq.k_last == 12
     assert np.array_equal(seq.at_index(11), [1, 0])
-    seq.require_coverage(TimeInterval(5.0, 6.0))
+    seq.require_coverage(TimeInterval(10, 12, 0.5))
     with pytest.raises(CoverageError):
-        seq.require_coverage(TimeInterval(5.0, 6.5))
+        seq.require_coverage(TimeInterval(10, 13, 0.5))
     with pytest.raises(CoverageError):
         seq.at_index(13)
     with pytest.raises(CoverageError):
-        seq.require_coverage(TimeInterval(0.0, 6.0))
+        seq.require_coverage(TimeInterval(0, 12, 0.5))
 
 
 def test_sequence_concat_requires_shared_junction():
@@ -451,8 +476,8 @@ def test_oracle_trivial_cases():
     atom = region_atom("r", (0.0, 0.0), (1.0, 1.0))
     inside = PointSequence(0, 0.1, [[0.5, 0.5]] * 11)
     outside = PointSequence(0, 0.1, [[5.0, 5.0]] * 11)
-    g = SubTask("G", TimeInterval(0, 1), None, atom)
-    f = SubTask("F", TimeInterval(0, 1), None, atom)
+    g = SubTask("G", TimeInterval(0, 10, 0.1), None, atom)
+    f = SubTask("F", TimeInterval(0, 10, 0.1), None, atom)
     assert oracle_satisfies_formula(inside, _formula(g))
     assert not oracle_satisfies_formula(outside, _formula(f))
 
@@ -462,7 +487,8 @@ def test_oracle_requires_grid_coverage():
     seq = PointSequence(0, 0.1, [[0.5, 0.5]] * 5)
     with pytest.raises(CoverageError):
         oracle_satisfies_formula(
-            seq, _formula(SubTask("F", TimeInterval(0, 1), None, atom)))
+            seq, _formula(SubTask("F", TimeInterval(0, 10, 0.1), None,
+                                  atom)))
 
 
 def test_oracle_agrees_with_independent_double_loop():
@@ -482,7 +508,7 @@ def test_until_rewrite_implies_until_semantics():
     for _ in range(400):
         tau = float(rng.choice([0.5, 1.0]))
         hi = int(rng.integers(2, 9))
-        ival = TimeInterval(0.0, hi * tau)
+        ival = TimeInterval(0, hi, tau)
         negated = bool(rng.random() < 0.5)
         lbox = (0.0, 0.0, 2.0, 2.0) if negated else (0.0, 0.0, 9.0, 9.0)
         left = region_atom("l", lbox[:2], lbox[2:], negated=negated)
@@ -510,7 +536,7 @@ def test_until_rewrite_is_strictly_stronger():
     left = region_atom("l", (0.0, 0.0), (3.0, 1.0))
     right = region_atom("r", (2.0, 0.0), (3.0, 1.0))
     seq = PointSequence(0, 1.0, [[0.5, 0.5], [2.5, 0.5], [5.0, 5.0]])
-    ival = TimeInterval(0, 2)
+    ival = TimeInterval(0, 2, 1.0)
     assert oracle_satisfies_until(seq, left, ival, right)
     assert not direct_eval(seq, SubTask("G", ival, None, left))
 
