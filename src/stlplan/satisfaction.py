@@ -1,32 +1,37 @@
 """Satisfaction checking of sub-tasks over uniform waypoint sequences.
 
 `stl_sat`, the package's only satisfaction evaluator, decides each
-sub-task kind over the sample grid and, when satisfied, returns the
+sub-task over the sample grid and, when satisfied, returns the
 step/region pairs that certify it.  `run` and `check` reach it through
 stl_core.oracle_satisfies_formula.  Sub-task intervals are grid steps,
-so every quantifier ranges over integers and nothing is rounded.  Per
-call it compares the sequence's rows with the prop's box once, as one
-boolean array over the grid rows the check reads, and decides from
-that array alone.  Downstream the pairs become pointwise constraints of
-the trajectory optimizer, so the checker keeps them minimal where it
-can:
+so every quantifier ranges over integers and nothing is rounded.
+
+Every kind is decided by one rule.  Per call the sequence's rows are
+compared with the prop's box once, as one boolean array `holds` over
+the steps of the active interval.  A nested clause (FG, GF) has one
+window per outer step k1, the steps [k1 + inner.lo, k1 + inner.hi], so
+window i starts at row i; a plain clause (F, G) has one window, its
+whole interval.  One prefix sum of `holds` counts the rows that hold in
+each window.  A window passes when it holds a visit (F, GF) or is full
+(G, FG), and the clause holds when every window passes (G, GF) or one
+does (F, FG): the max and min of STL robustness, with membership for
+the margins.
+
+Downstream the pairs become pointwise constraints of the trajectory
+optimizer, so the checker keeps them minimal where it can:
 
 * F: one witness, the last grid point of the first visit (the end of
-  the first run of True rows, or the interval's last grid point when
-  that run reaches it).  The tree enters a region at up to full speed,
-  so its arrival would pin the trajectory to that speed; the end of the
-  visit leaves the optimizer the time the tree spent inside.
-* G: every grid point in the window (all True).
-* FG: the grid points of the first satisfying hold window (the first
-  window whose prefix-sum count of True rows is its length).
-* GF: every visit inside the active interval, accepted when every
-  anchored inner window holds a visit (a bisection over the True
-  rows).
+  the first run of rows that hold, or the interval's last grid point
+  when that run reaches it).  The tree enters a region at up to full
+  speed, so its arrival would pin the trajectory to that speed; the end
+  of the visit leaves the optimizer the time the tree spent inside.
+* FG: the grid points of the first full window.
+* G, GF: every grid point of the active interval at which the prop
+  holds (for G, all of them).
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -58,13 +63,27 @@ def stl_sat(seq, sub):
     seq.require_coverage(ai)
     ks = range(ai.lo, ai.hi + 1)
     holds = _holds(seq, sub.prop, ks)
-    if sub.kind == "F":
-        return _sat_eventually(sub, ks, holds)
-    if sub.kind == "G":
-        return _sat_always(sub, ks, holds)
+    # count[i] counts the rows before row i at which the prop holds
+    count = np.concatenate(([0], np.cumsum(holds)))
+    width = sub.inner.length + 1 if sub.nested else len(ks)
+    in_window = count[width:] - count[:-width]
+    passes = in_window > 0 if sub.kind in ("F", "GF") else \
+        in_window == width
+    every = sub.kind in ("G", "GF")
+    if not (passes.all() if every else passes.any()):
+        return False, ()
+    if every:
+        return True, _pairs(sub.prop, (np.flatnonzero(holds) + ks.start)
+                            .tolist())
     if sub.kind == "FG":
-        return _sat_reach_hold(sub, ks, holds)
-    return _sat_recurring(sub, ks, holds)
+        i = int(passes.argmax())
+        return True, _pairs(sub.prop, ks[i:i + width])
+    # certify the last row of the first visit, not the tree's arrival
+    j = int(holds.argmax())
+    end = j + int(holds[j:].argmin())
+    if holds[end]:
+        end = len(ks)  # the visit lasts to the interval's end
+    return True, _pairs(sub.prop, ks[end - 1:end])
 
 
 def _holds(seq, prop, ks):
@@ -80,42 +99,3 @@ def _holds(seq, prop, ks):
 def _pairs(prop, ks):
     label = prop.label
     return tuple(SatisfactionPair(k, label, prop) for k in ks)
-
-
-def _sat_eventually(sub, ks, holds):
-    j = int(holds.argmax())
-    if not holds[j]:
-        return False, ()
-    # certify the last index of the first visit, not the tree's arrival
-    end = j + int(holds[j:].argmin())
-    if holds[end]:
-        end = len(ks)  # the visit lasts to the interval's end
-    return True, _pairs(sub.prop, ks[end - 1:end])
-
-
-def _sat_always(sub, ks, holds):
-    if not holds.all():
-        return False, ()
-    return True, _pairs(sub.prop, ks)
-
-
-def _sat_reach_hold(sub, ks, holds):
-    # held[i] counts the rows before ks[i] at which the prop holds
-    held = np.concatenate(([0], np.cumsum(holds))).tolist()
-    for k1 in range(sub.outer.lo, sub.outer.hi + 1):
-        window = range(k1 + sub.inner.lo, k1 + sub.inner.hi + 1)
-        a, b = window.start - ks.start, window.stop - ks.start
-        if held[b] - held[a] == b - a:
-            return True, _pairs(sub.prop, window)
-    return False, ()
-
-
-def _sat_recurring(sub, ks, holds):
-    visit_ks = [ks[j] for j in np.flatnonzero(holds).tolist()]
-    for k1 in range(sub.outer.lo, sub.outer.hi + 1):
-        # the first visit at or after the window opens must lie inside it
-        window = range(k1 + sub.inner.lo, k1 + sub.inner.hi + 1)
-        i = bisect.bisect_left(visit_ks, window.start)
-        if i == len(visit_ks) or visit_ks[i] not in window:
-            return False, ()
-    return True, _pairs(sub.prop, visit_ks)

@@ -275,3 +275,37 @@ def test_stl_sat_agrees_with_the_double_loop_where_seconds_do_not_add_up(
         assert stl_sat(seq, sub)[0] == truth, (text, mask)
         verdicts.add(truth)
     assert verdicts == {False, True}
+
+
+def _short_clauses(kind):
+    """Every clause of the kind whose outer interval starts at step 2:
+    F and G with active intervals of 1 to 8 steps, FG and GF with outer
+    lengths 0-3, inner offsets 0-2 and inner lengths 0-3."""
+    if kind in ("F", "G"):
+        return [(TimeInterval(2, 2 + o, 0.5), None) for o in range(8)]
+    return [(TimeInterval(2, 2 + o, 0.5), TimeInterval(c, c + n, 0.5))
+            for o in range(4) for c in range(3) for n in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["F", "G", "FG", "GF"])
+def test_every_pattern_of_every_short_active_interval(kind):
+    # each pattern of rows inside the region over the active interval,
+    # for the atom and its negation, in a sequence that starts at step 1
+    # and ends one step past the active interval; the rows outside it
+    # are all inside or all outside the region, and must not matter
+    seen = set()
+    for outer, inner in _short_clauses(kind):
+        ai = SubTask(kind, outer, inner, ATOM).active_interval()
+        for pad in (IN, FAR):
+            pts = np.tile(pad, (ai.hi + 1, 1))
+            for mask in range(2 ** (ai.hi - ai.lo + 1)):
+                for j in range(ai.hi - ai.lo + 1):
+                    pts[ai.lo - 1 + j] = IN if mask >> j & 1 else FAR
+                seq = PointSequence(1, 0.5, pts)
+                for negated in (False, True):
+                    sub = SubTask(kind, outer, inner,
+                                  AtomicProp(ATOM.region, negated))
+                    ok, _ = _same_verdict(seq, sub)
+                    assert ok == direct_eval(seq, sub), (sub, mask, pad)
+                    seen.add(ok)
+    assert seen == {False, True}
