@@ -248,12 +248,11 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
     lb[hand] = np.maximum(ws.bounds.lo, door_lb + wide * margin)
     ub[hand] = np.minimum(ws.bounds.hi, door_ub - wide * margin)
 
-    rows = [p for p in pairs if 0 <= p.k < K1]
-    ks = np.array([p.k for p in rows], dtype=np.intp)
-    shape = (len(rows), pts.shape[1])
-    rlo = np.array([p.prop.region.box.lo for p in rows]).reshape(shape)
-    rhi = np.array([p.prop.region.box.hi for p in rows]).reshape(shape)
-    neg = np.array([p.prop.negated for p in rows], dtype=bool)
+    ks = np.array([p.k for p in pairs], dtype=np.intp)
+    shape = (len(pairs), pts.shape[1])
+    rlo = np.array([p.prop.region.box.lo for p in pairs]).reshape(shape)
+    rhi = np.array([p.prop.region.box.hi for p in pairs]).reshape(shape)
+    neg = np.array([p.prop.negated for p in pairs], dtype=bool)
     np.maximum.at(lb, ks[~neg], rlo[~neg])
     np.minimum.at(ub, ks[~neg], rhi[~neg])
     ka = ks[neg]
@@ -277,7 +276,7 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
                                                   (clearance <= 0.0))]
             raise InfeasibleConstraintError(
                 f"waypoint at step {k} sits inside a region it must avoid "
-                f"({rows[first].label})")
+                f"({pairs[first].label})")
         raise InfeasibleConstraintError(
             f"constraints at step {k} have empty intersection "
             f"(corridor box against certified regions)")
@@ -312,6 +311,13 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
     K = len(pts) - 1
     if len(corridor.boxes) != K + 1:
         raise OptimizationError("corridor and plan lengths disagree")
+    if model.tau != plan.waypoints.tau:
+        raise OptimizationError(f"model step {model.tau} s differs from the "
+                                f"plan's grid step {plan.waypoints.tau} s")
+    for p in plan.pairs:
+        if not 0 <= p.k <= K:
+            raise OptimizationError(f"pair {p.label} at step {p.k} lies "
+                                    f"outside the plan's steps 0..{K}")
     n, d = model.state_dim, model.pos_dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):

@@ -461,8 +461,13 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
 
     Returns a GlobalPlan whose waypoint sequence spans the whole grid
     and whose pairs certify every sub-task, including one piece of
-    every disjunctive reach set.
+    every disjunctive reach set.  tau must be the decomposition's grid
+    step.
     """
+    if tau != decomposition.tau:
+        raise PlanningError(f"planner step {tau} s differs from the "
+                            f"decomposition's grid step "
+                            f"{decomposition.tau} s")
     p0 = np.asarray(p0, dtype=float)
     if not ws.point_free(p0):
         raise PlanningError(f"start position {p0.tolist()} is not in free "

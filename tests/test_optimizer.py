@@ -353,11 +353,12 @@ def _bounds_outcome(fn, pts, boxes, ws, pairs, margin):
 
 
 def _assert_bounds_match_the_reference(pts, boxes, ws, pairs, margin):
-    """Equal outcomes on every prefix of the steps, which pins the
-    failing step even where the message does not name it.  Returns the
-    outcome on all steps."""
+    """Equal outcomes on every prefix of the steps, with the pairs of
+    its steps, which pins the failing step even where the message does
+    not name it.  Returns the outcome on all steps."""
     for j in range(1, len(pts) + 1):
-        args = (pts[:j], boxes[:j], ws, pairs, margin)
+        args = (pts[:j], boxes[:j], ws, [p for p in pairs if p.k < j],
+                margin)
         got = _bounds_outcome(_position_bounds, *args)
         assert got == _bounds_outcome(reference_position_bounds, *args)
     return got
@@ -485,6 +486,33 @@ def test_build_rejects_inconsistent_inputs():
                   **UNIT_WEIGHTS)
     with pytest.raises(OptimizationError):
         build_nlp(plan, cor, ws, model, np.array([1.0, 1.0]), **UNIT_WEIGHTS)
+
+
+@pytest.mark.parametrize("k", [-2, 4])
+def test_build_rejects_a_pair_outside_the_plan_steps(k):
+    # the plan has steps 0..1: a pair at step 4 (K + 3) or -2 names no
+    # state, and dropping it would leave its region unconstrained
+    ws = make_ws()
+    atom = region_atom("r", (0.0, 0.0), (2.0, 2.0))
+    plan = _plan([[1.0, 1.0], [1.2, 1.0]],
+                 pairs=[SatisfactionPair(k, atom.label, atom)])
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
+    with pytest.raises(OptimizationError, match=f"pair r at step {k} lies "
+                       r"outside the plan's steps 0\.\.1"):
+        build_nlp(plan, cor, ws, unicycle_model(0.1),
+                  np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
+
+
+def test_build_rejects_a_model_of_another_step():
+    # a model of 0.5 s steps would transcribe the 0.1 s plan over five
+    # times its horizon
+    ws = make_ws()
+    plan = _plan([[1.0, 1.0], [1.2, 1.0]])
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
+    with pytest.raises(OptimizationError, match=r"model step 0\.5 s differs "
+                       r"from the plan's grid step 0\.1 s"):
+        build_nlp(plan, cor, ws, unicycle_model(0.5),
+                  np.array([1.0, 1.0, 0.0]), **UNIT_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------

@@ -684,6 +684,20 @@ def test_replanning_with_the_same_seed_is_byte_identical():
         [(p.k, p.label) for p in b.pairs]
 
 
+def test_plan_global_rejects_a_step_other_than_the_decompositions():
+    # scenario3 is decomposed at tau 0.1; planned at 0.2 its steps would
+    # be read as twice as long, a plan over twice the task's horizon
+    from stlplan.scenario_cli import load_scenario
+
+    scenario = load_scenario("scenario3")
+    dec = decompose(scenario.formula, scenario.tau)
+    with pytest.raises(PlanningError, match=r"planner step 0\.2 s differs "
+                       r"from the decomposition's grid step 0\.1 s"):
+        plan_global(dec, scenario.x0[:2], scenario.workspace,
+                    scenario.planner, tau=0.2,
+                    v_max=scenario.model.speed_limit)
+
+
 def test_disjunctive_fallback_fires_only_when_no_earlier_piece_holds():
     ws = make_ws(regions=[("a", (2.0, 2.0), (3.0, 3.0)),
                           ("t", (4.0, 4.0), (6.0, 6.0))])
