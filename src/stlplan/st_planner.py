@@ -31,9 +31,9 @@ time, and are rejected when they would exceed the commanded speed limit,
 so consecutive grid waypoints always stay within reach of the vehicle.
 The tree's rows live in numpy arrays, searched as arrays for the
 nearest vertex; each new vertex and edge is tested on plain floats
-(obstacles, guards, goal region).  Edge lengths alone stay numpy: the
-square root of the difference's dot product, which is what
-np.linalg.norm computes and differs in the last bit from math.hypot.
+(obstacles, guards, goal region).  Edge lengths are
+sqrt(dx * dx + dy * dy) on plain floats in that order, so no BLAS
+kernel's fused multiply-add can move a plan.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def steer(near_pos, near_time, samp_pos, samp_time, params, tau):
     near_pos = np.asarray(near_pos, dtype=float)
     samp_pos = np.asarray(samp_pos, dtype=float)
     delta = samp_pos - near_pos
-    dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's float operations
+    dx, dy = delta.tolist()
+    dist = math.sqrt(dx * dx + dy * dy)
     if dist > params.step:
         new_pos = near_pos + delta * (params.step / dist)
     else:
@@ -182,17 +183,15 @@ def _interp(p0, t0, p1, t1, t):
 
 def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
     """Validate one motion: duration, speed, obstacles, and the windowed
-    keep-in / keep-out constraints on the overlapped sub-segment.
-
-    The length is np.linalg.norm's square root of the difference's dot
-    product; everything after it runs on the endpoints as plain floats."""
+    keep-in / keep-out constraints on the overlapped sub-segment, all on
+    the endpoints as plain floats; the length is steer's."""
     dt = t1 - t0
     if dt < _MIN_EDGE_DT:
         return False
-    d = np.subtract(p1, p0)
-    if math.sqrt(d.dot(d)) > v_max * dt * (1.0 + 1e-9):
-        return False
     p0, p1 = _floats(p0), _floats(p1)
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    if math.sqrt(dx * dx + dy * dy) > v_max * dt * (1.0 + 1e-9):
+        return False
     if ws.segment_collides(p0, p1):
         return False
     for g in guards:

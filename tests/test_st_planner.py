@@ -163,14 +163,17 @@ def _speed_limit_for(threshold):
     return None
 
 
-def test_tree_lengths_are_np_linalg_norm_to_the_bit():
-    # math.hypot and sqrt(x*x + y*y) differ from np.linalg.norm by one ulp
-    # on several percent of such vectors; either would move plans
+def test_tree_lengths_are_the_plain_float_formula_to_the_bit():
+    # sqrt(dx*dx + dy*dy), in that order on plain floats: a BLAS dot
+    # product may fuse the multiply-add, and math.hypot rounds
+    # differently, each one ulp off on several percent of such vectors,
+    # and either would move plans
     vectors = np.random.default_rng(0).uniform(-10, 10, (20000, 2))
     origin = np.zeros(2)
     clamped = speed_tests = 0
     for d in vectors:
-        dist = float(np.linalg.norm(d))
+        dx, dy = d.tolist()
+        dist = math.sqrt(dx * dx + dy * dy)
         p, _ = steer(origin, 0.0, d, 1.0, PARAMS, 0.1)
         if dist > PARAMS.step:
             clamped += 1
