@@ -305,7 +305,9 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
     InfeasibleConstraintError; at one step a doorway shared by no two
     boxes comes first, then a waypoint inside a region it must avoid
     (named by the label of the first such pair at that step), then an
-    empty intersection.
+    empty intersection.  Inputs that disagree (the corridor's or x0's
+    shape, the model's step, a pair off the plan's steps) raise
+    OptimizationError.
     """
     pts = plan.waypoints.positions
     K = len(pts) - 1
