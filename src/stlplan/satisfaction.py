@@ -73,8 +73,8 @@ def stl_sat(seq, sub):
     if not (passes.all() if every else passes.any()):
         return False, ()
     if every:
-        return True, _pairs(sub.prop, (np.flatnonzero(holds) + ks.start)
-                            .tolist())
+        held = np.flatnonzero(holds) + ks.start
+        return True, _pairs(sub.prop, held.tolist())
     if sub.kind == "FG":
         i = int(passes.argmax())
         return True, _pairs(sub.prop, ks[i:i + width])
