@@ -36,3 +36,23 @@ def first_scenario_artifacts():
                         r_weights=scenario.r_weights)
     return {"scenario": scenario, "decomposition": dec, "plan": plan,
             "corridor": cor, "problem": problem}
+
+
+@pytest.fixture(scope="session")
+def shipped_first_attempts():
+    """The plan and corridor of run's first attempt on each shipped
+    scenario at seeds 0-2: {(name, seed): (scenario, plan, corridor)}."""
+    from dataclasses import replace
+
+    out = {}
+    for name in ("scenario1", "scenario2", "scenario3"):
+        sc = load_scenario(name)
+        dec = decompose(sc.formula, sc.tau)
+        for seed in range(3):
+            plan = plan_global(dec, sc.x0[:2], sc.workspace,
+                               replace(sc.planner, rng_seed=seed),
+                               tau=sc.tau, v_max=sc.model.speed_limit)
+            cor = construct_safe_corridor(plan.waypoints, sc.workspace,
+                                          sc.corridor_step)
+            out[name, seed] = (sc, plan, cor)
+    return out

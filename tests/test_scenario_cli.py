@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,9 +15,10 @@ from helpers import count_calls
 from stlplan import optimizer, scenario_cli
 from stlplan.optimizer import NlpSolution, SolverTolerances
 from stlplan.scenario_cli import (BUILTIN_SCENARIOS, ConfigError, RunReport,
-                                  emit_svg, load_scenario, main,
-                                  pairs_csv_text, plan_csv_text,
-                                  read_traj_csv, run_pipeline, traj_csv_text)
+                                  corridor_csv_text, emit_svg,
+                                  load_scenario, main, pairs_csv_text,
+                                  plan_csv_text, read_traj_csv, run_pipeline,
+                                  traj_csv_text)
 from stlplan.st_planner import GlobalPlan
 from stlplan.stl_core import PointSequence, StlError, parse_formula
 
@@ -476,6 +478,58 @@ def test_identical_seeds_give_byte_identical_artifacts(tiny_path, tmp_path):
         run_pipeline(scenario, seed=3, out_dir=out)
     for name in ("plan.csv", "pairs.csv", "corridor.csv", "traj.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# sha256 of plan.csv, pairs.csv and corridor.csv of the first attempt of
+# `run` per shipped scenario and seed; none of them uses BLAS, so they
+# hold under every OpenBLAS kernel.  A change that moves one updates it
+# here and declares the output change
+GOLDEN_PLANNER_DIGESTS = {
+    ("scenario1", 0): (
+        "6e67039edf59ee9862360eb545a00dd02645a253cd78b0bc9e056aac8d221b40",
+        "3eb8aeda9dbb1f8b1911538374b866c543fab287d6b3b54653a28f4942e486e6",
+        "5c4aa500b1379062c59d455d0f52961be328c7846b0c9453ad73fdae945a6cf6"),
+    ("scenario1", 1): (
+        "cf55b1a981b15f80168be8c2382ab79cfeb68e017f9cd2c9ac7228ed1e4284c0",
+        "c942654cf69a81b292d29fa2024f3b9b9ba1504eebea4fa8ab6f9beff2bc62b9",
+        "fb82d4373c0c8f4129309188e13e74f69c610e7117031fb7b8f76bb2417b3366"),
+    ("scenario1", 2): (
+        "af0b3bbc36891eeab92ec832a33e92b55ace1dd8e3b4d4ced254d196ec42abd4",
+        "e5559c4029c93a67baf2538de7e138c40ea9d61a11f9e27d872d7ce5c5849350",
+        "b716da3d8451132d3ecfca8737701a50ed4c687cd0566f306b34ec95d31a87c3"),
+    ("scenario2", 0): (
+        "09db9fa16f2e6aab584d3320f587c4955adaa7781c20d9259ab631d6a7887522",
+        "87675a5e189b95c45995caf138f871f919c7b27c7b7d27ff37babbb993e16964",
+        "dd61f87a25411b4b51fa44852e79ae64f9f8e110de61a86f69865ea9f066f6db"),
+    ("scenario2", 1): (
+        "c6c42d9b212f4e995b7a03b5d93f214c33aa7a7afcd32a32eccdd49df7d61058",
+        "87675a5e189b95c45995caf138f871f919c7b27c7b7d27ff37babbb993e16964",
+        "a6236ae6990af512db813d82b543e91009e050ddc0b2b98ae0b385da5271c23f"),
+    ("scenario2", 2): (
+        "2ccaa8f1753731421e7686c7fef5fc28fc293fc64ded62cd425030903f45d4f8",
+        "87675a5e189b95c45995caf138f871f919c7b27c7b7d27ff37babbb993e16964",
+        "e19bbb60d2e11096db32df2da6b4ea75e95389a2a426450bd159e3bdffcd66c2"),
+    ("scenario3", 0): (
+        "62952b52241100951d0081049d4693b80517aa991ff4e0876d26780d6f1ec8f4",
+        "02c90c937f4212b09f3b9167bb97385676a989715eafe01f3799f6660ccc8515",
+        "85b029c381599c08a6d48b0754893a1442e0f53149c9562a1a6ada917e94fe06"),
+    ("scenario3", 1): (
+        "e7f19f1404229e351d2d57c0e78e5ae46a51a6c1671dec12932b2bcb177d7259",
+        "128eb43cba5d10ef0afbe28b59d03c967922e7e042292d2247fd94b3efb68442",
+        "c4430067656eb2d034bbbaeb2491316f95c5ef038d512fe60a653e5ee8266194"),
+    ("scenario3", 2): (
+        "14b6b1115583198e799eeda17d3512d1d2b0792c3cfbcdda84a39f25ad9674f4",
+        "128eb43cba5d10ef0afbe28b59d03c967922e7e042292d2247fd94b3efb68442",
+        "7c4480ec40322f278840f102781a50914d85b43d82eeae2b188500ad5ff894b3"),
+}
+
+
+def test_planner_artifacts_match_their_golden_digests(shipped_first_attempts):
+    got = {key: tuple(hashlib.sha256(text.encode()).hexdigest()
+                      for text in (plan_csv_text(plan), pairs_csv_text(plan),
+                                   corridor_csv_text(cor)))
+           for key, (_, plan, cor) in shipped_first_attempts.items()}
+    assert got == GOLDEN_PLANNER_DIGESTS
 
 
 def test_exit_codes_follow_the_status():
