@@ -77,9 +77,18 @@ def _grow_outcome(grow, point, ws, step):
         return str(err)
 
 
+def _bits(outcome):
+    """A box as the reprs of its bounds, which tell -0.0 from 0.0 as
+    corridor.csv does; an error message as itself."""
+    if isinstance(outcome, Box):
+        return repr(outcome.lo), repr(outcome.hi)
+    return outcome
+
+
 def _assert_grows_like_the_reference(point, ws, step):
     got = _grow_outcome(safe_cor, point, ws, step)
-    assert got == _grow_outcome(reference_safe_cor, point, ws, step)
+    assert _bits(got) == _bits(_grow_outcome(reference_safe_cor, point, ws,
+                                             step))
     return got
 
 
@@ -138,6 +147,47 @@ def test_safe_cor_named_cases_match_the_reference():
     assert "not in free space" in got["seed on an obstacle corner"]
     assert got["step wider than the workspace"] == \
         Box((5.0, 0.0), (10.0, 3.0))
+
+
+def test_safe_cor_faces_that_end_on_zero_match_the_reference():
+    # a face that lands on zero by a step, snaps onto a 0.0 bound or
+    # obstacle face, or starts from a -0.0 seed keeps the reference's
+    # sign of zero, which corridor.csv prints
+    low = make_ws(bounds=((0.0, 0.0), (10.0, 6.0)))
+    high = make_ws(bounds=((-10.0, -6.0), (0.0, 0.0)))
+    inset = make_ws(bounds=((-5.0, -5.0), (5.0, 5.0)),
+                    obstacles=[((0.0, 1.0), (3.0, 4.0)),
+                               ((-4.0, -4.0), (-1.0, 0.0))])
+    cases = {
+        "low faces step onto the 0.0 bound": (low, (1.0, 1.5), 0.25),
+        "high faces step onto the 0.0 bound": (high, (-3.0, -2.0), 0.5),
+        "high faces overshoot the 0.0 bound": (high, (-3.0, -2.0), 0.7),
+        "faces snap onto 0.0 obstacle faces": (inset, (-0.5, 2.0), 0.25),
+        "faces step onto 0.0 and then snap": (inset, (-1.5, 2.5), 0.5),
+        "seed at -0.0 on the low bound": (low, (-0.0, 3.0), 0.25),
+        "seed at -0.0 inside": (inset, (-0.0, -0.0), 0.05),
+    }
+    got = {name: _assert_grows_like_the_reference(p, ws, step)
+           for name, (ws, p, step) in cases.items()}
+    assert repr(got["low faces step onto the 0.0 bound"].lo) == "(0.0, 0.0)"
+    for name in ("high faces step onto the 0.0 bound",
+                 "high faces overshoot the 0.0 bound"):
+        assert repr(got[name].hi) == "(0.0, 0.0)"
+    for name in ("faces snap onto 0.0 obstacle faces",
+                 "faces step onto 0.0 and then snap"):
+        assert repr((got[name].lo[1], got[name].hi[0])) == "(0.0, 0.0)"
+
+
+def test_shipped_corridor_boxes_match_the_reference(shipped_first_attempts):
+    # every distinct box of the first-attempt corridors, grown from the
+    # waypoint that opened its run
+    for sc, plan, cor in shipped_first_attempts.values():
+        run, distinct = cor.runs()
+        first = np.flatnonzero(np.diff(run, prepend=-1))
+        pts = plan.waypoints.positions
+        for box, k in zip(distinct, first):
+            assert _bits(box) == _bits(reference_safe_cor(
+                pts[k], sc.workspace, sc.corridor_step))
 
 
 def test_safe_cor_ignores_obstacles_beyond_the_bound():
