@@ -3,21 +3,37 @@
 Each waypoint gets an axis-aligned box grown around it: faces take
 turns expanding by a fixed increment and freeze by snapping onto the
 first obstacle face or workspace bound they would otherwise cross.
+
+The growth works on one mirrored face vector (-xlo, xhi, -ylo, yhi,
+...), in which every face moves up.  The workspace bound is mirrored
+the same way, and an obstacle is the mirrored vector of its opposite
+faces (-xhi, xlo, -yhi, ylo, ...): each entry is the plane that face
+snaps onto, and the box overlaps the obstacle (closed) exactly when no
+entry of the box's vector is below the obstacle's.  Negation is exact
+and round-to-nearest is sign-symmetric, so every step, comparison and
+snap is the mirror of the one in plain coordinates, and the box is
+built at the end by negating the low faces.  A face that steps exactly
+onto its bound takes the bound's own zero, which plain coordinates give
+too unless the bound is written -0.0.
+
 The growth jumps between events: each face's unblocked positions are
 precomputed with the round's own float operations, a sorted search
-finds the rounds in which some face reaches an obstacle plane or the
-workspace bound, and only those rounds run the blocker test, so the box
-is the one the round-by-round schedule gives, bit for bit.
+finds the rounds in which some face reaches an obstacle plane or its
+bound, and only those rounds run the blocker test, each live face first
+moved straight to its precomputed position.  In the rounds skipped no
+move reaches a plane or a bound, so the blocker test would find nothing
+whatever the box overlaps, and the box is the one the round-by-round
+schedule gives, bit for bit.
 Consecutive waypoints reuse the previous box while they stay inside it,
 so a corridor typically holds far fewer distinct boxes than waypoints.
 Checks run on arrays: containment once per waypoint against the bounds
 of its box, and the workspace and obstacle tests once per distinct box.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import ge
 
 import numpy as np
 
@@ -83,82 +99,54 @@ class SafeCorridor:
         raise CorridorError(f"box {k} overlaps an obstacle")
 
 
-def _blocked_overlap(box_lo, box_hi, obstacle, axis):
-    """Closed overlap on every axis except the expanding one."""
-    for j in range(len(box_lo)):
-        if j == axis:
-            continue
-        if max(box_lo[j], obstacle.lo[j]) > min(box_hi[j], obstacle.hi[j]):
-            return False
-    return True
+def _faces(lo, hi):
+    """The mirrored vector (-lo[0], hi[0], -lo[1], hi[1], ...)."""
+    return [v for l, h in zip(lo, hi) for v in (-l, h)]
 
 
-def _event_starts(p, ws, step):
-    """Where the faces of a box grown from p stand at the start of each
-    round in which one of them can freeze, provided none has frozen yet:
-    one row per such round in ascending order, one entry per face in
-    round-robin order (x low, x high, y low, y high, ...).
+def _event_starts(start, bound, planes, step):
+    """Where the faces stand at the start of each round in which one of
+    them can freeze, provided none has frozen yet: one row per such round
+    in ascending order, one mirrored position per face.
 
-    A face's position after n rounds is the one before plus or minus the
-    step, the round's own float operation (accumulate runs them in
-    sequence), until the first one at or past the bound; that round
-    freezes the face at the latest.  The other rounds listed are those
-    whose (target, cur] interval (mirrored for a high face) holds an
-    obstacle plane the face could snap onto.
+    A face's position after n rounds is the one before plus the step, the
+    round's own float operation (accumulate runs them in sequence), until
+    the first one at or past the bound; that round freezes the face at
+    the latest.  The other rounds listed are those whose [cur, target)
+    interval holds an obstacle plane the face could snap onto.
     """
-    dim = len(p)
-    sign = np.array([-1.0, 1.0] * dim)
-    start = np.repeat(p, 2)
-    # mirrored so that every face moves up: -x for low faces; negation is
-    # exact, so comparisons of mirrored values are exact too
-    bound = sign * np.array([ws.bounds.lo, ws.bounds.hi]).T.ravel()
-    n = int(np.max(bound - sign * start) / step) + 2
+    bound = np.array(bound)
+    planes = np.array(planes).reshape(-1, len(start))
+    n = int(np.max(bound - start) / step) + 2
     while True:
-        inc = np.empty((2 * dim, n + 1))
+        inc = np.full((len(start), n + 1), step)
         inc[:, 0] = start
-        inc[:, 1:] = (sign * step)[:, None]
         pos = np.add.accumulate(inc, axis=1)
-        up = sign[:, None] * pos
-        if np.all(up[:, -1] >= bound):
+        if np.all(pos[:, -1] >= bound):
             break
         n *= 2
     rounds = set()
-    for f, row in enumerate(up):
-        axis = f // 2
-        planes = ws._obs_lo[:, axis] if f % 2 else -ws._obs_hi[:, axis]
-        last = int(np.searchsorted(row[1:], bound[f])) + 1
-        # round r crosses the mirrored plane h when row[r - 1] <= h < row[r]
-        cross = np.searchsorted(row, planes, side="right")
+    for row, b, col in zip(pos, bound, planes.T):
+        last = int(np.searchsorted(row[1:], b)) + 1
+        # round r crosses the plane h when row[r - 1] <= h < row[r]
+        cross = np.searchsorted(row, col, side="right")
         rounds.update(cross[(cross > 0) & (cross < last)].tolist())
         rounds.add(last)
     return pos[:, np.array(sorted(rounds)) - 1].T.tolist()
 
 
-def _step_face(lo, hi, axis, side, ws, step):
-    """One round of one live face: move by the step toward the bound,
-    or snap onto the nearest obstacle face the move would cross.
-    Returns True when the face froze."""
-    if side == 0:
-        cur = lo[axis]
-        target = max(cur - step, ws.bounds.lo[axis])
-        blockers = [o.hi[axis] for o in ws.obstacles
-                    if target < o.hi[axis] <= cur
-                    and _blocked_overlap(lo, hi, o, axis)]
-        if blockers:
-            lo[axis] = max(blockers)
-            return True
-        lo[axis] = target
-        return target == ws.bounds.lo[axis]
-    cur = hi[axis]
-    target = min(cur + step, ws.bounds.hi[axis])
-    blockers = [o.lo[axis] for o in ws.obstacles
-                if cur <= o.lo[axis] < target
-                and _blocked_overlap(lo, hi, o, axis)]
+def _step_face(m, f, bound, planes, step):
+    """One round of live face f: move it by the step toward its bound, or
+    snap it onto the nearest plane in [cur, target) of an obstacle that
+    the moved box overlaps (closed).  Returns True when the face froze."""
+    cur = m[f]
+    m[f] = target = min(bound[f], cur + step)
+    blockers = [q[f] for q in planes
+                if cur <= q[f] < target and all(map(ge, m, q))]
     if blockers:
-        hi[axis] = min(blockers)
+        m[f] = min(blockers)
         return True
-    hi[axis] = target
-    return target == ws.bounds.hi[axis]
+    return target == bound[f]
 
 
 def safe_cor(point, ws, step):
@@ -166,26 +154,23 @@ def safe_cor(point, ws, step):
 
     Faces expand round-robin (x low, x high, y low, y high, ...) by the
     step increment and freeze by snapping exactly onto whatever blocks
-    them: an obstacle face or the workspace bound.  Only the rounds in
-    which some face can freeze are run, each live face first moved
-    straight to its precomputed position.  That is exact: in a round
-    where no face's move reaches an obstacle plane or the bound, the
-    blocker test finds nothing whatever the box overlaps, so every live
-    face just steps.
+    them: an obstacle face or the workspace bound.  Raises CorridorError
+    when the point is not in free space.
     """
     p = np.asarray(point, dtype=float)
     if not ws.point_free(p):
         raise CorridorError(f"corridor seed {p.tolist()} is not in free "
                             f"space")
-    lo = [float(v) for v in p]
-    hi = [float(v) for v in p]
-    live = list(range(2 * len(p)))
-    for start in _event_starts(p, ws, step):
+    m = _faces(p.tolist(), p.tolist())
+    bound = _faces(ws.bounds.lo, ws.bounds.hi)
+    planes = [_faces(o.hi, o.lo) for o in ws.obstacles]
+    live = range(len(m))
+    for start in _event_starts(m, bound, planes, step):
         for f in live:
-            (lo, hi)[f % 2][f // 2] = start[f]
+            m[f] = start[f]
         live = [f for f in live
-                if not _step_face(lo, hi, f // 2, f % 2, ws, step)]
-    return Box(tuple(lo), tuple(hi))
+                if not _step_face(m, f, bound, planes, step)]
+    return Box([-v for v in m[::2]], m[1::2])
 
 
 def construct_safe_corridor(waypoints, ws, step):
