@@ -730,7 +730,7 @@ def _cmd_run(args):
         futures = [pool.submit(_run_one, *job) for job in jobs]
         results = [fut.result() for fut in futures]
     for run_seed, status, length, _ in results:
-        extra = f", length {length:.2f} m" if length else ""
+        extra = f", length {length:.2f} m" if length is not None else ""
         print(f"seed {run_seed}: {status}{extra}")
     return max(code for *_, code in results)  # 3 outranks 2 outranks 0
 

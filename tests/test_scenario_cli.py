@@ -743,15 +743,24 @@ def test_cli_run_then_check_round_trip(tiny_path, tmp_path, capsys):
 
 
 def test_cli_run_repeat_runs_consecutive_seeds(tiny_path, tmp_path, capsys):
-    out = tmp_path / "batch"
-    code = main(["run", str(tiny_path), "--seed", "0", "--out", str(out),
-                 "--repeat", "2"])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "seed 0: satisfied" in text
-    assert "seed 1: satisfied" in text
-    for seed in (0, 1):
-        assert (out / f"seed{seed}" / "traj.csv").exists()
+    # the second input is scenario3 started inside mu1 and told to stay
+    # there: its trajectory is solved and 0.0 m long, and the line says so
+    still = json.loads((Path(scenario_cli.__file__).parent / "scenarios" /
+                        "scenario3.json").read_text())
+    still.update(x0=[3.5, 1.5, 0.0], formula="G[0,2] mu1")
+    for path, length in ((tiny_path, r"[1-9]\d*\.\d\d"),
+                         (_write_scenario(tmp_path, still, "still.json"),
+                          r"0\.00")):
+        out = tmp_path / f"batch-{path.stem}"
+        code = main(["run", str(path), "--seed", "0", "--out", str(out),
+                     "--repeat", "2"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for seed, line in enumerate(lines):
+            assert re.fullmatch(rf"seed {seed}: satisfied, length {length} m",
+                                line), line
+            assert (out / f"seed{seed}" / "traj.csv").exists()
 
 
 def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
