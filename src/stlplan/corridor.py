@@ -29,6 +29,7 @@ so a corridor typically holds far fewer distinct boxes than waypoints.
 Checks run on arrays: containment once per waypoint against the bounds
 of its box, and the workspace and obstacle tests once per distinct box.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
