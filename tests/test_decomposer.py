@@ -73,6 +73,14 @@ def test_split_leaves_single_window_subtasks_alone():
     assert split_subtask(gf, cuts) == [gf]
 
 
+def test_a_cut_inside_a_nested_subtask_is_an_error():
+    gf = _sub("GF", (0, 10), (0, 10))
+    with pytest.raises(StlError) as err:
+        split_subtask(gf, (0, 5, 15, 20))
+    assert str(err.value) == "cut at 5 s splits nested sub-task " \
+                             "G[0,10] F[0,10] r"
+
+
 def test_split_pieces_tile_the_original_interval():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -10,8 +10,9 @@ from helpers import (direct_eval, make_ws, oracle_satisfies_until,
 from stlplan.stl_core import (AtomicProp, Box, CoverageError, Formula,
                               FormulaSyntaxError, IntervalAlignmentError,
                               NestedOverlapError, PointSequence, Region,
-                              SubTask, TimeInterval, UnknownRegionError,
-                              Workspace, grid_ceil, oracle_satisfies_formula,
+                              StlError, SubTask, TimeInterval,
+                              UnknownRegionError, Workspace, grid_ceil,
+                              is_identifier, oracle_satisfies_formula,
                               parse_formula, snap_index)
 
 WS = make_ws(regions=[
@@ -340,6 +341,70 @@ def test_parse_errors_carry_positions():
     with pytest.raises(FormulaSyntaxError, match="expected U") as err:
         parse_formula("mu1 F[0,5] mu2", WS, tau=0.1)
     assert err.value.position == 4
+
+
+# one formula per place the parser raises, with the exact exception type,
+# message and position (None where the error carries none)
+_PARSE_ERRORS = [
+    pytest.param("F[0,1] mu1 #", FormulaSyntaxError,
+                 "unexpected character '#' (at position 11)", 11,
+                 id="unexpected-character"),
+    pytest.param("F(0,1] mu1", FormulaSyntaxError,
+                 "expected [, found '(' (at position 1)", 1,
+                 id="expected-kind-found-token"),
+    pytest.param("F[0,1]", FormulaSyntaxError,
+                 "expected ident, found end of input (at position 6)", 6,
+                 id="expected-kind-at-end"),
+    pytest.param("F[0,1] mu1 mu2", FormulaSyntaxError,
+                 "unexpected 'mu2' (at position 11)", 11,
+                 id="trailing-token"),
+    pytest.param("mu1 F[0,5] mu2", FormulaSyntaxError,
+                 "expected U, found 'F' (at position 4)", 4,
+                 id="expected-until"),
+    pytest.param("G[0,1] G[0,1] mu1", FormulaSyntaxError,
+                 "G may not nest another G (at position 7)", 7,
+                 id="same-operator-nesting"),
+    pytest.param("G[0,2] F[0,1] G[0,1] mu1", FormulaSyntaxError,
+                 "nesting deeper than two operators (at position 14)", 14,
+                 id="nesting-deeper-than-two"),
+    pytest.param("F[3,1] mu1", FormulaSyntaxError,
+                 "interval upper bound 1 below lower bound 3 (at position 5)",
+                 5, id="inverted-interval"),
+    pytest.param("F[0," + "9" * 400 + "] mu1", FormulaSyntaxError,
+                 "endpoint is too large (at position 4)", 4,
+                 id="endpoint-too-large"),
+    pytest.param("F[0,0.15] mu1", IntervalAlignmentError,
+                 "endpoint 0.15 is not a multiple of the sampling step 0.1 "
+                 "(at position 4)", 4, id="endpoint-off-grid"),
+    pytest.param("F[0,1] (mu3 & mu6)", FormulaSyntaxError,
+                 "regions mu3 & mu6 have empty intersection (at position 17)",
+                 17, id="empty-intersection"),
+    pytest.param("F[0,1] (mu1)", FormulaSyntaxError,
+                 "expected &, found ')' (at position 11)", 11,
+                 id="single-name-group"),
+    pytest.param("F[0,1] !(mu1 & mu2)", FormulaSyntaxError,
+                 "expected ident, found '(' (at position 8)", 8,
+                 id="negation-without-name"),
+    pytest.param("F[0,1] nowhere", UnknownRegionError,
+                 "unknown region 'nowhere'", None, id="unknown-region"),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, position", _PARSE_ERRORS)
+def test_every_parse_error_is_pinned(text, kind, message, position):
+    with pytest.raises(StlError) as err:
+        parse_formula(text, WS, tau=0.1)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+@pytest.mark.parametrize("name, ok", [
+    ("mu1", True), ("FG", True), ("U1", True), ("F", False), ("1a", False),
+    ("a b", False), ("", False), ("é", False),
+])
+def test_is_identifier(name, ok):
+    assert is_identifier(name) is ok
 
 
 def test_parse_rejects_unknown_region():
