@@ -117,18 +117,14 @@ def split_subtask(sub, cuts):
     sub-tasks are never split.
     """
     ai = sub.active_interval()
+    bounds = [ai.lo] + [c for c in cuts if ai.interior_contains(c)] + [ai.hi]
+    if len(bounds) == 2:
+        return [sub]
     if sub.nested:
-        inside = [c for c in cuts if ai.interior_contains(c)]
-        if inside:
-            raise StlError(f"cut at {seconds(inside[0], ai.tau)} s splits "
-                           f"nested sub-task {sub}")
-        return [sub]
-    inner_cuts = [c for c in cuts if ai.interior_contains(c)]
-    if not inner_cuts:
-        return [sub]
-    bounds = [ai.lo] + inner_cuts + [ai.hi]
+        raise StlError(f"cut at {seconds(bounds[1], ai.tau)} s splits "
+                       f"nested sub-task {sub}")
     pieces = [SubTask(sub.kind, TimeInterval(a, b, ai.tau), None, sub.prop)
-              for a, b in zip(bounds[:-1], bounds[1:])]
+              for a, b in zip(bounds, bounds[1:])]
     if sub.kind == "F":
         return DisjunctiveFSet(sub, tuple(pieces))
     return pieces

@@ -414,7 +414,12 @@ class Formula:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z_]\w*)|([!&\[\](),]))")
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<num>\d+(?:\.\d+)?)
+  | (?P<op>[FGU](?!\w))
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<sym>[!&\[\](),])
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
 def is_identifier(name):
@@ -422,30 +427,19 @@ def is_identifier(name):
     letter or underscore, then letters, digits or underscores, and none
     of the operators F, G and U."""
     m = _TOKEN_RE.fullmatch(name)
-    return (m is not None and m.group(2) == name
-            and name not in ("F", "G", "U"))
+    return m is not None and m["ident"] == name
 
 
 def _tokenize(text):
+    """(kind, text, position) of each token, then an end token; a symbol's
+    kind is its own text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            word = m.group(2)
-            kind = "op" if word in ("F", "G", "U") else "ident"
-            tokens.append((kind, word, m.start(2)))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word, at = m[kind], m.start(kind)
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {word!r}", at)
+        tokens.append((word if kind == "sym" else kind, word, at))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -457,8 +451,9 @@ class _Parser:
         self.tau = tau
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def next_is(self, *words):
+        """True when the next token's text is one of words."""
+        return self.tokens[self.i][1] in words
 
     def take(self, kind=None):
         tok = self.tokens[self.i]
@@ -471,48 +466,39 @@ class _Parser:
 
     def parse(self):
         subtasks = self.clause()
-        while self.peek()[0] == "&":
+        while self.next_is("&"):
             self.take()
             subtasks += self.clause()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise FormulaSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+        kind, word, at = self.take()
+        if kind != "end":
+            raise FormulaSyntaxError(f"unexpected {word!r}", at)
         return Formula(subtasks)
 
     def clause(self):
-        """The sub-tasks of one clause."""
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in ("F", "G"):
-            return [self.temporal_clause()]
-        left = self.atom()
-        op = self.take("op")
-        if op[1] != "U":
-            raise FormulaSyntaxError(f"expected U, found {op[1]!r}", op[2])
-        ival = self.interval()
-        right = self.atom()
-        # Sufficient rewrite: hold the left atom over the whole window and
-        # reach the right atom inside it.
-        return [SubTask("G", ival, None, left),
-                SubTask("F", ival, None, right)]
-
-    def temporal_clause(self):
-        op1 = self.take("op")
-        iv1 = self.interval()
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in ("F", "G"):
-            op2 = self.take("op")
-            if op2[1] == op1[1]:
-                raise FormulaSyntaxError(
-                    f"{op1[1]} may not nest another {op2[1]}", op2[2])
-            iv2 = self.interval()
-            nxt = self.peek()
-            if nxt[0] == "op" and nxt[1] in ("F", "G"):
+        """The sub-tasks of one clause: an until, or F or G over an atom,
+        the one nesting the other or not."""
+        if not self.next_is("F", "G"):
+            left = self.atom()
+            _, op, at = self.take("op")
+            if op != "U":
+                raise FormulaSyntaxError(f"expected U, found {op!r}", at)
+            ival = self.interval()
+            # Sufficient rewrite: hold the left atom over the whole window and
+            # reach the right atom inside it.
+            return [SubTask("G", ival, None, left),
+                    SubTask("F", ival, None, self.atom())]
+        kind, ivals = "", []
+        while self.next_is("F", "G"):
+            _, op, at = self.take()
+            if len(kind) == 2:
                 raise FormulaSyntaxError("nesting deeper than two operators",
-                                         nxt[2])
-            prop = self.atom()
-            return SubTask(op1[1] + op2[1], iv1, iv2, prop)
-        prop = self.atom()
-        return SubTask(op1[1], iv1, None, prop)
+                                         at)
+            if kind == op:
+                raise FormulaSyntaxError(f"{op} may not nest another {op}", at)
+            kind += op
+            ivals.append(self.interval())
+        outer, inner, *_ = ivals + [None]
+        return [SubTask(kind, outer, inner, self.atom())]
 
     def interval(self):
         self.take("[")
@@ -540,32 +526,27 @@ class _Parser:
         return k
 
     def atom(self):
-        tok = self.peek()
-        if tok[0] == "!":
+        if self.next_is("!"):
             self.take()
             name = self.take("ident")
             return AtomicProp(self.ws.region(name[1]), negated=True)
-        if tok[0] == "(":
-            self.take()
-            names = [self.take("ident")]
+        if not self.next_is("("):
+            return AtomicProp(self.ws.region(self.take("ident")[1]))
+        self.take()
+        names = [self.take("ident")[1]]
+        while len(names) < 2 or self.next_is("&"):
             self.take("&")
-            names.append(self.take("ident"))
-            while self.peek()[0] == "&":
-                self.take()
-                names.append(self.take("ident"))
-            close = self.take(")")
-            regions = [self.ws.region(n[1]) for n in names]
-            box = regions[0].box
-            for r in regions[1:]:
-                box = box.intersect(r.box)
-                if box is None:
-                    raise FormulaSyntaxError(
-                        "regions " + " & ".join(n[1] for n in names) +
-                        " have empty intersection", close[2])
-            combined = Region("&".join(n[1] for n in names), box)
-            return AtomicProp(combined)
-        name = self.take("ident")
-        return AtomicProp(self.ws.region(name[1]))
+            names.append(self.take("ident")[1])
+        close = self.take(")")
+        regions = [self.ws.region(n) for n in names]
+        box = regions[0].box
+        for r in regions[1:]:
+            box = box.intersect(r.box)
+            if box is None:
+                raise FormulaSyntaxError(
+                    f"regions {' & '.join(names)} have empty intersection",
+                    close[2])
+        return AtomicProp(Region("&".join(names), box))
 
 
 def parse_formula(text, workspace, tau):
