@@ -92,10 +92,6 @@ def _array(item, what, size=None, test=lambda v: True, cast=tuple):
     return parse
 
 
-def _or_null(parse):
-    return lambda value, name: None if value is None else parse(value, name)
-
-
 _number = _scalar((int, float), "a number", math.isfinite, float)
 _positive = _scalar((int, float), "a positive number",
                     lambda v: 0 < v < math.inf, float)
@@ -170,7 +166,7 @@ _SCENARIO = _table({
     "dynamics": _table({"model": _unicycle, "v": _interval,
                         "omega": _interval}, required=("model",)),
     "planner": _table({"goal_bias": _fraction, "step": _positive,
-                       "time_step": _or_null(_positive),
+                       "time_step": _positive,
                        "max_iters_per_tree": _count, "max_restarts": _count}),
     "solver": _table({"eps_feas": _positive, "eps_opt": _positive,
                       "max_outer": _count, "max_inner": _count,

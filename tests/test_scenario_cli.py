@@ -187,6 +187,8 @@ def test_unknown_sources_are_config_errors(tmp_path):
     (lambda d: d["workspace"]["regions"].update({"": [[0, 1], [0, 1]]}),
      "workspace.regions key ''"),
     (lambda d: d["planner"].update(time_overshoot=0.2), "time_overshoot"),
+    (lambda d: d["planner"].update(time_step=None),
+     "planner.time_step must be a positive number"),
 ])
 def test_malformed_scenarios_are_rejected(tmp_path, mutate, hint):
     data = _tiny_data()
