@@ -128,16 +128,6 @@ def unicycle_model(tau, v_bounds=(-4.0, 4.0),
         input_hi=(float(v_bounds[1]), float(omega_bounds[1])))
 
 
-def rollout(model, x0, inputs):
-    """Apply an input sequence from x0; returns the K+1 visited states."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    states = np.empty((len(inputs) + 1, model.state_dim))
-    states[0] = np.asarray(x0, dtype=float)
-    for k, u in enumerate(inputs):
-        states[k + 1] = model.step(states[k], u)
-    return states
-
-
 @dataclass
 class NlpProblem:
     """Bounds, weights, and metadata of one transcription instance."""

@@ -1,6 +1,7 @@
 """Shared test fixtures: workspace builders, an independently coded
 satisfaction evaluator, the direct until check, randomized instance
-generators, dense references for the Newton system of a transcription
+generators, the rollout of an input sequence through a dynamics model,
+dense references for the Newton system of a transcription
 and the bincount band kernel and boolean-indexed projected gradient
 norm that the solver's in-place versions reproduce,
 per-step loop references for the corridor check and the transcription
@@ -149,6 +150,16 @@ def oracle_satisfies_until(seq, left, ival, right):
                    for k2 in range(seq.k0, k1 + 1)):
                 return True
     return False
+
+
+def rollout(model, x0, inputs):
+    """Apply an input sequence from x0; returns the K+1 visited states."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    states = np.empty((len(inputs) + 1, model.state_dim))
+    states[0] = np.asarray(x0, dtype=float)
+    for k, u in enumerate(inputs):
+        states[k + 1] = model.step(states[k], u)
+    return states
 
 
 def step_jacobians(A, B):

@@ -13,10 +13,10 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from helpers import (dense_dynamics_jacobian, direct_eval, honoring_sequence,
-                     random_instance)
+                     random_instance, rollout)
 from stlplan.decomposer import decompose
 from stlplan.optimizer import (DynamicsModel, NlpProblem, SolverTolerances,
-                               rollout, solve_nlp, unicycle_model)
+                               solve_nlp, unicycle_model)
 from stlplan.satisfaction import stl_sat
 from stlplan.scenario_cli import load_scenario, main, run_pipeline
 

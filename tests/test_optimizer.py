@@ -14,7 +14,8 @@ from helpers import (band_to_dense, count_calls, dense_cost_hessian,
                      dense_dynamics_jacobian, make_ws,
                      reference_initial_guess, reference_newton_band,
                      reference_position_bounds,
-                     reference_projected_gradient_norm, region_atom)
+                     reference_projected_gradient_norm, region_atom,
+                     rollout)
 from stlplan import optimizer, scenario_cli
 from stlplan.corridor import (DEFAULT_STEP, SafeCorridor,
                               construct_safe_corridor)
@@ -23,7 +24,7 @@ from stlplan.optimizer import (DEFAULT_MARGIN, DynamicsModel,
                                OptimizationError, SolverTolerances,
                                _avoid_faces, _NewtonBand, _position_bounds,
                                build_nlp,
-                               evaluate_solution, initial_guess, rollout,
+                               evaluate_solution, initial_guess,
                                solve_nlp, unicycle_linearize, unicycle_model)
 from stlplan.satisfaction import SatisfactionPair, stl_sat
 from stlplan.st_planner import GlobalPlan
