@@ -432,7 +432,8 @@ def is_identifier(name):
 
 def _tokenize(text):
     """(kind, text, position) of each token, then an end token; a symbol's
-    kind is its own text."""
+    kind is its own text.  A non-blank character that starts no token is
+    an error at its own position."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
