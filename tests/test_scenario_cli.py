@@ -534,6 +534,32 @@ def test_planner_artifacts_match_their_golden_digests(shipped_first_attempts):
     assert got == GOLDEN_PLANNER_DIGESTS
 
 
+def test_traj_csv_and_figure_svg_bytes_are_pinned(first_scenario_artifacts):
+    # a solution built without the solver, so the bytes hold under every
+    # OpenBLAS kernel: the states are scenario1's seed-0 waypoints, their
+    # headings cross +-pi, so traj.csv wraps them, one heading is -0.0,
+    # and the inputs are seeded draws.  A change that moves either digest
+    # updates it here and declares the output change
+    scenario = first_scenario_artifacts["scenario"]
+    plan = first_scenario_artifacts["plan"]
+    xy = plan.waypoints.positions
+    K = len(xy) - 1
+    states = np.column_stack([xy, np.linspace(-7.0, 7.0, K + 1)])
+    states[1, 2] = -0.0
+    inputs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(K, 2))
+    sol = NlpSolution(states=states, inputs=inputs, cost=0.0,
+                      max_violation=0.0, outer_iterations=1,
+                      converged=True, message="converged")
+    traj = traj_csv_text(sol, scenario.tau)
+    assert traj.splitlines()[2].split(",")[4] == "-0.0"
+    svg = emit_svg(scenario, plan, first_scenario_artifacts["corridor"],
+                   states[:, :2])
+    assert [hashlib.sha256(text.encode()).hexdigest()
+            for text in (traj, svg)] == [
+        "77a82e461c4a7395378391950ac1f9414d88c09f234124880becbdef21dac9aa",
+        "e995af58d4fe816253de55bb90b42df29ce2927bd1874eca3fb71c0dea7bf544"]
+
+
 def test_exit_codes_follow_the_status():
     scenario = load_scenario("scenario1")
     assert RunReport(scenario, 0, status="satisfied").exit_code() == 0
