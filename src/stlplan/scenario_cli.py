@@ -243,51 +243,40 @@ def load_scenario(source):
 # ---------------------------------------------------------------------------
 # artifact serialization
 
-def _f(v):
-    return repr(float(v))
+def _csv_text(header, rows):
+    """The header line, then one line per row."""
+    return "\n".join([header, *rows]) + "\n"
 
 
 def plan_csv_text(plan):
-    lines = ["k,t,x,y"]
-    tau = plan.waypoints.tau
-    for j, p in enumerate(plan.waypoints.positions):
-        k = plan.waypoints.k0 + j
-        lines.append(f"{k},{_f(k * tau)},{_f(p[0])},{_f(p[1])}")
-    return "\n".join(lines) + "\n"
+    wp = plan.waypoints
+    return _csv_text("k,t,x,y", (
+        f"{k},{k * wp.tau!r},{x!r},{y!r}"
+        for k, (x, y) in enumerate(wp.positions.tolist(), wp.k0)))
 
 
 def pairs_csv_text(plan):
-    lines = ["k,t,region"]
     tau = plan.waypoints.tau
-    for pair in plan.pairs:
-        lines.append(f"{pair.k},{_f(pair.k * tau)},{pair.label}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("k,t,region", (f"{p.k},{p.k * tau!r},{p.label}"
+                                    for p in plan.pairs))
 
 
 def corridor_csv_text(cor):
-    lines = ["k,xmin,xmax,ymin,ymax"]
-    for k, box in enumerate(cor.boxes):
-        lines.append(f"{k},{_f(box.lo[0])},{_f(box.hi[0])},"
-                     f"{_f(box.lo[1])},{_f(box.hi[1])}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("k,xmin,xmax,ymin,ymax", (
+        f"{k},{b.lo[0]!r},{b.hi[0]!r},{b.lo[1]!r},{b.hi[1]!r}"
+        for k, b in enumerate(cor.boxes)))
 
 
 _TRAJ_HEADER = "k,t,x,y,theta,v,omega"
 
 
 def traj_csv_text(solution, tau):
-    lines = [_TRAJ_HEADER]
-    K = len(solution.states) - 1
-    for k, s in enumerate(solution.states):
-        theta = math.remainder(float(s[2]), 2.0 * math.pi)
-        if k < K:
-            u = solution.inputs[k]
-            tail = f"{_f(u[0])},{_f(u[1])}"
-        else:
-            tail = ","
-        lines.append(f"{k},{_f(k * tau)},{_f(s[0])},{_f(s[1])},"
-                     f"{_f(theta)},{tail}")
-    return "\n".join(lines) + "\n"
+    inputs = [f"{v!r},{omega!r}" for v, omega in solution.inputs.tolist()]
+    return _csv_text(_TRAJ_HEADER, (
+        f"{k},{float(k * tau)!r},{x!r},{y!r},"
+        f"{math.remainder(theta, 2.0 * math.pi)!r},{tail}"
+        for k, ((x, y, theta), tail) in enumerate(
+            zip(solution.states.tolist(), inputs + [","], strict=True))))
 
 
 def read_traj_csv(path, tau):
@@ -337,18 +326,25 @@ def emit_svg(scenario, plan, cor, traj):
     pad = 24.0
     (xlo, ylo), (xhi, yhi) = ws.bounds.lo, ws.bounds.hi
 
-    def sx(x):
-        return pad + (x - xlo) * scale
-
-    def sy(y):
-        return pad + (yhi - y) * scale
+    def xy(x, y):
+        """The picture coordinates of a point, as text."""
+        return (f"{pad + (x - xlo) * scale:.2f}",
+                f"{pad + (yhi - y) * scale:.2f}")
 
     def rect(box, style):
-        x, y = sx(box.lo[0]), sy(box.hi[1])
+        x, y = xy(box.lo[0], box.hi[1])
         w = (box.hi[0] - box.lo[0]) * scale
         h = (box.hi[1] - box.lo[1]) * scale
-        return (f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
+        return (f'<rect x="{x}" y="{y}" width="{w:.2f}" '
                 f'height="{h:.2f}" {style}/>')
+
+    def polyline(rows, style):
+        pts = " ".join(",".join(xy(x, y)) for x, y in rows)
+        return f'<polyline points="{pts}" fill="none" {style}/>'
+
+    def circle(point, style):
+        x, y = xy(*point)
+        return f'<circle cx="{x}" cy="{y}" {style}/>'
 
     width = 2 * pad + (xhi - xlo) * scale
     height = 2 * pad + (yhi - ylo) * scale
@@ -361,26 +357,20 @@ def emit_svg(scenario, plan, cor, traj):
     for r in ws.regions:
         parts.append(rect(r.box, 'fill="#d6e9f8" stroke="#3c7fb5" '
                                  'fill-opacity="0.7"'))
-        cx, cy = sx(r.box.center[0]), sy(r.box.center[1])
-        parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="11" '
+        x, y = xy(*((lo + hi) / 2.0 for lo, hi in zip(r.box.lo, r.box.hi)))
+        parts.append(f'<text x="{x}" y="{y}" font-size="11" '
                      f'text-anchor="middle" fill="#1d4f75">{r.name}</text>')
     for box in cor.runs()[1]:
         parts.append(rect(box, 'fill="none" stroke="#d98e8e" '
                                'stroke-dasharray="4 3"'))
-    pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}"
-                   for p in plan.waypoints.positions)
-    parts.append(f'<polyline points="{pts}" fill="none" '
-                 f'stroke="#7f7f7f" stroke-width="1"/>')
+    waypoints = plan.waypoints.positions.tolist()
+    parts.append(polyline(waypoints, 'stroke="#7f7f7f" stroke-width="1"'))
     for pair in plan.pairs:
-        p = plan.waypoints.at_index(pair.k)
-        parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" '
-                     f'r="3" fill="#2a62b8"/>')
-    pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in traj)
-    parts.append(f'<polyline points="{pts}" fill="none" '
-                 f'stroke="#c0392b" stroke-width="2"/>')
-    p0 = scenario.x0[:2]
-    parts.append(f'<circle cx="{sx(p0[0]):.2f}" cy="{sy(p0[1]):.2f}" r="4" '
-                 f'fill="#1f9d44"/>')
+        parts.append(circle(waypoints[pair.k - plan.waypoints.k0],
+                            'r="3" fill="#2a62b8"'))
+    parts.append(polyline(np.asarray(traj).tolist(),
+                          'stroke="#c0392b" stroke-width="2"'))
+    parts.append(circle(scenario.x0[:2].tolist(), 'r="4" fill="#1f9d44"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -645,8 +635,7 @@ def _write_report_text(out, report):
 # ---------------------------------------------------------------------------
 # CLI
 
-def _cmd_validate(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_validate(args, scenario):
     dec = decompose(scenario.formula, scenario.tau)
     print(f"{scenario.name}: valid "
           f"({len(scenario.workspace.regions)} regions, "
@@ -656,8 +645,7 @@ def _cmd_validate(args):
     return 0
 
 
-def _cmd_decompose(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_decompose(args, scenario):
     dec = decompose(scenario.formula, scenario.tau)
     if args.explain:
         print(dec.explain())
@@ -679,8 +667,7 @@ def _seed(args, scenario):
     return args.seed
 
 
-def _cmd_plan(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_plan(args, scenario):
     seed = _seed(args, scenario)
     dec = decompose(scenario.formula, scenario.tau)
     out = _cleared_out(args.out, _PLAN_ARTIFACTS)
@@ -696,14 +683,15 @@ def _cmd_plan(args):
 
 
 def _run_one(source, seed, out_dir):
+    # loaded again in the worker: a Scenario's model holds a lambda,
+    # which does not pickle
     scenario = load_scenario(source)
     report = run_pipeline(scenario, seed=seed, out_dir=out_dir)
     return seed, report.status, report.metrics.get("traj_length"), \
         report.exit_code()
 
 
-def _cmd_run(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_run(args, scenario):
     seed = _seed(args, scenario)
     if args.repeat < 1:
         raise ConfigError("--repeat must be a positive integer")
@@ -731,8 +719,7 @@ def _cmd_run(args):
     return max(code for *_, code in results)  # 3 outranks 2 outranks 0
 
 
-def _cmd_check(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_check(args, scenario):
     positions, headings, inputs = read_traj_csv(args.traj, scenario.tau)
     if len(positions) != scenario.horizon_steps + 1:
         raise ConfigError(f"{args.traj} has {len(positions)} rows but "
@@ -795,7 +782,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_scenario(args.scenario))
     except (StlError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 4

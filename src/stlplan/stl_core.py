@@ -146,10 +146,6 @@ class Box:
     def dim(self):
         return len(self.lo)
 
-    @property
-    def center(self):
-        return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
-
     def contains(self, p):
         for v, l, h in zip(_floats(p), self.lo, self.hi):
             if not l <= v <= h:
