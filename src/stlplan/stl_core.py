@@ -441,6 +441,10 @@ def _tokenize(text):
     return tokens
 
 
+# what the messages call a token kind that is not its own text
+_EXPECTED = {"num": "a number", "ident": "a region name"}
+
+
 class _Parser:
     def __init__(self, text, workspace, tau):
         self.tokens = _tokenize(text)
@@ -455,11 +459,15 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.i]
         if kind is not None and tok[0] != kind:
-            raise FormulaSyntaxError(
-                f"expected {kind}, found {tok[1]!r}" if tok[1] else
-                f"expected {kind}, found end of input", tok[2])
+            raise self.expected(_EXPECTED.get(kind, repr(kind)))
         self.i += 1
         return tok
+
+    def expected(self, what):
+        """The error of a next token that is not `what`, in words."""
+        _, word, at = self.tokens[self.i]
+        found = repr(word) if word else "end of input"
+        return FormulaSyntaxError(f"expected {what}, found {found}", at)
 
     def parse(self):
         subtasks = self.clause()
@@ -476,9 +484,9 @@ class _Parser:
         the one nesting the other or not."""
         if not self.next_is("F", "G"):
             left = self.atom()
-            _, op, at = self.take("op")
-            if op != "U":
-                raise FormulaSyntaxError(f"expected U, found {op!r}", at)
+            if not self.next_is("U"):
+                raise self.expected("U")
+            self.take()
             ival = self.interval()
             # Sufficient rewrite: hold the left atom over the whole window and
             # reach the right atom inside it.

@@ -350,17 +350,23 @@ _PARSE_ERRORS = [
                  "unexpected character '#' (at position 11)", 11,
                  id="unexpected-character"),
     pytest.param("F(0,1] mu1", FormulaSyntaxError,
-                 "expected [, found '(' (at position 1)", 1,
+                 "expected '[', found '(' (at position 1)", 1,
                  id="expected-kind-found-token"),
     pytest.param("F[0,1]", FormulaSyntaxError,
-                 "expected ident, found end of input (at position 6)", 6,
-                 id="expected-kind-at-end"),
+                 "expected a region name, found end of input (at position 6)",
+                 6, id="expected-kind-at-end"),
     pytest.param("F[0,1] mu1 mu2", FormulaSyntaxError,
                  "unexpected 'mu2' (at position 11)", 11,
                  id="trailing-token"),
     pytest.param("mu1 F[0,5] mu2", FormulaSyntaxError,
                  "expected U, found 'F' (at position 4)", 4,
                  id="expected-until"),
+    pytest.param("mu1", FormulaSyntaxError,
+                 "expected U, found end of input (at position 3)", 3,
+                 id="expected-until-at-end"),
+    pytest.param("F[a,1] mu1", FormulaSyntaxError,
+                 "expected a number, found 'a' (at position 2)", 2,
+                 id="expected-number"),
     pytest.param("G[0,1] G[0,1] mu1", FormulaSyntaxError,
                  "G may not nest another G (at position 7)", 7,
                  id="same-operator-nesting"),
@@ -380,10 +386,10 @@ _PARSE_ERRORS = [
                  "regions mu3 & mu6 have empty intersection (at position 17)",
                  17, id="empty-intersection"),
     pytest.param("F[0,1] (mu1)", FormulaSyntaxError,
-                 "expected &, found ')' (at position 11)", 11,
+                 "expected '&', found ')' (at position 11)", 11,
                  id="single-name-group"),
     pytest.param("F[0,1] !(mu1 & mu2)", FormulaSyntaxError,
-                 "expected ident, found '(' (at position 8)", 8,
+                 "expected a region name, found '(' (at position 8)", 8,
                  id="negation-without-name"),
     pytest.param("F[0,1] nowhere", UnknownRegionError,
                  "unknown region 'nowhere'", None, id="unknown-region"),
