@@ -646,16 +646,7 @@ def _cmd_validate(args, scenario):
 
 
 def _cmd_decompose(args, scenario):
-    dec = decompose(scenario.formula, scenario.tau)
-    if args.explain:
-        print(dec.explain())
-    else:
-        cuts = ", ".join(seconds(c, dec.tau) for c in dec.cuts)
-        print(f"cut times: ({cuts})")
-        for task in dec.local_tasks:
-            print(f"local task {task.index} over {task.window}: "
-                  f"{len(task.subtasks)} sub-tasks")
-        print(f"disjunctive sets: {len(dec.disjunctive_sets)}")
+    print(decompose(scenario.formula, scenario.tau).explain())
     return 0
 
 
@@ -757,8 +748,6 @@ def main(argv=None):
 
     p = sub.add_parser("decompose", help="show the timeline decomposition")
     p.add_argument("scenario")
-    p.add_argument("--explain", action="store_true",
-                   help="print the full per-window report")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("plan", help="plan waypoints only")

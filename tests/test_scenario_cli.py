@@ -274,7 +274,7 @@ def test_cli_prints_cut_steps_in_seconds_without_float_noise(tmp_path,
     data = json.loads(_scenario3_text())
     data["formula"] = "F[0,0.1] G[0,0.2] mu1 & F[0.3,0.7] mu2"
     path = _write_scenario(tmp_path, data)
-    assert main(["decompose", str(path), "--explain"]) == 0
+    assert main(["decompose", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("horizon 0.7 s, cut times (0, 0.3, 0.7)\n"
                           "local task 1 over [0,0.3]:\n")
@@ -672,9 +672,11 @@ def test_cli_validate_and_decompose(tiny_path, capsys):
     assert "valid" in capsys.readouterr().out
     assert main(["decompose", str(tiny_path)]) == 0
     assert "cut times" in capsys.readouterr().out
-    assert main(["decompose", "scenario1", "--explain"]) == 0
+    assert main(["decompose", "scenario1"]) == 0
     out = capsys.readouterr().out
     assert "cut times (0, 20, 30, 50, 60)" in out
+    # the window that plans only a fallback piece shows it
+    assert "fallback piece F[50,60] mu6 in local task 4" in out
 
 
 def test_python_dash_m_stlplan_runs_the_cli_once(tiny_path):
