@@ -9,7 +9,8 @@ The growth works on one mirrored face vector (-xlo, xhi, -ylo, yhi,
 the same way, and an obstacle is the mirrored vector of its opposite
 faces (-xhi, xlo, -yhi, ylo, ...): each entry is the plane that face
 snaps onto, and the box overlaps the obstacle (closed) exactly when no
-entry of the box's vector is below the obstacle's.  Negation is exact
+entry of the box's vector is below the obstacle's.  The Workspace
+builds both once, for every box grown in it.  Negation is exact
 and round-to-nearest is sign-symmetric, so every step, comparison and
 snap is the mirror of the one in plain coordinates, and the box is
 built at the end by negating the low faces.  A face that steps exactly
@@ -100,11 +101,6 @@ class SafeCorridor:
         raise CorridorError(f"box {k} overlaps an obstacle")
 
 
-def _faces(lo, hi):
-    """The mirrored vector (-lo[0], hi[0], -lo[1], hi[1], ...)."""
-    return [v for l, h in zip(lo, hi) for v in (-l, h)]
-
-
 def _event_starts(start, bound, planes, step):
     """Where the faces stand at the start of each round in which one of
     them can freeze, provided none has frozen yet: one row per such round
@@ -116,8 +112,6 @@ def _event_starts(start, bound, planes, step):
     the latest.  The other rounds listed are those whose [cur, target)
     interval holds an obstacle plane the face could snap onto.
     """
-    bound = np.array(bound)
-    planes = np.array(planes).reshape(-1, len(start))
     n = int(np.max(bound - start) / step) + 2
     while True:
         inc = np.full((len(start), n + 1), step)
@@ -162,11 +156,10 @@ def safe_cor(point, ws, step):
     if not ws.point_free(p):
         raise CorridorError(f"corridor seed {p.tolist()} is not in free "
                             f"space")
-    m = _faces(p.tolist(), p.tolist())
-    bound = _faces(ws.bounds.lo, ws.bounds.hi)
-    planes = [_faces(o.hi, o.lo) for o in ws.obstacles]
+    m = [v for x in p.tolist() for v in (-x, x)]
+    bound_array, plane_array, bound, planes = ws._mirrored
     live = range(len(m))
-    for start in _event_starts(m, bound, planes, step):
+    for start in _event_starts(m, bound_array, plane_array, step):
         for f in live:
             m[f] = start[f]
         live = [f for f in live

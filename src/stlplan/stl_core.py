@@ -220,6 +220,15 @@ class Workspace:
             [o.lo for o in self.obstacles], dtype=float).reshape(shape))
         object.__setattr__(self, "_obs_hi", np.array(
             [o.hi for o in self.obstacles], dtype=float).reshape(shape))
+        # corridor.safe_cor's mirrored faces, built once: the bound as
+        # (-lo, hi) per axis and each obstacle's planes as (-hi, lo) per
+        # axis, as arrays and as plain floats
+        bound = np.column_stack([np.negative(self.bounds.lo),
+                                 self.bounds.hi]).ravel()
+        planes = np.stack([-self._obs_hi, self._obs_lo], axis=2).reshape(
+            shape[0], 2 * shape[1])
+        object.__setattr__(self, "_mirrored",
+                           (bound, planes, bound.tolist(), planes.tolist()))
 
     def region(self, name):
         try:
