@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -67,10 +68,8 @@ class DynamicsModel:
     """Discrete-time model whose batched linearization returns the next
     states together with the state and input Jacobians."""
 
-    name: str
     state_dim: int
     input_dim: int
-    pos_dim: int
     tau: float
     linearize_fn: object
     input_lo: tuple
@@ -122,8 +121,8 @@ def unicycle_linearize(x, u, tau):
 def unicycle_model(tau, v_bounds=(-4.0, 4.0),
                    omega_bounds=(-math.pi / 3, math.pi / 3)):
     return DynamicsModel(
-        name="unicycle", state_dim=3, input_dim=2, pos_dim=2, tau=tau,
-        linearize_fn=lambda x, u: unicycle_linearize(x, u, tau),
+        state_dim=3, input_dim=2, tau=tau,
+        linearize_fn=partial(unicycle_linearize, tau=tau),
         input_lo=(float(v_bounds[0]), float(omega_bounds[0])),
         input_hi=(float(v_bounds[1]), float(omega_bounds[1])))
 
@@ -310,7 +309,7 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
         if not 0 <= p.k <= K:
             raise OptimizationError(f"pair {p.label} at step {p.k} lies "
                                     f"outside the plan's steps 0..{K}")
-    n, d = model.state_dim, model.pos_dim
+    n, d = model.state_dim, pts.shape[1]
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise OptimizationError(f"initial state must have {n} entries")
@@ -336,23 +335,20 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
 
 
 def initial_guess(problem, waypoints):
-    """States and inputs consistent with the waypoints: headings follow
-    the displacement directions (continued through standstills and never
-    wrapped), inputs come from inverse kinematics clipped to bounds.
+    """Unicycle states and inputs consistent with the waypoints:
+    headings follow the displacement directions (continued through
+    standstills and never wrapped), inputs come from inverse kinematics
+    clipped to bounds.
 
     The step norms and standstill tests run as arrays; only the heading
     recurrence, which carries each heading into the next, walks the
     steps, on plain floats.
     """
     pts = np.asarray(waypoints, dtype=float)
-    K = problem.horizon
-    model = problem.model
-    tau = model.tau
-    states = np.zeros((K + 1, model.state_dim))
-    states[:, :model.pos_dim] = pts
+    tau = problem.model.tau
     diffs = np.diff(pts, axis=0)
     still = (np.linalg.norm(diffs, axis=1) < 1e-9).tolist()
-    angle = float(problem.x0[2]) if model.state_dim > 2 else 0.0
+    angle = float(problem.x0[2])
     headings = [angle]
     # math.atan2, not np.arctan2: the two differ in the last bit on some
     # inputs, so the vectorized one would change the guess
@@ -363,15 +359,12 @@ def initial_guess(problem, waypoints):
             angle += (raw - angle + math.pi) % (2.0 * math.pi) - math.pi
         headings.append(angle)
     theta = np.array(headings)
-    if model.state_dim > 2:
-        states[:, 2] = theta
-    inputs = np.zeros((K, model.input_dim))
-    if model.name == "unicycle":
-        heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
-        inputs[:, 0] = (diffs * heading).sum(axis=1) / tau
-        inputs[:, 1] = np.diff(theta) / tau
+    heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
+    inputs = np.column_stack([(diffs * heading).sum(axis=1) / tau,
+                              np.diff(theta) / tau])
     inputs = np.clip(inputs, problem.input_lb, problem.input_ub)
-    states = np.clip(states, problem.state_lb, problem.state_ub)
+    states = np.clip(np.column_stack([pts, theta]), problem.state_lb,
+                     problem.state_ub)
     return states, inputs
 
 

@@ -673,15 +673,6 @@ def _cmd_plan(args, scenario):
     return 0
 
 
-def _run_one(source, seed, out_dir):
-    # loaded again in the worker: a Scenario's model holds a lambda,
-    # which does not pickle
-    scenario = load_scenario(source)
-    report = run_pipeline(scenario, seed=seed, out_dir=out_dir)
-    return seed, report.status, report.metrics.get("traj_length"), \
-        report.exit_code()
-
-
 def _cmd_run(args, scenario):
     seed = _seed(args, scenario)
     if args.repeat < 1:
@@ -694,20 +685,22 @@ def _cmd_run(args, scenario):
         if report.error:
             print(f"error: {report.error}", file=sys.stderr)
         return report.exit_code()
-    out = Path(args.out)
-    jobs = [(args.scenario, seed + i, str(out / f"seed{seed + i}"))
-            for i in range(args.repeat)]
     # load the solver's LAPACK once here, so forked workers inherit it
     import scipy.linalg.lapack
 
+    # a Scenario pickles: every worker runs the one loaded above
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(args.repeat, 8)) as pool:
-        futures = [pool.submit(_run_one, *job) for job in jobs]
-        results = [fut.result() for fut in futures]
-    for run_seed, status, length, _ in results:
+        futures = [pool.submit(run_pipeline, scenario, seed=s,
+                               out_dir=Path(args.out) / f"seed{s}")
+                   for s in range(seed, seed + args.repeat)]
+        reports = [fut.result() for fut in futures]
+    for report in reports:
+        length = report.metrics.get("traj_length")
         extra = f", length {length:.2f} m" if length is not None else ""
-        print(f"seed {run_seed}: {status}{extra}")
-    return max(code for *_, code in results)  # 3 outranks 2 outranks 0
+        print(f"seed {report.seed}: {report.status}{extra}")
+    # 3 outranks 2 outranks 0
+    return max(report.exit_code() for report in reports)
 
 
 def _cmd_check(args, scenario):

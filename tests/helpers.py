@@ -558,9 +558,9 @@ def reference_initial_guess(problem, waypoints):
     model = problem.model
     tau = model.tau
     states = np.zeros((K + 1, model.state_dim))
-    states[:, :model.pos_dim] = pts
+    states[:, :pts.shape[1]] = pts
     theta = np.empty(K + 1)
-    theta[0] = problem.x0[2] if model.state_dim > 2 else 0.0
+    theta[0] = problem.x0[2]
     diffs = np.diff(pts, axis=0)
     for k in range(K):
         d = diffs[k]
@@ -570,13 +570,11 @@ def reference_initial_guess(problem, waypoints):
         raw = math.atan2(d[1], d[0])
         delta = (raw - theta[k] + math.pi) % (2.0 * math.pi) - math.pi
         theta[k + 1] = theta[k] + delta
-    if model.state_dim > 2:
-        states[:, 2] = theta
+    states[:, 2] = theta
     inputs = np.zeros((K, model.input_dim))
-    if model.name == "unicycle":
-        heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
-        inputs[:, 0] = (diffs * heading).sum(axis=1) / tau
-        inputs[:, 1] = np.diff(theta) / tau
+    heading = np.stack([np.cos(theta[:-1]), np.sin(theta[:-1])], axis=1)
+    inputs[:, 0] = (diffs * heading).sum(axis=1) / tau
+    inputs[:, 1] = np.diff(theta) / tau
     inputs = np.clip(inputs, problem.input_lb, problem.input_ub)
     states = np.clip(states, problem.state_lb, problem.state_ub)
     return states, inputs

@@ -242,8 +242,8 @@ def test_criterion_7_derivatives_kkt_and_violations(matrix):
     def linearize(x, u):
         eye = np.ones(x.shape[:-1] + (1, 1))
         return x + u, eye, eye.copy()
-    model = DynamicsModel(name="integrator", state_dim=1, input_dim=1,
-                          pos_dim=1, tau=1.0, linearize_fn=linearize,
+    model = DynamicsModel(state_dim=1, input_dim=1, tau=1.0,
+                          linearize_fn=linearize,
                           input_lo=(-10.0,), input_hi=(10.0,))
     prob = NlpProblem(model=model, horizon=2, x0=np.zeros(1),
                       state_lb=np.array([[0.0], [-np.inf], [1.0]]),

@@ -46,8 +46,8 @@ def _integrator(dim=1):
         batch = x.shape[:-1]
         eye = np.broadcast_to(np.eye(dim), batch + (dim, dim)).copy()
         return x + u, eye, eye.copy()
-    return DynamicsModel(name="integrator", state_dim=dim, input_dim=dim,
-                         pos_dim=dim, tau=1.0, linearize_fn=linearize,
+    return DynamicsModel(state_dim=dim, input_dim=dim, tau=1.0,
+                         linearize_fn=linearize,
                          input_lo=(-10.0,) * dim, input_hi=(10.0,) * dim)
 
 
@@ -720,8 +720,8 @@ def _dense_linear_model(rng, n=3, m=2):
         return (x @ A0.T + u @ B0.T,
                 np.broadcast_to(A0, batch + (n, n)).copy(),
                 np.broadcast_to(B0, batch + (n, m)).copy())
-    return DynamicsModel(name="dense", state_dim=n, input_dim=m,
-                         pos_dim=2, tau=0.1, linearize_fn=linearize,
+    return DynamicsModel(state_dim=n, input_dim=m, tau=0.1,
+                         linearize_fn=linearize,
                          input_lo=(-1.0,) * m, input_hi=(1.0,) * m)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -473,6 +474,24 @@ def test_a_failed_run_leaves_no_artifact_of_an_earlier_run(
     assert "status: failed:plan" in (out / "report.txt").read_text()
 
 
+# every artifact but report.txt, whose stage times vary from run to run
+_COMPARED_ARTIFACTS = ("plan.csv", "pairs.csv", "corridor.csv", "traj.csv",
+                       "figure.svg")
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_a_pickled_scenario_runs_to_the_same_artifacts(tmp_path, name):
+    # run --repeat hands its workers the loaded scenario by pickling it
+    scenario = load_scenario(name)
+    outs = [tmp_path / "loaded", tmp_path / "unpickled"]
+    for sc, out in zip((scenario, pickle.loads(pickle.dumps(scenario))),
+                       outs):
+        assert run_pipeline(sc, seed=0, out_dir=out).satisfied
+    for artifact in _COMPARED_ARTIFACTS:
+        assert (outs[0] / artifact).read_bytes() \
+            == (outs[1] / artifact).read_bytes(), artifact
+
+
 def test_identical_seeds_give_byte_identical_artifacts(tiny_path, tmp_path):
     scenario = load_scenario(tiny_path)
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -790,7 +809,14 @@ def test_cli_run_repeat_runs_consecutive_seeds(tiny_path, tmp_path, capsys):
         for seed, line in enumerate(lines):
             assert re.fullmatch(rf"seed {seed}: satisfied, length {length} m",
                                 line), line
-            assert (out / f"seed{seed}" / "traj.csv").exists()
+            # each worker writes what a single run of its seed writes
+            single = tmp_path / f"single-{path.stem}-{seed}"
+            assert main(["run", str(path), "--seed", str(seed),
+                         "--out", str(single)]) == 0
+            capsys.readouterr()
+            for name in _COMPARED_ARTIFACTS:
+                assert (out / f"seed{seed}" / name).read_bytes() \
+                    == (single / name).read_bytes(), (path.stem, seed, name)
 
 
 def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
@@ -806,21 +832,31 @@ def test_cli_reports_config_errors_with_exit_4(tmp_path, capsys):
     assert "v_bounds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate"], ["decompose"], ["plan"], ["run"],
-    ["run", "--repeat", "2"]],
-    ids=["validate", "decompose", "plan", "run", "run-repeat"])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{sc}"], 4), (["decompose", "{sc}"], 4),
+    (["plan", "{sc}", "--out", "{out}"], 4),
+    (["run", "{sc}", "--out", "{out}"], 4),
+    (["run", "{sc}", "--repeat", "2", "--out", "{out}"], 4),
+    (["check", "{traj}", "{sc}"], 0)],
+    ids=["validate", "decompose", "plan", "run", "run-repeat", "check"])
 def test_cli_gives_one_verdict_for_a_task_decompose_rejects(
-        tmp_path, capsys, argv):
-    # loading accepts a horizon of zero; decompose rejects it
+        tmp_path, capsys, argv, code):
+    # loading accepts a horizon of zero and decompose rejects it, so each
+    # command that decomposes ends as a configuration error; check decides
+    # the formula without decomposing it, and the one row, at x0 inside
+    # goal, satisfies it
     data = _tiny_data()
-    data["formula"] = "F[0,0] goal"
-    path = _write_scenario(tmp_path, data)
-    assert main([argv[0], str(path), *argv[1:]]
-                + (["--out", str(tmp_path / "out")]
-                   if argv[0] in ("plan", "run") else [])) == 4
-    assert "configuration error: task constrains only time zero; " \
-        "nothing to plan" in capsys.readouterr().err
+    data.update(formula="F[0,0] goal", x0=[2.5, 2.5, 0.0])
+    paths = {"sc": _write_scenario(tmp_path, data), "out": tmp_path / "out",
+             "traj": tmp_path / "traj.csv"}
+    paths["traj"].write_text("k,t,x,y,theta,v,omega\n0,0.0,2.5,2.5,0.0,,\n")
+    assert main([arg.format_map(paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "configuration error: task constrains only time zero; " \
+            "nothing to plan" in captured.err
+    else:
+        assert captured.out == f"{paths['traj']}: satisfies tiny\n"
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
