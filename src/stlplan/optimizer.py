@@ -407,7 +407,7 @@ class _Bounds:
 
 
 # perfbench times factorizations under this name; the rename waits for
-# the benchmark change in ROADMAP item 1
+# the benchmark change in ROADMAP item 2
 def splu(ab):
     """Cholesky factor of a symmetric positive definite band in LAPACK
     lower band storage, computed by LAPACK pbtrf in place: ab is

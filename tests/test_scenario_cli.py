@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree
 from dataclasses import replace
 from pathlib import Path
 
@@ -337,6 +338,7 @@ def test_svg_variants_gain_layers(first_scenario_artifacts):
     traj = plan.waypoints.positions
     full = emit_svg(scenario, plan, cor, traj)
     assert full.startswith("<svg") and full.rstrip().endswith("</svg>")
+    xml.etree.ElementTree.fromstring(full)  # well-formed XML
     for name in ("mu1", "mu6"):
         assert f">{name}</text>" in full
     boxes = len(cor.runs()[1])
@@ -376,29 +378,33 @@ def test_pipeline_satisfies_the_tiny_scenario(tiny_path, tmp_path):
 def test_a_keep_in_always_clause_that_starts_late_plans_and_verifies(
         tmp_path):
     # scenario3 with G[3,5] mu1 from an x0 outside mu1: the planner must
-    # enter mu1 by 3 s and wait there for the guard to hold
-    data = json.loads((Path(scenario_cli.__file__).parent / "scenarios" /
-                       "scenario3.json").read_text())
-    data["formula"] = "G[3,5] mu1"
-    path = _write_scenario(tmp_path, data, "keep_in.json")
-    out = tmp_path / "out"
-    report = run_pipeline(load_scenario(path), seed=0, out_dir=out)
-    assert report.status == "satisfied"
-    assert report.metrics["satisfied"]
-    pairs = (out / "pairs.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[0] for line in pairs] == \
-        [str(k) for k in range(30, 51)]
+    # enter mu1 by 3 s and wait there for the guard to hold; the zero-gap
+    # patrol G[3,5] F[0,0] mu1 asks for mu1 at the same grid times
+    data = _shipped_data("scenario3")
+    for formula in ("G[3,5] mu1", "G[3,5] F[0,0] mu1"):
+        data["formula"] = formula
+        path = _write_scenario(tmp_path, data, "keep_in.json")
+        out = tmp_path / "out"
+        report = run_pipeline(load_scenario(path), seed=0, out_dir=out)
+        assert report.status == "satisfied", formula
+        assert report.metrics["satisfied"]
+        pairs = (out / "pairs.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in pairs] == \
+            [str(k) for k in range(30, 51)], formula
+        assert main(["check", str(out / "traj.csv"), str(path)]) == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("formula", [
     "F[0,5] mu1 & G[6,10] !mu1",
     "F[0,3] G[0,2] mu1 & G[6,10] !mu1",
-    "G[0,4] F[0,2] mu4 & G[7,10] !mu4"])
+    "G[0,4] F[0,2] mu4 & G[7,10] !mu4",
+    "F[0,3] G[0,1] mu1 & F[4,5] !mu1 & F[6,8] mu1"])
 def test_a_window_that_must_leave_before_a_keep_out_plans_and_verifies(
         tmp_path, formula, seed):
     # after its last goal the window must leave that goal's region before
-    # a keep-out starts: the window's end is reached like any other goal
+    # a keep-out starts: the window's end is reached like any other goal;
+    # a negated reach leaves its region the same way, as a goal of its own
     data = _shipped_data("scenario3")
     data["formula"] = formula
     data["planner"]["max_restarts"] = 5
@@ -406,6 +412,10 @@ def test_a_window_that_must_leave_before_a_keep_out_plans_and_verifies(
     out = tmp_path / "out"
     report = run_pipeline(load_scenario(path), seed=seed, out_dir=out)
     assert report.status == "satisfied"
+    # pairs.csv certifies every atom of the formula, negated ones too
+    pairs = (out / "pairs.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[2] for line in pairs} == \
+        set(re.findall(r"!?mu\d", formula))
     assert main(["check", str(out / "traj.csv"), str(path)]) == 0
 
 
@@ -887,8 +897,9 @@ def test_cli_rejects_a_repeat_below_one_before_any_run(
     ["run", "scenario1", "--seed", "x"],
     ["plan", "scenario1", "--bogus"],
     [],
+    ["decompose", "scenario3", "--explain"],
 ], ids=["missing-positional", "non-integer-seed", "unknown-option",
-        "no-command"])
+        "no-command", "removed-explain"])
 def test_cli_usage_errors_exit_4(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
