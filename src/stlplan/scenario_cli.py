@@ -18,6 +18,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -383,7 +384,6 @@ class RunReport:
     scenario: Scenario
     seed: int
     status: str = "failed:init"
-    stage_log: list = field(default_factory=list)
     decomposition: object = None
     plan: object = None
     corridor: object = None
@@ -493,10 +493,6 @@ def _run_stages(scenario, seed, out, report):
             raise  # a task decompose rejects is a configuration error
         return
     report.decomposition = dec
-    report.stage_log.append(
-        ("decompose", f"{len(dec.cuts)} cut times, "
-                      f"{len(dec.local_tasks)} local tasks, "
-                      f"{len(dec.disjunctive_sets)} disjunctive sets"))
     report.metrics["decompose_seconds"] = time.perf_counter() - t0
 
     for i in range(1 + _REPLAN_LIMIT):
@@ -508,7 +504,6 @@ def _run_stages(scenario, seed, out, report):
     report.status, report.error = attempt.status, attempt.error
     report.plan, report.corridor = attempt.plan, attempt.corridor
     report.solution = attempt.solution
-    report.stage_log += attempt.stage_log
     report.metrics.update(attempt.metrics, attempts=len(report.attempts))
     report.metrics["attempt_outcomes"] = [a.status for a in report.attempts]
 
@@ -553,8 +548,6 @@ def _attempt_stages(scenario, dec, out, attempt):
         m["plan_seconds"] = time.perf_counter() - start
         m["plan_length"] = _polyline_length(plan.waypoints.positions)
         m["pair_count"] = len(plan.pairs)
-        attempt.stage_log.append(("plan", f"{len(plan.waypoints)} waypoints, "
-                                          f"{len(plan.pairs)} pairs"))
 
         stage = "corridor"
         t0 = time.perf_counter()
@@ -565,8 +558,6 @@ def _attempt_stages(scenario, dec, out, attempt):
         m["corridor_seconds"] = time.perf_counter() - t0
         m["corridor_distinct_boxes"] = len(cor.runs()[1])
         (out / "corridor.csv").write_text(corridor_csv_text(cor))
-        attempt.stage_log.append(
-            ("corridor", f"{m['corridor_distinct_boxes']} distinct boxes"))
 
         stage = "optimize"
         t0 = time.perf_counter()
@@ -584,23 +575,16 @@ def _attempt_stages(scenario, dec, out, attempt):
         (out / "traj.csv").write_text(traj_csv_text(solution, tau))
         (out / "figure.svg").write_text(
             emit_svg(scenario, plan, cor, solution.states[:, :2]))
-        attempt.stage_log.append(
-            ("optimize", f"{solution.message} after "
-                         f"{solution.outer_iterations} outer iterations, "
-                         f"violation {solution.max_violation:.2e}"))
         if not solution.converged:
             raise StlError(f"solver did not converge: {solution.message}")
 
         stage = "verify"
         positions, headings, inputs = read_traj_csv(out / "traj.csv", tau)
         verdict = verify_trajectory(scenario, positions, headings, inputs)
-        checks = evaluate_solution(problem, solution.states, solution.inputs)
-        m.update(verdict)
-        m["dynamics_violation"] = checks["dynamics_violation"]
-        m["bound_violation"] = checks["bound_violation"]
+        m.update(verdict, **evaluate_solution(problem, solution.states,
+                                              solution.inputs))
         detail = ", ".join(f"{name}={ok}" for name, ok in verdict.items())
         m["verify_detail"] = f"{detail} (re-read from traj.csv)"
-        attempt.stage_log.append(("verify", m["verify_detail"]))
         attempt.status = "satisfied"
         if not all(verdict.values()):
             attempt.status, attempt.error = "unsatisfied", m["verify_detail"]
@@ -623,9 +607,6 @@ def _write_report_text(out, report):
     if report.decomposition is not None:
         lines.append("-- decomposition --")
         lines.append(report.decomposition.explain())
-    lines.append("-- stages --")
-    for stage, detail in report.stage_log:
-        lines.append(f"{stage}: {detail}")
     lines.append("-- metrics --")
     for key in sorted(report.metrics):
         lines.append(f"{key}: {report.metrics[key]}")
@@ -679,18 +660,20 @@ def _cmd_run(args, scenario):
         raise ConfigError("--repeat must be a positive integer")
     if args.repeat == 1:
         report = run_pipeline(scenario, seed=seed, out_dir=args.out)
-        for stage, detail in report.stage_log:
-            print(f"{stage}: {detail}")
-        print(f"status: {report.status}")
+        print(Path(report.out_dir, "report.txt").read_text(), end="")
         if report.error:
             print(f"error: {report.error}", file=sys.stderr)
         return report.exit_code()
     # load the solver's LAPACK once here, so forked workers inherit it
     import scipy.linalg.lapack
 
+    # one worker per CPU this process may run on: under fork the pool
+    # starts every worker up front, and more would only share the CPUs
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     # a Scenario pickles: every worker runs the one loaded above
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(args.repeat, 8)) as pool:
+            max_workers=min(args.repeat, cpus)) as pool:
         futures = [pool.submit(run_pipeline, scenario, seed=s,
                                out_dir=Path(args.out) / f"seed{s}")
                    for s in range(seed, seed + args.repeat)]

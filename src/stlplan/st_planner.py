@@ -151,23 +151,21 @@ def steer(near_pos, near_time, samp_pos, samp_time, params, tau):
 def sample(ws, target, window, params, rng, keepins=()):
     """Draw a candidate (position, time).
 
-    Time is uniform over the window; position is drawn from the target
-    box with the goal-bias probability, from the intersection of any
-    keep-in boxes active at the drawn time, and otherwise uniformly over
-    free space.
+    Time is uniform over the window; position is drawn from the
+    intersection of the keep-in boxes active at the drawn time, else
+    from the target box with the goal-bias probability, and otherwise
+    uniformly over free space.  Active keep-ins that share no box are
+    ignored: the draw is then the one keepins=() gives.
     """
     lo, hi = window
     t = lo + rng.random() * (hi - lo)
     active = None
-    feasible = True
     for g in keepins:
         if g.lo - _TIME_TOL <= t <= g.hi + _TIME_TOL:
-            nxt = g.box if active is None else active.intersect(g.box)
-            if nxt is None:
-                feasible = False
+            active = g.box if active is None else active.intersect(g.box)
+            if active is None:
                 break
-            active = nxt
-    if feasible and active is not None:
+    if active is not None:
         return active.sample(rng), t
     if target is not None and rng.random() < params.goal_bias:
         return target.sample(rng), t
@@ -200,7 +198,7 @@ def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
         if a > b + _TIME_TOL:
             continue
         pa = _interp(p0, t0, p1, t1, a)
-        pb = _interp(p0, t0, p1, t1, min(b, t1))
+        pb = _interp(p0, t0, p1, t1, b)
         if g.keep_in:
             if not (g.box.contains(pa) and g.box.contains(pb)):
                 return False

@@ -952,6 +952,23 @@ def test_failure_message_names_the_worst_defect_and_its_step(max_outer):
     assert defect[k] == pytest.approx(sol.max_violation)
 
 
+@pytest.mark.parametrize("max_outer", [0, 5])
+def test_a_one_waypoint_solve_has_no_defect_to_name(max_outer):
+    # K = 0: the one state is pinned at x0 and there is no input, so the
+    # defect array is empty and a failure message names no worst step
+    ws = make_ws()
+    plan = _plan([[1.0, 1.0]])
+    problem = build_nlp(plan, SafeCorridor((ws.bounds,)), ws,
+                        unicycle_model(0.1), np.array([1.0, 1.0, 0.0]),
+                        **UNIT_WEIGHTS)
+    sol = solve_nlp(problem, initial_guess(problem, plan.waypoints.positions),
+                    SolverTolerances(max_outer=max_outer))
+    assert sol.max_violation == 0.0
+    assert sol.states.shape == (1, 3) and sol.inputs.shape == (0, 2)
+    assert "worst defect" not in sol.message
+    assert sol.converged == (max_outer > 0)
+
+
 def test_earliest_reach_witnesses_stall_scenario1_seed_8(monkeypatch):
     # the first-attempt NLP of scenario1 seed 8, but with each F pair
     # moved back to the first index of its visit, as certified before:

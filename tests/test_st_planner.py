@@ -73,6 +73,23 @@ def test_sample_respects_active_keep_in_windows():
             assert keep.box.contains(pos)
 
 
+@pytest.mark.parametrize("order", ["ab", "aba"])
+def test_keep_ins_with_no_common_box_leave_the_draw_unconstrained(order):
+    # both boxes are active over the whole window but share no point: the
+    # draw must be the one without keep-ins, not one from a box found
+    # before or after the empty intersection
+    target = region_atom("t", (4.0, 4.0), (5.0, 5.0)).region.box
+    boxes = {"a": ((1.0, 1.0), (3.0, 3.0)), "b": ((6.0, 6.0), (8.0, 8.0))}
+    keepins = tuple(Guard(Box(*boxes[name]), 0.0, 5.0, keep_in=True)
+                    for name in order)
+    for seed in range(50):
+        (p1, t1), (p2, t2) = (sample(OPEN_WS, target, (0.0, 5.0), PARAMS,
+                                     np.random.default_rng(seed),
+                                     keepins=guards)
+                              for guards in (keepins, ()))
+        assert np.array_equal(p1, p2) and t1 == t2, seed
+
+
 # ---------------------------------------------------------------------------
 # nearest / steer
 
@@ -347,6 +364,23 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     for ws in (OPEN_WS, wall):
         assert _try_complete(Goal(None, (30, 30)), far, 3.0, tau, ws,
                              ()) == ([3.0], 30)
+
+
+def test_a_hold_is_checked_against_the_guards_up_to_its_end():
+    # arriving on the grid at 0.5 s and holding 20 steps ends at 2.5 s: a
+    # keep-out of the goal's own region from 2.5 s forbids the hold, one
+    # from 2.6 s does not
+    tau = 0.1
+    mu = region_atom("mu", (4.0, 4.0), (6.0, 6.0))
+    goal = Goal(mu, (0, 10), hold_after=20)
+    p = np.array([5.0, 5.0])
+
+    def complete(*guards):
+        return _try_complete(goal, p, 0.5, tau, OPEN_WS, guards)
+    assert complete() == ([0.5, 2.5], 5)
+    assert complete(Guard(mu.region.box, 2.5, 3.0, keep_in=False)) is None
+    assert complete(Guard(mu.region.box, 2.6, 3.0, keep_in=False)) == \
+        ([0.5, 2.5], 5)
 
 
 # ---------------------------------------------------------------------------
