@@ -512,8 +512,9 @@ def test_identical_seeds_give_byte_identical_artifacts(tiny_path, tmp_path):
 
 
 # sha256 of plan.csv, pairs.csv and corridor.csv of the first attempt of
-# `run` per shipped scenario and seed; none of them uses BLAS, so they
-# hold under every OpenBLAS kernel.  A change that moves one updates it
+# `run` per shipped scenario and seed, and per keep-in formula on
+# scenario3 and seed; none of them uses BLAS, so they hold under every
+# OpenBLAS kernel.  A change that moves one updates it
 # here and declares the output change
 GOLDEN_PLANNER_DIGESTS = {
     ("scenario1", 0): (
@@ -552,6 +553,30 @@ GOLDEN_PLANNER_DIGESTS = {
         "14b6b1115583198e799eeda17d3512d1d2b0792c3cfbcdda84a39f25ad9674f4",
         "128eb43cba5d10ef0afbe28b59d03c967922e7e042292d2247fd94b3efb68442",
         "7c4480ec40322f278840f102781a50914d85b43d82eeae2b188500ad5ff894b3"),
+    ("scenario3: G[3,5] mu1 & F[0,25] mu2", 0): (
+        "afd0e9d60e07007a589031b80273fda5e6a148f99824540231955a5bdd33b9a4",
+        "99059a22d6782d9fd3c028fe1545d87c77a11472f728e09f4975a937aae47c00",
+        "961f46de81b546ddff93259920e43fb1e91099649005b55e1879da1c28c8a843"),
+    ("scenario3: G[3,5] mu1 & F[0,25] mu2", 1): (
+        "cada73440d198c488fcc8728ba7165c181b8a63648a3ddbd21203f973f2823d0",
+        "99059a22d6782d9fd3c028fe1545d87c77a11472f728e09f4975a937aae47c00",
+        "0fc3801d37927376beb8263edcf56bb4f1c46efa04b1683349003c199337d349"),
+    ("scenario3: G[3,5] mu1 & F[0,25] mu2", 2): (
+        "4ee4c847a610fb2c846c7a7ec3ab9dcd7cafbfef9687c7d3a8a9e75e59cd920c",
+        "99059a22d6782d9fd3c028fe1545d87c77a11472f728e09f4975a937aae47c00",
+        "0fc3801d37927376beb8263edcf56bb4f1c46efa04b1683349003c199337d349"),
+    ("scenario3: F[0,10] G[0,5] mu1 & G[12,16] mu2 & F[30,50] mu4", 0): (
+        "df6e3d27c3b54583129456805136100c72f3beb9778e2669a01397dc093c5a70",
+        "6cedc1625fcb438d81b2e61bba4d99abfbcc964ad28d3b79827854e6c2f20acd",
+        "13b7bab456e35f198a9d64948445ff62df688249004852806b3c33be6922330b"),
+    ("scenario3: F[0,10] G[0,5] mu1 & G[12,16] mu2 & F[30,50] mu4", 1): (
+        "dc64f442ddff8f3b6801b99560d089a0c316304a63ab1ec83514d9781ad80c65",
+        "6cedc1625fcb438d81b2e61bba4d99abfbcc964ad28d3b79827854e6c2f20acd",
+        "b111b99e33e85f3faaacfcf83258ccfdeece95c7c7974cd747308bb00a180b0d"),
+    ("scenario3: F[0,10] G[0,5] mu1 & G[12,16] mu2 & F[30,50] mu4", 2): (
+        "25c51632aed3f017d9bde2f97e425a5cf6a179cf4db595c979435eafaf7039ea",
+        "6cedc1625fcb438d81b2e61bba4d99abfbcc964ad28d3b79827854e6c2f20acd",
+        "bc9d332c1b3c5f6ab61918a2c07c80a6c984c35eecd70e1921f437bf6c7a1f2a"),
 }
 
 
