@@ -29,11 +29,16 @@ final piece is planned as one more sub-task of that piece's window.
 Tree edges move at most a fixed step in space and a bounded stride in
 time, and are rejected when they would exceed the commanded speed limit,
 so consecutive grid waypoints always stay within reach of the vehicle.
-The tree's rows live in numpy arrays, searched as arrays for the
-nearest vertex; each new vertex and edge is tested on plain floats
-(obstacles, guards, goal region).  Edge lengths are
-sqrt(dx * dx + dy * dy) on plain floats in that order, so no BLAS
-kernel's fused multiply-add can move a plan.
+A tree grows on plain floats, with no numpy inside its loop: its
+vertices are lists of [x, y] rows and of times, scanned in full for the
+nearest vertex, and each new vertex and edge is tested on those floats
+(obstacles, guards, goal region).  A completed path goes back to
+arrays.  Every float operation is the one numpy's arrays made before,
+in the same order, so the plans are those of the array version bit for
+bit.  Edge lengths are sqrt(dx * dx + dy * dy) on plain floats in that
+order, so no BLAS kernel's fused multiply-add can move a plan.  Each
+window draws its uniforms from its Generator in blocks (_BlockedDraws),
+the same stream as one call per draw.
 """
 
 from __future__ import annotations
@@ -121,29 +126,55 @@ class Goal:
         return self.prop.region.box
 
 
+class _BlockedDraws:
+    """The random() stream of a numpy Generator, drawn 256 uniforms at a
+    time: the same values, in the same order, as one Generator.random()
+    call per draw, at a fraction of the per-call cost."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng):
+        def blocks():
+            while True:
+                yield from rng.random(256).tolist()
+        self.random = blocks().__next__
+
+
 def nearest(positions, times, pos, time):
     """Index of the position-nearest row strictly earlier than time,
-    earliest row on distance ties; None when no row qualifies."""
-    d = positions - pos
-    d *= d
-    d2 = d.sum(axis=1)
-    d2[times >= time] = np.inf
-    i = int(d2.argmin())
-    return i if times[i] < time else None
+    earliest row on distance ties; None when no row qualifies.
+
+    positions holds [x, y] rows and times their times, as plain floats;
+    the squared distance is dx * dx + dy * dy, in that order."""
+    px, py = pos
+    best = None
+    best_d = math.inf
+    for i, t in enumerate(times):
+        if t < time:
+            x, y = positions[i]
+            dx = x - px
+            dy = y - py
+            d = dx * dx + dy * dy
+            if d < best_d:
+                best = i
+                best_d = d
+    return best
 
 
 def steer(near_pos, near_time, samp_pos, samp_time, params, tau):
     """Move from the nearest vertex toward the sample, clamped to the
-    spatial step and the time stride."""
-    near_pos = np.asarray(near_pos, dtype=float)
-    samp_pos = np.asarray(samp_pos, dtype=float)
-    delta = samp_pos - near_pos
-    dx, dy = delta.tolist()
+    spatial step and the time stride.  Positions are [x, y] float
+    sequences; the new one is a list, near + delta * (step / dist)."""
+    nx, ny = near_pos
+    sx, sy = samp_pos
+    dx = sx - nx
+    dy = sy - ny
     dist = math.sqrt(dx * dx + dy * dy)
     if dist > params.step:
-        new_pos = near_pos + delta * (params.step / dist)
+        r = params.step / dist
+        new_pos = [nx + dx * r, ny + dy * r]
     else:
-        new_pos = samp_pos.copy()
+        new_pos = [sx, sy]
     new_time = min(near_time + params.resolved_time_step(tau), samp_time)
     return new_pos, new_time
 
@@ -239,9 +270,8 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     """Grow one space-time tree from the root until the goal completes.
 
     The root is not tested against the goal: the attempt completes a
-    goal met in place itself.  The tree is held as position and time
-    arrays, doubled from 64 rows as it fills, plus a parent index per
-    row.  Returns (positions, times, arrival) of the path after the
+    goal met in place itself.  The tree is held as a list of [x, y]
+    float rows, a list of float times and a parent index per row.  Returns (positions, times, arrival) of the path after the
     root, at least one row, times strictly increasing: the tree chain
     down to the vertex the completing edge leaves from, then the
     completion tail at the completing position.  Times are sampled from
@@ -249,22 +279,19 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
     arrival window decides completion.  Raises TreeFailure, naming the
     goal's region or time, when the iteration budget runs out.
     """
-    positions = np.zeros((64, len(root_pos)))
-    times = np.zeros(64)
-    positions[0] = root_pos
-    times[0] = root_time
+    positions = [_floats(root_pos)]
+    times = [float(root_time)]
     parent = [-1]
     keepins = tuple(g for g in guards if g.keep_in)
     target = goal.sample_box
-    window = (root_time, end_time + 2.0 * tau)
+    window = (times[0], end_time + 2.0 * tau)
     for _ in range(params.max_iters_per_tree):
         samp_pos, samp_time = sample(ws, target, window, params, rng,
                                      keepins=keepins)
-        n = len(parent)
-        ni = nearest(positions[:n], times[:n], samp_pos, samp_time)
+        ni = nearest(positions, times, samp_pos, samp_time)
         if ni is None:
             continue
-        near_pos, near_time = positions[ni], float(times[ni])
+        near_pos, near_time = positions[ni], times[ni]
         new_pos, new_time = steer(near_pos, near_time, samp_pos, samp_time,
                                   params, tau)
         if not _edge_ok(ws, guards, near_pos, near_time, new_pos, new_time,
@@ -277,15 +304,14 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
             tail, arrival = done
             chain = []
             while ni > 0:
-                chain.insert(0, ni)
+                chain.append(ni)
                 ni = parent[ni]
-            return (np.vstack([positions[chain]] + [new_pos] * len(tail)),
-                    np.concatenate([times[chain], tail]), arrival)
-        if n == len(times):
-            positions = np.vstack([positions, np.zeros_like(positions)])
-            times = np.concatenate([times, np.zeros_like(times)])
-        positions[n] = new_pos
-        times[n] = new_time
+            chain.reverse()
+            return (np.array([positions[i] for i in chain]
+                             + [new_pos] * len(tail)),
+                    np.array([times[i] for i in chain] + tail), arrival)
+        positions.append(new_pos)
+        times.append(new_time)
         parent.append(ni)
     aim = (goal.prop.label if goal.prop is not None
            else f"the window's end at {seconds(goal.deadline, tau)} s")
@@ -484,9 +510,9 @@ def plan_global(decomposition, p0, ws, params, *, tau, v_max):
             else:
                 fallbacks.append(dset.final_piece)
         task = replace(task, subtasks=task.subtasks + tuple(fallbacks))
-        rng = np.random.default_rng(
+        rng = _BlockedDraws(np.random.default_rng(
             np.random.SeedSequence(params.rng_seed,
-                                   spawn_key=(task.index,)))
+                                   spawn_key=(task.index,))))
         q_init = (merged.positions[-1], merged.k_last * tau)
         seq, local_pairs = plan_local(task, q_init, ws, params, rng, guards,
                                       tau=tau, v_max=v_max)

@@ -175,12 +175,13 @@ class Box:
 
     @cached_property
     def _lo_and_span(self):
-        lo = np.asarray(self.lo)
-        return lo, np.asarray(self.hi) - lo
+        return tuple((l, h - l) for l, h in zip(self.lo, self.hi))
 
     def sample(self, rng):
-        lo, span = self._lo_and_span
-        return lo + rng.random(self.dim) * span
+        """A uniform point of the box as a list of floats, one
+        rng.random() per axis: the draws and operations of
+        lo + rng.random(dim) * span."""
+        return [l + rng.random() * s for l, s in self._lo_and_span]
 
 
 @dataclass(frozen=True)

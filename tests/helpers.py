@@ -9,7 +9,8 @@ bounds, the round-by-round box growth, the per-grid-point path sampling
 and the per-step initial guess that the array versions must reproduce
 bit for bit, the generator-based point and segment predicates and the
 per-point satisfaction checker that the float and membership-array
-versions must agree with, and a call counter.
+versions must agree with, the array-based space-time tree that the
+plain-float tree must reproduce bit for bit, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists (interval endpoints read as steps * tau) with
@@ -26,8 +27,11 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from stlplan.corridor import CorridorError
 from stlplan.satisfaction import SatisfactionPair
 from stlplan.optimizer import InfeasibleConstraintError
-from stlplan.stl_core import (AtomicProp, Box, PointSequence, Region,
-                              SubTask, TimeInterval, Workspace)
+from stlplan.st_planner import (_TIME_TOL as _TREE_TIME_TOL, TreeFailure,
+                                _edge_ok, _try_complete)
+from stlplan.stl_core import (SAMPLE_FREE_TRIES, AtomicProp, Box,
+                              PointSequence, Region, StlError, SubTask,
+                              TimeInterval, Workspace, seconds)
 
 TIME_EPS = 1e-9
 
@@ -463,6 +467,107 @@ def reference_discretize_path(positions, times, k_lo, k_hi, tau):
             s = (t - times[i]) / (times[i + 1] - times[i])
             out[j] = positions[i] + s * (positions[i + 1] - positions[i])
     return PointSequence(k_lo, tau, out)
+
+
+def reference_box_sample(box, rng):
+    """Box.sample as one array draw: lo + rng.random(dim) * span."""
+    lo = np.asarray(box.lo)
+    return lo + rng.random(box.dim) * (np.asarray(box.hi) - lo)
+
+
+def _reference_sample(ws, target, window, params, rng, keepins):
+    """st_planner.sample with every box drawn as an array."""
+    lo, hi = window
+    t = lo + rng.random() * (hi - lo)
+    active = None
+    for g in keepins:
+        if g.lo - _TREE_TIME_TOL <= t <= g.hi + _TREE_TIME_TOL:
+            active = g.box if active is None else active.intersect(g.box)
+            if active is None:
+                break
+    if active is not None:
+        return reference_box_sample(active, rng), t
+    if target is not None and rng.random() < params.goal_bias:
+        return reference_box_sample(target, rng), t
+    for _ in range(SAMPLE_FREE_TRIES):
+        p = reference_box_sample(ws.bounds, rng)
+        if not ws.in_obstacle(p):
+            return p, t
+    raise StlError("could not sample a free point; workspace nearly full")
+
+
+def reference_nearest(positions, times, pos, time):
+    """st_planner.nearest on arrays: the row-wise squared distances,
+    masked where a row is not strictly earlier, and their argmin."""
+    d = positions - pos
+    d *= d
+    d2 = d.sum(axis=1)
+    d2[times >= time] = np.inf
+    i = int(d2.argmin())
+    return i if times[i] < time else None
+
+
+def reference_steer(near_pos, near_time, samp_pos, samp_time, params, tau):
+    """st_planner.steer on arrays: near + delta * (step / dist)."""
+    near_pos = np.asarray(near_pos, dtype=float)
+    samp_pos = np.asarray(samp_pos, dtype=float)
+    delta = samp_pos - near_pos
+    dx, dy = delta.tolist()
+    dist = math.sqrt(dx * dx + dy * dy)
+    if dist > params.step:
+        new_pos = near_pos + delta * (params.step / dist)
+    else:
+        new_pos = samp_pos.copy()
+    new_time = min(near_time + params.resolved_time_step(tau), samp_time)
+    return new_pos, new_time
+
+
+def reference_grow_tree(root_pos, root_time, goal, ws, end_time, params, rng,
+                        *, tau, v_max, guards):
+    """st_planner.grow_tree with the tree held in numpy arrays, doubled
+    from 64 rows as it fills, and searched and steered as arrays; the
+    edge and completion tests are the package's own."""
+    positions = np.zeros((64, len(root_pos)))
+    times = np.zeros(64)
+    positions[0] = root_pos
+    times[0] = root_time
+    parent = [-1]
+    keepins = tuple(g for g in guards if g.keep_in)
+    target = goal.sample_box
+    window = (root_time, end_time + 2.0 * tau)
+    for _ in range(params.max_iters_per_tree):
+        samp_pos, samp_time = _reference_sample(ws, target, window, params,
+                                                rng, keepins)
+        n = len(parent)
+        ni = reference_nearest(positions[:n], times[:n], samp_pos,
+                               samp_time)
+        if ni is None:
+            continue
+        near_pos, near_time = positions[ni], float(times[ni])
+        new_pos, new_time = reference_steer(near_pos, near_time, samp_pos,
+                                            samp_time, params, tau)
+        if not _edge_ok(ws, guards, near_pos, near_time, new_pos, new_time,
+                        v_max):
+            continue
+        done = _try_complete(goal, new_pos, new_time, tau, ws, guards)
+        if done is not None:
+            tail, arrival = done
+            chain = []
+            while ni > 0:
+                chain.insert(0, ni)
+                ni = parent[ni]
+            return (np.vstack([positions[chain]] + [new_pos] * len(tail)),
+                    np.concatenate([times[chain], tail]), arrival)
+        if n == len(times):
+            positions = np.vstack([positions, np.zeros_like(positions)])
+            times = np.concatenate([times, np.zeros_like(times)])
+        positions[n] = new_pos
+        times[n] = new_time
+        parent.append(ni)
+    aim = (goal.prop.label if goal.prop is not None
+           else f"the window's end at {seconds(goal.deadline, tau)} s")
+    raise TreeFailure(f"tree exhausted {params.max_iters_per_tree} "
+                      f"iterations without reaching {aim}")
 
 
 def reference_contains(box, p):

@@ -1,20 +1,22 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from helpers import (direct_eval, make_ws, reference_contains,
-                     reference_discretize_path, reference_in_obstacle,
-                     reference_segment_collides,
-                     reference_segment_intersects, reference_stl_sat,
-                     region_atom)
+from helpers import (direct_eval, make_ws, reference_box_sample,
+                     reference_contains, reference_discretize_path,
+                     reference_grow_tree, reference_in_obstacle,
+                     reference_nearest, reference_segment_collides,
+                     reference_segment_intersects, reference_steer,
+                     reference_stl_sat, region_atom)
 from stlplan.decomposer import LocalTask, decompose
 from stlplan.satisfaction import SatisfactionPair, stl_sat
 from stlplan import st_planner
 from stlplan.st_planner import (Goal, GlobalPlan, Guard, PlannerParams,
-                                PlanningError, TreeFailure, _attempt,
-                                _edge_ok, _next_goal, _try_complete,
-                                discretize_path, grow_tree,
+                                PlanningError, TreeFailure, _BlockedDraws,
+                                _attempt, _edge_ok, _next_goal,
+                                _try_complete, discretize_path, grow_tree,
                                 nearest, plan_global, plan_local, sample,
                                 steer)
 from stlplan.stl_core import (Box, PointSequence, SubTask, TimeInterval,
@@ -194,7 +196,8 @@ def test_tree_lengths_are_the_plain_float_formula_to_the_bit():
         p, _ = steer(origin, 0.0, d, 1.0, PARAMS, 0.1)
         if dist > PARAMS.step:
             clamped += 1
-            assert p.tobytes() == (d * (PARAMS.step / dist)).tobytes()
+            assert np.asarray(p).tobytes() == \
+                (d * (PARAMS.step / dist)).tobytes()
         # a speed threshold equal to the length passes the edge, one ulp
         # below it fails the edge
         for threshold, ok in ((dist, True),
@@ -364,6 +367,141 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
     for ws in (OPEN_WS, wall):
         assert _try_complete(Goal(None, (30, 30)), far, 3.0, tau, ws,
                              ()) == ([3.0], 30)
+
+
+def _random_box(rng, lo=0.0, hi=10.0, size=(0.3, 4.0)):
+    a = rng.uniform(lo, hi - size[0], 2)
+    b = np.minimum(a + rng.uniform(*size, 2), hi)
+    return Box(tuple(a.tolist()), tuple(b.tolist()))
+
+
+def _random_tree_call(rng):
+    """The arguments of one grow_tree call on a random instance: up to
+    three obstacles, a goal with or without a region, an arrival window
+    and a hold, keep-in and keep-out guards, and a budget from one
+    iteration to a few hundred."""
+    tau = float(rng.choice([0.1, 0.25]))
+    ws = Workspace(Box((0.0, 0.0), (10.0, 10.0)),
+                   tuple(_random_box(rng, size=(0.3, 2.0))
+                         for _ in range(int(rng.integers(0, 4)))), ())
+    root = rng.uniform(0.0, 10.0, 2)
+    while not ws.point_free(root):
+        root = rng.uniform(0.0, 10.0, 2)
+    root_time = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)]))
+    k0 = math.ceil(root_time / tau)
+    lo = k0 + int(rng.integers(0, 30))
+    hi = lo + int(rng.integers(0, 40))
+    if rng.random() < 0.2:
+        goal = Goal(None, (hi, hi))
+    else:
+        box = _random_box(rng)
+        prop = region_atom("g", box.lo, box.hi,
+                           negated=bool(rng.random() < 0.1))
+        goal = Goal(prop, (lo, hi),
+                    hold_after=int(rng.choice([0, 0, 3, 12])))
+    guards = []
+    for _ in range(int(rng.integers(0, 4))):
+        if rng.random() < 0.5:
+            # a keep-in around the root, or around some other point
+            c = root if rng.random() < 0.7 else rng.uniform(0.0, 10.0, 2)
+            half = rng.uniform(0.5, 4.0, 2)
+            box = Box(tuple(np.maximum(c - half, 0.0).tolist()),
+                      tuple(np.minimum(c + half, 10.0).tolist()))
+            keep_in = True
+        else:
+            box, keep_in = _random_box(rng, size=(0.3, 2.0)), False
+        g_lo = float(rng.uniform(0.0, 6.0))
+        guards.append(Guard(box, g_lo, g_lo + float(rng.uniform(0.0, 4.0)),
+                            keep_in=keep_in))
+    params = PlannerParams(
+        goal_bias=float(rng.uniform(0.0, 1.0)),
+        step=float(rng.uniform(0.2, 1.5)),
+        time_step=float(rng.choice([0.2, 0.5, 1.0])),
+        max_iters_per_tree=int(rng.choice([1, 20, 100, 400])))
+    v_max = float(rng.choice([math.inf, rng.uniform(0.5, 5.0)]))
+    end_time = max(root_time, goal.deadline * tau)
+    return (root, root_time, goal, ws, end_time, params), dict(
+        tau=tau, v_max=v_max, guards=tuple(guards))
+
+
+def _tree_outcome(grow, args, kwargs, rng):
+    try:
+        positions, times, arrival = grow(*args, rng, **kwargs)
+    except TreeFailure as err:
+        return "failure", str(err)
+    return "path", (positions.shape, positions.tobytes(), times.tobytes(),
+                    arrival)
+
+
+def test_the_float_tree_grows_the_array_tree_bit_for_bit():
+    # grow_tree on plain floats against the array tree it replaced: the
+    # same path, times and arrival bytes, or the same TreeFailure
+    # message, and the same draws consumed; every other instance draws
+    # through _BlockedDraws, which must not change the stream
+    outcomes = collections.Counter()
+    rng = np.random.default_rng(20)
+    for i in range(240):
+        args, kwargs = _random_tree_call(rng)
+        mine, ref = (np.random.default_rng([20, i]) for _ in range(2))
+        got = _tree_outcome(grow_tree, args, kwargs,
+                            _BlockedDraws(mine) if i % 2 else mine)
+        want = _tree_outcome(reference_grow_tree, args, kwargs, ref)
+        assert got == want, i
+        if i % 2 == 0:
+            assert mine.bit_generator.state == ref.bit_generator.state, i
+        outcomes[got[0]] += 1
+        outcomes["keep-in"] += any(g.keep_in for g in kwargs["guards"])
+        outcomes["keep-out"] += any(not g.keep_in for g in kwargs["guards"])
+        outcomes["hold"] += args[2].hold_after > 0 and got[0] == "path"
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_nearest_and_steer_match_the_array_versions():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        positions = rng.uniform(0.0, 10.0, (n, 2))
+        # coarse times and positions give ties in time and distance
+        times = rng.integers(0, 8, n) * 0.5
+        positions[rng.random(n) < 0.2] = positions[0]
+        q, t = rng.uniform(0.0, 10.0, 2), float(rng.integers(0, 9) * 0.5)
+        assert nearest(positions.tolist(), times.tolist(), q.tolist(), t) \
+            == reference_nearest(positions, times, q, t)
+        params = PlannerParams(step=float(rng.uniform(0.1, 3.0)))
+        got = steer(positions[0].tolist(), float(times[0]), q.tolist(), t,
+                    params, 0.1)
+        want = reference_steer(positions[0], float(times[0]), q, t, params,
+                               0.1)
+        assert type(got[0]) is list and all(type(v) is float
+                                            for v in got[0])
+        assert np.array(got[0]).tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+
+def test_blocked_draws_are_the_single_draw_stream():
+    # across several 256-value blocks, and whatever the draws are used
+    # for, the wrapper returns what one Generator.random() per draw does
+    blocked = _BlockedDraws(np.random.default_rng(5))
+    single = np.random.default_rng(5)
+    got = [blocked.random() for _ in range(1000)]
+    want = [single.random() for _ in range(1000)]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_sample_is_the_array_draw_to_the_bit(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(200):
+        lo = rng.uniform(-50.0, 50.0, dim)
+        box = Box(lo, lo + rng.uniform(0.0, 30.0, dim))
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            p = box.sample(a)
+            assert type(p) is list and len(p) == dim
+            assert np.array(p).tobytes() == \
+                reference_box_sample(box, b).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_a_hold_is_checked_against_the_guards_up_to_its_end():
