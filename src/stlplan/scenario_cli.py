@@ -15,7 +15,6 @@ usage error too), or an unwritable output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -664,7 +663,10 @@ def _cmd_run(args, scenario):
         if report.error:
             print(f"error: {report.error}", file=sys.stderr)
         return report.exit_code()
-    # load the solver's LAPACK once here, so forked workers inherit it
+    # only --repeat needs the pool, so it is imported here and not with
+    # the module (it loads logging too, a few ms per CLI start); the
+    # solver's LAPACK is loaded here once, so forked workers inherit it
+    import concurrent.futures
     import scipy.linalg.lapack
 
     # one worker per CPU this process may run on: under fork the pool

@@ -752,6 +752,19 @@ def test_python_dash_m_stlplan_runs_the_cli_once(tiny_path):
     assert "valid" in done.stdout
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only run --repeat uses concurrent.futures; a fresh interpreter that
+    # imports the CLI module must not load it
+    src = str(Path(scenario_cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, stlplan.scenario_cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_cli_plan_writes_waypoint_artifacts(tiny_path, tmp_path, capsys):
     out = tmp_path / "planned"
     assert main(["plan", str(tiny_path), "--seed", "1",
