@@ -30,15 +30,15 @@ Tree edges move at most a fixed step in space and a bounded stride in
 time, and are rejected when they would exceed the commanded speed limit,
 so consecutive grid waypoints always stay within reach of the vehicle.
 A tree grows on plain floats, with no numpy inside its loop: its
-vertices are lists of [x, y] rows and of times, scanned in full for the
-nearest vertex, and each new vertex and edge is tested on those floats
-(obstacles, guards, goal region).  A completed path goes back to
-arrays.  Every float operation is the one numpy's arrays made before,
-in the same order, so the plans are those of the array version bit for
-bit.  Edge lengths are sqrt(dx * dx + dy * dy) on plain floats in that
-order, so no BLAS kernel's fused multiply-add can move a plan.  Each
-window draws its uniforms from its Generator in blocks (_BlockedDraws),
-the same stream as one call per draw.
+vertices are a list of [x, y] rows and a list of times, scanned in full
+for the nearest vertex, and each new vertex and edge is tested on those
+floats (obstacles, guards, goal region).  A completed path goes back to
+arrays.  Each float operation is the one the equivalent numpy array
+expression performs, in the same order, so either form gives the same
+plans bit for bit.  Edge lengths are sqrt(dx * dx + dy * dy) on plain
+floats in that order, so no BLAS kernel's fused multiply-add can move a
+plan.  Each window draws its uniforms from its Generator in blocks
+(_BlockedDraws), the same stream as one call per draw.
 """
 
 from __future__ import annotations
@@ -271,13 +271,14 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
 
     The root is not tested against the goal: the attempt completes a
     goal met in place itself.  The tree is held as a list of [x, y]
-    float rows, a list of float times and a parent index per row.  Returns (positions, times, arrival) of the path after the
-    root, at least one row, times strictly increasing: the tree chain
-    down to the vertex the completing edge leaves from, then the
-    completion tail at the completing position.  Times are sampled from
-    root_time to two sampling periods past end_time; the goal's own
-    arrival window decides completion.  Raises TreeFailure, naming the
-    goal's region or time, when the iteration budget runs out.
+    float rows, a list of float times and a parent index per row.
+    Returns (positions, times, arrival) of the path after the root, at
+    least one row, times strictly increasing: the tree chain down to the
+    vertex the completing edge leaves from, then the completion tail at
+    the completing position.  Times are sampled from root_time to two
+    sampling periods past end_time; the goal's own arrival window
+    decides completion.  Raises TreeFailure, naming the goal's region or
+    time, when the iteration budget runs out.
     """
     positions = [_floats(root_pos)]
     times = [float(root_time)]
@@ -304,9 +305,8 @@ def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
             tail, arrival = done
             chain = []
             while ni > 0:
-                chain.append(ni)
+                chain.insert(0, ni)
                 ni = parent[ni]
-            chain.reverse()
             return (np.array([positions[i] for i in chain]
                              + [new_pos] * len(tail)),
                     np.array([times[i] for i in chain] + tail), arrival)
