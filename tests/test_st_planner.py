@@ -369,9 +369,10 @@ def test_tree_paths_start_at_the_root_and_end_with_the_tail():
                              ()) == ([3.0], 30)
 
 
-def _random_box(rng, lo=0.0, hi=10.0, size=(0.3, 4.0)):
-    a = rng.uniform(lo, hi - size[0], 2)
-    b = np.minimum(a + rng.uniform(*size, 2), hi)
+def _random_box(rng, size=(0.3, 4.0)):
+    """A box in the 10 m square with sides drawn from size."""
+    a = rng.uniform(0.0, 10.0 - size[0], 2)
+    b = np.minimum(a + rng.uniform(*size, 2), 10.0)
     return Box(tuple(a.tolist()), tuple(b.tolist()))
 
 
