@@ -36,6 +36,7 @@ unbounded during optimization and is only wrapped for reporting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -211,6 +212,29 @@ def _avoid_faces(lo, hi, wps, margin):
     return axis, side, np.where(side == 0, below, above), best
 
 
+def _pair_rows(pairs, dim):
+    """Each pair's step, its region's bounds (lo, hi) as (P, dim) arrays
+    and its negation, read through a per-label table: a label names one
+    region, so each pair's label picks its row.  Raises
+    OptimizationError when two pairs give one label different
+    regions."""
+    ks, labels, props = zip(*pairs) if pairs else ((), (), ())
+    atoms = dict(zip(labels, props))
+    if not all(map(operator.is_, props, map(atoms.__getitem__, labels))):
+        for label, prop in zip(labels, props):
+            if prop != atoms[label]:
+                raise OptimizationError(f"pairs give the label {label} two "
+                                        f"different regions")
+    rows = dict(zip(atoms, range(len(atoms))))
+    at = np.fromiter(map(rows.__getitem__, labels), dtype=np.intp,
+                     count=len(labels))
+    shape = (len(atoms), dim)
+    lo = np.array([a.region.box.lo for a in atoms.values()]).reshape(shape)
+    hi = np.array([a.region.box.hi for a in atoms.values()]).reshape(shape)
+    neg = np.array([a.negated for a in atoms.values()], dtype=bool)
+    return np.array(ks, dtype=np.intp), lo[at], hi[at], neg[at]
+
+
 def _position_bounds(pts, corridor, ws, pairs, margin):
     """Per-step position bounds (lb, ub) of shape (K+1, d); see
     build_nlp.
@@ -237,11 +261,7 @@ def _position_bounds(pts, corridor, ws, pairs, margin):
     lb[hand] = np.maximum(ws.bounds.lo, door_lb + wide * margin)
     ub[hand] = np.minimum(ws.bounds.hi, door_ub - wide * margin)
 
-    ks = np.array([p.k for p in pairs], dtype=np.intp)
-    shape = (len(pairs), pts.shape[1])
-    rlo = np.array([p.prop.region.box.lo for p in pairs]).reshape(shape)
-    rhi = np.array([p.prop.region.box.hi for p in pairs]).reshape(shape)
-    neg = np.array([p.prop.negated for p in pairs], dtype=bool)
+    ks, rlo, rhi, neg = _pair_rows(pairs, pts.shape[1])
     np.maximum.at(lb, ks[~neg], rlo[~neg])
     np.minimum.at(ub, ks[~neg], rhi[~neg])
     ka = ks[neg]
@@ -295,8 +315,9 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
     boxes comes first, then a waypoint inside a region it must avoid
     (named by the label of the first such pair at that step), then an
     empty intersection.  Inputs that disagree (the corridor's or x0's
-    shape, the model's step, a pair off the plan's steps) raise
-    OptimizationError.
+    shape, the model's step, a pair off the plan's steps, an x0 position
+    off the first waypoint by more than 1e-9 on an axis, one label given
+    two regions) raise OptimizationError.
     """
     pts = plan.waypoints.positions
     K = len(pts) - 1
@@ -313,7 +334,8 @@ def build_nlp(plan, corridor, ws, model, x0, *, q_weights, r_weights):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise OptimizationError(f"initial state must have {n} entries")
-    if not np.allclose(x0[:d], pts[0], atol=1e-9):
+    if not all(abs(a - b) <= 1e-9
+               for a, b in zip(x0[:d].tolist(), pts[0].tolist())):
         raise OptimizationError("initial state does not match the first "
                                 "waypoint")
 

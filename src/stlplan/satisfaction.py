@@ -32,6 +32,8 @@ optimizer, so the checker keeps them minimal where it can:
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +98,11 @@ def _holds(seq, prop, ks):
     return ~inside if prop.negated else inside
 
 
+# a SatisfactionPair from a (k, label, prop) tuple, as the named tuple's
+# own _make builds it but with no Python call per pair
+_pair = partial(tuple.__new__, SatisfactionPair)
+
+
 def _pairs(prop, ks):
-    label = prop.label
-    return tuple(SatisfactionPair(k, label, prop) for k in ks)
+    """One pair per grid index of ks, each keyed by (k, prop's label)."""
+    return tuple(map(_pair, zip(ks, repeat(prop.label), repeat(prop))))

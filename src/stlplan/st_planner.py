@@ -16,6 +16,15 @@ every sub-task re-checked; on failure the attempt restarts with fresh
 randomness.  The certifying pairs of every window are collected in
 order; the GlobalPlan deduplicates them once.
 
+A goal served in place opens a run at that point: while the next visit
+of the same patrol sorts before every other goal due, it is completed
+there too, one row per visit, in the same pass of the schedule.  The
+point's region, obstacle and guard tests are made once per run, so a
+patrol met where the vehicle stands costs a few float operations per
+grid step, not a pass of the schedule.  The run ends exactly where a
+pass per goal would switch: at another goal, a guard that a wait would
+violate, a wait shorter than _MIN_EDGE_DT, or the patrol's end.
+
 The schedule works in grid steps, as the sub-tasks' intervals are: a
 goal's arrival window and hold are steps, and a goal is completed at
 the first grid step at or after the tree's arrival.  Seconds are the
@@ -46,6 +55,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +115,11 @@ class Guard:
         return inside if self.keep_in else not inside
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
     """A reach objective: be at prop's region, or anywhere without a prop,
     at a grid step of the arrival window (lo, hi), then hold position
-    for hold_after steps."""
+    for hold_after steps.  A named tuple, because a patrol run in place
+    builds one per visit."""
 
     prop: object
     window: tuple
@@ -239,19 +249,39 @@ def _edge_ok(ws, guards, p0, t0, p1, t1, v_max):
     return True
 
 
-def _try_complete(goal, p, t, tau, ws, guards):
-    """If (p, t) completes the goal, return the times of the certifying
-    tail, all at position p and ending on exact grid times, and the
-    arrival grid index; a goal without a prop holds everywhere."""
-    if goal.prop is not None and not goal.prop.holds(p):
-        return None
+def _wait_test(p, ws, guards):
+    """_edge_ok of a wait at the point p, as a test of its start and end
+    times, with p's obstacle and guard tests made once: a wait passes
+    when it lasts _MIN_EDGE_DT, p is free, and no guard that p violates
+    is active during it.  An edge that stands still meets a box exactly
+    when its point lies in it, which is the test made here."""
+    p = _floats(p)
+    if ws.segment_collides(p, p):
+        return lambda t0, t1: False
+    broken = [(g.lo, g.hi) for g in guards if g.box.contains(p) != g.keep_in]
+
+    def wait_ok(t0, t1):
+        if t1 - t0 < _MIN_EDGE_DT:
+            return False
+        for lo, hi in broken:
+            if max(t0, lo) <= min(t1, hi) + _TIME_TOL:
+                return False
+        return True
+    return wait_ok
+
+
+def _complete_at(goal, t, tau, wait_ok):
+    """If a point that meets goal's prop and stands still from time t on
+    completes the goal, return the times of the certifying tail, ending
+    on exact grid times, and the arrival grid index.  wait_ok(t0, t1)
+    tests a wait at the point from t0 to t1."""
     g_k = max(grid_ceil(t, tau), goal.window[0])
     if g_k > goal.window[1]:
         return None
     g = g_k * tau
     if g > t + _TIME_TOL:
         # wait in place until the window opens / the next grid sample
-        if not _edge_ok(ws, guards, p, t, p, g, math.inf):
+        if not wait_ok(t, g):
             return None
         tail = [t, g]
     else:
@@ -259,10 +289,19 @@ def _try_complete(goal, p, t, tau, ws, guards):
         tail = [g]
     if goal.hold_after > 0:
         g_end = (g_k + goal.hold_after) * tau
-        if not _edge_ok(ws, guards, p, g, p, g_end, math.inf):
+        if not wait_ok(g, g_end):
             return None
         tail.append(g_end)
     return tail, g_k
+
+
+def _try_complete(goal, p, t, tau, ws, guards):
+    """If (p, t) completes the goal, return the times of the certifying
+    tail, all at position p and ending on exact grid times, and the
+    arrival grid index; a goal without a prop holds everywhere."""
+    if goal.prop is not None and not goal.prop.holds(p):
+        return None
+    return _complete_at(goal, t, tau, _wait_test(p, ws, guards))
 
 
 def grow_tree(root_pos, root_time, goal, ws, end_time, params, rng, *, tau,
@@ -414,31 +453,50 @@ def _attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
              end_k):
     """One pass of the goal schedule from q_init to grid step end_k: one
     goal per sub-task, of which only the one just served is replaced,
-    then the window's end.  A goal that the current point already meets
-    is completed in place, drawing no random numbers; any other is
-    reached by a tree.  Returns the joined (positions, times)."""
+    then the window's end.  The goal that sorts first is served in place
+    when the current point meets it, drawing no random numbers, else by
+    a tree.  Served in place, it opens a run: each next goal of its
+    sub-task that still sorts first and that the point meets is served
+    at the same point in the same pass, with the point's region,
+    obstacle and guard tests made once.  Returns the joined (positions,
+    times)."""
     pos, time = q_init
     positions, times = [pos], [time]
     goals = [_next_goal(sub, None) for sub in subtasks]
     while True:
         # a keep-in goal whose time has passed was met: its guard held since
-        due = [(goal.deadline, sub.kind == "GF", i)
-               for i, (sub, goal) in enumerate(zip(subtasks, goals))
-               if goal is not None and not (
-                   sub.kind == "G" and grid_ceil(time, tau) > goal.deadline)]
+        due = sorted((goal.deadline, sub.kind == "GF", i)
+                     for i, (sub, goal) in enumerate(zip(subtasks, goals))
+                     if goal is not None and not (
+                         sub.kind == "G"
+                         and grid_ceil(time, tau) > goal.deadline))
         # with no goal due, the window's end is the last one
-        *_, i = min(due, default=(None,))
+        *_, i = due[0] if due else (None,)
         goal = Goal(None, (end_k, end_k)) if i is None else goals[i]
-        done = _try_complete(goal, pos, time, tau, ws, guards)
+        done = None
+        if goal.prop is None or goal.prop.holds(pos):
+            wait_ok = _wait_test(pos, ws, guards)
+            done = _complete_at(goal, time, tau, wait_ok)
         if done is None:
             p, t, arrival = grow_tree(pos, time, goal, ws, end_k * tau,
                                       params, rng, tau=tau, v_max=v_max,
                                       guards=guards)
-        else:
+            positions.extend(p)
+            times.extend(t)
+        # served in place, the goal opens a run at pos: its sub-task's
+        # next goal (a patrol's next visit; no other kind has one) is
+        # served there too while it sorts before the first other goal
+        # due.  Those keep their keys, and a keep-in one can only leave
+        # the list, so the next pass would pick the same goal
+        rival = due[1] if len(due) > 1 else (math.inf,)
+        while done is not None:
             tail, arrival = done  # its first time is the current row's
-            p, t = [pos] * (len(tail) - 1), tail[1:]
-        positions.extend(p)
-        times.extend(t)
+            positions.extend([pos] * (len(tail) - 1))
+            times.extend(tail[1:])
+            goal = None if i is None else _next_goal(subtasks[i], arrival)
+            done = None
+            if goal is not None and (goal.deadline, True, i) < rival:
+                done = _complete_at(goal, times[-1], tau, wait_ok)
         if i is None:
             return np.array(positions), np.array(times)
         goals[i] = _next_goal(subtasks[i], arrival)

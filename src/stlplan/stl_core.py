@@ -380,6 +380,11 @@ class SubTask:
 
     def active_interval(self):
         """The grid steps whose samples the clause can constrain."""
+        return self._active_interval
+
+    @cached_property
+    def _active_interval(self):
+        # built once: the goal schedule asks for it at every patrol visit
         if self.nested:
             return self.outer.minkowski(self.inner)
         return self.outer
@@ -609,14 +614,15 @@ class PointSequence:
                 f"check needs {interval}")
 
     def concat(self, other):
-        """Join a sequence that starts at this one's final grid point."""
+        """Join a sequence that starts at this one's final grid point,
+        exactly: the planner starts each window at the previous one's
+        last point, taken verbatim."""
         if other.tau != self.tau:
             raise ValueError("sampling step mismatch")
         if other.k0 != self.k_last:
             raise ValueError(f"sequences not contiguous: {self.k_last} vs "
                              f"{other.k0}")
-        if not np.allclose(other.positions[0], self.positions[-1],
-                           atol=1e-12):
+        if other.positions[0].tolist() != self.positions[-1].tolist():
             raise ValueError("sequences disagree at the junction point")
         return PointSequence(
             self.k0, self.tau,

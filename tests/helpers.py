@@ -10,7 +10,9 @@ and the per-step initial guess that the array versions must reproduce
 bit for bit, the generator-based point and segment predicates and the
 per-point satisfaction checker that the float and membership-array
 versions must agree with, the array-based space-time tree that the
-plain-float tree must reproduce bit for bit, and a call counter.
+plain-float tree must reproduce bit for bit, the goal schedule with one
+pass per goal that the schedule's runs in place must reproduce bit for
+bit, and a call counter.
 
 The evaluator here deliberately repeats none of the package code: it
 works on float time lists (interval endpoints read as steps * tau) with
@@ -27,11 +29,12 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from stlplan.corridor import CorridorError
 from stlplan.satisfaction import SatisfactionPair
 from stlplan.optimizer import InfeasibleConstraintError
-from stlplan.st_planner import (_TIME_TOL as _TREE_TIME_TOL, TreeFailure,
-                                _edge_ok, _try_complete)
+from stlplan import st_planner
+from stlplan.st_planner import (_TIME_TOL as _TREE_TIME_TOL, Goal,
+                                TreeFailure, _edge_ok, _next_goal)
 from stlplan.stl_core import (SAMPLE_FREE_TRIES, AtomicProp, Box,
                               PointSequence, Region, StlError, SubTask,
-                              TimeInterval, Workspace, seconds)
+                              TimeInterval, Workspace, grid_ceil, seconds)
 
 TIME_EPS = 1e-9
 
@@ -522,6 +525,61 @@ def reference_steer(near_pos, near_time, samp_pos, samp_time, params, tau):
     return new_pos, new_time
 
 
+def reference_try_complete(goal, p, t, tau, ws, guards):
+    """st_planner._try_complete in one function: the completion tail
+    computed inline, each wait tested by _edge_ok as a motion from p to
+    p."""
+    if goal.prop is not None and not goal.prop.holds(p):
+        return None
+    g_k = max(grid_ceil(t, tau), goal.window[0])
+    if g_k > goal.window[1]:
+        return None
+    g = g_k * tau
+    if g > t + _TREE_TIME_TOL:
+        if not _edge_ok(ws, guards, p, t, p, g, math.inf):
+            return None
+        tail = [t, g]
+    else:
+        tail = [g]
+    if goal.hold_after > 0:
+        g_end = (g_k + goal.hold_after) * tau
+        if not _edge_ok(ws, guards, p, g, p, g_end, math.inf):
+            return None
+        tail.append(g_end)
+    return tail, g_k
+
+
+def reference_attempt(q_init, ws, params, rng, subtasks, guards, tau, v_max,
+                      end_k):
+    """st_planner._attempt with one pass of the schedule per goal: every
+    pass re-sorts the goals due and completes the first one in place
+    (reference_try_complete) or grows st_planner.grow_tree to it."""
+    pos, time = q_init
+    positions, times = [pos], [time]
+    goals = [_next_goal(sub, None) for sub in subtasks]
+    while True:
+        due = [(goal.deadline, sub.kind == "GF", i)
+               for i, (sub, goal) in enumerate(zip(subtasks, goals))
+               if goal is not None and not (
+                   sub.kind == "G" and grid_ceil(time, tau) > goal.deadline)]
+        *_, i = min(due, default=(None,))
+        goal = Goal(None, (end_k, end_k)) if i is None else goals[i]
+        done = reference_try_complete(goal, pos, time, tau, ws, guards)
+        if done is None:
+            p, t, arrival = st_planner.grow_tree(
+                pos, time, goal, ws, end_k * tau, params, rng, tau=tau,
+                v_max=v_max, guards=guards)
+        else:
+            tail, arrival = done
+            p, t = [pos] * (len(tail) - 1), tail[1:]
+        positions.extend(p)
+        times.extend(t)
+        if i is None:
+            return np.array(positions), np.array(times)
+        goals[i] = _next_goal(subtasks[i], arrival)
+        pos, time = positions[-1], times[-1]
+
+
 def reference_grow_tree(root_pos, root_time, goal, ws, end_time, params, rng,
                         *, tau, v_max, guards):
     """st_planner.grow_tree with the tree held in numpy arrays, doubled
@@ -549,7 +607,8 @@ def reference_grow_tree(root_pos, root_time, goal, ws, end_time, params, rng,
         if not _edge_ok(ws, guards, near_pos, near_time, new_pos, new_time,
                         v_max):
             continue
-        done = _try_complete(goal, new_pos, new_time, tau, ws, guards)
+        done = reference_try_complete(goal, new_pos, new_time, tau, ws,
+                                      guards)
         if done is not None:
             tail, arrival = done
             chain = []

@@ -1,9 +1,11 @@
+import collections
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +411,41 @@ def test_position_bounds_match_the_per_step_reference():
     assert seen == {"ok", "corridor", "waypoint", "constraints"}
 
 
+def test_position_bounds_read_each_label_as_its_pairs_do():
+    # pairs as a plan's windows hand them over, before the plan
+    # deduplicates them: drawn from a few atoms, plain and negated labels
+    # of the same regions among them, with (k, label) keys repeated and
+    # sometimes no pair at all; read through one row per label, the
+    # bounds are the per-pair reference's to the bit
+    rng = np.random.default_rng(44)
+    ws = make_ws()
+    counts = collections.Counter()
+    seen = set()
+    for _ in range(300):
+        pts, boxes, _, margin = _random_bounds_case(rng)
+        atoms = []
+        for i in range(int(rng.integers(1, 4))):
+            lo = rng.integers(0, 17, size=2) / 2.0
+            hi = lo + rng.integers(1, 7, size=2) / 2.0
+            atoms += [region_atom(f"r{i}", tuple(lo), tuple(hi), negated=neg)
+                      for neg in (False, True)]
+        pairs = []
+        if rng.random() < 0.8:
+            for _ in range(int(rng.integers(1, len(pts) + 2))):
+                atom = atoms[int(rng.integers(len(atoms)))]
+                pairs.append(SatisfactionPair(int(rng.integers(len(pts))),
+                                              atom.label, atom))
+        counts["empty"] += not pairs
+        counts["repeated"] += len({p[:2] for p in pairs}) < len(pairs)
+        counts["mixed"] += len({p.prop.negated for p in pairs}) == 2
+        got = _assert_bounds_match_the_reference(pts, boxes, ws, pairs,
+                                                 margin)
+        seen.add(got[1].split(" ")[0] if got[0] is
+                 InfeasibleConstraintError else "ok")
+    assert min(counts.values()) >= 40, counts
+    assert seen == {"ok", "corridor", "waypoint", "constraints"}
+
+
 def test_position_bounds_edge_cases_match_the_reference():
     ws = make_ws(bounds=((0.0, 0.0), (8.0, 6.0)))
     a = Box((0.0, 0.0), (4.0, 6.0))
@@ -487,6 +524,52 @@ def test_build_rejects_inconsistent_inputs():
                   **UNIT_WEIGHTS)
     with pytest.raises(OptimizationError):
         build_nlp(plan, cor, ws, model, np.array([1.0, 1.0]), **UNIT_WEIGHTS)
+
+
+@pytest.mark.parametrize("off, ok", [(0.9e-9, True), (-0.9e-9, True),
+                                     (1.1e-9, False), (-1.1e-9, False),
+                                     (1e-5, False)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_build_matches_x0_to_the_first_waypoint_within_1e_9(off, ok, axis):
+    # 1e-9 m on each axis and no more: with numpy's default relative
+    # tolerance 1e-5 m would pass at a first waypoint 7 m from the origin
+    ws = make_ws()
+    plan = _plan([[7.0, 3.0], [7.2, 3.0]])
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
+    x0 = np.array([7.0, 3.0, 0.0])
+    x0[axis] += off
+    build = partial(build_nlp, plan, cor, ws, unicycle_model(0.1), x0,
+                    **UNIT_WEIGHTS)
+    if ok:
+        assert build().state_lb[0].tolist() == x0.tolist()
+    else:
+        with pytest.raises(OptimizationError, match="does not match the "
+                           "first waypoint"):
+            build()
+
+
+def test_build_rejects_a_label_given_two_regions():
+    # the pairs are read through one row per label, as pairs.csv names
+    # them: a label that two pairs give different regions is an error,
+    # an equal region in a second atom is not
+    ws = make_ws()
+    plan = _plan([[1.0, 1.0], [1.2, 1.0], [1.4, 1.0]])
+    cor = construct_safe_corridor(plan.waypoints, ws, DEFAULT_STEP)
+    a = region_atom("a", (0.0, 0.0), (2.0, 2.0))
+    twin = region_atom("a", (0.0, 0.0), (2.0, 2.0))
+    wide = region_atom("a", (0.0, 0.0), (3.0, 2.0))
+    args = (cor, ws, unicycle_model(0.1), np.array([1.0, 1.0, 0.0]))
+    same = build_nlp(_plan(plan.waypoints.positions,
+                           pairs=[SatisfactionPair(1, "a", a),
+                                  SatisfactionPair(2, "a", twin)]),
+                     *args, **UNIT_WEIGHTS)
+    assert same.state_ub[1, 0] == same.state_ub[2, 0] == 2.0
+    with pytest.raises(OptimizationError, match="pairs give the label a two "
+                       "different regions"):
+        build_nlp(_plan(plan.waypoints.positions,
+                        pairs=[SatisfactionPair(1, "a", a),
+                               SatisfactionPair(2, "a", wide)]),
+                  *args, **UNIT_WEIGHTS)
 
 
 @pytest.mark.parametrize("k", [-2, 4])
@@ -1240,6 +1323,7 @@ def test_solves_match_the_reference_kernel_on_the_shipped_scenarios(
 _STAGES_THEN_SOLVE = """
 import json, sys
 from dataclasses import replace
+from functools import partial
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (direct_eval, make_ws, reference_box_sample,
+from helpers import (count_calls, direct_eval, make_ws,
+                     reference_attempt, reference_box_sample,
                      reference_contains, reference_discretize_path,
                      reference_grow_tree, reference_in_obstacle,
                      reference_nearest, reference_segment_collides,
@@ -738,6 +739,167 @@ def test_attempt_serves_a_patrol_in_place_without_trees(monkeypatch):
                             v_max=2.0)
     assert np.all(seq.positions == [5.0, 5.0])
     assert [p.k for p in pairs] == list(range(46))
+
+
+def test_a_patrol_met_in_place_is_served_in_one_pass(monkeypatch):
+    # the 41 visits of a patrol (the last at 4 s, whose window reaches
+    # the active interval's end) are one run in place, and the
+    # wait to the window's end is a second: the point's obstacle and
+    # guard tests are made once per run, not once per visit
+    monkeypatch.setattr(st_planner, "grow_tree", _no_tree)
+    runs = count_calls(monkeypatch, st_planner, "_wait_test")
+    target = region_atom("t", (4.0, 4.0), (6.0, 6.0))
+    patrol = SubTask("GF", TimeInterval(0, 40, 0.1), TimeInterval(0, 5, 0.1),
+                     target)
+    positions, times = _attempt((np.array([5.0, 5.0]), 0.0), OPEN_WS,
+                                PARAMS, np.random.default_rng(0), (patrol,),
+                                [], 0.1, 2.0, 50)
+    assert len(runs) == 2
+    assert times.tolist() == [k * 0.1 for k in range(41)] + [5.0]
+
+
+def _around(point, half):
+    """The box of the given half sides around point, inside the 10 m
+    square."""
+    return Box(tuple(np.maximum(point - half, 0.0).tolist()),
+               tuple(np.minimum(point + half, 10.0).tolist()))
+
+
+def _random_schedule(rng, case):
+    """The arguments of one _attempt call whose first goal is a patrol
+    that the start point meets, so that its visits run in place, plus
+    what the case adds:
+
+    gaps       patrols with gaps 0 to 5 and a reach, each met in place or
+               not
+    deadlines  reaches and reach-holds whose deadlines fall in the
+               patrol's run, at a patrol deadline (a tie: the reach goes
+               first) or off it
+    keep-in    a keep-in G whose deadline falls in the patrol's run, its
+               region around the start or elsewhere
+    keep-out   a keep-out guard around the start, or a keep-in guard
+               away from it, that begins during the run, on a grid time
+               or between two
+    end        a patrol whose active interval ends before or at the
+               window's end, and a keep-out guard that may begin later
+
+    The attempt starts at time 0, on a later grid time, or less than
+    _MIN_EDGE_DT before one, where the first wait is too short.
+    """
+    tau = float(rng.choice([0.1, 0.25, 0.5]))
+    end_k = int(rng.integers(30, 70))
+    start = rng.uniform(1.0, 9.0, 2)
+    t0 = float(rng.choice([0.0, tau, 2.0 * tau - 5e-7]))
+    ws = Workspace(Box((0.0, 0.0), (10.0, 10.0)), tuple(
+        b for b in (_random_box(rng, size=(0.3, 1.5))
+                    for _ in range(int(rng.integers(0, 3))))
+        if not b.contains(start)), ())
+
+    def step(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    def atom(name, here, negated=False):
+        box = (_around(start, rng.uniform(0.3, 3.0, 2)) if here
+               else _random_box(rng, size=(0.5, 3.0)))
+        return region_atom(name, box.lo, box.hi, negated=negated)
+
+    def ival(lo, hi):
+        return TimeInterval(lo, hi, tau)
+
+    def patrol(name, here, a, b, gap, shift=0):
+        return SubTask("GF", ival(a, b), ival(shift, shift + gap),
+                       atom(name, here))
+
+    gap = step(0, 5)
+    a = step(0, 5)
+    b = step(a + 10, end_k - gap - 2)
+    subs = [patrol("p", True, a, b, gap)]
+    guards = []
+    if case == "gaps":
+        for name in ("q", "r")[:step(0, 2)]:
+            g = step(0, 5)
+            lo = step(0, end_k - g - 5)
+            subs.append(patrol(name, rng.random() < 0.5, lo,
+                               step(lo, end_k - g), g, shift=step(0, 2)))
+        if rng.random() < 0.5:
+            subs.append(SubTask("F", ival(0, step(5, end_k)), None,
+                                atom("f", rng.random() < 0.5)))
+    elif case == "deadlines":
+        for name in ("f", "h")[:step(1, 2)]:
+            # a deadline that the run's patrol deadlines (each arrival
+            # plus the gap) meet, or one between them
+            hi = step(a + gap + 1, b) if rng.random() < 0.8 else b + gap
+            kind = "FG" if rng.random() < 0.4 else "F"
+            subs.append(SubTask(kind, ival(step(0, hi), hi),
+                                ival(0, step(0, 4)) if kind == "FG" else None,
+                                atom(name, rng.random() < 0.6)))
+    elif case == "keep-in":
+        keep = SubTask("G", ival(step(a + 1, b), step(b, end_k)), None,
+                       atom("k", rng.random() < 0.7))
+        subs.append(keep)
+        guards.append(Guard.from_subtask(keep, tau))
+    elif case == "keep-out":
+        lo = step(a + 1, b)
+        hi = step(lo, end_k)
+        box = _around(start, rng.uniform(0.05, 0.5, 2))
+        r = rng.random()
+        if r < 0.4:
+            avoid = SubTask("G", ival(lo, hi), None, region_atom(
+                "o", box.lo, box.hi, negated=True))
+            subs.append(avoid)
+            guards.append(Guard.from_subtask(avoid, tau))
+        elif r < 0.7:
+            off = float(rng.uniform(-0.5, 0.5)) * tau
+            guards.append(Guard(box, lo * tau + off, hi * tau,
+                                keep_in=False))
+        else:
+            far = _random_box(rng, size=(2.0, 5.0))
+            if not far.contains(start):
+                guards.append(Guard(far, lo * tau, hi * tau, keep_in=True))
+    else:
+        b = step(a + 10, end_k - gap)
+        subs[0] = patrol("p", True, a, b, gap)
+        if rng.random() < 0.5:
+            lo = step(b + gap, end_k)
+            guards.append(Guard(_around(start, rng.uniform(0.05, 0.5, 2)),
+                                lo * tau, end_k * tau, keep_in=False))
+    order = rng.permutation(len(subs))
+    params = PlannerParams(goal_bias=float(rng.uniform(0.3, 1.0)),
+                           step=float(rng.uniform(0.5, 1.5)),
+                           max_iters_per_tree=int(rng.choice([100, 400])))
+    return ((start, t0), ws, params), (
+        tuple(subs[j] for j in order), guards, tau,
+        float(rng.uniform(2.0, 5.0)), end_k)
+
+
+def _schedule_outcome(attempt, head, tail, rng):
+    try:
+        positions, times = attempt(*head, rng, *tail)
+    except TreeFailure as err:
+        return "failure", str(err)
+    return "path", (positions.shape, positions.tobytes(), times.tobytes())
+
+
+@pytest.mark.parametrize("case", ["gaps", "deadlines", "keep-in", "keep-out",
+                                  "end"])
+def test_runs_in_place_follow_the_one_pass_per_goal_schedule(case):
+    # _attempt against the schedule it replaced, which takes one pass
+    # per goal: the same path and time bytes, or the same TreeFailure,
+    # and the same draws consumed.  Every instance starts inside a
+    # patrol's region, so its visits run in place until another goal,
+    # a guard, a wait or the patrol's end stops the run
+    outcomes = collections.Counter()
+    seed = ["gaps", "deadlines", "keep-in", "keep-out", "end"].index(case)
+    rng = np.random.default_rng([12, seed])
+    for i in range(100):
+        head, tail = _random_schedule(rng, case)
+        mine, ref = (np.random.default_rng([12, seed, i]) for _ in range(2))
+        got = _schedule_outcome(_attempt, head, tail, mine)
+        want = _schedule_outcome(reference_attempt, head, tail, ref)
+        assert got == want, i
+        assert mine.bit_generator.state == ref.bit_generator.state, i
+        outcomes[got[0]] += 1
+    assert outcomes["path"] >= 30, outcomes
 
 
 @pytest.mark.parametrize("after_hold", [False, True],

@@ -536,6 +536,20 @@ def test_sequence_concat_requires_shared_junction():
         a.concat(PointSequence(1, 0.5, [[9, 9], [2, 0]]))
 
 
+def test_sequence_concat_compares_the_junction_exactly():
+    # a window starts at the last point of the one before, taken
+    # verbatim, so a junction 1e-9 m off is a fault; numpy's default
+    # relative tolerance would let 1e-4 m pass on a 10 m workspace
+    a = PointSequence(0, 0.1, [[0.0, 0.0], [7.0, 3.0]])
+    for off in ([1e-9, 0.0], [0.0, -1e-9], [1e-4, 0.0]):
+        with pytest.raises(ValueError, match="junction"):
+            a.concat(PointSequence(1, 0.1, [np.add([7.0, 3.0], off),
+                                            [8.0, 3.0]]))
+    b = PointSequence(0, 0.1, [[1.0, -0.0]])
+    assert b.concat(PointSequence(0, 0.1, [[1.0, 0.0], [2.0, 0.0]])).k_last \
+        == 1
+
+
 # ---------------------------------------------------------------------------
 # formula satisfaction
 
