@@ -880,8 +880,10 @@ def _schedule_outcome(attempt, head, tail, rng):
     return "path", (positions.shape, positions.tobytes(), times.tobytes())
 
 
-@pytest.mark.parametrize("case", ["gaps", "deadlines", "keep-in", "keep-out",
-                                  "end"])
+SCHEDULE_CASES = ("gaps", "deadlines", "keep-in", "keep-out", "end")
+
+
+@pytest.mark.parametrize("case", SCHEDULE_CASES)
 def test_runs_in_place_follow_the_one_pass_per_goal_schedule(case):
     # _attempt against the schedule it replaced, which takes one pass
     # per goal: the same path and time bytes, or the same TreeFailure,
@@ -889,7 +891,7 @@ def test_runs_in_place_follow_the_one_pass_per_goal_schedule(case):
     # patrol's region, so its visits run in place until another goal,
     # a guard, a wait or the patrol's end stops the run
     outcomes = collections.Counter()
-    seed = ["gaps", "deadlines", "keep-in", "keep-out", "end"].index(case)
+    seed = SCHEDULE_CASES.index(case)
     rng = np.random.default_rng([12, seed])
     for i in range(100):
         head, tail = _random_schedule(rng, case)
